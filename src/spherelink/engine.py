@@ -29,7 +29,7 @@ pairs.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -66,6 +66,8 @@ __all__ = [
 # pair-chunk sizing (elements of the alpha matrix per chunk)
 _PAIR_CHUNK = 1 << 21
 _FULL_CHUNK = 1 << 16
+# past this alpha the reduced join kernel uses the near-pi series
+_REDUCED_SWITCH = np.pi - 1e-3
 
 
 class DisjointnessError(ValueError):
@@ -330,12 +332,13 @@ def _alpha_stats(pk: np.ndarray, pl: np.ndarray):
 
 
 def _pair_level_value(K, L, nk, nl, kern, workers=None):
-    """One quadrature level of a pair integral with an alpha-only kernel.
+    """One quadrature level of a pair integral with a distance kernel.
 
     Returns (value, total_nodes, min_alpha, max_alpha).  The bracket
     determinant is expanded into per-side minors once per level; each
     (s, t) pair then costs one multiply-add through a matrix product plus
-    the kernel evaluation on the geodesic-distance matrix.
+    the kernel evaluation kern(alpha, cos_alpha) on the geodesic-distance
+    matrix and the dot products it came from.
     """
     pk, fk, wk, count_k = _side_arrays(K, nk)
     pl, fl, wl, count_l = _side_arrays(L, nl)
@@ -347,10 +350,10 @@ def _pair_level_value(K, L, nk, nl, kern, workers=None):
     ns = pk.shape[0]
     nt = pl.shape[0]
     rows = np.empty(ns)
-    nchunks = (ns + _row_chunk(nt) - 1) // _row_chunk(nt)
+    cs = _row_chunk(nt)
+    nchunks = (ns + cs - 1) // cs
     amins = np.full(nchunks, np.inf)
     amaxs = np.full(nchunks, -np.inf)
-    cs = _row_chunk(nt)
 
     def work(s, e):
         dots = np.clip(pk[s:e] @ pl.T, -1.0, 1.0)
@@ -358,14 +361,20 @@ def _pair_level_value(K, L, nk, nl, kern, workers=None):
         ci = s // cs
         amins[ci] = float(alpha.min())
         amaxs[ci] = float(alpha.max())
-        vals = kern(alpha)
+        vals = kern(alpha, dots)
         vals *= mk[s:e] @ ml.T
         vals *= wk[s:e, None]
         vals *= wl[None, :]
         rows[s:e] = tree_sum_axis(vals, axis=1)
 
     run_chunked(ns, work, workers, chunk=cs)
-    return tree_sum(rows), count_k * count_l, float(amins.min()), float(amaxs.max())
+    amin, amax = float(amins.min()), float(amaxs.max())
+    if not np.isfinite(rows).all():
+        raise ValueError(
+            f"pair integrand is not finite on the level with {nk} x {nl} nodes "
+            f"per chart direction (min alpha {amin:.3g} rad)"
+        )
+    return tree_sum(rows), count_k * count_l, amin, amax
 
 
 def _row_chunk(nt: int) -> int:
@@ -376,30 +385,32 @@ def _refine_pair(K, L, base_k, base_l, kern_at, tol, max_level, workers,
                  precheck):
     """Shared Richardson loop for the pair evaluators.
 
-    kern_at(level) must return the alpha-kernel callable for that level
-    (the join-reduced kernel refines its own u rule alongside).  `precheck`
-    runs on the base-level alpha range before any kernel evaluation.
+    kern_at(level) must return the kernel callable for that level (the
+    join-reduced kernel refines its own u rule alongside).  `precheck`
+    runs on the base-level alpha range before any kernel evaluation, and
+    again on the alpha range of every level integrated.
     """
     pk0, _, _, _ = _side_arrays(K, base_k)
     pl0, _, _, _ = _side_arrays(L, base_l)
-    amin0, amax0 = _alpha_stats(pk0, pl0)
-    precheck(amin0, amax0)
+    precheck(*_alpha_stats(pk0, pl0))
+
+    def level_value(level):
+        scale = 2 ** level
+        value, nodes, amin, amax = _pair_level_value(
+            K, L, scale * base_k, scale * base_l, kern_at(level), workers)
+        precheck(amin, amax)
+        node_counts.append(nodes)
+        return value, amin, amax
 
     node_counts = []
-    v_prev, n0, _, _ = _pair_level_value(K, L, base_k, base_l, kern_at(0), workers)
-    node_counts.append(n0)
-    v_cur, n1, amin, amax = _pair_level_value(
-        K, L, 2 * base_k, 2 * base_l, kern_at(1), workers)
-    node_counts.append(n1)
+    v_prev, _, _ = level_value(0)
+    v_cur, amin, amax = level_value(1)
     err = abs(v_cur - v_prev)
     level = 0
     while err >= tol and level < max_level:
         level += 1
         v_prev = v_cur
-        scale = 2 ** (level + 1)
-        v_cur, n_cur, amin, amax = _pair_level_value(
-            K, L, scale * base_k, scale * base_l, kern_at(level + 1), workers)
-        node_counts.append(n_cur)
+        v_cur, amin, amax = level_value(level + 1)
         err = abs(v_cur - v_prev)
     est = Estimate(value=v_cur, error_estimate=err, levels_used=level,
                    converged=bool(err < tol))
@@ -482,9 +493,7 @@ def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
                 f"{antipodal_margin} of pi: K is not safely disjoint from -L"
             )
 
-    def kern(alpha):
-        return ev.convolution_fast(alpha) / kernels.stable_sin(alpha) ** n
-
+    kern = partial(ev.convolution_fast, sin_power=n)
     est, amin, amax, counts = _refine_pair(
         K, L, grid.nodes_for(K, "k"), grid.nodes_for(L, "l"),
         lambda level: kern, tol, max_level, workers, precheck)
@@ -493,29 +502,28 @@ def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
 
 
 def _reduced_kernel(k: int, l: int, n: int, u_nodes: int):
-    """Alpha-kernel of the reduced join-degree integrand.
+    """Distance kernel of the reduced join-degree integrand.
 
     -(pi - alpha) <A^k B^l>_u / sin^n(alpha), with A = sin(eta (1 - u)),
     B = sin(eta u) for eta = pi - alpha; the u average uses Gauss-Legendre
-    on [0, 1].  Near alpha = pi the quotient is replaced by the same moment
-    expansion as the direct kernel (the u rule resolves the integrand there
-    to far below the expansion error).
+    on [0, 1].  Past pi - 1e-3, where the quotient tends to 0/0, the u
+    average is phi itself, so the direct kernel's near-pi series replaces it.
     """
     x, w = np.polynomial.legendre.leggauss(u_nodes)
     u = 0.5 * (x + 1.0)
     uw = 0.5 * w
-    b, c1 = kernels._ratio_series_coeffs(k, l)
+    ev = kernels.get_evaluator(k, l)
 
-    def kern(alpha):
+    def kern(alpha, cos_alpha):
         eta = kernels._eps_from_pi(alpha)
         terms = np.sin(eta[..., None] * (1.0 - u)) ** k * np.sin(eta[..., None] * u) ** l
         terms *= uw
         g = tree_sum_axis(terms, axis=-1) * eta
-        near = alpha > kernels.RATIO_SWITCH
+        near = alpha > _REDUCED_SWITCH
         safe = np.where(near, 0.5 * np.pi, alpha)
         quotient = np.where(near, 0.0, g) / kernels.stable_sin(safe) ** n
-        series = b * (1.0 + c1 * eta * eta)
-        return -np.where(near, series, quotient)
+        quotient[near] = ev.near_pi_ratio(eta[near])
+        return -quotient
 
     return kern
 
@@ -572,8 +580,7 @@ def convergence_table(K: OrientedSubmanifold, L: OrientedSubmanifold,
         kern_at = lambda level: ev.kernel_ratio
         prefactor = 1.0 / _vol_sphere_any(n)
     elif method == "corollary":
-        def conv_kern(alpha):
-            return ev.convolution_fast(alpha) / kernels.stable_sin(alpha) ** n
+        conv_kern = partial(ev.convolution_fast, sin_power=n)
         kern_at = lambda level: conv_kern
         prefactor = sign_factor("corollary_prefactor", k=k) / _vol_sphere_any(n)
     elif method == "join-reduced":

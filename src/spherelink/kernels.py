@@ -1,85 +1,49 @@
-"""Distance kernels for the linking integrals.
+"""Distance kernels for the linking integrals, both functions of the
+geodesic distance alpha:
 
-Two families live here, both functions of the geodesic distance alpha:
+* ``phi(k, l, alpha)`` -- the sweep kernel, integral over [alpha, pi] of
+  sin^k(beta - alpha) sin^l(beta) d beta; the direct linking integrand
+  carries phi / sin^n(alpha), n = k + l + 1;
+* ``convolution(k, l, alpha)`` -- the circular convolution, integral over
+  [0, pi] of sin^k(alpha - beta) sin^l(beta) d beta, for the antipodally
+  paired variant.
 
-* ``phi(k, l, alpha)``  -- the sweep kernel
-  integral over beta in [alpha, pi] of sin^k(beta - alpha) sin^l(beta),
-  which weights the direct linking integrand as phi / sin^n(alpha);
+They satisfy phi(k,l) = phi(l,k) and phi(k, l, alpha) + (-1)^k phi(k, l,
+pi - alpha) = (-1)^k convolution(k, l, alpha).  Both come from one closed
+form generated per (k, l) by product-to-sum: with c = cos(alpha),
+s = sin(alpha), phi = P(c) + s Q(c) + (pi - alpha)(R(c) + s S(c)) and the
+convolution is the same without the (pi - alpha) part.  phi vanishes to
+order n at alpha = pi, where the form cancels; past a switch point
+phi / sin^n comes from its Taylor series in (pi - alpha)^2, whose
+coefficients are summed exactly in integers.  Switch and term count follow
+per order from bounds (_near_pi_series).  Against adaptive Gauss-Legendre
+on [0.01, pi] for k, l <= 4 the ratio is good to ~1e-14 relative.
 
-* ``convolution(k, l, alpha)`` -- the circular convolution
-  integral over beta in [0, pi] of sin^k(alpha - beta) sin^l(beta),
-  which weights the antipodally-paired variant.
-
-Closed forms are installed exactly for the small cases where they exist as
-simple expressions; every other (k, l) is evaluated by adaptive
-Gauss-Legendre quadrature to 1e-12 absolute.  phi(k,l) = phi(l,k) holds for
-all orders, and the two kernels are tied together by
-
-    phi(k, l, alpha) + (-1)^k phi(k, l, pi - alpha)
-        = (-1)^k convolution(k, l, alpha).
-
-The ratio phi / sin^n is finite but 0/0 at alpha = pi; near that endpoint
-it is evaluated by a second-order moment expansion instead of the quotient
-(switchover at pi - 1e-3, the two branches agree to well under 1e-9 there).
+The engine passes cos(alpha) along with alpha: s is then sqrt((1-c)(1+c)),
+whose factors are exact near c = +-1, and no transcendental is evaluated.
 """
 
 import math
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
 __all__ = ["KernelEvaluator", "phi", "phi_kernel_ratio", "convolution",
            "get_evaluator", "stable_sin"]
 
-ABS_TOL = 1e-12
-RATIO_SWITCH = np.pi - 1e-3
-
 # Tail of pi dropped by float64; (np.pi - alpha) + _PI_LO recovers the true
 # pi - alpha to full precision, consistent with libm's argument reduction.
-# Without it, the closed forms lose ~1e-16 absolute near alpha = pi, which
-# the kernel ratio amplifies by 1/sin^n.
 _PI_LO = 1.2246467991473532e-16
+_UNIT_ROUNDOFF = 2.0 ** -53
+_FORM_TOL = 1e-14        # closed-form rounding estimate allowed, relative to phi
+_SERIES_TERMS = 40       # near-pi Taylor terms generated (enough to eps ~ 1.6)
+_BLOCK = 1 << 14         # elements per evaluation block; temporaries stay in L2
 
 
 def _eps_from_pi(alpha):
     """pi - alpha with the two-part-pi correction."""
     return (np.pi - alpha) + _PI_LO
-
-# (k, l) pairs with installed closed forms.
-PHI_CLOSED = {(0, 0), (1, 1), (1, 2), (2, 1)}
-CONV_CLOSED = {(1, 1), (2, 2)}
-
-_MAX_PANEL = 4096
-
-
-@lru_cache(maxsize=64)
-def _gl_nodes(m: int):
-    x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (x + 1.0), 0.5 * w  # rescaled to [0, 1]
-
-
-def _clenshaw(x: np.ndarray, coeffs: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """Chebyshev series evaluation; cache-blocked, much faster than chebval
-    on large inputs."""
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    nd = len(coeffs)
-    for s in range(0, flat.size, chunk):
-        xx = flat[s : s + chunk]
-        x2 = 2.0 * xx
-        b0 = np.full_like(xx, coeffs[-1])
-        b1 = np.zeros_like(xx)
-        for j in range(nd - 2, -1, -1):
-            b0, b1 = coeffs[j] + x2 * b0 - b1, b0
-        out[s : s + chunk] = b0 - xx * b1
-    return out.reshape(x.shape)
-
-
-def _trim_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    mags = np.abs(coeffs)
-    keep = np.nonzero(mags > 1e-15 * mags.max())[0]
-    return coeffs[: int(keep.max()) + 1] if keep.size else coeffs[:1]
 
 
 def stable_sin(alpha):
@@ -89,203 +53,242 @@ def stable_sin(alpha):
     return np.sin(np.minimum(alpha, _eps_from_pi(alpha)))
 
 
-def _phi_closed(k: int, l: int, alpha):
-    if (k, l) == (0, 0):
-        return _eps_from_pi(alpha)
-    if (k, l) == (1, 1):
-        return 0.5 * (_eps_from_pi(alpha) * np.cos(alpha) + np.sin(alpha))
-    # (1, 2) and (2, 1) share the same kernel by symmetry
-    return (1.0 + np.cos(alpha)) ** 2 / 3.0
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _cos_sin_monomials(m: int):
+    """Monomial coefficients in c of cos(m alpha) = T_m(c) and of
+    sin(m alpha) / s = U_{m-1}(c), by the recurrence X_m = 2 c X_{m-1} - X_{m-2}."""
+    if m < 2:
+        return ((1,), ()) if m == 0 else ((0, 1), (1,))
+    (t1, u1), (t2, u2) = _cos_sin_monomials(m - 1), _cos_sin_monomials(m - 2)
+    return tuple(tuple(2 * x - y for x, y in zip_longest((0,) + a, b, fillvalue=0))
+                 for a, b in ((t1, t2), (u1, u2)))
 
 
-def _phi_panel(k: int, l: int, alpha, m: int):
-    # phi = eps * int_0^1 sin^k(eps (1-w)) sin^l(eps w) dw  with eps = pi - alpha.
-    # This substituted form keeps full relative precision as alpha -> pi.
-    w, q = _gl_nodes(m)
-    eps_flat = _eps_from_pi(alpha)
-    eps = eps_flat[..., None]
-    vals = np.sin(eps * (1.0 - w)) ** k * np.sin(eps * w) ** l
-    return (vals @ q) * eps_flat
+def _closed_form(k: int, l: int, kernel: str):
+    """Terms (coeffs, with_s, with_eps) whose sum coeffs(c) [* s] [* (pi - alpha)]
+    is the kernel; coeffs are monomials in c, lowest degree first.
+
+    phi: each e^{i(p(beta - alpha) + q beta)} integrates over [alpha, pi] to
+    ((-1)^f e^{-ip alpha} - e^{iq alpha}) / (i f) for f = p + q != 0, and to
+    (pi - alpha) e^{-ip alpha} for f = 0.  convolution: e^{ip alpha}
+    e^{i(q - p) beta} integrates over [0, pi] to e^{ip alpha} times pi or
+    ((-1)^g - 1) / (i g), g = q - p.  The kernel is real, so z e^{i m alpha}
+    contributes Re z cos(|m| alpha) - sign(m) Im z sin(|m| alpha).
+    """
+    def sin_power(m):  # (p, a_p) with sin^m x = sum of a_p e^{i p x}
+        return [(m - 2 * j, (-0.5j) ** m * math.comb(m, j) * (-1) ** j) for j in range(m + 1)]
+
+    polys = [[0.0] * (max(k, l) + 1) for _ in range(4)]  # (cos, sin) x (plain, swept)
+    for p, a in sin_power(k):
+        for q, b in sin_power(l):
+            if kernel == "phi":
+                f = p + q
+                parts = ([(2, -p, a * b)] if f == 0 else
+                         [(0, -p, a * b * (-1) ** f / (1j * f)), (0, q, -a * b / (1j * f))])
+            else:
+                g = q - p
+                parts = [(0, p, a * b * (np.pi if g == 0 else ((-1) ** g - 1) / (1j * g)))]
+            for row, m, z in parts:
+                cos_m, sin_m = _cos_sin_monomials(abs(m))
+                for i, v in enumerate(cos_m):
+                    polys[row][i] += z.real * v
+                for i, v in enumerate(sin_m):  # empty for m = 0
+                    polys[row + 1][i] -= (z.imag if m > 0 else -z.imag) * v
+    terms = [(np.trim_zeros(np.array(c), "b"), bool(i & 1), i >= 2) for i, c in enumerate(polys)]
+    return [t for t in terms if t[0].size]
 
 
-def _phi_numeric(k: int, l: int, alpha, start_nodes: int = 48):
-    alpha = np.asarray(alpha, dtype=float)
-    m = max(16, int(start_nodes))
-    prev = _phi_panel(k, l, alpha, m)
-    while m <= _MAX_PANEL:
-        m *= 2
-        cur = _phi_panel(k, l, alpha, m)
-        if float(np.max(np.abs(cur - prev))) < ABS_TOL:
-            return cur
-        prev = cur
-    raise RuntimeError(f"phi({k},{l}) quadrature did not converge to {ABS_TOL}")
+@lru_cache(maxsize=1)
+def _x_over_sin_x() -> np.ndarray:
+    """Taylor coefficients in x^2 of x / sin x (all positive), by series division."""
+    inv = [(-1.0) ** (i + 1) / math.factorial(2 * i + 1) for i in range(_SERIES_TERMS)]
+    beta = [1.0]
+    for j in range(1, _SERIES_TERMS):
+        beta.append(sum([inv[i] * beta[j - i] for i in range(1, j + 1)]))
+    return np.array(beta)
 
 
-def _conv_panel(k: int, l: int, alpha, m: int):
-    w, q = _gl_nodes(m)
-    beta = np.pi * w
-    vals = np.sin(alpha[..., None] - beta) ** k * np.sin(beta) ** l
-    return np.pi * (vals @ q)
+def _psi_series(k: int, l: int) -> np.ndarray:
+    """Taylor coefficients in eps^2 of psi(eps) = phi(pi - eps) / eps^n.
+
+    sin^k x = 2^-k sum over a of i^(a-k) S_k(a) x^a / a! with the integers
+    S_k(a) = sum_j C(k,j) (-1)^j (k - 2j)^a, the (positive) coefficients of
+    sinh^k.  As phi(pi - eps) = eps int_0^1 sin^k(eps(1-w)) sin^l(eps w) dw,
+    Beta integrals reduce the product to a plain convolution of S_k and S_l:
+    positive terms, so each coefficient is good to a few ulps.
+    """
+    def s_int(m):
+        steps = [(m - 2 * j) ** 2 for j in range(m + 1)]
+        terms = [math.comb(m, j) * (-1) ** j * (m - 2 * j) ** m for j in range(m + 1)]
+        out = []
+        for _ in range(_SERIES_TERMS):
+            out.append(float(sum(terms)))
+            terms = [t * b for t, b in zip(terms, steps)]
+        return np.array(out)
+
+    den = [2.0 ** (k + l) * math.factorial(k + l + 1)]
+    for a in range(k + l + 2, k + l + 2 * _SERIES_TERMS, 2):
+        den.append(-den[-1] * a * (a + 1))
+    return np.convolve(s_int(k), s_int(l))[:_SERIES_TERMS] / np.array(den)
 
 
-def _conv_numeric(k: int, l: int, alpha, start_nodes: int = 48):
-    alpha = np.asarray(alpha, dtype=float)
-    m = max(16, int(start_nodes))
-    prev = _conv_panel(k, l, alpha, m)
-    while m <= _MAX_PANEL:
-        m *= 2
-        cur = _conv_panel(k, l, alpha, m)
-        if float(np.max(np.abs(cur - prev))) < ABS_TOL:
-            return cur
-        prev = cur
-    raise RuntimeError(f"convolution({k},{l}) quadrature did not converge")
+def _near_pi_series(k: int, l: int, form):
+    """Switch eps and the truncated Taylor series of phi / sin^n in eps^2.
 
-
-def _ratio_series_coeffs(k: int, l: int):
-    # phi(pi - eps) / sin^n(pi - eps) = B (1 + C1 eps^2 + O(eps^4)) where
-    # B = k! l! / n! and C1 collects the cubic corrections of sin on both
-    # factors of the integrand and of the sin^n denominator.
+    The closed form's rounding error is estimated as u times its summed
+    coefficient magnitudes (|c|, |s| <= 1, pi - alpha <= pi).  The switch is
+    the smallest eps where that is _FORM_TOL of phi(pi - eps) = eps^n psi(eps),
+    capped at pi/2; psi decreases there, so eps <- (estimate / psi(eps))^(1/n)
+    climbs to it from 0, gaining ~10x per step.  The series converges for
+    eps < pi and keeps the terms before the first one under u/4 of the
+    leading term at the switch (later terms shrink > 2x each).
+    """
     n = k + l + 1
-    b = math.factorial(k) * math.factorial(l) / math.factorial(n)
-    c1 = (n - (k * (k + 1) * (k + 2) + l * (l + 1) * (l + 2)) / ((n + 1) * (n + 2))) / 6.0
-    return b, c1
+    psi = _psi_series(k, l)
+    mass = sum(float(np.abs(c).sum()) * (np.pi if with_eps else 1.0) for c, _, with_eps in form)
+    target = _UNIT_ROUNDOFF * mass / _FORM_TOL
+    eps, psi_desc = 0.0, psi[::-1].tolist()
+    for _ in range(8):
+        value = 0.0
+        for v in psi_desc:
+            value = value * eps * eps + v
+        eps = min(0.5 * np.pi, (target / value) ** (1.0 / n))
+    h = np.ones(1)
+    for _ in range(n):
+        h = np.convolve(h, _x_over_sin_x())[:_SERIES_TERMS]
+    ratio = np.convolve(psi, h)[:_SERIES_TERMS]
+    small = np.abs(ratio) * eps ** (2 * np.arange(_SERIES_TERMS)) < 0.25 * _UNIT_ROUNDOFF * ratio[0]
+    return eps, ratio[: int(np.argmax(small)) if small.any() else _SERIES_TERMS]
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    acc = np.full_like(x, coeffs[-1])
+    for v in coeffs[-2::-1]:
+        acc *= x
+        acc += v
+    return acc
+
+
+def _form_at(form, a, c, s):
+    """A closed form's value on one block (forms have at least one term)."""
+    out = None
+    for coeffs, with_s, with_eps in form:
+        v = _horner(coeffs, c)
+        if with_s:
+            v *= s
+        if with_eps:
+            v *= _eps_from_pi(a)
+        out = v if out is None else np.add(out, v, out=out)
+    return out
+
+
+def _sin_pow(s: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
+    """s^n from s and s2 = s^2 (n >= 1)."""
+    out = s if n & 1 else s2
+    for _ in range((n - 1) // 2):
+        out = out * s2
+    return out
 
 
 class KernelEvaluator:
-    """Evaluator for the kernels of one (k, l) order pair.
-
-    `mode` reports how phi is computed: "closed_form" for the cataloged
-    small cases, "numeric" otherwise.  The numeric path additionally builds
-    a read-only Chebyshev table at construction (single-threaded build, used
-    concurrently afterwards) for the regularized factor
-    psi(alpha) = phi(alpha) / (pi - alpha)^n, which keeps the ratio
-    phi / sin^n accurate in a relative sense all the way to alpha = pi.
-    The table is validated against direct quadrature at build time.
+    """Kernels of one (k, l) order pair, read-only after construction (which
+    generates the closed forms and series; nothing is fitted), so threads
+    may share it.  The fast entry points take alpha and, optionally,
+    cos(alpha); without it, c = cos(alpha) and s = stable_sin(alpha).
     """
 
-    def __init__(self, k: int, l: int, numeric_nodes: int = 48):
+    mode = "closed_form"
+    conv_mode = "closed_form"
+
+    def __init__(self, k: int, l: int):
         if k < 0 or l < 0 or int(k) != k or int(l) != l:
             raise ValueError("kernel orders must be nonnegative integers")
-        if numeric_nodes < 16:
-            raise ValueError("numeric_nodes must be at least 16")
         self.k = int(k)
         self.l = int(l)
         self.n = self.k + self.l + 1
-        self.numeric_nodes = int(numeric_nodes)
-        self.mode = "closed_form" if (k, l) in PHI_CLOSED else "numeric"
-        self.conv_mode = "closed_form" if (k, l) in CONV_CLOSED else "numeric"
-        self._series = _ratio_series_coeffs(self.k, self.l)
-        self._psi_coeffs = None if self.mode == "closed_form" else self._build_psi_table()
-        self._conv_coeffs = None if self.conv_mode == "closed_form" else self._build_conv_table()
+        self._phi_form = _closed_form(self.k, self.l, "phi")
+        self._conv_form = _closed_form(self.k, self.l, "conv")
+        eps_switch, self._series = _near_pi_series(self.k, self.l, self._phi_form)
+        self.alpha_switch = np.pi - eps_switch
 
-    # -- construction of the read-only Chebyshev tables ---------------------
-
-    def _build_psi_table(self):
-        deg = 64
-        while deg <= 512:
-            nodes = np.cos(np.pi * np.arange(deg + 1) / deg)  # Chebyshev extrema
-            alpha = 0.5 * np.pi * (nodes + 1.0)
-            psi = self._psi_direct(alpha)
-            coeffs = _trim_coeffs(np.polynomial.chebyshev.chebfit(nodes, psi, deg))
-            # validate the table against the adaptive quadrature path
-            check = np.linspace(0.0, np.pi, 257)
-            approx = self._psi_from_table(check, coeffs) * _eps_from_pi(check) ** self.n
-            exact = _phi_numeric(self.k, self.l, check)
-            if float(np.max(np.abs(approx - exact))) < 5e-13 * max(1.0, float(np.max(np.abs(exact)))):
-                return coeffs
-            deg *= 2
-        raise RuntimeError(f"psi table for ({self.k},{self.l}) failed to converge")
-
-    def _psi_direct(self, alpha):
-        # psi = phi / (pi - alpha)^n; the substituted quadrature form divides
-        # out the (pi - alpha)^n prefactor analytically, so this stays exact
-        # at alpha = pi where it takes the value k! l! / n!.
-        w, q = _gl_nodes(256)
-        eps = _eps_from_pi(np.asarray(alpha, dtype=float))[..., None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f1 = np.where(eps > 0, np.sin(eps * (1 - w)) / np.where(eps > 0, eps, 1.0), 1.0 - w)
-            f2 = np.where(eps > 0, np.sin(eps * w) / np.where(eps > 0, eps, 1.0), w)
-        return (f1**self.k * f2**self.l) @ q
-
-    @staticmethod
-    def _psi_from_table(alpha, coeffs):
-        x = 2.0 * np.asarray(alpha, dtype=float) / np.pi - 1.0
-        return _clenshaw(x, coeffs)
-
-    def _build_conv_table(self):
-        deg = 64
-        while deg <= 512:
-            nodes = np.cos(np.pi * np.arange(deg + 1) / deg)
-            alpha = 0.5 * np.pi * (nodes + 1.0)
-            vals = _conv_numeric(self.k, self.l, alpha)
-            coeffs = _trim_coeffs(np.polynomial.chebyshev.chebfit(nodes, vals, deg))
-            check = np.linspace(0.0, np.pi, 257)
-            approx = _clenshaw(2 * check / np.pi - 1, coeffs)
-            exact = _conv_numeric(self.k, self.l, check)
-            if float(np.max(np.abs(approx - exact))) < 5e-13 * max(1.0, float(np.max(np.abs(exact)))):
-                return coeffs
-            deg *= 2
-        raise RuntimeError(f"convolution table for ({self.k},{self.l}) failed to converge")
-
-    # -- evaluation ----------------------------------------------------------
+    def _evaluate(self, alpha, cos_alpha, form, sin_power=0, series=False):
+        """form / sin^sin_power over cache-sized blocks; with series, entries
+        past the switch come from the near-pi series instead."""
+        alpha = np.asarray(alpha, dtype=float)
+        a = alpha.ravel()
+        if cos_alpha is None:
+            c, s = np.cos(a), stable_sin(a)
+        else:
+            c, s = np.asarray(cos_alpha, dtype=float).ravel(), None
+        out = np.empty_like(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(0, a.size, _BLOCK):
+                part = slice(i, i + _BLOCK)
+                ab, cb = a[part], c[part]
+                lo, hi = float(ab.min()), float(ab.max())
+                if lo < -1e-12 or hi > np.pi + 1e-12:
+                    raise ValueError("alpha must lie in [0, pi]")
+                if sin_power and lo < 1e-8:
+                    raise ValueError(
+                        "kernel ratio requested at alpha < 1e-8; the integrand is "
+                        "unbounded there (points of K and L nearly coincide)")
+                if s is None:
+                    s2 = (1.0 - cb) * (1.0 + cb)
+                    sb = np.sqrt(s2)
+                else:
+                    sb = s[part]
+                    s2 = sb * sb
+                val = _form_at(form, ab, cb, sb)
+                if sin_power:
+                    val /= _sin_pow(sb, s2, sin_power)
+                if series and hi > self.alpha_switch:
+                    near = np.flatnonzero(ab > self.alpha_switch)
+                    fix = self.near_pi_ratio(_eps_from_pi(ab[near]))
+                    if sin_power < self.n:
+                        fix *= _sin_pow(sb[near], s2[near], self.n - sin_power)
+                    val[near] = fix
+                out[part] = val
+        return _maybe_scalar(out.reshape(alpha.shape))
 
     def phi(self, alpha):
-        """Sweep kernel, closed form when cataloged, else direct quadrature."""
-        alpha = np.asarray(alpha, dtype=float)
-        _check_alpha_range(alpha)
-        if self.mode == "closed_form":
-            return _maybe_scalar(_phi_closed(self.k, self.l, alpha))
-        return _maybe_scalar(_phi_numeric(self.k, self.l, alpha, self.numeric_nodes))
+        """Sweep kernel phi(k, l, alpha)."""
+        return self.phi_fast(alpha)
 
-    def phi_fast(self, alpha):
-        """Sweep kernel via the table (numeric orders); same value as phi."""
-        alpha = np.asarray(alpha, dtype=float)
-        if self.mode == "closed_form":
-            return _phi_closed(self.k, self.l, alpha)
-        return self._psi_from_table(alpha, self._psi_coeffs) * _eps_from_pi(alpha) ** self.n
+    def phi_fast(self, alpha, cos_alpha=None):
+        """phi, optionally from cos(alpha); series times sin^n past the switch."""
+        return self._evaluate(alpha, cos_alpha, self._phi_form, series=True)
 
-    def kernel_ratio(self, alpha):
+    def kernel_ratio(self, alpha, cos_alpha=None):
         """phi(alpha) / sin^n(alpha) with the endpoint handled by series.
 
         Finite on (0, pi]; tends to k! l! / n! at alpha = pi.  Raises for
-        alpha below 1e-8, where the ratio diverges like alpha^{-n} and the
-        disjointness hypothesis of the linking integral is violated.
+        alpha outside [0, pi] and below 1e-8, where the ratio diverges like
+        alpha^{-n} and the disjointness hypothesis of the linking integral
+        is violated.
         """
-        alpha = np.asarray(alpha, dtype=float)
-        _check_alpha_range(alpha)
-        if float(np.min(alpha)) < 1e-8:
-            raise ValueError(
-                "kernel ratio requested at alpha < 1e-8; the integrand is "
-                "unbounded there (points of K and L nearly coincide)"
-            )
-        b, c1 = self._series
-        eps = _eps_from_pi(alpha)
-        series = b * (1.0 + c1 * eps * eps)
-        near = alpha > RATIO_SWITCH
-        safe_alpha = np.where(near, 0.5 * np.pi, alpha)
-        if self.mode == "closed_form":
-            quotient_num = _phi_closed(self.k, self.l, safe_alpha)
-        else:
-            quotient_num = self.phi_fast(safe_alpha)
-        quotient = quotient_num / stable_sin(safe_alpha) ** self.n
-        return _maybe_scalar(np.where(near, series, quotient))
+        return self._evaluate(alpha, cos_alpha, self._phi_form, self.n, series=True)
+
+    def near_pi_ratio(self, eps):
+        """kernel_ratio at alpha = pi - eps by the series, for eps <= pi - alpha_switch."""
+        eps = np.asarray(eps, dtype=float)
+        return _horner(self._series, eps * eps)
 
     def convolution(self, alpha):
-        """Circular convolution kernel, closed form when cataloged."""
-        alpha = np.asarray(alpha, dtype=float)
-        _check_alpha_range(alpha)
-        if (self.k, self.l) == (1, 1):
-            return _maybe_scalar(-0.5 * np.pi * np.cos(alpha))
-        if (self.k, self.l) == (2, 2):
-            return _maybe_scalar(np.pi / 8.0 * (1.0 + 2.0 * np.cos(alpha) ** 2))
-        return _maybe_scalar(_conv_numeric(self.k, self.l, alpha, self.numeric_nodes))
+        """Circular convolution kernel convolution(k, l, alpha)."""
+        return self.convolution_fast(alpha)
 
-    def convolution_fast(self, alpha):
-        """Convolution via the table (numeric orders); same value."""
-        alpha = np.asarray(alpha, dtype=float)
-        if self.conv_mode == "closed_form":
-            return self.convolution(alpha)
-        return _clenshaw(2.0 * alpha / np.pi - 1.0, self._conv_coeffs)
+    def convolution_fast(self, alpha, cos_alpha=None, sin_power=0):
+        """Convolution kernel over sin^sin_power(alpha); the corollary uses
+        sin_power = n, kept off alpha = 0 and pi by its margins."""
+        return self._evaluate(alpha, cos_alpha, self._conv_form, sin_power)
 
 
 def _maybe_scalar(out):
@@ -293,14 +296,9 @@ def _maybe_scalar(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_alpha_range(alpha):
-    if alpha.size and (float(np.min(alpha)) < -1e-12 or float(np.max(alpha)) > np.pi + 1e-12):
-        raise ValueError("alpha must lie in [0, pi]")
-
-
 @lru_cache(maxsize=128)
 def get_evaluator(k: int, l: int) -> KernelEvaluator:
-    """Shared evaluator cache; tables are built once per order pair."""
+    """Shared evaluator cache; closed forms are built once per order pair."""
     return KernelEvaluator(k, l)
 
 

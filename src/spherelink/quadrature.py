@@ -39,11 +39,20 @@ CHUNK = 1 << 17
 
 
 def worker_count() -> int:
-    """Worker cap from SPHERELINK_WORKERS, defaulting to the CPU count."""
-    raw = os.environ.get("SPHERELINK_WORKERS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    """Worker cap from SPHERELINK_WORKERS, defaulting to the CPU count.
+
+    Raises ValueError unless the variable is unset, blank or an integer >= 1.
+    """
+    raw = os.environ.get("SPHERELINK_WORKERS", "").strip()
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SPHERELINK_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 @lru_cache(maxsize=256)

@@ -1,4 +1,7 @@
-"""Shared fixtures: the standard link-pair catalog and random helpers."""
+"""Shared fixtures: the standard link-pair catalog, random helpers and an
+independent quadrature reference for the distance kernels."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -105,3 +108,62 @@ def clifford_pair(p: int, q: int, phase: float):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
+
+
+# ---------------------------------------------------------------------------
+# kernel reference: adaptive Gauss-Legendre of the defining integrals
+# ---------------------------------------------------------------------------
+
+ABS_TOL = 1e-12
+_MAX_PANEL = 4096
+_PI_LO = 1.2246467991473532e-16  # float64 tail of pi
+
+
+@lru_cache(maxsize=64)
+def _gl_nodes(m: int):
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * w  # rescaled to [0, 1]
+
+
+def _eps_from_pi(alpha):
+    return (np.pi - alpha) + _PI_LO
+
+
+def _phi_panel(k, l, alpha, m):
+    # phi = eps * int_0^1 sin^k(eps (1-w)) sin^l(eps w) dw  with eps = pi - alpha.
+    # This substituted form keeps full relative precision as alpha -> pi.
+    w, q = _gl_nodes(m)
+    eps_flat = _eps_from_pi(alpha)
+    eps = eps_flat[..., None]
+    vals = np.sin(eps * (1.0 - w)) ** k * np.sin(eps * w) ** l
+    return (vals @ q) * eps_flat
+
+
+def _conv_panel(k, l, alpha, m):
+    w, q = _gl_nodes(m)
+    beta = np.pi * w
+    vals = np.sin(alpha[..., None] - beta) ** k * np.sin(beta) ** l
+    return np.pi * (vals @ q)
+
+
+def _adaptive(panel, k, l, alpha, start_nodes=48):
+    alpha = np.asarray(alpha, dtype=float)
+    m = max(16, int(start_nodes))
+    prev = panel(k, l, alpha, m)
+    while m <= _MAX_PANEL:
+        m *= 2
+        cur = panel(k, l, alpha, m)
+        if float(np.max(np.abs(cur - prev))) < ABS_TOL:
+            return cur
+        prev = cur
+    raise RuntimeError(f"kernel ({k},{l}) quadrature did not converge to {ABS_TOL}")
+
+
+def phi_numeric(k, l, alpha):
+    """phi(k, l, alpha) by adaptive Gauss-Legendre, 1e-12 absolute."""
+    return _adaptive(_phi_panel, k, l, alpha)
+
+
+def conv_numeric(k, l, alpha):
+    """convolution(k, l, alpha) by adaptive Gauss-Legendre, 1e-12 absolute."""
+    return _adaptive(_conv_panel, k, l, alpha)

@@ -30,8 +30,10 @@ from spherelink.spheregeom import _vol_sphere_any
 
 from conftest import (
     clifford_pair,
+    conv_numeric,
     great_pair,
     hopf_pair,
+    phi_numeric,
     random_fourier_pair,
     random_rotation,
     small_sphere_pair,
@@ -98,10 +100,10 @@ def test_criterion_1_great_subspheres(main_reports):
 def test_criterion_2_closed_form_kernels():
     alphas = np.linspace(0.0, np.pi, 256)
     checks = [
-        ("phi(1,1)", kernels.phi(1, 1, alphas), kernels._phi_numeric(1, 1, alphas)),
-        ("phi(1,2)", kernels.phi(1, 2, alphas), kernels._phi_numeric(1, 2, alphas)),
-        ("conv(1,1)", kernels.convolution(1, 1, alphas), kernels._conv_numeric(1, 1, alphas)),
-        ("conv(2,2)", kernels.convolution(2, 2, alphas), kernels._conv_numeric(2, 2, alphas)),
+        ("phi(1,1)", kernels.phi(1, 1, alphas), phi_numeric(1, 1, alphas)),
+        ("phi(1,2)", kernels.phi(1, 2, alphas), phi_numeric(1, 2, alphas)),
+        ("conv(1,1)", kernels.convolution(1, 1, alphas), conv_numeric(1, 1, alphas)),
+        ("conv(2,2)", kernels.convolution(2, 2, alphas), conv_numeric(2, 2, alphas)),
     ]
     for name, closed, numeric in checks:
         sup = float(np.max(np.abs(np.asarray(closed) - numeric)))
@@ -240,7 +242,7 @@ def test_criterion_7_sign_laws(fixture_table, main_reports):
         n = K.ambient_n
         direct = evaluate_main_theorem(K, antipodal_image(L), tol=1e-9)
         ev = kernels.get_evaluator(K.dim, l_dim)
-        reflected_kernel = lambda alpha: ev.kernel_ratio(np.pi - alpha)
+        reflected_kernel = lambda alpha, cos_alpha: ev.kernel_ratio(np.pi - alpha, -cos_alpha)
         value, _, _, _ = _pair_level_value(K, L, 128, 128, reflected_kernel)
         expected = sign_factor("antipodal_transfer", l=l_dim) * value / _vol_sphere_any(n)
         assert abs(direct.raw_value - expected) < 1e-8, name

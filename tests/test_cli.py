@@ -113,6 +113,13 @@ class TestLink:
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_workers_env_exit_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SPHERELINK_WORKERS", value)
+        code, _, err = run(capsys, ["link", write_spec(tmp_path, GREAT_CIRCLES)])
+        assert code == 1
+        assert "SPHERELINK_WORKERS" in err
+
     def test_method_validation(self, tmp_path, capsys):
         path = write_spec(tmp_path, dict(GREAT_CIRCLES, method="magic"))
         code, _, err = run(capsys, ["link", path])

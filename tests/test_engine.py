@@ -17,7 +17,13 @@ from spherelink import (
     round_to_linking,
     sign_factor,
 )
-from spherelink.engine import convergence_table, join_frame
+from spherelink.engine import (
+    _alpha_stats,
+    _pair_level_value,
+    _side_arrays,
+    convergence_table,
+    join_frame,
+)
 from spherelink.spheregeom import SpherePoint, compose_givens
 
 from conftest import clifford_pair, great_pair, hopf_pair
@@ -202,6 +208,35 @@ class TestMainTheorem:
         assert r.nearest_integer == 0
         assert r.residual < 1e-3
         assert oracle_linking(K, L).nearest_integer == 0
+
+
+class TestLevelChecks:
+    """Checks that run on every integrated level, not only the base grid."""
+
+    def _alpha_ranges(self, K, L, nodes):
+        return [_alpha_stats(_side_arrays(K, m)[0], _side_arrays(L, m)[0])
+                for m in (nodes, 2 * nodes)]
+
+    def test_nan_kernel_rejected(self):
+        K, L = hopf_pair()
+        with pytest.raises(ValueError, match="not finite.*min alpha"):
+            _pair_level_value(K, L, 8, 8, lambda alpha, cos_alpha: np.full_like(alpha, np.nan))
+
+    def test_min_alpha_checked_on_refined_grid(self):
+        K, L = hopf_pair()
+        (amin0, _), (amin1, _) = self._alpha_ranges(K, L, 6)
+        assert amin1 < amin0
+        threshold = 0.5 * (amin0 + amin1)
+        with pytest.raises(DisjointnessError):
+            evaluate_main_theorem(K, L, grid=GridSpec(curve=6), min_alpha=threshold)
+
+    def test_antipodal_margin_checked_on_refined_grid(self):
+        K, L = hopf_pair()
+        (_, amax0), (_, amax1) = self._alpha_ranges(K, L, 6)
+        assert amax1 > amax0
+        margin = np.pi - 0.5 * (amax0 + amax1)
+        with pytest.raises(DisjointnessError):
+            evaluate_corollary(K, L, grid=GridSpec(curve=6), antipodal_margin=margin)
 
 
 class TestCorollary:

@@ -3,13 +3,14 @@ import pytest
 
 from spherelink.kernels import (
     KernelEvaluator,
-    _phi_numeric,
     convolution,
     get_evaluator,
     phi,
     phi_kernel_ratio,
     stable_sin,
 )
+
+from conftest import conv_numeric, phi_numeric
 
 
 def gl(a, b, m=160):
@@ -173,25 +174,22 @@ class TestIdentities:
 
 class TestEvaluator:
     def test_modes(self):
-        assert KernelEvaluator(1, 1).mode == "closed_form"
-        assert KernelEvaluator(2, 1).mode == "closed_form"
-        assert KernelEvaluator(0, 0).mode == "closed_form"
-        assert KernelEvaluator(2, 2).mode == "numeric"
-        assert KernelEvaluator(1, 1).conv_mode == "closed_form"
-        assert KernelEvaluator(2, 2).conv_mode == "closed_form"
-        assert KernelEvaluator(1, 2).conv_mode == "numeric"
+        # every order runs the generated closed form
+        for k, l in [(1, 1), (2, 1), (0, 0), (2, 2), (1, 2), (2, 3)]:
+            assert KernelEvaluator(k, l).mode == "closed_form"
+            assert KernelEvaluator(k, l).conv_mode == "closed_form"
 
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             KernelEvaluator(-1, 2)
         with pytest.raises(ValueError):
-            KernelEvaluator(1, 1, numeric_nodes=8)
+            KernelEvaluator(1.5, 1)
 
     def test_fast_paths_match_direct(self):
         alphas = np.linspace(0.0, np.pi, 257)
         for k, l in [(2, 2), (1, 3), (0, 2)]:
             ev = KernelEvaluator(k, l)
-            assert np.max(np.abs(ev.phi_fast(alphas) - _phi_numeric(k, l, alphas))) < 1e-12
+            assert np.max(np.abs(ev.phi_fast(alphas) - phi_numeric(k, l, alphas))) < 1e-12
             assert np.max(np.abs(ev.convolution_fast(alphas) - ev.convolution(alphas))) < 1e-12
 
     def test_stable_sin(self):
@@ -200,3 +198,62 @@ class TestEvaluator:
         # full relative accuracy near pi, unlike naive sin
         eps = 1e-7
         assert stable_sin(np.pi - eps) == pytest.approx(np.sin(eps), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# full-accuracy coverage against the adaptive Gauss-Legendre reference
+# ---------------------------------------------------------------------------
+
+GRID = np.linspace(0.01, np.pi, 20001)
+ORDERS = [(k, l) for k in range(5) for l in range(5)]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """phi and convolution on GRID for every order, by the reference."""
+    return {(k, l): (phi_numeric(k, l, GRID), conv_numeric(k, l, GRID))
+            for k, l in ORDERS}
+
+
+def _sin_n(alpha, n):
+    return np.sin(np.minimum(alpha, (np.pi - alpha) + 1.2246467991473532e-16)) ** n
+
+
+class TestFullAccuracy:
+    def test_kernel_ratio_relative(self, reference):
+        for k, l in ORDERS:
+            ref = reference[k, l][0] / _sin_n(GRID, k + l + 1)
+            rel = np.max(np.abs(phi_kernel_ratio(k, l, GRID) - ref) / ref)
+            assert rel <= 1e-13, (k, l, rel)
+
+    def test_phi_and_convolution(self, reference):
+        for k, l in ORDERS:
+            phi_ref, conv_ref = reference[k, l]
+            for got, ref in ((phi(k, l, GRID), phi_ref), (convolution(k, l, GRID), conv_ref)):
+                err = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+                assert err <= 1e-13, (k, l, err)
+
+    def test_cos_path_matches_alpha_path(self):
+        # the engine hands over the dot products c; alpha = arccos(c).  The
+        # corollary quotient diverges at pi, so it is compared up to the
+        # default antipodal margin.
+        c = np.cos(GRID)
+        alpha = np.arccos(c)
+        off_pi = alpha < np.pi - 0.01
+        for k, l in ORDERS:
+            ev = get_evaluator(k, l)
+            n = ev.n
+            pairs = [(ev.kernel_ratio(alpha, c), ev.kernel_ratio(alpha)),
+                     (ev.convolution_fast(alpha[off_pi], c[off_pi], sin_power=n),
+                      ev.convolution_fast(alpha[off_pi], sin_power=n))]
+            for engine, alpha_only in pairs:
+                rel = np.max(np.abs(engine - alpha_only) / np.abs(alpha_only))
+                assert rel <= 1e-12, (k, l, rel)
+
+    def test_switch_is_continuous(self):
+        for k, l in ORDERS:
+            ev = get_evaluator(k, l)
+            a = ev.alpha_switch
+            below = ev.kernel_ratio(np.nextafter(a, 0.0))
+            above = ev.kernel_ratio(np.nextafter(a, 4.0))
+            assert abs(below - above) <= 1e-13 * abs(below), (k, l)

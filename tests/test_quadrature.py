@@ -192,6 +192,12 @@ class TestDeterminism:
         monkeypatch.delenv("SPHERELINK_WORKERS")
         assert worker_count() >= 1
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_worker_count_rejects_bad_values(self, monkeypatch, value):
+        monkeypatch.setenv("SPHERELINK_WORKERS", value)
+        with pytest.raises(ValueError, match="SPHERELINK_WORKERS"):
+            worker_count()
+
     def test_bit_identical_across_workers(self, monkeypatch, rng):
         coeffs = rng.standard_normal(7)
 
