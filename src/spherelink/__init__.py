@@ -1,11 +1,14 @@
 """spherelink: numerical linking numbers on the round n-sphere.
 
 Computes Lk(K, L) for disjoint closed oriented submanifolds K^k, L^l of
-S^n (k + l = n - 1) by three independent routes -- a direct geodesic
-distance-kernel integral over K x L, an antipodally-paired convolution
-variant, and the degree of the geodesic join-sweep map -- validated for
-curves in S^3 against the classical Euclidean double-integral oracle via
-stereographic projection.
+S^n (k + l = n - 1) by three routes -- a direct geodesic distance-kernel
+integral over K x L, an antipodally-paired convolution variant, and the
+degree of the geodesic join-sweep map -- validated for curves in S^3
+against the classical Euclidean double-integral oracle via stereographic
+projection.  The join degree's "reduced" variant is the direct kernel
+carrying the join sign (the join parameter integrates out exactly); its
+"full" variant integrates the join map's Jacobian determinant, with exact
+chain-rule derivatives, over K x L x [0, 1] and is the independent check.
 """
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Subcommands:
   link         evaluate a link spec (JSON) and print a run report (JSON)
   phi          tabulate the distance kernels to CSV
-  convergence  per-level refinement study for a link spec, CSV
+  convergence  per-level values of a link run, CSV
   catalog      list catalog kinds and their parameter schemas
   oracle       R^3 Gauss-integral oracle for an S^3 curve-pair spec
 
@@ -28,8 +28,8 @@ from . import __version__
 from .catalog import build_entry, catalog_schemas
 from .engine import (
     DisjointnessError,
+    _ROUTES,
     GridSpec,
-    convergence_table,
     evaluate_corollary,
     evaluate_join_degree,
     evaluate_main_theorem,
@@ -142,7 +142,6 @@ def _dispatch(spec: dict, workers=None):
     elif method == "corollary":
         report = evaluate_corollary(K, L, grid=grid, tol=tol,
                                     max_level=max_level, min_alpha=min_alpha,
-                                    hemisphere=bool(spec.get("hemisphere", False)),
                                     workers=workers)
     elif method in ("join-full", "join-reduced"):
         report = evaluate_join_degree(K, L, grid=grid,
@@ -158,8 +157,7 @@ def _dispatch(spec: dict, workers=None):
 def _kernel_mode(spec: dict, K, L) -> str:
     if spec["method"] == "oracle":
         return "gauss"
-    ev = get_evaluator(K.dim, L.dim)
-    return ev.conv_mode if spec["method"] == "corollary" else ev.mode
+    return getattr(get_evaluator(K.dim, L.dim), _ROUTES[spec["method"]].mode)
 
 
 def _apply_thresholds(spec: dict, report):
@@ -235,20 +233,26 @@ def cmd_phi(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    """Per-level values of the run `link` makes, refined `--levels` times.
+
+    Row j compares the grid refined j times with the one before it; its
+    converged flag tests that difference against the spec's tolerance.
+    """
+    if args.levels < 1:
+        raise ValueError(f"--levels must be at least 1, got {args.levels}")
     spec = _apply_overrides(_load_spec(args.spec), args)
-    n, K, L = _validate_spec(spec)
-    method = spec["method"]
+    method = spec.get("method")
+    if method in METHODS and (method not in _ROUTES or _ROUTES[method].kernel is None):
+        raise ValueError("convergence tables cover the pair-kernel methods "
+                         "(main, corollary, join-reduced); run link for the others")
     tol = float(spec.get("tol", 1e-9))
-    grid = _grid_from_spec(spec)
-    if method == "oracle":
-        raise ValueError("convergence tables cover the sphere-side methods; "
-                         "run the oracle subcommand directly")
-    rows = convergence_table(K, L, method=method, grid=grid,
-                             levels=args.levels, tol=tol)
+    report, _, _ = _dispatch(dict(spec, tol=0.0, max_level=args.levels - 1))
+    values = report.level_values
     print("level,nodes,value,error_estimate,converged")
-    for row in rows:
-        print(f"{row['level']},{row['nodes']},{_fmt(row['value'])},"
-              f"{_fmt(row['error_estimate'])},{str(row['converged']).lower()}")
+    for j in range(1, len(values)):
+        err = abs(values[j] - values[j - 1])
+        print(f"{j},{report.node_counts[j]},{_fmt(values[j])},"
+              f"{_fmt(err)},{str(err < tol).lower()}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Linking-number evaluators.
 
-Three independent routes to Lk(K, L) for disjoint closed oriented
-submanifolds K^k, L^l of S^n with k + l = n - 1:
+Routes to Lk(K, L) for disjoint closed oriented submanifolds K^k, L^l of
+S^n with k + l = n - 1:
 
 * ``evaluate_main_theorem`` -- the direct linking integral
   (1 / vol S^n) * integral over K x L of
@@ -10,14 +10,21 @@ submanifolds K^k, L^l of S^n with k + l = n - 1:
 * ``evaluate_corollary`` -- the antipodally-paired integral with the
   convolution kernel; its value is Lk(K, L) + (-1)^n Lk(K, -L), which
   reduces to Lk(K, L) whenever L's antipodal image does not link K
-  (e.g. both manifolds inside an open hemisphere);
+  (e.g. both manifolds strictly on one side of a great hypersphere);
 
 * ``evaluate_join_degree`` -- the degree of the map carrying the join
   K * L onto S^n along geodesic arcs from x to -y; the degree equals
-  -Lk(K, L).  Variant "reduced" integrates the closed-form pullback
-  integrand; variant "full" differentiates the join map by central
-  finite differences and integrates the raw (n+1) x (n+1) determinant,
-  serving as an internal cross-check of the whole pullback reduction.
+  -Lk(K, L).  Variant "reduced" is the pullback integrand with the join
+  parameter integrated out, which is exactly the main kernel carrying the
+  join sign ``sign_factor("join_reduced_net")``; it re-checks that sign, not
+  the kernel.  Variant "full" integrates the raw (n+1) x (n+1) determinant
+  of the join map and its Jacobian over K x L x [0, 1], the Jacobian taken
+  exactly by the chain rule through the catalog's tangent columns; it is
+  the independent cross-check of the whole pullback reduction.
+
+Main, corollary and join-reduced are one pair integral with different
+kernels, signs and separation checks; ``_ROUTES`` holds those per CLI
+method name, and the evaluators, the CLI and the separation check read it.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
@@ -27,10 +34,10 @@ matrix product), which keeps the per-node cost flat even for surface
 pairs.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -52,22 +59,18 @@ __all__ = [
     "DisjointnessError",
     "GridSpec",
     "LinkingReport",
-    "JoinMapFrame",
     "sign_factor",
     "join_map",
-    "join_frame",
     "evaluate_main_theorem",
     "evaluate_corollary",
     "evaluate_join_degree",
     "round_to_linking",
-    "convergence_table",
 ]
 
 # pair-chunk sizing (elements of the alpha matrix per chunk)
 _PAIR_CHUNK = 1 << 21
-_FULL_CHUNK = 1 << 16
-# past this alpha the reduced join kernel uses the near-pi series
-_REDUCED_SWITCH = np.pi - 1e-3
+# default distance of max alpha from pi where -L matters (corollary, join-full)
+_ANTIPODAL_MARGIN = 0.01
 
 
 class DisjointnessError(ValueError):
@@ -108,12 +111,56 @@ def sign_factor(rule: str, k: int | None = None, l: int | None = None,
 
 
 @dataclass(frozen=True)
+class _Route:
+    """What one CLI method needs: report label, kernel, sign, separation."""
+
+    label: str
+    # (evaluator, n) -> kern(alpha, cos_alpha), resolved per call so that
+    # wrappers installed on KernelEvaluator are seen; None for join-full
+    kernel: Callable | None
+    sign_rule: str | None
+    antipodal: bool  # max alpha must also keep a margin from pi
+    mode: str = "mode"  # KernelEvaluator attribute reported as kernel_mode
+
+    def prefactor(self, k: int, n: int) -> float:
+        sign = sign_factor(self.sign_rule, k=k) if self.sign_rule else 1
+        return sign / _vol_sphere_any(n)
+
+
+_ROUTES = {
+    "main": _Route("main_theorem", lambda ev, n: ev.kernel_ratio, None, False),
+    "corollary": _Route("corollary",
+                        lambda ev, n: partial(ev.convolution_fast, sin_power=n),
+                        "corollary_prefactor", True, "conv_mode"),
+    "join-reduced": _Route("join_degree_reduced", lambda ev, n: ev.kernel_ratio,
+                           "join_reduced_net", False),
+    "join-full": _Route("join_degree_full", None, None, True),
+}
+
+
+def _check_separation(route: _Route, amin: float, amax: float, min_alpha: float,
+                      antipodal_margin: float = _ANTIPODAL_MARGIN):
+    """Raise DisjointnessError unless the alpha range clears the route's limits."""
+    if amin <= min_alpha:
+        raise DisjointnessError(
+            f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}; "
+            "K and L are not safely disjoint"
+        )
+    if route.antipodal and amax >= np.pi - antipodal_margin:
+        raise DisjointnessError(
+            f"max geodesic separation {amax:.4f} rad reaches within "
+            f"{antipodal_margin} of pi: K is not safely disjoint from -L"
+        )
+
+
+@dataclass(frozen=True)
 class GridSpec:
     """Base node counts per chart dimension.
 
     `curve` applies to 1-dimensional manifolds, `surface` to each chart
-    dimension of manifolds of dimension >= 2, `u` to the join parameter.
-    `k_nodes` / `l_nodes` override the per-dimension count for one side.
+    dimension of manifolds of dimension >= 2, `u` to the join parameter
+    (read by the full join-degree variant only).  `k_nodes` / `l_nodes`
+    override the per-dimension count for one side.
     """
 
     curve: int = 64
@@ -138,6 +185,8 @@ class LinkingReport:
     the distance from raw_value to the nearest integer; `accepted` is the
     verdict of :func:`round_to_linking` at default thresholds.  min/max
     alpha are the geodesic separation extremes seen on the quadrature grid.
+    level_values holds the prefactored value of every level integrated,
+    coarsest first, beside node_counts (empty for join-full).
     """
 
     raw_value: float
@@ -151,6 +200,7 @@ class LinkingReport:
     accepted: bool
     levels_used: int = 0
     node_counts: tuple[int, ...] = ()
+    level_values: tuple[float, ...] = ()
 
     @property
     def linking_number(self) -> int:
@@ -158,17 +208,6 @@ class LinkingReport:
         if self.method.startswith("join_degree"):
             return -self.nearest_integer
         return self.nearest_integer
-
-
-@dataclass(frozen=True)
-class JoinMapFrame:
-    """Diagnostic record of one join-map evaluation."""
-
-    alpha: float
-    u: float
-    A: float
-    B: float
-    f: SpherePoint
 
 
 def round_to_linking(raw: float, error_estimate: float,
@@ -191,13 +230,41 @@ def round_to_linking(raw: float, error_estimate: float,
 # join map
 # ---------------------------------------------------------------------------
 
-def _join_batch(x: np.ndarray, y: np.ndarray, u) -> np.ndarray:
-    """Vectorized geodesic-sweep map from x toward -y, fraction u of the arc."""
-    ca = np.clip(np.sum(x * y, axis=-1, keepdims=True), -1.0, 1.0)
-    alpha = np.arccos(ca)
-    sa = np.sin(alpha)
-    w = np.asarray(u) * (np.pi - alpha)
-    return x * np.cos(w) - (y - x * ca) / sa * np.sin(w)
+def _join_batch(x, tx, y, ty, u) -> np.ndarray:
+    """Geodesic-sweep map from x toward -y with its exact Jacobian columns.
+
+    x, y: (N, d) points with tangent columns tx (N, d, k), ty (N, d, l);
+    u: (N, 1) fractions of the arc.  Returns (N, d, k + l + 2): the image
+    f = x cos w - v sin w, where c = x.y = cos alpha, s = sin alpha,
+    v = (y - c x) / s and w = u (pi - alpha), then the derivative of f
+    along each column of tx, each column of ty and along u, by the chain
+    rule: c' = x'.y + x.y', alpha' = -c'/s, s' = c alpha',
+    w' = u' (pi - alpha) - u alpha', v' = (y' - c' x - c x')/s - v s'/s and
+    f' = x' cos w - x sin w w' - v' sin w - v cos w w'.
+    """
+    n, d, k = tx.shape
+    l = ty.shape[2]
+    c = np.clip(np.einsum("nd,nd->n", x, y), -1.0, 1.0)[:, None]
+    alpha = np.arccos(c)
+    s = np.sin(alpha)
+    eta = np.pi - alpha
+    w = u * eta
+    cw, sw = np.cos(w), np.sin(w)
+    v = (y - c * x) / s
+    dc = np.concatenate([np.einsum("nd,ndj->nj", y, tx),
+                         np.einsum("nd,ndj->nj", x, ty), np.zeros((n, 1))], axis=1)
+    dalpha = -dc / s
+    dw = -u * dalpha
+    dw[:, -1:] += eta
+    # f' = x' (cos w + c sin w / s) - y' sin w / s + x a + v b
+    a = sw / s * dc - sw * dw
+    b = sw * c / s * dalpha - cw * dw
+    out = np.empty((n, d, k + l + 2))
+    out[:, :, 0] = x * cw - v * sw
+    out[:, :, 1:] = x[:, :, None] * a[:, None, :] + v[:, :, None] * b[:, None, :]
+    out[:, :, 1 : k + 1] += tx * (cw + c * sw / s)[:, :, None]
+    out[:, :, k + 1 : k + l + 1] -= ty * (sw / s)[:, :, None]
+    return out
 
 
 def join_map(x: SpherePoint, y: SpherePoint, u: float) -> SpherePoint:
@@ -211,18 +278,10 @@ def join_map(x: SpherePoint, y: SpherePoint, u: float) -> SpherePoint:
         raise ValueError(
             "join map needs 0 < alpha < pi; points are (nearly) coincident or antipodal"
         )
-    f = _join_batch(x.coords[None, :], y.coords[None, :], float(u))[0]
+    none = np.empty((1, x.coords.size, 0))
+    f = _join_batch(x.coords[None, :], none, y.coords[None, :], none,
+                    np.array([[float(u)]]))[0, :, 0]
     return SpherePoint(f)
-
-
-def join_frame(x: SpherePoint, y: SpherePoint, u: float) -> JoinMapFrame:
-    """Join-map evaluation bundled with its scalar invariants A, B."""
-    pg = geodesic_distance(x, y)
-    eta = np.pi - pg.alpha
-    a_val = pg.sin_alpha * math.cos(u * eta) + pg.cos_alpha * math.sin(u * eta)
-    b_val = math.sin(u * eta)
-    return JoinMapFrame(alpha=pg.alpha, u=float(u), A=float(a_val), B=float(b_val),
-                        f=join_map(x, y, u))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +368,6 @@ def _rules_for(m: OrientedSubmanifold, nodes: int):
 
 def _side_arrays(m: OrientedSubmanifold, nodes: int):
     """Points, base+tangent frames, weights and node count for one side."""
-    d = m.ambient_n + 1
     if m.dim == 0:
         pts, signs = m.signed_points()
         frames = pts[:, :, None]
@@ -325,7 +383,8 @@ def _alpha_stats(pk: np.ndarray, pl: np.ndarray):
     amin, amax = np.inf, -np.inf
     step = max(1, _PAIR_CHUNK // max(1, pl.shape[0]))
     for s in range(0, pk.shape[0], step):
-        dots = np.clip(pk[s : s + step] @ pl.T, -1.0, 1.0)
+        dots = pk[s : s + step] @ pl.T
+        np.clip(dots, -1.0, 1.0, out=dots)
         amin = min(amin, float(np.arccos(dots.max())))
         amax = max(amax, float(np.arccos(dots.min())))
     return amin, amax
@@ -335,17 +394,18 @@ def _pair_level_value(K, L, nk, nl, kern, workers=None):
     """One quadrature level of a pair integral with a distance kernel.
 
     Returns (value, total_nodes, min_alpha, max_alpha).  The bracket
-    determinant is expanded into per-side minors once per level; each
-    (s, t) pair then costs one multiply-add through a matrix product plus
-    the kernel evaluation kern(alpha, cos_alpha) on the geodesic-distance
-    matrix and the dot products it came from.
+    determinant is expanded into per-side minors once per level, with each
+    side's quadrature weights folded in; each (s, t) pair then costs one
+    multiply-add through a matrix product plus the kernel evaluation
+    kern(alpha, cos_alpha) on the geodesic-distance matrix and the dot
+    products it came from.
     """
     pk, fk, wk, count_k = _side_arrays(K, nk)
     pl, fl, wl, count_l = _side_arrays(L, nl)
     d = K.ambient_n + 1
     subs, comps, signs = _laplace_subsets(d, K.dim + 1)
-    mk = _minor_dets(fk, subs) * signs
-    ml = _minor_dets(fl, comps)
+    mk = _minor_dets(fk, subs) * signs * wk[:, None]
+    ml = _minor_dets(fl, comps) * wl[:, None]
 
     ns = pk.shape[0]
     nt = pl.shape[0]
@@ -356,6 +416,9 @@ def _pair_level_value(K, L, nk, nl, kern, workers=None):
     amaxs = np.full(nchunks, -np.inf)
 
     def work(s, e):
+        # a fresh array on purpose: clipping in place (out=) measured ~10%
+        # slower on (2,3) pairs, with ~6x the page faults, as the allocator
+        # returned chunk buffers to the system and mapped them again
         dots = np.clip(pk[s:e] @ pl.T, -1.0, 1.0)
         alpha = np.arccos(dots)
         ci = s // cs
@@ -363,8 +426,6 @@ def _pair_level_value(K, L, nk, nl, kern, workers=None):
         amaxs[ci] = float(alpha.max())
         vals = kern(alpha, dots)
         vals *= mk[s:e] @ ml.T
-        vals *= wk[s:e, None]
-        vals *= wl[None, :]
         rows[s:e] = tree_sum_axis(vals, axis=1)
 
     run_chunked(ns, work, workers, chunk=cs)
@@ -381,28 +442,29 @@ def _row_chunk(nt: int) -> int:
     return max(1, _PAIR_CHUNK // max(1, nt))
 
 
-def _refine_pair(K, L, base_k, base_l, kern_at, tol, max_level, workers,
-                 precheck):
+def _refine_pair(K, L, base_k, base_l, kern, tol, max_level, workers, check):
     """Shared Richardson loop for the pair evaluators.
 
-    kern_at(level) must return the kernel callable for that level (the
-    join-reduced kernel refines its own u rule alongside).  `precheck`
-    runs on the base-level alpha range before any kernel evaluation, and
-    again on the alpha range of every level integrated.
+    `check(amin, amax)` runs on the base-level alpha range before any
+    kernel evaluation, and again on the alpha range of every level
+    integrated.  Returns the estimate, the last level's alpha range, and
+    the node count and value of every level.
     """
     pk0, _, _, _ = _side_arrays(K, base_k)
     pl0, _, _, _ = _side_arrays(L, base_l)
-    precheck(*_alpha_stats(pk0, pl0))
+    check(*_alpha_stats(pk0, pl0))
+
+    node_counts, values = [], []
 
     def level_value(level):
         scale = 2 ** level
         value, nodes, amin, amax = _pair_level_value(
-            K, L, scale * base_k, scale * base_l, kern_at(level), workers)
-        precheck(amin, amax)
+            K, L, scale * base_k, scale * base_l, kern, workers)
+        check(amin, amax)
         node_counts.append(nodes)
+        values.append(value)
         return value, amin, amax
 
-    node_counts = []
     v_prev, _, _ = level_value(0)
     v_cur, amin, amax = level_value(1)
     err = abs(v_cur - v_prev)
@@ -414,11 +476,11 @@ def _refine_pair(K, L, base_k, base_l, kern_at, tol, max_level, workers,
         err = abs(v_cur - v_prev)
     est = Estimate(value=v_cur, error_estimate=err, levels_used=level,
                    converged=bool(err < tol))
-    return est, amin, amax, tuple(node_counts)
+    return est, amin, amax, tuple(node_counts), tuple(values)
 
 
 def _finish_report(est: Estimate, prefactor: float, amin, amax, method,
-                   node_counts) -> LinkingReport:
+                   node_counts, level_values=()) -> LinkingReport:
     raw = prefactor * est.value
     err = abs(prefactor) * est.error_estimate
     nearest, residual, accepted = round_to_linking(raw, err)
@@ -434,7 +496,24 @@ def _finish_report(est: Estimate, prefactor: float, amin, amax, method,
         accepted=accepted and est.converged,
         levels_used=est.levels_used,
         node_counts=node_counts,
+        level_values=tuple(prefactor * v for v in level_values),
     )
+
+
+def _evaluate_pair(method, K, L, grid, tol, max_level, min_alpha,
+                   antipodal_margin, workers) -> LinkingReport:
+    """Pair integral of one `_ROUTES` entry over K x L."""
+    k, l, n = _check_pair(K, L)
+    grid = grid or GridSpec()
+    route = _ROUTES[method]
+    kern = route.kernel(kernels.get_evaluator(k, l), n)
+    est, amin, amax, counts, values = _refine_pair(
+        K, L, grid.nodes_for(K, "k"), grid.nodes_for(L, "l"), kern, tol,
+        max_level, workers,
+        partial(_check_separation, route, min_alpha=min_alpha,
+                antipodal_margin=antipodal_margin))
+    return _finish_report(est, route.prefactor(k, n), amin, amax, route.label,
+                          counts, values)
 
 
 # ---------------------------------------------------------------------------
@@ -446,249 +525,85 @@ def evaluate_main_theorem(K: OrientedSubmanifold, L: OrientedSubmanifold,
                           max_level: int = 4, min_alpha: float = 0.01,
                           workers: int | None = None) -> LinkingReport:
     """Linking number by the direct geodesic-kernel integral over K x L."""
-    k, l, n = _check_pair(K, L)
-    grid = grid or GridSpec()
-    ev = kernels.get_evaluator(k, l)
-
-    def precheck(amin, amax):
-        if amin <= min_alpha:
-            raise DisjointnessError(
-                f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}; "
-                "K and L are not safely disjoint"
-            )
-
-    est, amin, amax, counts = _refine_pair(
-        K, L, grid.nodes_for(K, "k"), grid.nodes_for(L, "l"),
-        lambda level: ev.kernel_ratio, tol, max_level, workers, precheck)
-    return _finish_report(est, 1.0 / _vol_sphere_any(n), amin, amax,
-                          "main_theorem", counts)
+    return _evaluate_pair("main", K, L, grid, tol, max_level, min_alpha,
+                          _ANTIPODAL_MARGIN, workers)
 
 
 def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
                        grid: GridSpec | None = None, tol: float = 1e-9,
                        max_level: int = 4, min_alpha: float = 0.01,
-                       antipodal_margin: float = 0.01,
-                       hemisphere: bool = False,
+                       antipodal_margin: float = _ANTIPODAL_MARGIN,
                        workers: int | None = None) -> LinkingReport:
     """Convolution-kernel integral; equals Lk(K, L) + (-1)^n Lk(K, -L).
 
     Requires K disjoint from both L and the antipodal image -L (grid
-    max alpha below pi - antipodal_margin).  With ``hemisphere=True`` the
-    caller asserts that L's antipodal image cannot link K (for instance
-    both manifolds sit inside one open hemisphere), in which case the
-    rounded value is itself the linking number.
+    max alpha below pi - antipodal_margin).  When L's antipodal image
+    cannot link K (for instance both manifolds sit strictly on one side of
+    a great hypersphere), the rounded value is itself the linking number.
     """
-    k, l, n = _check_pair(K, L)
-    grid = grid or GridSpec()
-    ev = kernels.get_evaluator(k, l)
-
-    def precheck(amin, amax):
-        if amin <= min_alpha:
-            raise DisjointnessError(
-                f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}"
-            )
-        if amax >= np.pi - antipodal_margin:
-            raise DisjointnessError(
-                f"max geodesic separation {amax:.4f} rad reaches within "
-                f"{antipodal_margin} of pi: K is not safely disjoint from -L"
-            )
-
-    kern = partial(ev.convolution_fast, sin_power=n)
-    est, amin, amax, counts = _refine_pair(
-        K, L, grid.nodes_for(K, "k"), grid.nodes_for(L, "l"),
-        lambda level: kern, tol, max_level, workers, precheck)
-    prefactor = sign_factor("corollary_prefactor", k=k) / _vol_sphere_any(n)
-    return _finish_report(est, prefactor, amin, amax, "corollary", counts)
-
-
-def _reduced_kernel(k: int, l: int, n: int, u_nodes: int):
-    """Distance kernel of the reduced join-degree integrand.
-
-    -(pi - alpha) <A^k B^l>_u / sin^n(alpha), with A = sin(eta (1 - u)),
-    B = sin(eta u) for eta = pi - alpha; the u average uses Gauss-Legendre
-    on [0, 1].  Past pi - 1e-3, where the quotient tends to 0/0, the u
-    average is phi itself, so the direct kernel's near-pi series replaces it.
-    """
-    x, w = np.polynomial.legendre.leggauss(u_nodes)
-    u = 0.5 * (x + 1.0)
-    uw = 0.5 * w
-    ev = kernels.get_evaluator(k, l)
-
-    def kern(alpha, cos_alpha):
-        eta = kernels._eps_from_pi(alpha)
-        terms = np.sin(eta[..., None] * (1.0 - u)) ** k * np.sin(eta[..., None] * u) ** l
-        terms *= uw
-        g = tree_sum_axis(terms, axis=-1) * eta
-        near = alpha > _REDUCED_SWITCH
-        safe = np.where(near, 0.5 * np.pi, alpha)
-        quotient = np.where(near, 0.0, g) / kernels.stable_sin(safe) ** n
-        quotient[near] = ev.near_pi_ratio(eta[near])
-        return -quotient
-
-    return kern
+    return _evaluate_pair("corollary", K, L, grid, tol, max_level, min_alpha,
+                          antipodal_margin, workers)
 
 
 def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
                          grid: GridSpec | None = None,
                          variant: str = "reduced", tol: float = 1e-9,
                          max_level: int = 4, min_alpha: float = 0.01,
-                         fd_step: float = 1e-5,
                          workers: int | None = None) -> LinkingReport:
     """Degree of the join-sweep map K * L -> S^n; equals -Lk(K, L).
 
-    variant "reduced" integrates the analytically reduced integrand over
-    K x L x [0, 1] (the u direction collapsed into an alpha-only kernel);
-    variant "full" assembles det(f, df/ds, df/dt, df/du) at every node with
-    finite-difference partials of step `fd_step`, whose truncation error
-    dominates that route's accuracy.
+    variant "reduced" integrates the pullback with the join parameter
+    integrated out, which is the main kernel times the join sign; variant
+    "full" assembles det(f, df/ds, df/dt, df/du) at every node of
+    K x L x [0, 1] from exact chain-rule derivatives of the join map and
+    also needs max alpha at least 0.01 short of pi.
     """
-    k, l, n = _check_pair(K, L)
-    grid = grid or GridSpec()
     if variant == "reduced":
-        def precheck(amin, amax):
-            if amin <= min_alpha:
-                raise DisjointnessError(
-                    f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}"
-                )
-
-        est, amin, amax, counts = _refine_pair(
-            K, L, grid.nodes_for(K, "k"), grid.nodes_for(L, "l"),
-            lambda level: _reduced_kernel(k, l, n, grid.u * 2 ** level),
-            tol, max_level, workers, precheck)
-        return _finish_report(est, 1.0 / _vol_sphere_any(n), amin, amax,
-                              "join_degree_reduced", counts)
+        return _evaluate_pair("join-reduced", K, L, grid, tol, max_level,
+                              min_alpha, _ANTIPODAL_MARGIN, workers)
     if variant == "full":
-        return _join_degree_full(K, L, grid, tol, max_level, min_alpha,
-                                 fd_step, workers)
+        return _join_degree_full(K, L, grid or GridSpec(), tol, max_level,
+                                 min_alpha, workers)
     raise ValueError(f"unknown join-degree variant {variant!r}")
 
 
-def convergence_table(K: OrientedSubmanifold, L: OrientedSubmanifold,
-                      method: str = "main", grid: GridSpec | None = None,
-                      levels: int = 4, tol: float = 1e-9,
-                      workers: int | None = None):
-    """Per-level refinement study: one row per doubling of all factors.
-
-    Row j holds the value on the grid refined j times, the Richardson
-    difference against the previous level, and whether that difference is
-    already below tol.  Used by the convergence CLI subcommand.
-    """
+def _join_degree_full(K, L, grid, tol, max_level, min_alpha, workers):
     k, l, n = _check_pair(K, L)
-    grid = grid or GridSpec()
-    ev = kernels.get_evaluator(k, l)
-    if method == "main":
-        kern_at = lambda level: ev.kernel_ratio
-        prefactor = 1.0 / _vol_sphere_any(n)
-    elif method == "corollary":
-        conv_kern = partial(ev.convolution_fast, sin_power=n)
-        kern_at = lambda level: conv_kern
-        prefactor = sign_factor("corollary_prefactor", k=k) / _vol_sphere_any(n)
-    elif method == "join-reduced":
-        kern_at = lambda level: _reduced_kernel(k, l, n, grid.u * 2 ** level)
-        prefactor = 1.0 / _vol_sphere_any(n)
-    else:
-        raise ValueError(f"convergence table not supported for method {method!r}")
+    route = _ROUTES["join-full"]
+    # dimension-0 sides have no chart: their signed points are summed
+    # outside the grid, one refinement per point (or pair of points)
+    rules = _rules_for(K, grid.nodes_for(K, "k")) + _rules_for(L, grid.nodes_for(L, "l"))
+    grid0 = ProductGrid(rules + [gauss_legendre(0.0, 1.0, grid.u)])
+    ranges = []
 
-    base_k = grid.nodes_for(K, "k")
-    base_l = grid.nodes_for(L, "l")
-    rows = []
-    prev = None
-    for j in range(levels + 1):
-        value, nodes, _, _ = _pair_level_value(
-            K, L, base_k * 2 ** j, base_l * 2 ** j, kern_at(j), workers)
-        value *= prefactor
-        if j > 0:
-            err = abs(value - prev)
-            rows.append({"level": j, "nodes": nodes, "value": value,
-                         "error_estimate": err, "converged": bool(err < tol)})
-        prev = value
-    return rows
+    def side(m, point, coords):
+        if point is None:
+            return m.batch(coords)
+        rows = coords.shape[0]
+        return np.broadcast_to(point, (rows, n + 1)), np.zeros((rows, n + 1, 0))
 
-
-def _join_degree_full(K, L, grid, tol, max_level, min_alpha, fd_step, workers):
-    k, l, n = _check_pair(K, L)
-    pk0, _, _, _ = _side_arrays(K, grid.nodes_for(K, "k"))
-    pl0, _, _, _ = _side_arrays(L, grid.nodes_for(L, "l"))
-    amin, amax = _alpha_stats(pk0, pl0)
-    if amin <= min_alpha:
-        raise DisjointnessError(
-            f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}"
-        )
-    if amax >= np.pi - 0.01:
-        raise DisjointnessError(
-            "full join-degree variant needs separation from the antipodal "
-            f"image (max alpha {amax:.4f} too close to pi); use the reduced variant"
-        )
-
-    # fixed-point factors (dimension 0 sides) are summed outside the grid
-    k_fixed = K.dim == 0
-    l_fixed = L.dim == 0
-    k_pts, k_signs = K.signed_points() if k_fixed else (None, None)
-    l_pts, l_signs = L.signed_points() if l_fixed else (None, None)
-
-    rules = []
-    if not k_fixed:
-        rules += _rules_for(K, grid.nodes_for(K, "k"))
-    if not l_fixed:
-        rules += _rules_for(L, grid.nodes_for(L, "l"))
-    rules.append(gauss_legendre(0.0, 1.0, grid.u))
-    grid0 = ProductGrid(rules)
-
-    def make_integrand(x_fixed, y_fixed):
+    def make_integrand(x_point, y_point):
         def integrand(nodes):
-            ncols = []
-            pos = 0
-            if k_fixed:
-                x = np.broadcast_to(x_fixed, (nodes.shape[0], n + 1))
-                s_coords = None
-            else:
-                s_coords = nodes[:, pos : pos + k]
-                pos += k
-                x = K.batch(s_coords)[0]
-            if l_fixed:
-                y = np.broadcast_to(y_fixed, (nodes.shape[0], n + 1))
-                t_coords = None
-            else:
-                t_coords = nodes[:, pos : pos + l]
-                pos += l
-                y = L.batch(t_coords)[0]
-            u = nodes[:, -1:]
-            ncols.append(_join_batch(x, y, u))
-            if not k_fixed:
-                for i in range(k):
-                    h = np.zeros(k)
-                    h[i] = fd_step
-                    xp = K.batch(s_coords + h)[0]
-                    xm = K.batch(s_coords - h)[0]
-                    ncols.append((_join_batch(xp, y, u) - _join_batch(xm, y, u)) / (2 * fd_step))
-            if not l_fixed:
-                for j in range(l):
-                    h = np.zeros(l)
-                    h[j] = fd_step
-                    yp = L.batch(t_coords + h)[0]
-                    ym = L.batch(t_coords - h)[0]
-                    ncols.append((_join_batch(x, yp, u) - _join_batch(x, ym, u)) / (2 * fd_step))
-            ncols.append((_join_batch(x, y, u + fd_step) - _join_batch(x, y, u - fd_step)) / (2 * fd_step))
-            return np.linalg.det(np.stack(ncols, axis=2))
+            x, tx = side(K, x_point, nodes[:, :k])
+            y, ty = side(L, y_point, nodes[:, k : k + l])
+            c = np.einsum("nd,nd->n", x, y)
+            amin = float(np.arccos(min(c.max(), 1.0)))
+            amax = float(np.arccos(max(c.min(), -1.0)))
+            _check_separation(route, amin, amax, min_alpha)
+            ranges.append((amin, amax))
+            return np.linalg.det(_join_batch(x, tx, y, ty, nodes[:, -1:]))
         return integrand
 
-    outer = []
-    if k_fixed and l_fixed:
-        outer = [(float(sk * sl), xp, yp)
-                 for xp, sk in zip(k_pts, k_signs)
-                 for yp, sl in zip(l_pts, l_signs)]
-    elif k_fixed:
-        outer = [(float(sk), xp, None) for xp, sk in zip(k_pts, k_signs)]
-    elif l_fixed:
-        outer = [(float(sl), None, yp) for yp, sl in zip(l_pts, l_signs)]
-    else:
-        outer = [(1.0, None, None)]
+    k_pts, k_signs = K.signed_points() if k == 0 else ([None], [1.0])
+    l_pts, l_signs = L.signed_points() if l == 0 else ([None], [1.0])
+    outer = [(float(sk * sl), xp, yp)
+             for xp, sk in zip(k_pts, k_signs)
+             for yp, sl in zip(l_pts, l_signs)]
 
     total = 0.0
     err = 0.0
     converged = True
     levels = 0
-    counts = []
     for sign, xp, yp in outer:
         est = refine_until(grid0, make_integrand(xp, yp), tol=tol,
                            max_level=max_level, workers=workers)
@@ -699,5 +614,7 @@ def _join_degree_full(K, L, grid, tol, max_level, min_alpha, fd_step, workers):
     counts = [grid0.total_points * (2 ** grid0.ndim) ** j for j in range(levels + 2)]
     est = Estimate(value=total, error_estimate=err, levels_used=levels,
                    converged=converged)
-    return _finish_report(est, 1.0 / _vol_sphere_any(n), amin, amax,
-                          "join_degree_full", tuple(counts))
+    amin = min(r[0] for r in ranges)
+    amax = max(r[1] for r in ranges)
+    return _finish_report(est, route.prefactor(k, n), amin, amax, route.label,
+                          tuple(counts))

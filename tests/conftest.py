@@ -167,3 +167,32 @@ def phi_numeric(k, l, alpha):
 def conv_numeric(k, l, alpha):
     """convolution(k, l, alpha) by adaptive Gauss-Legendre, 1e-12 absolute."""
     return _adaptive(_conv_panel, k, l, alpha)
+
+
+# ---------------------------------------------------------------------------
+# join-reduced kernel reference: the join parameter integrated numerically
+# ---------------------------------------------------------------------------
+
+_REDUCED_SWITCH = np.pi - 1e-3
+
+
+def reduced_kernel_numeric(k, l, alpha, u_nodes=32):
+    """Kernel of the reduced join-degree integrand by quadrature in u.
+
+    -(pi - alpha) <A^k B^l>_u / sin^n(alpha), with A = sin(eta (1 - u)),
+    B = sin(eta u) for eta = pi - alpha; the u average uses Gauss-Legendre
+    on [0, 1].  Past pi - 1e-3, where the quotient tends to 0/0, the u
+    average is phi itself, so the direct kernel's near-pi series replaces it.
+    """
+    from spherelink.kernels import get_evaluator, stable_sin
+
+    alpha = np.asarray(alpha, dtype=float)
+    u, uw = _gl_nodes(u_nodes)
+    eta = _eps_from_pi(alpha)
+    terms = np.sin(eta[..., None] * (1.0 - u)) ** k * np.sin(eta[..., None] * u) ** l
+    g = (terms @ uw) * eta
+    near = alpha > _REDUCED_SWITCH
+    safe = np.where(near, 0.5 * np.pi, alpha)
+    quotient = np.where(near, 0.0, g) / stable_sin(safe) ** (k + l + 1)
+    quotient[near] = get_evaluator(k, l).near_pi_ratio(eta[near])
+    return -quotient

@@ -146,7 +146,7 @@ def test_criterion_4_method_agreement(fixture_table, main_reports):
         full = evaluate_join_degree(K, L, variant="full", grid=full_grid, **kwargs)
         assert abs(main_val + full.raw_value) < 1e-4, (name, main_val, full.raw_value)
     _passline(4, "join-map degree equals minus the linking number on every "
-                 "catalog fixture (reduced to 1e-6, finite-difference full "
+                 "catalog fixture (reduced to 1e-6, exact-derivative full "
                  "variant to 1e-4)")
 
 

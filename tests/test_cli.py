@@ -216,6 +216,27 @@ class TestConvergence:
         code, _, err = run(capsys, ["convergence", path])
         assert code == 1
 
+    def test_join_full_rejected(self, tmp_path, capsys):
+        path = write_spec(tmp_path, dict(GREAT_CIRCLES, method="join-full"))
+        code, _, _ = run(capsys, ["convergence", path])
+        assert code == 1
+
+    def test_levels_below_one_rejected(self, tmp_path, capsys):
+        path = write_spec(tmp_path, GREAT_CIRCLES)
+        code, out, err = run(capsys, ["convergence", path, "--levels", "0"])
+        assert code == 1
+        assert out == ""
+        assert "--levels" in err
+
+    def test_intersecting_pair_rejected(self, tmp_path, capsys):
+        spec = dict(GREAT_CIRCLES,
+                    L={"kind": "great_subsphere", "k": 1, "axes": [1, 2]})
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, ["convergence", path, "--levels", "1"])
+        assert code == 1
+        assert out == ""
+        assert "disjoint" in err
+
     def test_close_approach_flags_false_until_resolved(self, tmp_path, capsys):
         # near-miss circles: early levels cannot resolve the peaked kernel
         spec = dict(

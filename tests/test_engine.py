@@ -19,10 +19,9 @@ from spherelink import (
 )
 from spherelink.engine import (
     _alpha_stats,
+    _join_batch,
     _pair_level_value,
     _side_arrays,
-    convergence_table,
-    join_frame,
 )
 from spherelink.spheregeom import SpherePoint, compose_givens
 
@@ -104,20 +103,28 @@ class TestJoinMap:
         with pytest.raises(ValueError):
             join_map(x, SpherePoint([-1, 0, 0, 0]), 0.5)
 
-    def test_frame_invariants(self, rng):
-        for _ in range(20):
-            x = SpherePoint(rng.standard_normal(4))
-            y = SpherePoint(rng.standard_normal(4))
-            u = float(rng.uniform(0, 1))
-            fr = join_frame(x, y, u)
-            eta = np.pi - fr.alpha
-            assert fr.A == pytest.approx(
-                np.sin(fr.alpha) * np.cos(u * eta) + np.cos(fr.alpha) * np.sin(u * eta),
-                abs=1e-12)
-            assert fr.B == pytest.approx(np.sin(u * eta), abs=1e-12)
-            assert np.linalg.norm(fr.f.coords) == pytest.approx(1.0, abs=1e-10)
-            # A coincides with sin(eta (1 - u)), the form the engine uses
-            assert fr.A == pytest.approx(np.sin(eta * (1 - u)), abs=1e-12)
+    def test_jacobian_matches_differences(self, rng):
+        # every column, including its components along x and v, which the
+        # join-degree determinant cannot see
+        x = rng.standard_normal((6, 5))
+        y = rng.standard_normal((6, 5))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        tx = rng.standard_normal((6, 5, 2))
+        ty = rng.standard_normal((6, 5, 1))
+        u = rng.uniform(0.0, 1.0, (6, 1))
+        none = np.empty((6, 5, 0))
+
+        def f(x, y, u):
+            return _join_batch(x, none, y, none, u)[:, :, 0]
+
+        h = 1e-6
+        steps = [(tx[:, :, 0], 0, 0), (tx[:, :, 1], 0, 0), (0, ty[:, :, 0], 0), (0, 0, 1.0)]
+        jac = _join_batch(x, tx, y, ty, u)
+        for col, (dx, dy, du) in enumerate(steps, start=1):
+            diff = (f(x + h * dx, y + h * dy, u + h * du)
+                    - f(x - h * dx, y - h * dy, u - h * du)) / (2 * h)
+            assert np.allclose(jac[:, :, col], diff, rtol=0, atol=1e-8), col
 
 
 class TestRoundToLinking:
@@ -238,6 +245,14 @@ class TestLevelChecks:
         with pytest.raises(DisjointnessError):
             evaluate_corollary(K, L, grid=GridSpec(curve=6), antipodal_margin=margin)
 
+    def test_join_full_min_alpha_checked_on_refined_grid(self):
+        K, L = hopf_pair()
+        (amin0, _), (amin1, _) = self._alpha_ranges(K, L, 6)
+        threshold = 0.5 * (amin0 + amin1)
+        with pytest.raises(DisjointnessError):
+            evaluate_join_degree(K, L, variant="full", grid=GridSpec(curve=6, u=4),
+                                 min_alpha=threshold, max_level=1)
+
 
 class TestCorollary:
     def test_orthogonal_circles_zero(self):
@@ -270,7 +285,7 @@ class TestCorollary:
     def test_hemisphere_flag_passthrough(self):
         from conftest import unknotted_distant_pair
         K, L = unknotted_distant_pair()
-        r = evaluate_corollary(K, L, hemisphere=True)
+        r = evaluate_corollary(K, L)
         assert r.nearest_integer == 0
 
     def test_consistency_on_random_fourier_pairs(self):
@@ -299,6 +314,20 @@ class TestJoinDegree:
                                     max_level=1)
         assert full.raw_value == pytest.approx(-1.0, abs=1e-8)
         assert full.method == "join_degree_full"
+
+    def test_full_variant_has_no_difference_floor(self):
+        # exact chain-rule derivatives: no finite-difference error remains
+        K, L = great_pair(1, 1)
+        full = evaluate_join_degree(K, L, variant="full",
+                                    grid=GridSpec(curve=24, u=8), tol=1e-6,
+                                    max_level=1)
+        assert abs(full.raw_value + 1.0) < 1e-12
+
+    def test_reduced_negates_main_exactly(self):
+        for K, L in (great_pair(2, 2), hopf_pair()):
+            grid = GridSpec(surface=12)
+            red = evaluate_join_degree(K, L, grid=grid, variant="reduced")
+            assert red.raw_value == -evaluate_main_theorem(K, L, grid=grid).raw_value
 
     def test_point_pair_factor(self):
         K, L = great_pair(0, 1)
@@ -354,25 +383,23 @@ class TestSymmetries:
 
 
 class TestConvergenceTable:
+    """Per-level values a report carries; `spherelink convergence` prints them."""
+
     def test_rows_shrink(self):
         K, L = clifford_pair(2, 3, np.pi / 4)
-        rows = convergence_table(K, L, method="main",
-                                 grid=GridSpec(curve=32), levels=4)
-        assert [r["level"] for r in rows] == [1, 2, 3, 4]
-        errs = [r["error_estimate"] for r in rows]
+        r = evaluate_main_theorem(K, L, grid=GridSpec(curve=32), tol=0.0, max_level=3)
+        values = r.level_values
+        assert len(values) == 5
+        errs = [abs(b - a) for a, b in zip(values, values[1:])]
         # spectral: each doubling slashes the estimate by far more than 10x
         for e1, e2 in zip(errs, errs[1:]):
             assert e2 < e1 / 10
         assert errs[-1] < 1e-8
-        assert rows[-1]["converged"]
-        assert rows[0]["nodes"] == 64 * 64
+        assert errs[-1] < 1e-9  # converged at the default tol
+        assert r.node_counts[1] == 64 * 64
+        assert values[-1] == r.raw_value
 
     def test_single_level(self):
         K, L = great_pair(1, 1)
-        rows = convergence_table(K, L, levels=1)
-        assert len(rows) == 1
-
-    def test_unsupported_method(self):
-        K, L = great_pair(1, 1)
-        with pytest.raises(ValueError):
-            convergence_table(K, L, method="join-full")
+        r = evaluate_main_theorem(K, L, tol=0.0, max_level=0)
+        assert len(r.level_values) == 2  # one row: level 1 against level 0

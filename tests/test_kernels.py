@@ -10,7 +10,9 @@ from spherelink.kernels import (
     stable_sin,
 )
 
-from conftest import conv_numeric, phi_numeric
+from spherelink.engine import sign_factor
+
+from conftest import conv_numeric, phi_numeric, reduced_kernel_numeric
 
 
 def gl(a, b, m=160):
@@ -249,6 +251,15 @@ class TestFullAccuracy:
             for engine, alpha_only in pairs:
                 rel = np.max(np.abs(engine - alpha_only) / np.abs(alpha_only))
                 assert rel <= 1e-12, (k, l, rel)
+
+    def test_join_reduced_is_signed_kernel_ratio(self):
+        # integrating the join parameter out of the reduced join-degree
+        # integrand leaves the main kernel times the join sign
+        sign = sign_factor("join_reduced_net")
+        for k, l in ORDERS:
+            ref = reduced_kernel_numeric(k, l, GRID)
+            rel = np.max(np.abs(sign * phi_kernel_ratio(k, l, GRID) - ref) / np.abs(ref))
+            assert rel <= 1e-11, (k, l, rel)
 
     def test_switch_is_continuous(self):
         for k, l in ORDERS:
