@@ -487,27 +487,44 @@ def build_entry(entry: dict, ambient_n: int) -> OrientedSubmanifold:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ValueError("catalog entry must be an object with a 'kind' field")
     kind = entry["kind"]
+
+    def field(name, conv):
+        value = entry[name]
+        try:
+            return conv(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"catalog entry {kind!r} field {name!r} is malformed: {value!r}") from exc
+
+    def ints(value):
+        return [int(a) for a in value]
+
+    def floats(value):
+        return np.asarray(value, dtype=float)
+
+    def givens(value):
+        return [(ints(g["plane"]), float(g["angle"])) for g in value]
+
     try:
         if kind == "great_subsphere":
-            m = great_subsphere(int(entry["k"]), entry["axes"], ambient_n)
+            m = great_subsphere(field("k", int), field("axes", ints), ambient_n)
         elif kind == "hopf_fiber":
             _require_n(kind, ambient_n, 3)
-            m = hopf_fiber(entry["base"])
+            m = hopf_fiber(field("base", floats))
         elif kind == "clifford_torus_curve":
             _require_n(kind, ambient_n, 3)
-            m = clifford_torus_curve(int(entry["p"]), int(entry["q"]),
-                                     float(entry.get("phase", 0.0)))
+            m = clifford_torus_curve(field("p", int), field("q", int),
+                                     field("phase", float) if "phase" in entry else 0.0)
         elif kind == "small_round_sphere":
-            m = small_round_sphere(int(entry["k"]), entry["center"],
-                                   float(entry["angular_radius"]), entry["frame"])
+            m = small_round_sphere(field("k", int), field("center", floats),
+                                   field("angular_radius", float), field("frame", floats))
         elif kind == "fourier_curve":
             _require_n(kind, ambient_n, 3)
-            m = fourier_curve(entry["cos_coeffs"], entry["sin_coeffs"])
+            m = fourier_curve(field("cos_coeffs", floats), field("sin_coeffs", floats))
         elif kind == "rotated":
             from .spheregeom import compose_givens
             inner = build_entry(entry["base"], ambient_n)
-            r = compose_givens(ambient_n + 1,
-                               [(g["plane"], g["angle"]) for g in entry["givens"]])
+            r = compose_givens(ambient_n + 1, field("givens", givens))
             m = rotated(inner, r)
         elif kind == "antipodal_image":
             m = antipodal_image(build_entry(entry["base"], ambient_n))

@@ -28,11 +28,11 @@ from . import __version__
 from .catalog import build_entry, catalog_schemas
 from .engine import (
     DisjointnessError,
-    _ROUTES,
     GridSpec,
     evaluate_corollary,
     evaluate_join_degree,
     evaluate_main_theorem,
+    round_to_linking,
 )
 from .kernels import get_evaluator
 from .oracle import oracle_linking
@@ -66,25 +66,48 @@ def _to_json(obj) -> str:
 def _load_spec(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read spec file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(spec, dict):
+        raise ValueError(f"a spec must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def _field(obj: dict, key: str, conv, default, where: str = ""):
+    """obj[key] converted by conv, or default when absent.
+
+    A value conv rejects raises ValueError naming the field.
+    """
+    if key not in obj:
+        return default
+    try:
+        return conv(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"spec field '{where}{key}' must be {conv.__name__}, got {obj[key]!r}") from exc
+
+
+def _object(spec: dict, key: str) -> dict:
+    """An optional object-valued field; null or empty reads as {}."""
+    value = spec.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValueError(f"spec field {key!r} must be an object, got {value!r}")
+    return value
 
 
 def _grid_from_spec(spec: dict) -> GridSpec:
-    g = spec.get("grid", {}) or {}
-    if not isinstance(g, dict):
-        raise ValueError("'grid' must be an object")
+    g = _object(spec, "grid")
     return GridSpec(
-        curve=int(g.get("curve", 64)),
-        surface=int(g.get("surface", 32)),
-        u=int(g.get("u", 32)),
-        k_nodes=int(g["k"]) if "k" in g else None,
-        l_nodes=int(g["l"]) if "l" in g else None,
+        curve=_field(g, "curve", int, 64, "grid."),
+        surface=_field(g, "surface", int, 32, "grid."),
+        u=_field(g, "u", int, 32, "grid."),
+        k_nodes=_field(g, "k", int, None, "grid."),
+        l_nodes=_field(g, "l", int, None, "grid."),
     )
 
 
@@ -92,7 +115,7 @@ def _validate_spec(spec: dict) -> tuple:
     for field in ("ambient_n", "K", "L", "method"):
         if field not in spec:
             raise ValueError(f"spec is missing required field {field!r}")
-    n = int(spec["ambient_n"])
+    n = _field(spec, "ambient_n", int, None)
     if spec["method"] not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     K = build_entry(spec["K"], n)
@@ -116,7 +139,7 @@ def _apply_overrides(spec: dict, args) -> dict:
     if getattr(args, "min_alpha", None) is not None:
         spec["min_alpha"] = args.min_alpha
     if getattr(args, "grid", None):
-        g = dict(spec.get("grid", {}) or {})
+        g = dict(_object(spec, "grid"))
         for part in args.grid.split(","):
             key, _, val = part.partition("=")
             if key.strip() not in ("k", "l", "u", "curve", "surface") or not val:
@@ -128,49 +151,37 @@ def _apply_overrides(spec: dict, args) -> dict:
     return spec
 
 
-def _dispatch(spec: dict, workers=None):
-    n, K, L = _validate_spec(spec)
+def _dispatch(spec: dict):
+    _, K, L = _validate_spec(spec)
     method = spec["method"]
-    tol = float(spec.get("tol", 1e-9))
-    max_level = int(spec.get("max_level", 4))
-    min_alpha = float(spec.get("min_alpha", 0.01))
     grid = _grid_from_spec(spec)
+    tol = _field(spec, "tol", float, 1e-9)
+    max_level = _field(spec, "max_level", int, 4)
+    min_alpha = _field(spec, "min_alpha", float, 0.01)
+    if method == "oracle":
+        return oracle_linking(K, L, m=grid.nodes_for(K, "k"), tol=tol, max_level=max_level)
+    kw = dict(grid=grid, tol=tol, max_level=max_level, min_alpha=min_alpha)
     if method == "main":
-        report = evaluate_main_theorem(K, L, grid=grid, tol=tol,
-                                       max_level=max_level, min_alpha=min_alpha,
-                                       workers=workers)
-    elif method == "corollary":
-        report = evaluate_corollary(K, L, grid=grid, tol=tol,
-                                    max_level=max_level, min_alpha=min_alpha,
-                                    workers=workers)
-    elif method in ("join-full", "join-reduced"):
-        report = evaluate_join_degree(K, L, grid=grid,
-                                      variant=method.removeprefix("join-"),
-                                      tol=tol, max_level=max_level,
-                                      min_alpha=min_alpha, workers=workers)
-    else:
-        report = oracle_linking(K, L, m=grid.nodes_for(K, "k"), tol=tol,
-                                max_level=max_level)
-    return report, K, L
+        return evaluate_main_theorem(K, L, **kw)
+    if method == "corollary":
+        return evaluate_corollary(K, L, **kw)
+    return evaluate_join_degree(K, L, variant=method.removeprefix("join-"), **kw)
 
 
-def _kernel_mode(spec: dict, K, L) -> str:
-    if spec["method"] == "oracle":
-        return "gauss"
-    return getattr(get_evaluator(K.dim, L.dim), _ROUTES[spec["method"]].mode)
+def _kernel_mode(spec: dict) -> str:
+    return "gauss" if spec["method"] == "oracle" else "closed_form"
 
 
 def _apply_thresholds(spec: dict, report):
     """Optional spec-level rounding thresholds re-round the raw value."""
-    thr = spec.get("thresholds")
+    thr = _object(spec, "thresholds")
     if not thr:
         return report.nearest_integer, report.residual, report.accepted
-    from .engine import round_to_linking
     nearest, residual, accepted = round_to_linking(
         report.raw_value, report.error_estimate,
-        residual_cap=float(thr.get("residual_cap", 0.25)),
-        error_mult=float(thr.get("error_mult", 10.0)),
-        error_floor=float(thr.get("error_floor", 1e-6)))
+        residual_cap=_field(thr, "residual_cap", float, 0.25, "thresholds."),
+        error_mult=_field(thr, "error_mult", float, 10.0, "thresholds."),
+        error_floor=_field(thr, "error_floor", float, 1e-6, "thresholds."))
     return nearest, residual, accepted and report.converged
 
 
@@ -201,9 +212,9 @@ def _run_report(spec: dict, report, kernel_mode: str, wall_ms: float) -> dict:
 
 def _run_and_print(spec: dict, args) -> int:
     t0 = time.perf_counter()
-    report, K, L = _dispatch(spec)
+    report = _dispatch(spec)
     wall = 0.0 if args.stable else (time.perf_counter() - t0) * 1e3
-    out = _run_report(spec, report, _kernel_mode(spec, K, L), wall)
+    out = _run_report(spec, report, _kernel_mode(spec), wall)
     print(_to_json(out))
     return 0 if (out["report"]["accepted"] and report.converged) else 2
 
@@ -241,12 +252,8 @@ def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise ValueError(f"--levels must be at least 1, got {args.levels}")
     spec = _apply_overrides(_load_spec(args.spec), args)
-    method = spec.get("method")
-    if method in METHODS and (method not in _ROUTES or _ROUTES[method].kernel is None):
-        raise ValueError("convergence tables cover the pair-kernel methods "
-                         "(main, corollary, join-reduced); run link for the others")
-    tol = float(spec.get("tol", 1e-9))
-    report, _, _ = _dispatch(dict(spec, tol=0.0, max_level=args.levels - 1))
+    tol = _field(spec, "tol", float, 1e-9)
+    report = _dispatch(dict(spec, tol=0.0, max_level=args.levels - 1))
     values = report.level_values
     print("level,nodes,value,error_estimate,converged")
     for j in range(1, len(values)):

@@ -22,16 +22,21 @@ S^n with k + l = n - 1:
   exactly by the chain rule through the catalog's tangent columns; it is
   the independent cross-check of the whole pullback reduction.
 
-Main, corollary and join-reduced are one pair integral with different
-kernels, signs and separation checks; ``_ROUTES`` holds those per CLI
-method name, and the evaluators, the CLI and the separation check read it.
+Every route is one sum over K x L, and ``_ROUTES`` holds what differs per
+CLI method name: label, kernel, sign and separation check.  There is one
+level loop, :func:`spherelink.quadrature.refine_until`, and one chunk loop,
+:func:`_level_sum`: per chunk of K rows it forms the geodesic-distance
+matrix to every L node, checks separation on that chunk before any kernel
+or Jacobian is evaluated, and tree-sums the route's per-pair values.  Pair
+kernels use a generalized Laplace expansion of the bracket determinant
+(per-manifold minors combined by a matrix product), which keeps the
+per-node cost flat even for surface pairs; join-full sums each pair's
+join-map determinant against the u rule.  A dimension-0 side enters as
+its signed points with +-1 weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
-count.  Pair integrands are evaluated through a generalized Laplace
-expansion of the bracket determinant (per-manifold minors combined by a
-matrix product), which keeps the per-node cost flat even for surface
-pairs.
+count.
 """
 
 from dataclasses import dataclass
@@ -44,6 +49,7 @@ import numpy as np
 from . import kernels
 from .catalog import OrientedSubmanifold
 from .quadrature import (
+    CHUNK,
     Estimate,
     ProductGrid,
     gauss_legendre,
@@ -120,7 +126,6 @@ class _Route:
     kernel: Callable | None
     sign_rule: str | None
     antipodal: bool  # max alpha must also keep a margin from pi
-    mode: str = "mode"  # KernelEvaluator attribute reported as kernel_mode
 
     def prefactor(self, k: int, n: int) -> float:
         sign = sign_factor(self.sign_rule, k=k) if self.sign_rule else 1
@@ -131,7 +136,7 @@ _ROUTES = {
     "main": _Route("main_theorem", lambda ev, n: ev.kernel_ratio, None, False),
     "corollary": _Route("corollary",
                         lambda ev, n: partial(ev.convolution_fast, sin_power=n),
-                        "corollary_prefactor", True, "conv_mode"),
+                        "corollary_prefactor", True),
     "join-reduced": _Route("join_degree_reduced", lambda ev, n: ev.kernel_ratio,
                            "join_reduced_net", False),
     "join-full": _Route("join_degree_full", None, None, True),
@@ -174,6 +179,12 @@ class GridSpec:
         if override is not None:
             return int(override)
         return self.curve if m.dim == 1 else self.surface
+
+    def refined(self) -> "GridSpec":
+        """The next refinement level: every count doubled."""
+        return GridSpec(2 * self.curve, 2 * self.surface, 2 * self.u,
+                        None if self.k_nodes is None else 2 * int(self.k_nodes),
+                        None if self.l_nodes is None else 2 * int(self.l_nodes))
 
 
 @dataclass(frozen=True)
@@ -379,38 +390,22 @@ def _side_arrays(m: OrientedSubmanifold, nodes: int):
     return pts, frames, w, grid.total_points
 
 
-def _alpha_stats(pk: np.ndarray, pl: np.ndarray):
-    amin, amax = np.inf, -np.inf
-    step = max(1, _PAIR_CHUNK // max(1, pl.shape[0]))
-    for s in range(0, pk.shape[0], step):
-        dots = pk[s : s + step] @ pl.T
-        np.clip(dots, -1.0, 1.0, out=dots)
-        amin = min(amin, float(np.arccos(dots.max())))
-        amax = max(amax, float(np.arccos(dots.min())))
-    return amin, amax
+def _level_sum(K, L, grid: GridSpec, terms, check, workers=None):
+    """One quadrature level of a route: a chunked sum over K x L.
 
-
-def _pair_level_value(K, L, nk, nl, kern, workers=None):
-    """One quadrature level of a pair integral with a distance kernel.
-
-    Returns (value, total_nodes, min_alpha, max_alpha).  The bracket
-    determinant is expanded into per-side minors once per level, with each
-    side's quadrature weights folded in; each (s, t) pair then costs one
-    multiply-add through a matrix product plus the kernel evaluation
-    kern(alpha, cos_alpha) on the geodesic-distance matrix and the dot
-    products it came from.
+    terms(side_k, side_l, grid) receives both sides' `_side_arrays` and
+    returns (values, rows, nodes): values(s, e, alpha, cos_alpha) gives the
+    weighted per-pair values of K rows s:e against every L node, rows is
+    the chunk height and nodes the level's quadrature node count.
+    check(amin, amax) runs on each chunk's alpha range before its values
+    are evaluated.  Returns (value, nodes, min_alpha, max_alpha).
     """
-    pk, fk, wk, count_k = _side_arrays(K, nk)
-    pl, fl, wl, count_l = _side_arrays(L, nl)
-    d = K.ambient_n + 1
-    subs, comps, signs = _laplace_subsets(d, K.dim + 1)
-    mk = _minor_dets(fk, subs) * signs * wk[:, None]
-    ml = _minor_dets(fl, comps) * wl[:, None]
-
+    side_k = _side_arrays(K, grid.nodes_for(K, "k"))
+    side_l = _side_arrays(L, grid.nodes_for(L, "l"))
+    values, cs, nodes = terms(side_k, side_l, grid)
+    pk, pl = side_k[0], side_l[0]
     ns = pk.shape[0]
-    nt = pl.shape[0]
     rows = np.empty(ns)
-    cs = _row_chunk(nt)
     nchunks = (ns + cs - 1) // cs
     amins = np.full(nchunks, np.inf)
     amaxs = np.full(nchunks, -np.inf)
@@ -424,63 +419,72 @@ def _pair_level_value(K, L, nk, nl, kern, workers=None):
         ci = s // cs
         amins[ci] = float(alpha.min())
         amaxs[ci] = float(alpha.max())
-        vals = kern(alpha, dots)
-        vals *= mk[s:e] @ ml.T
-        rows[s:e] = tree_sum_axis(vals, axis=1)
+        check(amins[ci], amaxs[ci])
+        rows[s:e] = tree_sum_axis(values(s, e, alpha, dots), axis=1)
 
     run_chunked(ns, work, workers, chunk=cs)
     amin, amax = float(amins.min()), float(amaxs.max())
     if not np.isfinite(rows).all():
         raise ValueError(
-            f"pair integrand is not finite on the level with {nk} x {nl} nodes "
-            f"per chart direction (min alpha {amin:.3g} rad)"
+            f"integrand is not finite on the level with {side_k[3]} x {side_l[3]} "
+            f"K x L nodes (min alpha {amin:.3g} rad)"
         )
-    return tree_sum(rows), count_k * count_l, amin, amax
+    return tree_sum(rows), nodes, amin, amax
 
 
-def _row_chunk(nt: int) -> int:
-    return max(1, _PAIR_CHUNK // max(1, nt))
+def _kernel_terms(kern, side_k, side_l, grid):
+    """Pair-kernel values: kern(alpha, cos_alpha) times the bracket.
 
-
-def _refine_pair(K, L, base_k, base_l, kern, tol, max_level, workers, check):
-    """Shared Richardson loop for the pair evaluators.
-
-    `check(amin, amax)` runs on the base-level alpha range before any
-    kernel evaluation, and again on the alpha range of every level
-    integrated.  Returns the estimate, the last level's alpha range, and
-    the node count and value of every level.
+    The bracket determinant is expanded into per-side minors once per
+    level, with each side's quadrature weights folded in; each (s, t) pair
+    then costs one multiply-add through a matrix product.
     """
-    pk0, _, _, _ = _side_arrays(K, base_k)
-    pl0, _, _, _ = _side_arrays(L, base_l)
-    check(*_alpha_stats(pk0, pl0))
+    _, fk, wk, _ = side_k
+    _, fl, wl, _ = side_l
+    subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
+    mk = _minor_dets(fk, subs) * signs * wk[:, None]
+    ml = _minor_dets(fl, comps) * wl[:, None]
 
-    node_counts, values = [], []
+    def values(s, e, alpha, dots):
+        vals = kern(alpha, dots)
+        vals *= mk[s:e] @ ml.T
+        return vals
 
-    def level_value(level):
-        scale = 2 ** level
-        value, nodes, amin, amax = _pair_level_value(
-            K, L, scale * base_k, scale * base_l, kern, workers)
-        check(amin, amax)
-        node_counts.append(nodes)
-        values.append(value)
-        return value, amin, amax
-
-    v_prev, _, _ = level_value(0)
-    v_cur, amin, amax = level_value(1)
-    err = abs(v_cur - v_prev)
-    level = 0
-    while err >= tol and level < max_level:
-        level += 1
-        v_prev = v_cur
-        v_cur, amin, amax = level_value(level + 1)
-        err = abs(v_cur - v_prev)
-    est = Estimate(value=v_cur, error_estimate=err, levels_used=level,
-                   converged=bool(err < tol))
-    return est, amin, amax, tuple(node_counts), tuple(values)
+    return values, max(1, _PAIR_CHUNK // ml.shape[0]), mk.shape[0] * ml.shape[0]
 
 
-def _finish_report(est: Estimate, prefactor: float, amin, amax, method,
-                   node_counts, level_values=()) -> LinkingReport:
+def _join_terms(side_k, side_l, grid):
+    """join-full values: the u-rule-weighted det of the join map's Jacobian.
+
+    Chunks hold about CHUNK nodes of K x L x [0, 1]; when one K row alone
+    holds more, its L nodes are taken in blocks.
+    """
+    _, fk, wk, _ = side_k
+    _, fl, wl, _ = side_l
+    u, wu = gauss_legendre(0.0, 1.0, grid.u).nodes_weights()
+    nt, nu = fl.shape[0], u.size
+
+    def block(s, e, t0, t1):
+        # nodes in (K row, L node, u) order
+        r, c = e - s, t1 - t0
+        fx = np.repeat(fk[s:e], c * nu, axis=0)
+        fy = np.tile(np.repeat(fl[t0:t1], nu, axis=0), (r, 1, 1))
+        uu = np.tile(u, r * c)[:, None]
+        dets = np.linalg.det(_join_batch(fx[:, :, 0], fx[:, :, 1:], fy[:, :, 0], fy[:, :, 1:], uu))
+        return tree_sum_axis(dets.reshape(r, c, nu) * wu, axis=2) * wl[t0:t1]
+
+    def values(s, e, alpha, dots):
+        cols = max(1, CHUNK // ((e - s) * nu))
+        vals = np.concatenate([block(s, e, t, min(t + cols, nt)) for t in range(0, nt, cols)],
+                              axis=1)
+        return vals * wk[s:e, None]
+
+    return values, max(1, CHUNK // (nt * nu)), fk.shape[0] * nt * nu
+
+
+def _finish_report(est: Estimate, prefactor: float, ranges, method,
+                   node_counts) -> LinkingReport:
+    """Report of a refined estimate; ranges holds each level's (min, max)."""
     raw = prefactor * est.value
     err = abs(prefactor) * est.error_estimate
     nearest, residual, accepted = round_to_linking(raw, err)
@@ -489,31 +493,38 @@ def _finish_report(est: Estimate, prefactor: float, amin, amax, method,
         nearest_integer=nearest,
         residual=residual,
         error_estimate=err,
-        min_alpha=amin,
-        max_alpha=amax,
+        min_alpha=min(r[0] for r in ranges),
+        max_alpha=max(r[1] for r in ranges),
         method=method,
         converged=est.converged,
         accepted=accepted and est.converged,
         levels_used=est.levels_used,
-        node_counts=node_counts,
-        level_values=tuple(prefactor * v for v in level_values),
+        node_counts=tuple(node_counts),
+        level_values=tuple(prefactor * v for v in est.level_values),
     )
 
 
-def _evaluate_pair(method, K, L, grid, tol, max_level, min_alpha,
-                   antipodal_margin, workers) -> LinkingReport:
-    """Pair integral of one `_ROUTES` entry over K x L."""
+def _evaluate(method, K, L, grid, tol, max_level, min_alpha, antipodal_margin,
+              workers) -> LinkingReport:
+    """Integral of one `_ROUTES` entry over K x L, refined to tol."""
     k, l, n = _check_pair(K, L)
-    grid = grid or GridSpec()
     route = _ROUTES[method]
-    kern = route.kernel(kernels.get_evaluator(k, l), n)
-    est, amin, amax, counts, values = _refine_pair(
-        K, L, grid.nodes_for(K, "k"), grid.nodes_for(L, "l"), kern, tol,
-        max_level, workers,
-        partial(_check_separation, route, min_alpha=min_alpha,
-                antipodal_margin=antipodal_margin))
-    return _finish_report(est, route.prefactor(k, n), amin, amax, route.label,
-                          counts, values)
+    if route.kernel is None:
+        terms = _join_terms
+    else:
+        terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n))
+    check = partial(_check_separation, route, min_alpha=min_alpha,
+                    antipodal_margin=antipodal_margin)
+    counts, ranges = [], []
+
+    def level_sum(g):
+        value, nodes, amin, amax = _level_sum(K, L, g, terms, check, workers)
+        counts.append(nodes)
+        ranges.append((amin, amax))
+        return value
+
+    est = refine_until(grid or GridSpec(), level_sum, tol, max_level)
+    return _finish_report(est, route.prefactor(k, n), ranges, route.label, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +536,8 @@ def evaluate_main_theorem(K: OrientedSubmanifold, L: OrientedSubmanifold,
                           max_level: int = 4, min_alpha: float = 0.01,
                           workers: int | None = None) -> LinkingReport:
     """Linking number by the direct geodesic-kernel integral over K x L."""
-    return _evaluate_pair("main", K, L, grid, tol, max_level, min_alpha,
-                          _ANTIPODAL_MARGIN, workers)
+    return _evaluate("main", K, L, grid, tol, max_level, min_alpha,
+                     _ANTIPODAL_MARGIN, workers)
 
 
 def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
@@ -541,8 +552,8 @@ def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
     cannot link K (for instance both manifolds sit strictly on one side of
     a great hypersphere), the rounded value is itself the linking number.
     """
-    return _evaluate_pair("corollary", K, L, grid, tol, max_level, min_alpha,
-                          antipodal_margin, workers)
+    return _evaluate("corollary", K, L, grid, tol, max_level, min_alpha,
+                     antipodal_margin, workers)
 
 
 def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
@@ -558,63 +569,7 @@ def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
     K x L x [0, 1] from exact chain-rule derivatives of the join map and
     also needs max alpha at least 0.01 short of pi.
     """
-    if variant == "reduced":
-        return _evaluate_pair("join-reduced", K, L, grid, tol, max_level,
-                              min_alpha, _ANTIPODAL_MARGIN, workers)
-    if variant == "full":
-        return _join_degree_full(K, L, grid or GridSpec(), tol, max_level,
-                                 min_alpha, workers)
-    raise ValueError(f"unknown join-degree variant {variant!r}")
-
-
-def _join_degree_full(K, L, grid, tol, max_level, min_alpha, workers):
-    k, l, n = _check_pair(K, L)
-    route = _ROUTES["join-full"]
-    # dimension-0 sides have no chart: their signed points are summed
-    # outside the grid, one refinement per point (or pair of points)
-    rules = _rules_for(K, grid.nodes_for(K, "k")) + _rules_for(L, grid.nodes_for(L, "l"))
-    grid0 = ProductGrid(rules + [gauss_legendre(0.0, 1.0, grid.u)])
-    ranges = []
-
-    def side(m, point, coords):
-        if point is None:
-            return m.batch(coords)
-        rows = coords.shape[0]
-        return np.broadcast_to(point, (rows, n + 1)), np.zeros((rows, n + 1, 0))
-
-    def make_integrand(x_point, y_point):
-        def integrand(nodes):
-            x, tx = side(K, x_point, nodes[:, :k])
-            y, ty = side(L, y_point, nodes[:, k : k + l])
-            c = np.einsum("nd,nd->n", x, y)
-            amin = float(np.arccos(min(c.max(), 1.0)))
-            amax = float(np.arccos(max(c.min(), -1.0)))
-            _check_separation(route, amin, amax, min_alpha)
-            ranges.append((amin, amax))
-            return np.linalg.det(_join_batch(x, tx, y, ty, nodes[:, -1:]))
-        return integrand
-
-    k_pts, k_signs = K.signed_points() if k == 0 else ([None], [1.0])
-    l_pts, l_signs = L.signed_points() if l == 0 else ([None], [1.0])
-    outer = [(float(sk * sl), xp, yp)
-             for xp, sk in zip(k_pts, k_signs)
-             for yp, sl in zip(l_pts, l_signs)]
-
-    total = 0.0
-    err = 0.0
-    converged = True
-    levels = 0
-    for sign, xp, yp in outer:
-        est = refine_until(grid0, make_integrand(xp, yp), tol=tol,
-                           max_level=max_level, workers=workers)
-        total += sign * est.value
-        err += est.error_estimate
-        converged = converged and est.converged
-        levels = max(levels, est.levels_used)
-    counts = [grid0.total_points * (2 ** grid0.ndim) ** j for j in range(levels + 2)]
-    est = Estimate(value=total, error_estimate=err, levels_used=levels,
-                   converged=converged)
-    amin = min(r[0] for r in ranges)
-    amax = max(r[1] for r in ranges)
-    return _finish_report(est, route.prefactor(k, n), amin, amax, route.label,
-                          tuple(counts))
+    if variant not in ("reduced", "full"):
+        raise ValueError(f"unknown join-degree variant {variant!r}")
+    return _evaluate("join-" + variant, K, L, grid, tol, max_level, min_alpha,
+                     _ANTIPODAL_MARGIN, workers)

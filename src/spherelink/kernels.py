@@ -205,9 +205,6 @@ class KernelEvaluator:
     cos(alpha); without it, c = cos(alpha) and s = stable_sin(alpha).
     """
 
-    mode = "closed_form"
-    conv_mode = "closed_form"
-
     def __init__(self, k: int, l: int):
         if k < 0 or l < 0 or int(k) != k or int(l) != l:
             raise ValueError("kernel orders must be nonnegative integers")

@@ -11,6 +11,12 @@ The projection frame (q1, q2, q3) is completed so that det(q1, q2, q3, p)
 orientation-preserving, so the Euclidean value needs no sign fix to match
 the sphere-side evaluators.  Pole choice cannot affect the result, which
 the tests exercise directly.
+
+The double integral runs through the package's one refinement loop,
+:func:`spherelink.quadrature.refine_until`, on a product of two periodic
+trapezoid rules.  The minimum-distance and velocity checks run on every
+integrated level, and the report's distance range covers every node of
+every level.
 """
 
 from dataclasses import dataclass
@@ -18,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import OrientedSubmanifold
-from .engine import Estimate, LinkingReport, round_to_linking
-from .quadrature import tree_sum, tree_sum_axis
+from .engine import LinkingReport, _finish_report
+from .quadrature import ProductGrid, periodic_trapezoid, refine_until, tree_sum, tree_sum_axis
 
 __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
            "find_pole", "POLE_CANDIDATES"]
@@ -120,9 +126,11 @@ def stereographic_project(curve: OrientedSubmanifold, pole,
     return EuclideanCurve(evaluate=evaluate)
 
 
-def _gauss_level(K: EuclideanCurve, L: EuclideanCurve, m: int):
-    x, dx = K.sample(m)
-    y, dy = L.sample(m)
+def _gauss_level(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid):
+    """One level of the double integral; returns (value, min, max distance)."""
+    (sk, wk), (sl, wl) = (rule.nodes_weights() for rule in grid.rules)
+    x, dx = K.evaluate(sk)
+    y, dy = L.evaluate(sl)
     if min(float(np.min(np.linalg.norm(dx, axis=1))),
            float(np.min(np.linalg.norm(dy, axis=1)))) <= 1e-8:
         raise ValueError("curve velocity vanishes on the sample grid")
@@ -130,10 +138,8 @@ def _gauss_level(K: EuclideanCurve, L: EuclideanCurve, m: int):
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     cross = np.cross(dx[:, None, :], np.broadcast_to(dy[None, :, :], diff.shape))
     vals = np.sum(cross * diff, axis=2) / dist**3
-    wk = K.period / m
-    wl = L.period / m
-    total = tree_sum(tree_sum_axis(vals, axis=1)) * wk * wl
-    return total / (4.0 * np.pi), float(dist.min())
+    total = tree_sum(tree_sum_axis(vals, axis=1)) * wk[0] * wl[0]
+    return total / (4.0 * np.pi), float(dist.min()), float(dist.max())
 
 
 def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
@@ -147,38 +153,22 @@ def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
     change falls below tol.  min/max alpha in the report hold the observed
     Euclidean separation range, not geodesic angles.
     """
-    v_prev, dmin = _gauss_level(K, L, m)
-    if dmin <= min_distance:
-        raise ValueError(
-            f"curves approach within {dmin:.2e} in R^3 (threshold {min_distance})"
-        )
-    level = 0
-    v_cur, dmin = _gauss_level(K, L, 2 * m)
-    err = abs(v_cur - v_prev)
-    while err >= tol and level < max_level:
-        level += 1
-        v_prev = v_cur
-        v_cur, dmin = _gauss_level(K, L, m * 2 ** (level + 1))
-        err = abs(v_cur - v_prev)
-    est = Estimate(value=v_cur, error_estimate=err, levels_used=level,
-                   converged=bool(err < tol))
-    nearest, residual, accepted = round_to_linking(v_cur, err)
-    x, _ = K.sample(256)
-    y, _ = L.sample(256)
-    dists = np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))
-    return LinkingReport(
-        raw_value=v_cur,
-        nearest_integer=nearest,
-        residual=residual,
-        error_estimate=err,
-        min_alpha=float(dists.min()),
-        max_alpha=float(dists.max()),
-        method="gauss_oracle",
-        converged=est.converged,
-        accepted=accepted and est.converged,
-        levels_used=level,
-        node_counts=tuple(m * 2 ** j * m * 2 ** j for j in range(level + 2)),
-    )
+    grid = ProductGrid([periodic_trapezoid(0.0, K.period, m),
+                        periodic_trapezoid(0.0, L.period, m)])
+    counts, ranges = [], []
+
+    def level_sum(g):
+        value, dmin, dmax = _gauss_level(K, L, g)
+        if dmin <= min_distance:
+            raise ValueError(
+                f"curves approach within {dmin:.2e} in R^3 (threshold {min_distance})"
+            )
+        counts.append(g.total_points)
+        ranges.append((dmin, dmax))
+        return value
+
+    est = refine_until(grid, level_sum, tol, max_level)
+    return _finish_report(est, 1.0, ranges, "gauss_oracle", counts)
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,

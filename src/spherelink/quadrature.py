@@ -6,6 +6,15 @@ smooth periodic integrands; open directions use Gauss-Legendre, whose
 nodes are strictly interior, so chart endpoints (e.g. the poles of a
 spherical chart) are never sampled.
 
+Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
+the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
+``grid0``, ``grid0.refined()``, ... (any grid object with a ``refined()``
+that doubles every node count), stops once two successive level values
+differ by less than ``tol`` or after ``max_level`` extra doublings, and
+returns every level's value in the :class:`Estimate`.  ``tol`` must be
+>= 0: ``0`` runs every level, ``inf`` stops after level 1, and a negative
+or NaN tolerance raises ValueError.
+
 Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
 evaluation may be distributed over worker threads (``SPHERELINK_WORKERS``
@@ -28,7 +37,6 @@ __all__ = [
     "gauss_legendre",
     "tree_sum",
     "tree_sum_axis",
-    "integrate",
     "refine_until",
     "worker_count",
 ]
@@ -137,12 +145,16 @@ class ProductGrid:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Quadrature result with a one-step Richardson error estimate."""
+    """Quadrature result with a one-step Richardson error estimate.
+
+    level_values holds the value of every level integrated, coarsest first.
+    """
 
     value: float
     error_estimate: float
     levels_used: int
     converged: bool = True
+    level_values: tuple[float, ...] = ()
 
 
 def tree_sum(values) -> float:
@@ -201,59 +213,24 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     return len(spans)
 
 
-def _weighted_sum(grid: ProductGrid, integrand, workers=None) -> float:
-    pts, wts = grid.points_weights()
-    n = pts.shape[0]
-    chunk_sums = np.zeros((n + CHUNK - 1) // CHUNK)
+def refine_until(grid0, level_sum, tol: float, max_level: int = 6) -> Estimate:
+    """Double every node count until the Richardson estimate drops below tol.
 
-    def work(s, e):
-        vals = np.asarray(integrand(pts[s:e]), dtype=float)
-        if vals.shape != (e - s,):
-            raise ValueError("integrand must return one value per node")
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            i = s + int(np.argmax(bad))
-            raise ValueError(
-                "non-finite integrand value at node with parameters "
-                f"{pts[i].tolist()} (disjointness violation or chart singularity)"
-            )
-        chunk_sums[s // CHUNK] = tree_sum(vals * wts[s:e])
-
-    run_chunked(n, work, workers)
-    return tree_sum(chunk_sums)
-
-
-def integrate(grid: ProductGrid, integrand, workers=None) -> Estimate:
-    """Weighted sum over the grid, with error from one factor-doubling step.
-
-    The returned value is the refined (all factor counts doubled) sum; the
-    error estimate is the difference against the sum on `grid` itself.
-    """
-    coarse = _weighted_sum(grid, integrand, workers)
-    fine = _weighted_sum(grid.refined(), integrand, workers)
-    return Estimate(value=fine, error_estimate=abs(fine - coarse), levels_used=0)
-
-
-def refine_until(grid0: ProductGrid, integrand, tol: float,
-                 max_level: int = 6, workers=None) -> Estimate:
-    """Double every factor until the Richardson estimate drops below tol.
-
-    Never raises on non-convergence; the returned Estimate carries
+    level_sum(grid) integrates one level; grid0.refined() gives the next
+    grid.  Levels 0 and 1 always run, then at most max_level more.  Never
+    raises on non-convergence; the returned Estimate carries
     ``converged=False`` when max_level was exhausted first.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    grid = grid0.refined()
+    values = [level_sum(grid0), level_sum(grid)]
+    err = abs(values[1] - values[0])
     level = 0
-    grid = grid0
-    prev = _weighted_sum(grid, integrand, workers)
-    grid = grid.refined()
-    cur = _weighted_sum(grid, integrand, workers)
-    err = abs(cur - prev)
     while err >= tol and level < max_level:
         level += 1
-        prev = cur
         grid = grid.refined()
-        cur = _weighted_sum(grid, integrand, workers)
-        err = abs(cur - prev)
-    return Estimate(value=cur, error_estimate=err, levels_used=level,
-                    converged=bool(err < tol))
+        values.append(level_sum(grid))
+        err = abs(values[-1] - values[-2])
+    return Estimate(value=values[-1], error_estimate=err, levels_used=level,
+                    converged=bool(err < tol), level_values=tuple(values))

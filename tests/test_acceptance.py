@@ -6,6 +6,7 @@ criterion (a failed assertion is the corresponding FAIL line).
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from spherelink import (
 )
 from spherelink import kernels
 from spherelink.cli import main as cli_main
-from spherelink.engine import _pair_level_value, _side_arrays
+from spherelink.engine import _kernel_terms, _level_sum, _side_arrays
 from spherelink.oracle import oracle_linking
 from spherelink.quadrature import ProductGrid, periodic_trapezoid
 from spherelink.spheregeom import _vol_sphere_any
@@ -243,7 +244,9 @@ def test_criterion_7_sign_laws(fixture_table, main_reports):
         direct = evaluate_main_theorem(K, antipodal_image(L), tol=1e-9)
         ev = kernels.get_evaluator(K.dim, l_dim)
         reflected_kernel = lambda alpha, cos_alpha: ev.kernel_ratio(np.pi - alpha, -cos_alpha)
-        value, _, _, _ = _pair_level_value(K, L, 128, 128, reflected_kernel)
+        value, _, _, _ = _level_sum(K, L, GridSpec(curve=128),
+                                    partial(_kernel_terms, reflected_kernel),
+                                    lambda amin, amax: None)
         expected = sign_factor("antipodal_transfer", l=l_dim) * value / _vol_sphere_any(n)
         assert abs(direct.raw_value - expected) < 1e-8, name
     _passline(7, "anti-commutation, orientation-reversal negation, and the "

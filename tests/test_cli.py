@@ -126,6 +126,33 @@ class TestLink:
         assert code == 1
         assert "method" in err
 
+    @pytest.mark.parametrize("method", ["main", "join-full"])
+    def test_negative_tol_exit_1(self, tmp_path, capsys, method):
+        spec = dict(GREAT_CIRCLES, method=method, tol=-1, grid={"curve": 8, "u": 4})
+        code, out, err = run(capsys, ["link", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == ""
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("change, field", [
+        ([1, 2], "object"),
+        ({"tol": None}, "tol"),
+        ({"max_level": [2]}, "max_level"),
+        ({"grid": {"k": None}}, "grid.k"),
+        ({"K": {"kind": "great_subsphere", "k": 1, "axes": 5}}, "axes"),
+        ({"thresholds": [1]}, "thresholds"),
+        ({"thresholds": {"residual_cap": None}}, "thresholds.residual_cap"),
+        ({"L": {"kind": "hopf_fiber", "base": {}}}, "base"),
+        ({"L": {"kind": "rotated", "givens": 5,
+                "base": {"kind": "great_subsphere", "k": 1, "axes": [2, 3]}}}, "givens"),
+    ])
+    def test_malformed_field_exit_1(self, tmp_path, capsys, change, field):
+        spec = dict(GREAT_CIRCLES, **change) if isinstance(change, dict) else change
+        code, out, err = run(capsys, ["link", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and field in err
+
     def test_threshold_overrides(self, tmp_path, capsys):
         # an absurdly tight residual cap turns an accepted run into exit 2
         spec = {
@@ -211,15 +238,25 @@ class TestConvergence:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
-    def test_oracle_method_rejected(self, tmp_path, capsys):
-        path = write_spec(tmp_path, dict(GREAT_CIRCLES, method="oracle"))
-        code, _, err = run(capsys, ["convergence", path])
-        assert code == 1
+    def _rows(self, tmp_path, capsys, spec):
+        path = write_spec(tmp_path, spec)
+        code, out, _ = run(capsys, ["convergence", path, "--levels", "2"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "level,nodes,value,error_estimate,converged"
+        return [line.split(",") for line in lines[1:]]
 
-    def test_join_full_rejected(self, tmp_path, capsys):
-        path = write_spec(tmp_path, dict(GREAT_CIRCLES, method="join-full"))
-        code, _, _ = run(capsys, ["convergence", path])
-        assert code == 1
+    def test_oracle_rows(self, tmp_path, capsys):
+        spec = dict(GREAT_CIRCLES, method="oracle", grid={"k": 16})
+        rows = self._rows(tmp_path, capsys, spec)
+        assert [int(r[1]) for r in rows] == [32 * 32, 64 * 64]
+        assert all(float(r[2]) == pytest.approx(1.0, abs=1e-12) for r in rows)
+
+    def test_join_full_rows(self, tmp_path, capsys):
+        spec = dict(GREAT_CIRCLES, method="join-full", grid={"curve": 8, "u": 4})
+        rows = self._rows(tmp_path, capsys, spec)
+        assert [int(r[1]) for r in rows] == [16 * 16 * 8, 32 * 32 * 16]
+        assert all(float(r[2]) == pytest.approx(-1.0, abs=1e-12) for r in rows)
 
     def test_levels_below_one_rejected(self, tmp_path, capsys):
         path = write_spec(tmp_path, GREAT_CIRCLES)
@@ -289,3 +326,50 @@ class TestOracleCmd:
         code, _, err = run(capsys, ["oracle", path])
         assert code == 1
         assert "S^3" in err
+
+
+CHEAP_SPEC = dict(GREAT_CIRCLES, grid={"curve": 8}, max_level=1, tol=1e-9)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) in a JSON tree, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def test_spec_mutations_never_raise(tmp_path):
+    # every field at any depth deleted or replaced by a wrong type: the CLI
+    # ends in a report or a clean exit, never a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import contextlib
+    import copy
+    import io
+
+    spec_path = tmp_path / "spec.json"
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(list(_paths(CHEAP_SPEC))),
+                      st.sampled_from(["delete", None, [], {}, "x"]))
+    def check(path, action):
+        spec = copy.deepcopy(CHEAP_SPEC)
+        prefix, key = path
+        parent = spec
+        for part in prefix:
+            parent = parent[part]
+        if action == "delete":
+            del parent[key]
+        else:
+            parent[key] = action
+        spec_path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["link", str(spec_path), "--stable"])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error:")
+
+    check()

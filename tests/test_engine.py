@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from spherelink import (
     round_to_linking,
     sign_factor,
 )
+from spherelink import engine
 from spherelink.engine import (
-    _alpha_stats,
     _join_batch,
-    _pair_level_value,
+    _kernel_terms,
+    _level_sum,
     _side_arrays,
 )
 from spherelink.spheregeom import SpherePoint, compose_givens
@@ -221,13 +224,17 @@ class TestLevelChecks:
     """Checks that run on every integrated level, not only the base grid."""
 
     def _alpha_ranges(self, K, L, nodes):
-        return [_alpha_stats(_side_arrays(K, m)[0], _side_arrays(L, m)[0])
-                for m in (nodes, 2 * nodes)]
+        ranges = []
+        for m in (nodes, 2 * nodes):
+            dots = np.clip(_side_arrays(K, m)[0] @ _side_arrays(L, m)[0].T, -1.0, 1.0)
+            ranges.append((float(np.arccos(dots.max())), float(np.arccos(dots.min()))))
+        return ranges
 
     def test_nan_kernel_rejected(self):
         K, L = hopf_pair()
+        terms = partial(_kernel_terms, lambda alpha, cos_alpha: np.full_like(alpha, np.nan))
         with pytest.raises(ValueError, match="not finite.*min alpha"):
-            _pair_level_value(K, L, 8, 8, lambda alpha, cos_alpha: np.full_like(alpha, np.nan))
+            _level_sum(K, L, GridSpec(curve=8), terms, lambda amin, amax: None)
 
     def test_min_alpha_checked_on_refined_grid(self):
         K, L = hopf_pair()
@@ -352,6 +359,26 @@ class TestJoinDegree:
         red = evaluate_join_degree(K, L, variant="reduced")
         assert abs(main.raw_value + red.raw_value) < 1e-8
         assert red.linking_number == main.nearest_integer == -1
+
+    def test_full_bit_identical_across_workers(self, monkeypatch):
+        # small chunks, so that every level has several for the threads
+        monkeypatch.setattr(engine, "CHUNK", 256)
+        for K, L in (hopf_pair(), great_pair(0, 1)):
+            values = []
+            for workers in ("1", "8"):
+                monkeypatch.setenv("SPHERELINK_WORKERS", workers)
+                values.append(evaluate_join_degree(
+                    K, L, variant="full", grid=GridSpec(curve=24, u=8),
+                    tol=1e-6, max_level=1).raw_value)
+            assert values[0] == values[1]
+
+    def test_full_row_blocks_match_whole_rows(self, monkeypatch):
+        # a K row holding more than CHUNK nodes is taken in blocks of L nodes
+        K, L = great_pair(1, 2)
+        kw = dict(variant="full", grid=GridSpec(curve=12, surface=6, u=4), max_level=0)
+        whole = evaluate_join_degree(K, L, **kw)
+        monkeypatch.setattr(engine, "CHUNK", 7)
+        assert evaluate_join_degree(K, L, **kw).raw_value == whole.raw_value
 
     def test_unknown_variant(self):
         K, L = great_pair(1, 1)

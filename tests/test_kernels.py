@@ -175,12 +175,6 @@ class TestIdentities:
 
 
 class TestEvaluator:
-    def test_modes(self):
-        # every order runs the generated closed form
-        for k, l in [(1, 1), (2, 1), (0, 0), (2, 2), (1, 2), (2, 3)]:
-            assert KernelEvaluator(k, l).mode == "closed_form"
-            assert KernelEvaluator(k, l).conv_mode == "closed_form"
-
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             KernelEvaluator(-1, 2)

@@ -5,13 +5,25 @@ from spherelink.quadrature import (
     Estimate,
     ProductGrid,
     gauss_legendre,
-    integrate,
     periodic_trapezoid,
     refine_until,
     tree_sum,
     tree_sum_axis,
     worker_count,
 )
+
+
+def weighted_sum(f):
+    """A refine_until level: f summed against the grid's weights."""
+    def level_sum(grid):
+        pts, wts = grid.points_weights()
+        return tree_sum(f(pts) * wts)
+    return level_sum
+
+
+def integrate(grid, f):
+    """The grid refined once, with the difference against grid itself."""
+    return refine_until(grid, weighted_sum(f), tol=np.inf)
 
 
 class TestRules:
@@ -115,32 +127,28 @@ class TestIntegrate:
         est = integrate(g, integrand)
         assert est.value == pytest.approx((2 * np.pi) ** 2 * 0.5, rel=1e-12)
 
-    def test_nonfinite_reports_node(self):
-        g = ProductGrid([gauss_legendre(0, 1, 4), gauss_legendre(0, 1, 4)])
-
-        def bad(p):
-            vals = np.ones(p.shape[0])
-            vals[p[:, 0] > 0.8] = np.inf
-            return vals
-
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate(g, bad)
-
-
 class TestRefineUntil:
     def test_infinite_tol_returns_base(self):
         g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 8)])
-        f = lambda p: np.exp(np.sin(p[:, 0]))
-        est = refine_until(g, f, tol=np.inf)
-        base = integrate(g, f)
+        level_sum = weighted_sum(lambda p: np.exp(np.sin(p[:, 0])))
+        est = refine_until(g, level_sum, tol=np.inf)
+        coarse, fine = level_sum(g), level_sum(g.refined())
         assert est.levels_used == 0
-        assert est.value == base.value
-        assert est.error_estimate == base.error_estimate
+        assert est.value == fine
+        assert est.error_estimate == abs(fine - coarse)
+        assert est.level_values == (coarse, fine)
 
     def test_requires_positive_tol(self):
+        # tol must be >= 0: negative and NaN raise, 0 runs every level
         g = ProductGrid([periodic_trapezoid(0, 1, 4)])
-        with pytest.raises(ValueError):
-            refine_until(g, lambda p: np.ones(p.shape[0]), tol=0.0)
+        level_sum = weighted_sum(lambda p: np.ones(p.shape[0]))
+        for tol in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                refine_until(g, level_sum, tol=tol)
+        est = refine_until(g, level_sum, tol=0.0, max_level=3)
+        assert est.levels_used == 3
+        assert len(est.level_values) == 5
+        assert not est.converged
 
     def test_spectral_convergence_smooth_periodic(self):
         # each doubling of a periodic trapezoid on a smooth integrand must
@@ -148,19 +156,13 @@ class TestRefineUntil:
         g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 4)])
         f = lambda p: np.exp(np.sin(p[:, 0]))
         exact = 2 * np.pi * 1.2660658777520084  # 2 pi I_0(1)
-        errors = []
-        grid = g
-        prev = None
-        for _ in range(5):
-            est = integrate(grid, f)
-            if prev is not None:
-                errors.append(est.error_estimate)
-            prev = est
-            grid = grid.refined()
+        est = refine_until(g, weighted_sum(f), tol=0.0, max_level=4)
+        values = est.level_values
+        errors = [abs(b - a) for a, b in zip(values[1:], values[2:])]
         resolved = [e for e in errors if e > 1e-14]
         for e1, e2 in zip(resolved, resolved[1:]):
             assert e2 < e1 / 10
-        assert prev.value == pytest.approx(exact, rel=1e-12)
+        assert est.value == pytest.approx(exact, rel=1e-12)
 
     def test_close_approach_flags_nonconvergence(self):
         # two great circles passing within 0.05 rad: a coarse grid with a
@@ -180,7 +182,7 @@ class TestRefineUntil:
 
         g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 8),
                          periodic_trapezoid(0, 2 * np.pi, 8)])
-        est = refine_until(g, integrand, tol=1e-9, max_level=2)
+        est = refine_until(g, weighted_sum(integrand), tol=1e-9, max_level=2)
         assert not est.converged
         assert isinstance(est, Estimate)
 
@@ -197,18 +199,3 @@ class TestDeterminism:
         monkeypatch.setenv("SPHERELINK_WORKERS", value)
         with pytest.raises(ValueError, match="SPHERELINK_WORKERS"):
             worker_count()
-
-    def test_bit_identical_across_workers(self, monkeypatch, rng):
-        coeffs = rng.standard_normal(7)
-
-        def f(p):
-            return np.cos(p @ coeffs[:2]) * np.exp(np.sin(3 * p[:, 1]))
-
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 64),
-                         periodic_trapezoid(0, 2 * np.pi, 64)])
-        results = []
-        for w in ("1", "8"):
-            monkeypatch.setenv("SPHERELINK_WORKERS", w)
-            results.append(refine_until(g, f, tol=1e-10, max_level=2))
-        assert results[0].value == results[1].value
-        assert results[0].error_estimate == results[1].error_estimate
