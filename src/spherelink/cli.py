@@ -290,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=None,
                        help="node-count overrides, e.g. k=64,l=32,u=16")
         p.add_argument("--max-level", type=int, default=None, dest="max_level",
-                       help="maximum number of grid doublings")
+                       help="refinement levels allowed after levels 0 and 1, "
+                            "which always run (at most max_level + 1 grid doublings)")
         p.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
                        help="disjointness threshold in radians")
         p.add_argument("--seed", type=int, default=None,

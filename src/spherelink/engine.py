@@ -31,8 +31,9 @@ or Jacobian is evaluated, and tree-sums the route's per-pair values.  Pair
 kernels use a generalized Laplace expansion of the bracket determinant
 (per-manifold minors combined by a matrix product), which keeps the
 per-node cost flat even for surface pairs; join-full sums each pair's
-join-map determinant against the u rule.  A dimension-0 side enters as
-its signed points with +-1 weights.
+join-map determinant, from the chunk's cos alpha and alpha, against the u
+rule.  One Laplace recursion, :func:`_minor_dets`, gives both determinants.
+A dimension-0 side enters as its signed points with +-1 weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
@@ -241,40 +242,41 @@ def round_to_linking(raw: float, error_estimate: float,
 # join map
 # ---------------------------------------------------------------------------
 
-def _join_batch(x, tx, y, ty, u) -> np.ndarray:
+def _join_batch(x, tx, y, ty, c, alpha, u) -> np.ndarray:
     """Geodesic-sweep map from x toward -y with its exact Jacobian columns.
 
-    x, y: (N, d) points with tangent columns tx (N, d, k), ty (N, d, l);
-    u: (N, 1) fractions of the arc.  Returns (N, d, k + l + 2): the image
-    f = x cos w - v sin w, where c = x.y = cos alpha, s = sin alpha,
-    v = (y - c x) / s and w = u (pi - alpha), then the derivative of f
-    along each column of tx, each column of ty and along u, by the chain
-    rule: c' = x'.y + x.y', alpha' = -c'/s, s' = c alpha',
+    x: (r, d) points with tangent columns tx (r, d, k); y: (t, d) with ty
+    (t, d, l); c = x.y = cos alpha and alpha, (r, t), as the level sum
+    formed them; u: (nu,) fractions of the arc.  Returns
+    (r, t, nu, d, k + l + 2): the image f = x cos w - v sin w, where
+    s = sin alpha, v = (y - c x) / s and w = u (pi - alpha), then the
+    derivative of f along each column of tx, each column of ty and along
+    u, by the chain rule: c' = x'.y + x.y', alpha' = -c'/s, s' = c alpha',
     w' = u' (pi - alpha) - u alpha', v' = (y' - c' x - c x')/s - v s'/s and
     f' = x' cos w - x sin w w' - v' sin w - v cos w w'.
     """
-    n, d, k = tx.shape
-    l = ty.shape[2]
-    c = np.clip(np.einsum("nd,nd->n", x, y), -1.0, 1.0)[:, None]
-    alpha = np.arccos(c)
-    s = np.sin(alpha)
-    eta = np.pi - alpha
-    w = u * eta
+    (r, d, k), (t, l) = tx.shape, ty.shape[::2]
+    dc = np.concatenate([np.einsum("td,rdj->rtj", y, tx), np.einsum("rd,tdj->rtj", x, ty),
+                         np.zeros((r, t, 1))], axis=2)[:, :, None, :]
+    # per pair (r, t, 1, 1), per node of u (r, t, nu, 1), columns last
+    c = c[:, :, None, None]
+    s = np.sin(alpha)[:, :, None, None]
+    eta = np.pi - alpha[:, :, None, None]
+    w = u[:, None] * eta
     cw, sw = np.cos(w), np.sin(w)
-    v = (y - c * x) / s
-    dc = np.concatenate([np.einsum("nd,ndj->nj", y, tx),
-                         np.einsum("nd,ndj->nj", x, ty), np.zeros((n, 1))], axis=1)
+    x = x[:, None, None, :]
+    v = (y[:, None, :] - c * x) / s
     dalpha = -dc / s
-    dw = -u * dalpha
-    dw[:, -1:] += eta
+    dw = -u[:, None] * dalpha
+    dw[..., -1:] += eta
     # f' = x' (cos w + c sin w / s) - y' sin w / s + x a + v b
     a = sw / s * dc - sw * dw
     b = sw * c / s * dalpha - cw * dw
-    out = np.empty((n, d, k + l + 2))
-    out[:, :, 0] = x * cw - v * sw
-    out[:, :, 1:] = x[:, :, None] * a[:, None, :] + v[:, :, None] * b[:, None, :]
-    out[:, :, 1 : k + 1] += tx * (cw + c * sw / s)[:, :, None]
-    out[:, :, k + 1 : k + l + 1] -= ty * (sw / s)[:, :, None]
+    out = np.empty((r, t, u.size, d, k + l + 2))
+    out[..., 0] = x * cw - v * sw
+    out[..., 1:] = x[..., None] * a[:, :, :, None, :] + v[..., None] * b[:, :, :, None, :]
+    out[..., 1 : k + 1] += tx[:, None, None] * (cw + c * sw / s)[..., None]
+    out[..., k + 1 : k + l + 1] -= ty[None, :, None] * (sw / s)[..., None]
     return out
 
 
@@ -291,7 +293,8 @@ def join_map(x: SpherePoint, y: SpherePoint, u: float) -> SpherePoint:
         )
     none = np.empty((1, x.coords.size, 0))
     f = _join_batch(x.coords[None, :], none, y.coords[None, :], none,
-                    np.array([[float(u)]]))[0, :, 0]
+                    np.array([[pg.cos_alpha]]), np.array([[pg.alpha]]),
+                    np.array([float(u)]))[0, 0, 0, :, 0]
     return SpherePoint(f)
 
 
@@ -309,50 +312,50 @@ def _laplace_subsets(d: int, m: int):
     return subs, comps, signs
 
 
+@lru_cache(maxsize=64)
+def _laplace_plan(d: int, subsets: tuple):
+    """Expansion terms of every minor `_minor_dets` forms on d-row frames.
+
+    Per size j >= 2, one list per j-row minor of the first j columns (all
+    of them below the requested size m, the requested subsets at m) of
+    (row, index of the (j-1)-row minor without it) along column j, last
+    row first, so the signs alternate from +; then the requested subsets'
+    indices at size m, a slice when already in order so that none is copied.
+    """
+    steps, lower = [], {(r,): r for r in range(d)}
+    for j in range(2, len(subsets[0]) + 1):
+        upper = subsets if j == len(subsets[0]) else list(combinations(range(d), j))
+        steps.append([[(s[i], lower[s[:i] + s[i + 1:]]) for i in reversed(range(j))]
+                      for s in upper])
+        lower = {s: i for i, s in enumerate(upper)}
+    final = [lower[s] for s in subsets]
+    return steps, slice(None) if final == list(range(len(final))) else final
+
+
 def _minor_dets(frames: np.ndarray, subsets) -> np.ndarray:
     """det of the rows `subset` of each (d, m) frame; shape (N, len(subsets)).
 
-    Sizes up to 4 use closed forms on column slices (no submatrix copies);
-    this is the inner loop of the bracket expansion, so it matters.
+    One Laplace recursion for every size: for j = 1 ... m the j-row minors
+    of each frame's first j columns are expanded along column j from the
+    (j-1)-row minors, so each minor of each size is formed exactly once.
+    The columns are read from one contiguous (m, d, N) transpose and the
+    terms accumulate in place.  This is the inner loop of the bracket
+    expansion and the join-full determinant (m = d, the whole frame).
     """
-    n, _, m = frames.shape
-    out = np.empty((n, len(subsets)))
-    cols = [frames[:, :, j] for j in range(m)]
-    for i, s in enumerate(subsets):
-        if m == 1:
-            out[:, i] = cols[0][:, s[0]]
-        elif m == 2:
-            a, b = s
-            out[:, i] = cols[0][:, a] * cols[1][:, b] - cols[0][:, b] * cols[1][:, a]
-        elif m == 3:
-            a, b, c = s
-            c0, c1, c2 = cols[0], cols[1], cols[2]
-            out[:, i] = (
-                c0[:, a] * (c1[:, b] * c2[:, c] - c1[:, c] * c2[:, b])
-                - c0[:, b] * (c1[:, a] * c2[:, c] - c1[:, c] * c2[:, a])
-                + c0[:, c] * (c1[:, a] * c2[:, b] - c1[:, b] * c2[:, a])
-            )
-        elif m == 4:
-            # expansion along the first two columns: pairs of 2x2 minors
-            c0, c1, c2, c3 = cols[0], cols[1], cols[2], cols[3]
-
-            def m01(i1, i2):
-                return c0[:, s[i1]] * c1[:, s[i2]] - c0[:, s[i2]] * c1[:, s[i1]]
-
-            def m23(i1, i2):
-                return c2[:, s[i1]] * c3[:, s[i2]] - c2[:, s[i2]] * c3[:, s[i1]]
-
-            out[:, i] = (
-                m01(0, 1) * m23(2, 3)
-                - m01(0, 2) * m23(1, 3)
-                + m01(0, 3) * m23(1, 2)
-                + m01(1, 2) * m23(0, 3)
-                - m01(1, 3) * m23(0, 2)
-                + m01(2, 3) * m23(0, 1)
-            )
-        else:
-            out[:, i] = np.linalg.det(frames[:, s, :])
-    return out
+    n, d, _ = frames.shape
+    steps, final = _laplace_plan(d, tuple(subsets))
+    cols = np.ascontiguousarray(frames.transpose(2, 1, 0))
+    prev = cols[0]
+    term = np.empty(n)
+    for col, step in zip(cols[1:], steps):
+        cur = np.empty((len(step), n))
+        for acc, ((r, p), *rest) in zip(cur, step):
+            np.multiply(col[r], prev[p], out=acc)
+            for i, (r, p) in enumerate(rest):
+                np.multiply(col[r], prev[p], out=term)
+                (np.add if i % 2 else np.subtract)(acc, term, out=acc)
+        prev = cur
+    return prev[final].T
 
 
 def _check_pair(K: OrientedSubmanifold, L: OrientedSubmanifold):
@@ -390,7 +393,7 @@ def _side_arrays(m: OrientedSubmanifold, nodes: int):
     return pts, frames, w, grid.total_points
 
 
-def _level_sum(K, L, grid: GridSpec, terms, check, workers=None):
+def _level_sum(K, L, grid: GridSpec, terms, check):
     """One quadrature level of a route: a chunked sum over K x L.
 
     terms(side_k, side_l, grid) receives both sides' `_side_arrays` and
@@ -422,7 +425,7 @@ def _level_sum(K, L, grid: GridSpec, terms, check, workers=None):
         check(amins[ci], amaxs[ci])
         rows[s:e] = tree_sum_axis(values(s, e, alpha, dots), axis=1)
 
-    run_chunked(ns, work, workers, chunk=cs)
+    run_chunked(ns, work, chunk=cs)
     amin, amax = float(amins.min()), float(amaxs.max())
     if not np.isfinite(rows).all():
         raise ValueError(
@@ -456,30 +459,28 @@ def _kernel_terms(kern, side_k, side_l, grid):
 def _join_terms(side_k, side_l, grid):
     """join-full values: the u-rule-weighted det of the join map's Jacobian.
 
-    Chunks hold about CHUNK nodes of K x L x [0, 1]; when one K row alone
-    holds more, its L nodes are taken in blocks.
+    The join map reads each chunk's cos alpha and alpha.  Chunks hold about
+    CHUNK nodes of K x L x [0, 1]; when one K row alone holds more, its L
+    nodes are taken in blocks.
     """
     _, fk, wk, _ = side_k
     _, fl, wl, _ = side_l
     u, wu = gauss_legendre(0.0, 1.0, grid.u).nodes_weights()
-    nt, nu = fl.shape[0], u.size
-
-    def block(s, e, t0, t1):
-        # nodes in (K row, L node, u) order
-        r, c = e - s, t1 - t0
-        fx = np.repeat(fk[s:e], c * nu, axis=0)
-        fy = np.tile(np.repeat(fl[t0:t1], nu, axis=0), (r, 1, 1))
-        uu = np.tile(u, r * c)[:, None]
-        dets = np.linalg.det(_join_batch(fx[:, :, 0], fx[:, :, 1:], fy[:, :, 0], fy[:, :, 1:], uu))
-        return tree_sum_axis(dets.reshape(r, c, nu) * wu, axis=2) * wl[t0:t1]
+    nt, d = fl.shape[:2]
+    whole = [tuple(range(d))]
 
     def values(s, e, alpha, dots):
-        cols = max(1, CHUNK // ((e - s) * nu))
-        vals = np.concatenate([block(s, e, t, min(t + cols, nt)) for t in range(0, nt, cols)],
-                              axis=1)
+        cols = max(1, CHUNK // ((e - s) * u.size))
+        vals = np.empty((e - s, nt))
+        for t0 in range(0, nt, cols):
+            t1 = min(t0 + cols, nt)
+            jac = _join_batch(fk[s:e, :, 0], fk[s:e, :, 1:], fl[t0:t1, :, 0], fl[t0:t1, :, 1:],
+                              dots[:, t0:t1], alpha[:, t0:t1], u)
+            dets = _minor_dets(jac.reshape(-1, d, d), whole).reshape(e - s, t1 - t0, u.size)
+            vals[:, t0:t1] = tree_sum_axis(dets * wu, axis=2) * wl[t0:t1]
         return vals * wk[s:e, None]
 
-    return values, max(1, CHUNK // (nt * nu)), fk.shape[0] * nt * nu
+    return values, max(1, CHUNK // (nt * u.size)), fk.shape[0] * nt * u.size
 
 
 def _finish_report(est: Estimate, prefactor: float, ranges, method,
@@ -504,8 +505,8 @@ def _finish_report(est: Estimate, prefactor: float, ranges, method,
     )
 
 
-def _evaluate(method, K, L, grid, tol, max_level, min_alpha, antipodal_margin,
-              workers) -> LinkingReport:
+def _evaluate(method, K, L, grid, tol, max_level, min_alpha,
+              antipodal_margin) -> LinkingReport:
     """Integral of one `_ROUTES` entry over K x L, refined to tol."""
     k, l, n = _check_pair(K, L)
     route = _ROUTES[method]
@@ -518,7 +519,7 @@ def _evaluate(method, K, L, grid, tol, max_level, min_alpha, antipodal_margin,
     counts, ranges = [], []
 
     def level_sum(g):
-        value, nodes, amin, amax = _level_sum(K, L, g, terms, check, workers)
+        value, nodes, amin, amax = _level_sum(K, L, g, terms, check)
         counts.append(nodes)
         ranges.append((amin, amax))
         return value
@@ -533,18 +534,16 @@ def _evaluate(method, K, L, grid, tol, max_level, min_alpha, antipodal_margin,
 
 def evaluate_main_theorem(K: OrientedSubmanifold, L: OrientedSubmanifold,
                           grid: GridSpec | None = None, tol: float = 1e-9,
-                          max_level: int = 4, min_alpha: float = 0.01,
-                          workers: int | None = None) -> LinkingReport:
+                          max_level: int = 4,
+                          min_alpha: float = 0.01) -> LinkingReport:
     """Linking number by the direct geodesic-kernel integral over K x L."""
-    return _evaluate("main", K, L, grid, tol, max_level, min_alpha,
-                     _ANTIPODAL_MARGIN, workers)
+    return _evaluate("main", K, L, grid, tol, max_level, min_alpha, _ANTIPODAL_MARGIN)
 
 
 def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
                        grid: GridSpec | None = None, tol: float = 1e-9,
                        max_level: int = 4, min_alpha: float = 0.01,
-                       antipodal_margin: float = _ANTIPODAL_MARGIN,
-                       workers: int | None = None) -> LinkingReport:
+                       antipodal_margin: float = _ANTIPODAL_MARGIN) -> LinkingReport:
     """Convolution-kernel integral; equals Lk(K, L) + (-1)^n Lk(K, -L).
 
     Requires K disjoint from both L and the antipodal image -L (grid
@@ -553,14 +552,14 @@ def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
     a great hypersphere), the rounded value is itself the linking number.
     """
     return _evaluate("corollary", K, L, grid, tol, max_level, min_alpha,
-                     antipodal_margin, workers)
+                     antipodal_margin)
 
 
 def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
                          grid: GridSpec | None = None,
                          variant: str = "reduced", tol: float = 1e-9,
-                         max_level: int = 4, min_alpha: float = 0.01,
-                         workers: int | None = None) -> LinkingReport:
+                         max_level: int = 4,
+                         min_alpha: float = 0.01) -> LinkingReport:
     """Degree of the join-sweep map K * L -> S^n; equals -Lk(K, L).
 
     variant "reduced" integrates the pullback with the join parameter
@@ -572,4 +571,4 @@ def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
     if variant not in ("reduced", "full"):
         raise ValueError(f"unknown join-degree variant {variant!r}")
     return _evaluate("join-" + variant, K, L, grid, tol, max_level, min_alpha,
-                     _ANTIPODAL_MARGIN, workers)
+                     _ANTIPODAL_MARGIN)

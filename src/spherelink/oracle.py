@@ -14,21 +14,26 @@ the tests exercise directly.
 
 The double integral runs through the package's one refinement loop,
 :func:`spherelink.quadrature.refine_until`, on a product of two periodic
-trapezoid rules.  The minimum-distance and velocity checks run on every
-integrated level, and the report's distance range covers every node of
-every level.
+trapezoid rules, each level summed over chunks of K rows of bounded size
+by :func:`spherelink.quadrature.run_chunked`.  The minimum-distance and
+velocity checks run on every integrated level, and the report's distance
+range covers every node of every level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .catalog import OrientedSubmanifold
 from .engine import LinkingReport, _finish_report
 from .quadrature import ProductGrid, periodic_trapezoid, refine_until, tree_sum, tree_sum_axis
 
 __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
            "find_pole", "POLE_CANDIDATES"]
+
+# elements of the (rows, m, 3) difference array per chunk of K rows
+_GAUSS_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,19 +132,33 @@ def stereographic_project(curve: OrientedSubmanifold, pole,
 
 
 def _gauss_level(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid):
-    """One level of the double integral; returns (value, min, max distance)."""
+    """One level of the double integral; returns (value, min, max distance).
+
+    K rows are taken in chunks of at most _GAUSS_CHUNK elements of the
+    (rows, m, 3) difference array, and each row is tree-summed whole, so
+    the value does not depend on the chunking.
+    """
     (sk, wk), (sl, wl) = (rule.nodes_weights() for rule in grid.rules)
     x, dx = K.evaluate(sk)
     y, dy = L.evaluate(sl)
     if min(float(np.min(np.linalg.norm(dx, axis=1))),
            float(np.min(np.linalg.norm(dy, axis=1)))) <= 1e-8:
         raise ValueError("curve velocity vanishes on the sample grid")
-    diff = x[:, None, :] - y[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    cross = np.cross(dx[:, None, :], np.broadcast_to(dy[None, :, :], diff.shape))
-    vals = np.sum(cross * diff, axis=2) / dist**3
-    total = tree_sum(tree_sum_axis(vals, axis=1)) * wk[0] * wl[0]
-    return total / (4.0 * np.pi), float(dist.min()), float(dist.max())
+    cs = max(1, _GAUSS_CHUNK // (3 * y.shape[0]))
+    rows = np.empty(x.shape[0])
+    dmins, dmaxs = {}, {}
+
+    def work(s, e):
+        diff = x[s:e, None, :] - y[None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        cross = np.cross(dx[s:e, None, :], np.broadcast_to(dy[None, :, :], diff.shape))
+        rows[s:e] = tree_sum_axis(np.sum(cross * diff, axis=2) / dist**3, axis=1)
+        dmins[s], dmaxs[s] = float(dist.min()), float(dist.max())
+
+    # called through the module, so that wrappers installed there see it
+    quadrature.run_chunked(x.shape[0], work, chunk=cs)
+    total = tree_sum(rows) * wk[0] * wl[0]
+    return total / (4.0 * np.pi), min(dmins.values()), max(dmaxs.values())
 
 
 def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,

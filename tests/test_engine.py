@@ -1,4 +1,5 @@
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spherelink.engine import (
     _join_batch,
     _kernel_terms,
     _level_sum,
+    _minor_dets,
     _side_arrays,
 )
 from spherelink.spheregeom import SpherePoint, compose_givens
@@ -109,25 +111,45 @@ class TestJoinMap:
     def test_jacobian_matches_differences(self, rng):
         # every column, including its components along x and v, which the
         # join-degree determinant cannot see
-        x = rng.standard_normal((6, 5))
-        y = rng.standard_normal((6, 5))
+        x = rng.standard_normal((3, 5))
+        y = rng.standard_normal((2, 5))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         y /= np.linalg.norm(y, axis=1, keepdims=True)
-        tx = rng.standard_normal((6, 5, 2))
-        ty = rng.standard_normal((6, 5, 1))
-        u = rng.uniform(0.0, 1.0, (6, 1))
-        none = np.empty((6, 5, 0))
+        tx = rng.standard_normal((3, 5, 2))
+        ty = rng.standard_normal((2, 5, 1))
+        u = rng.uniform(0.0, 1.0, 4)
+
+        def jac(x, tx, y, ty, u):
+            c = np.clip(x @ y.T, -1.0, 1.0)
+            return _join_batch(x, tx, y, ty, c, np.arccos(c), u)
 
         def f(x, y, u):
-            return _join_batch(x, none, y, none, u)[:, :, 0]
+            return jac(x, tx[:, :, :0], y, ty[:, :, :0], u)[..., 0]
 
         h = 1e-6
         steps = [(tx[:, :, 0], 0, 0), (tx[:, :, 1], 0, 0), (0, ty[:, :, 0], 0), (0, 0, 1.0)]
-        jac = _join_batch(x, tx, y, ty, u)
+        full = jac(x, tx, y, ty, u)
+        assert full.shape == (3, 2, 4, 5, 5)
         for col, (dx, dy, du) in enumerate(steps, start=1):
             diff = (f(x + h * dx, y + h * dy, u + h * du)
                     - f(x - h * dx, y - h * dy, u - h * du)) / (2 * h)
-            assert np.allclose(jac[:, :, col], diff, rtol=0, atol=1e-8), col
+            assert np.allclose(full[..., col], diff, rtol=0, atol=1e-8), col
+
+
+class TestMinorDets:
+    def test_matches_lu_on_every_row_subset(self, rng):
+        # both subset orders the bracket expansion uses: lexicographic for
+        # K, reversed (the complements) for L
+        for d in range(1, 8):
+            for m in range(1, d + 1):
+                frames = rng.standard_normal((20, d, m))
+                lex = list(combinations(range(d), m))
+                for subsets in (lex, lex[::-1]):
+                    ref = np.stack([np.linalg.det(frames[:, list(s), :]) for s in subsets],
+                                   axis=1)
+                    got = _minor_dets(frames, subsets)
+                    assert got.shape == ref.shape
+                    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (d, m)
 
 
 class TestRoundToLinking:

@@ -7,6 +7,7 @@ from spherelink import (
     great_subsphere,
     hopf_fiber,
 )
+from spherelink import oracle
 from spherelink.oracle import (
     POLE_CANDIDATES,
     EuclideanCurve,
@@ -105,6 +106,16 @@ class TestGaussIntegral:
         assert r.raw_value == pytest.approx(-1.0, abs=1e-9)
         assert r.nearest_integer == -1
         assert r.accepted
+
+    def test_row_chunks_match_whole_level(self, monkeypatch):
+        # a level taken in chunks of a few K rows sums to the same bits
+        K = euclid_circle([0, 0, 0], 1.0, normal_axis=2)
+        L = euclid_circle([1, 0, 0], 1.0, normal_axis=1)
+        whole = gauss_linking_integral(K, L)
+        monkeypatch.setattr(oracle, "_GAUSS_CHUNK", 3 * 256 * 7)
+        chunked = gauss_linking_integral(K, L)
+        assert chunked.raw_value == whole.raw_value
+        assert (chunked.min_alpha, chunked.max_alpha) == (whole.min_alpha, whole.max_alpha)
 
     def test_distant_circles_unlinked(self):
         K = euclid_circle([0, 0, 0], 1.0)
