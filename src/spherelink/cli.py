@@ -159,7 +159,11 @@ def _dispatch(spec: dict):
     max_level = _field(spec, "max_level", int, 4)
     min_alpha = _field(spec, "min_alpha", float, 0.01)
     if method == "oracle":
-        return oracle_linking(K, L, m=grid.nodes_for(K, "k"), tol=tol, max_level=max_level)
+        m = grid.nodes_for(K, "k")
+        if grid.l_nodes is not None and grid.l_nodes != m:
+            raise ValueError(f"spec field 'grid.l' ({grid.l_nodes}) must equal the K node "
+                             f"count ({m}): the oracle takes one count for both curves")
+        return oracle_linking(K, L, m=m, tol=tol, max_level=max_level)
     kw = dict(grid=grid, tol=tol, max_level=max_level, min_alpha=min_alpha)
     if method == "main":
         return evaluate_main_theorem(K, L, **kw)

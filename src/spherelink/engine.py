@@ -23,23 +23,26 @@ S^n with k + l = n - 1:
   the independent cross-check of the whole pullback reduction.
 
 Every route is one sum over K x L, and ``_ROUTES`` holds what differs per
-CLI method name: label, kernel, sign and separation check.  There is one
-level loop, :func:`spherelink.quadrature.refine_until`, and one chunk loop,
-:func:`_level_sum`: per chunk of K rows it forms the geodesic-distance
-matrix to every L node, checks separation on that chunk before any kernel
-or Jacobian is evaluated, and tree-sums the route's per-pair values.  Pair
-kernels use a generalized Laplace expansion of the bracket determinant
-(per-manifold minors combined by a matrix product), which keeps the
-per-node cost flat even for surface pairs; join-full sums each pair's
-join-map determinant, from the chunk's cos alpha and alpha, against the u
-rule.  One Laplace recursion, :func:`_minor_dets`, gives both determinants.
-A dimension-0 side enters as its signed points with +-1 weights.
+CLI method name: label, kernel, sign and separation check.  One chunk loop,
+:func:`_level_sum`, sums every level, the Gauss integral of
+:mod:`spherelink.oracle` included: per chunk of K rows the route's terms
+give the chunk's geometry against every L node (cos alpha and alpha here,
+R^3 differences and distances there), whose separation is checked before any
+per-pair value is evaluated.  ``CHUNK_BYTES`` sizes every chunk, and
+:func:`_refined_report` runs the one level loop,
+:func:`spherelink.quadrature.refine_until`, and builds the report.  Pair
+kernels expand the bracket determinant into per-manifold minors combined by
+a matrix product; join-full sums each pair's join-map determinant against
+the u rule.  One Laplace recursion, :func:`_minor_dets`, gives both
+determinants.  A dimension-0 side enters as its signed points with +-1
+weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
 count.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -50,8 +53,6 @@ import numpy as np
 from . import kernels
 from .catalog import OrientedSubmanifold
 from .quadrature import (
-    CHUNK,
-    Estimate,
     ProductGrid,
     gauss_legendre,
     periodic_trapezoid,
@@ -74,8 +75,9 @@ __all__ = [
     "round_to_linking",
 ]
 
-# pair-chunk sizing (elements of the alpha matrix per chunk)
-_PAIR_CHUNK = 1 << 21
+# bytes of per-pair temporaries one chunk of K rows may hold: 2^21 pair-kernel
+# alpha values, 2^17 join-full nodes on S^3, 2^20 / 3 oracle pairs
+CHUNK_BYTES = 1 << 24
 # default distance of max alpha from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
 
@@ -196,7 +198,8 @@ class LinkingReport:
     of the join map, whose negative is the linking number).  residual is
     the distance from raw_value to the nearest integer; `accepted` is the
     verdict of :func:`round_to_linking` at default thresholds.  min/max
-    alpha are the geodesic separation extremes seen on the quadrature grid.
+    alpha are the separation extremes seen on every level's quadrature
+    grid: geodesic angles, or for the Gauss oracle R^3 distances.
     level_values holds the prefactored value of every level integrated,
     coarsest first, beside node_counts (empty for join-full).
     """
@@ -381,69 +384,77 @@ def _rules_for(m: OrientedSubmanifold, nodes: int):
 
 
 def _side_arrays(m: OrientedSubmanifold, nodes: int):
-    """Points, base+tangent frames, weights and node count for one side."""
+    """Points, base+tangent frames and weights for one side."""
     if m.dim == 0:
         pts, signs = m.signed_points()
-        frames = pts[:, :, None]
-        return pts, frames, signs, pts.shape[0]
-    grid = ProductGrid(_rules_for(m, nodes))
-    coords, w = grid.points_weights()
+        return pts, pts[:, :, None], signs
+    coords, w = ProductGrid(_rules_for(m, nodes)).points_weights()
     pts, tan = m.batch(coords)
-    frames = np.concatenate([pts[:, :, None], tan], axis=2)
-    return pts, frames, w, grid.total_points
+    return pts, np.concatenate([pts[:, :, None], tan], axis=2), w
 
 
-def _level_sum(K, L, grid: GridSpec, terms, check):
-    """One quadrature level of a route: a chunked sum over K x L.
+# one quadrature level of a route, as `_level_sum` sums it
+_Level = namedtuple("_Level", "geometry values pair_bytes shape nodes")
 
-    terms(side_k, side_l, grid) receives both sides' `_side_arrays` and
-    returns (values, rows, nodes): values(s, e, alpha, cos_alpha) gives the
-    weighted per-pair values of K rows s:e against every L node, rows is
-    the chunk height and nodes the level's quadrature node count.
-    check(amin, amax) runs on each chunk's alpha range before its values
-    are evaluated.  Returns (value, nodes, min_alpha, max_alpha).
-    """
-    side_k = _side_arrays(K, grid.nodes_for(K, "k"))
-    side_l = _side_arrays(L, grid.nodes_for(L, "l"))
-    values, cs, nodes = terms(side_k, side_l, grid)
-    pk, pl = side_k[0], side_l[0]
-    ns = pk.shape[0]
-    rows = np.empty(ns)
-    nchunks = (ns + cs - 1) // cs
-    amins = np.full(nchunks, np.inf)
-    amaxs = np.full(nchunks, -np.inf)
 
-    def work(s, e):
+def _geodesic(pk, pl):
+    """Chunk geometry of the sphere routes: (alpha, cos alpha), checked on alpha."""
+    def geometry(s, e):
         # a fresh array on purpose: clipping in place (out=) measured ~10%
         # slower on (2,3) pairs, with ~6x the page faults, as the allocator
         # returned chunk buffers to the system and mapped them again
         dots = np.clip(pk[s:e] @ pl.T, -1.0, 1.0)
         alpha = np.arccos(dots)
+        return (alpha, dots), alpha
+
+    return geometry
+
+
+def _level_sum(K, L, grid, terms, check):
+    """One quadrature level of a route: a chunked sum over K x L.
+
+    terms(K, L, grid) gives the level's `_Level`: geometry(s, e) returns K
+    rows s:e's geometry against every L node and their separation matrix,
+    values(s, e, *geometry) their weighted per-pair values, pair_bytes the
+    size of the largest per-pair temporaries, shape (K nodes, L nodes) and
+    nodes the level's quadrature node count.  A chunk holds as many K rows
+    as keep their temporaries within CHUNK_BYTES.  check(min, max) runs on
+    each chunk's separation range before its values are evaluated, and
+    every K row is tree-summed whole, so the value does not depend on the
+    chunking.  Returns (value, nodes, min separation, max separation).
+    """
+    level = terms(K, L, grid)
+    nk, nl = level.shape
+    cs = max(1, CHUNK_BYTES // (level.pair_bytes * nl))
+    rows = np.empty(nk)
+    lo = np.full((nk + cs - 1) // cs, np.inf)
+    hi = -lo
+
+    def work(s, e):
+        geometry, sep = level.geometry(s, e)
         ci = s // cs
-        amins[ci] = float(alpha.min())
-        amaxs[ci] = float(alpha.max())
-        check(amins[ci], amaxs[ci])
-        rows[s:e] = tree_sum_axis(values(s, e, alpha, dots), axis=1)
+        lo[ci], hi[ci] = float(sep.min()), float(sep.max())
+        check(lo[ci], hi[ci])
+        rows[s:e] = tree_sum_axis(level.values(s, e, *geometry), axis=1)
 
-    run_chunked(ns, work, chunk=cs)
-    amin, amax = float(amins.min()), float(amaxs.max())
+    run_chunked(nk, work, chunk=cs)
+    smin, smax = float(lo.min()), float(hi.max())
     if not np.isfinite(rows).all():
-        raise ValueError(
-            f"integrand is not finite on the level with {side_k[3]} x {side_l[3]} "
-            f"K x L nodes (min alpha {amin:.3g} rad)"
-        )
-    return tree_sum(rows), nodes, amin, amax
+        raise ValueError(f"integrand is not finite on the level with {nk} x {nl} "
+                         f"K x L nodes (min separation {smin:.3g})")
+    return tree_sum(rows), level.nodes, smin, smax
 
 
-def _kernel_terms(kern, side_k, side_l, grid):
+def _kernel_terms(kern, K, L, grid):
     """Pair-kernel values: kern(alpha, cos_alpha) times the bracket.
 
     The bracket determinant is expanded into per-side minors once per
     level, with each side's quadrature weights folded in; each (s, t) pair
-    then costs one multiply-add through a matrix product.
+    then costs one multiply-add through a matrix product.  The largest
+    per-pair temporary is one double.
     """
-    _, fk, wk, _ = side_k
-    _, fl, wl, _ = side_l
+    pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
+    pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
     subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
     mk = _minor_dets(fk, subs) * signs * wk[:, None]
     ml = _minor_dets(fl, comps) * wl[:, None]
@@ -453,24 +464,25 @@ def _kernel_terms(kern, side_k, side_l, grid):
         vals *= mk[s:e] @ ml.T
         return vals
 
-    return values, max(1, _PAIR_CHUNK // ml.shape[0]), mk.shape[0] * ml.shape[0]
+    return _Level(_geodesic(pk, pl), values, 8, (len(pk), len(pl)), len(mk) * len(ml))
 
 
-def _join_terms(side_k, side_l, grid):
+def _join_terms(K, L, grid):
     """join-full values: the u-rule-weighted det of the join map's Jacobian.
 
-    The join map reads each chunk's cos alpha and alpha.  Chunks hold about
-    CHUNK nodes of K x L x [0, 1]; when one K row alone holds more, its L
-    nodes are taken in blocks.
+    The join map reads each chunk's cos alpha and alpha.  Each node of
+    K x L x [0, 1] holds one d x d Jacobian; when one K row alone holds
+    more than CHUNK_BYTES of them, its L nodes are taken in blocks.
     """
-    _, fk, wk, _ = side_k
-    _, fl, wl, _ = side_l
+    pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
+    pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
     u, wu = gauss_legendre(0.0, 1.0, grid.u).nodes_weights()
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
+    pair_bytes = 8 * d * d * u.size
 
     def values(s, e, alpha, dots):
-        cols = max(1, CHUNK // ((e - s) * u.size))
+        cols = max(1, CHUNK_BYTES // ((e - s) * pair_bytes))
         vals = np.empty((e - s, nt))
         for t0 in range(0, nt, cols):
             t1 = min(t0 + cols, nt)
@@ -480,29 +492,33 @@ def _join_terms(side_k, side_l, grid):
             vals[:, t0:t1] = tree_sum_axis(dets * wu, axis=2) * wl[t0:t1]
         return vals * wk[s:e, None]
 
-    return values, max(1, CHUNK // (nt * u.size)), fk.shape[0] * nt * u.size
+    return _Level(_geodesic(pk, pl), values, pair_bytes, (len(pk), nt), len(pk) * nt * u.size)
 
 
-def _finish_report(est: Estimate, prefactor: float, ranges, method,
-                   node_counts) -> LinkingReport:
-    """Report of a refined estimate; ranges holds each level's (min, max)."""
+def _refined_report(K, L, terms, check, grid0, tol, max_level, prefactor,
+                    method) -> LinkingReport:
+    """Level sums of one route refined from grid0 to tol, as a report.
+
+    The report's value, error and level values carry the prefactor; its
+    separation range spans every chunk of every level.
+    """
+    levels = []
+
+    def level_sum(g):
+        levels.append(_level_sum(K, L, g, terms, check))
+        return levels[-1][0]
+
+    est = refine_until(grid0, level_sum, tol, max_level)
+    _, counts, lows, highs = zip(*levels)
     raw = prefactor * est.value
     err = abs(prefactor) * est.error_estimate
     nearest, residual, accepted = round_to_linking(raw, err)
     return LinkingReport(
-        raw_value=raw,
-        nearest_integer=nearest,
-        residual=residual,
-        error_estimate=err,
-        min_alpha=min(r[0] for r in ranges),
-        max_alpha=max(r[1] for r in ranges),
-        method=method,
-        converged=est.converged,
-        accepted=accepted and est.converged,
-        levels_used=est.levels_used,
-        node_counts=tuple(node_counts),
-        level_values=tuple(prefactor * v for v in est.level_values),
-    )
+        raw_value=raw, nearest_integer=nearest, residual=residual, error_estimate=err,
+        min_alpha=min(lows), max_alpha=max(highs),
+        method=method, converged=est.converged, accepted=accepted and est.converged,
+        levels_used=est.levels_used, node_counts=counts,
+        level_values=tuple(prefactor * v for v in est.level_values))
 
 
 def _evaluate(method, K, L, grid, tol, max_level, min_alpha,
@@ -516,16 +532,8 @@ def _evaluate(method, K, L, grid, tol, max_level, min_alpha,
         terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n))
     check = partial(_check_separation, route, min_alpha=min_alpha,
                     antipodal_margin=antipodal_margin)
-    counts, ranges = [], []
-
-    def level_sum(g):
-        value, nodes, amin, amax = _level_sum(K, L, g, terms, check)
-        counts.append(nodes)
-        ranges.append((amin, amax))
-        return value
-
-    est = refine_until(grid or GridSpec(), level_sum, tol, max_level)
-    return _finish_report(est, route.prefactor(k, n), ranges, route.label, counts)
+    return _refined_report(K, L, terms, check, grid or GridSpec(), tol, max_level,
+                           route.prefactor(k, n), route.label)
 
 
 # ---------------------------------------------------------------------------

@@ -12,28 +12,25 @@ orientation-preserving, so the Euclidean value needs no sign fix to match
 the sphere-side evaluators.  Pole choice cannot affect the result, which
 the tests exercise directly.
 
-The double integral runs through the package's one refinement loop,
-:func:`spherelink.quadrature.refine_until`, on a product of two periodic
-trapezoid rules, each level summed over chunks of K rows of bounded size
-by :func:`spherelink.quadrature.run_chunked`.  The minimum-distance and
-velocity checks run on every integrated level, and the report's distance
-range covers every node of every level.
+The double integral is one more ``terms`` of the engine's level sum,
+:func:`spherelink.engine._level_sum`, on a product of two periodic
+trapezoid rules: a chunk's geometry is its R^3 difference vectors and
+distances, and the minimum-distance check runs on each chunk of every level
+before the integrand divides by them.  The engine's
+:func:`~spherelink.engine._refined_report` refines the levels and reports
+them, so the report's distance range covers every node of every level.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .catalog import OrientedSubmanifold
-from .engine import LinkingReport, _finish_report
-from .quadrature import ProductGrid, periodic_trapezoid, refine_until, tree_sum, tree_sum_axis
+from .engine import LinkingReport, _Level, _refined_report
+from .quadrature import ProductGrid, periodic_trapezoid
 
 __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
            "find_pole", "POLE_CANDIDATES"]
-
-# elements of the (rows, m, 3) difference array per chunk of K rows
-_GAUSS_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,12 +128,12 @@ def stereographic_project(curve: OrientedSubmanifold, pole,
     return EuclideanCurve(evaluate=evaluate)
 
 
-def _gauss_level(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid):
-    """One level of the double integral; returns (value, min, max distance).
+def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid) -> _Level:
+    """One level of the double integral, as a `terms` of the engine's level sum.
 
-    K rows are taken in chunks of at most _GAUSS_CHUNK elements of the
-    (rows, m, 3) difference array, and each row is tree-summed whole, so
-    the value does not depend on the chunking.
+    A chunk's geometry is the R^3 difference vectors x - y and their
+    lengths, which are the separation checked.  Both sides' trapezoid
+    weights and the 1 / 4 pi are folded into the velocities.
     """
     (sk, wk), (sl, wl) = (rule.nodes_weights() for rule in grid.rules)
     x, dx = K.evaluate(sk)
@@ -144,21 +141,20 @@ def _gauss_level(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid):
     if min(float(np.min(np.linalg.norm(dx, axis=1))),
            float(np.min(np.linalg.norm(dy, axis=1)))) <= 1e-8:
         raise ValueError("curve velocity vanishes on the sample grid")
-    cs = max(1, _GAUSS_CHUNK // (3 * y.shape[0]))
-    rows = np.empty(x.shape[0])
-    dmins, dmaxs = {}, {}
+    dx = dx * wk[:, None]
+    dy = dy * (wl / (4.0 * np.pi))[:, None]
 
-    def work(s, e):
+    def geometry(s, e):
         diff = x[s:e, None, :] - y[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
-        cross = np.cross(dx[s:e, None, :], np.broadcast_to(dy[None, :, :], diff.shape))
-        rows[s:e] = tree_sum_axis(np.sum(cross * diff, axis=2) / dist**3, axis=1)
-        dmins[s], dmaxs[s] = float(dist.min()), float(dist.max())
+        return (diff, dist), dist
 
-    # called through the module, so that wrappers installed there see it
-    quadrature.run_chunked(x.shape[0], work, chunk=cs)
-    total = tree_sum(rows) * wk[0] * wl[0]
-    return total / (4.0 * np.pi), min(dmins.values()), max(dmaxs.values())
+    def values(s, e, diff, dist):
+        cross = np.cross(dx[s:e, None, :], np.broadcast_to(dy, diff.shape))
+        return np.sum(cross * diff, axis=2) / dist**3
+
+    # the difference and cross-product vectors: three doubles each per pair
+    return _Level(geometry, values, 48, (len(x), len(y)), grid.total_points)
 
 
 def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
@@ -174,20 +170,14 @@ def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
     """
     grid = ProductGrid([periodic_trapezoid(0.0, K.period, m),
                         periodic_trapezoid(0.0, L.period, m)])
-    counts, ranges = [], []
 
-    def level_sum(g):
-        value, dmin, dmax = _gauss_level(K, L, g)
+    def check(dmin, dmax):
         if dmin <= min_distance:
-            raise ValueError(
-                f"curves approach within {dmin:.2e} in R^3 (threshold {min_distance})"
-            )
-        counts.append(g.total_points)
-        ranges.append((dmin, dmax))
-        return value
+            raise ValueError(f"curves approach within {dmin:.2e} in R^3 "
+                             f"(threshold {min_distance})")
 
-    est = refine_until(grid, level_sum, tol, max_level)
-    return _finish_report(est, 1.0, ranges, "gauss_oracle", counts)
+    return _refined_report(K, L, _gauss_terms, check, grid, tol, max_level, 1.0,
+                           "gauss_oracle")
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,

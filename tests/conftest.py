@@ -14,6 +14,7 @@ from spherelink import (
     small_round_sphere,
 )
 from spherelink.catalog import alpha_range_scan
+from spherelink.oracle import EuclideanCurve
 
 
 def random_rotation(dim: int, rng) -> np.ndarray:
@@ -103,6 +104,29 @@ def hopf_pair(generic: bool = True):
 
 def clifford_pair(p: int, q: int, phase: float):
     return clifford_torus_curve(p, q), clifford_torus_curve(p, q, phase)
+
+
+def euclid_circle(center, radius, normal_axis=2):
+    """Round circle in a coordinate plane of R^3, as an EuclideanCurve."""
+    center = np.asarray(center, dtype=float)
+    axes = [i for i in range(3) if i != normal_axis]
+
+    def evaluate(s):
+        pts = np.tile(center, (len(s), 1))
+        vel = np.zeros((len(s), 3))
+        pts[:, axes[0]] += radius * np.cos(s)
+        pts[:, axes[1]] += radius * np.sin(s)
+        vel[:, axes[0]] = -radius * np.sin(s)
+        vel[:, axes[1]] = radius * np.cos(s)
+        return pts, vel
+
+    return EuclideanCurve(evaluate=evaluate)
+
+
+def threading_circles():
+    """Unit circle in the xy-plane threaded by one in the xz-plane: Lk = -1."""
+    return (euclid_circle([0, 0, 0], 1.0, normal_axis=2),
+            euclid_circle([1, 0, 0], 1.0, normal_axis=1))
 
 
 @pytest.fixture(scope="session")

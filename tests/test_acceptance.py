@@ -123,8 +123,8 @@ def test_criterion_3_corollary_fixtures():
     K1, L1 = great_pair(1, 1)
     r0 = evaluate_corollary(K1, L1)
     assert abs(r0.raw_value) < 1e-12
-    pk, fk, _, _ = _side_arrays(K1, 64)
-    pl, fl, _, _ = _side_arrays(L1, 64)
+    pk, fk, _ = _side_arrays(K1, 64)
+    pl, fl, _ = _side_arrays(L1, 64)
     alpha = np.arccos(np.clip(pk @ pl.T, -1.0, 1.0))
     ev = kernels.get_evaluator(1, 1)
     kern = ev.convolution_fast(alpha) / kernels.stable_sin(alpha) ** 3

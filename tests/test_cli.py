@@ -315,6 +315,19 @@ class TestOracleCmd:
         assert report["report"]["nearest_integer"] == 1
         assert report["kernel_mode"] == "gauss"
 
+    def test_unequal_l_count_rejected(self, tmp_path, capsys):
+        # the oracle takes one node count for both curves; a different
+        # grid.l would be ignored, so it is refused
+        spec = dict(GREAT_CIRCLES, method="oracle", grid={"k": 16, "l": 64})
+        code, out, err = run(capsys, ["link", write_spec(tmp_path, spec)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "grid.l" in err
+        spec["grid"] = {"k": 16, "l": 16}
+        code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
+        assert code == 0
+        assert json.loads(out)["node_counts"][0] == 16 * 16
+
     def test_wrong_dimension(self, tmp_path, capsys):
         spec = {
             "ambient_n": 4,

@@ -28,9 +28,16 @@ from spherelink.engine import (
     _minor_dets,
     _side_arrays,
 )
+from spherelink.oracle import gauss_linking_integral
 from spherelink.spheregeom import SpherePoint, compose_givens
 
-from conftest import clifford_pair, great_pair, hopf_pair
+from conftest import (
+    clifford_pair,
+    great_pair,
+    hopf_pair,
+    random_fourier_pair,
+    threading_circles,
+)
 
 
 class TestSignFactor:
@@ -255,7 +262,7 @@ class TestLevelChecks:
     def test_nan_kernel_rejected(self):
         K, L = hopf_pair()
         terms = partial(_kernel_terms, lambda alpha, cos_alpha: np.full_like(alpha, np.nan))
-        with pytest.raises(ValueError, match="not finite.*min alpha"):
+        with pytest.raises(ValueError, match="not finite.*min separation"):
             _level_sum(K, L, GridSpec(curve=8), terms, lambda amin, amax: None)
 
     def test_min_alpha_checked_on_refined_grid(self):
@@ -383,8 +390,9 @@ class TestJoinDegree:
         assert red.linking_number == main.nearest_integer == -1
 
     def test_full_bit_identical_across_workers(self, monkeypatch):
-        # small chunks, so that every level has several for the threads
-        monkeypatch.setattr(engine, "CHUNK", 256)
+        # small chunks (256 nodes of 4 x 4 Jacobians), so that every level
+        # has several for the threads
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 256 * 128)
         for K, L in (hopf_pair(), great_pair(0, 1)):
             values = []
             for workers in ("1", "8"):
@@ -394,18 +402,44 @@ class TestJoinDegree:
                     tol=1e-6, max_level=1).raw_value)
             assert values[0] == values[1]
 
-    def test_full_row_blocks_match_whole_rows(self, monkeypatch):
-        # a K row holding more than CHUNK nodes is taken in blocks of L nodes
-        K, L = great_pair(1, 2)
-        kw = dict(variant="full", grid=GridSpec(curve=12, surface=6, u=4), max_level=0)
-        whole = evaluate_join_degree(K, L, **kw)
-        monkeypatch.setattr(engine, "CHUNK", 7)
-        assert evaluate_join_degree(K, L, **kw).raw_value == whole.raw_value
-
     def test_unknown_variant(self):
         K, L = great_pair(1, 1)
         with pytest.raises(ValueError):
             evaluate_join_degree(K, L, variant="medium")
+
+
+class TestChunkBudget:
+    """Every route's level sum is the same bits whatever the chunk budget."""
+
+    RUNS = {
+        "main": lambda: evaluate_main_theorem(*random_fourier_pair(np.random.default_rng(7))),
+        "corollary": lambda: evaluate_corollary(
+            *random_fourier_pair(np.random.default_rng(7))),
+        "join-full": lambda: evaluate_join_degree(
+            *great_pair(1, 2), variant="full",
+            grid=GridSpec(curve=12, surface=6, u=4), max_level=0),
+        "oracle": lambda: gauss_linking_integral(*threading_circles(), m=64),
+    }
+
+    @pytest.mark.parametrize("route", RUNS)
+    def test_chunks_match_whole_levels(self, monkeypatch, route):
+        whole = self.RUNS[route]()
+        # several K rows per chunk on the pair and oracle levels (64 and 128
+        # nodes a side); a coarse join-full K row holds 36 L nodes of 5 x 5
+        # Jacobians at 4 u nodes (28.8 kB), so they go in blocks of 25
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 20_000)
+        chunks = []
+        run_chunked = engine.run_chunked
+
+        def counted(total, work, chunk):
+            chunks.append(run_chunked(total, work, chunk=chunk))
+            return chunks[-1]
+
+        monkeypatch.setattr(engine, "run_chunked", counted)
+        chunked = self.RUNS[route]()
+        assert len(chunks) == len(whole.node_counts) and min(chunks) > 1
+        assert chunked.raw_value == whole.raw_value
+        assert (chunked.min_alpha, chunked.max_alpha) == (whole.min_alpha, whole.max_alpha)
 
 
 class TestSymmetries:

@@ -7,7 +7,6 @@ from spherelink import (
     great_subsphere,
     hopf_fiber,
 )
-from spherelink import oracle
 from spherelink.oracle import (
     POLE_CANDIDATES,
     EuclideanCurve,
@@ -17,24 +16,7 @@ from spherelink.oracle import (
     stereographic_project,
 )
 
-from conftest import hopf_pair
-
-
-def euclid_circle(center, radius, normal_axis=2):
-    """Round circle in a coordinate plane of R^3, as an EuclideanCurve."""
-    center = np.asarray(center, dtype=float)
-    axes = [i for i in range(3) if i != normal_axis]
-
-    def evaluate(s):
-        pts = np.tile(center, (len(s), 1))
-        vel = np.zeros((len(s), 3))
-        pts[:, axes[0]] += radius * np.cos(s)
-        pts[:, axes[1]] += radius * np.sin(s)
-        vel[:, axes[0]] = -radius * np.sin(s)
-        vel[:, axes[1]] = radius * np.cos(s)
-        return pts, vel
-
-    return EuclideanCurve(evaluate=evaluate)
+from conftest import euclid_circle, hopf_pair, threading_circles
 
 
 def reverse(curve: EuclideanCurve) -> EuclideanCurve:
@@ -100,22 +82,10 @@ class TestGaussIntegral:
         # xz-plane through the origin.  With both run counterclockwise in
         # their planes, the second pierces the spanning disk of the first
         # downward at the origin: one negative crossing, Lk = -1.
-        K = euclid_circle([0, 0, 0], 1.0, normal_axis=2)
-        L = euclid_circle([1, 0, 0], 1.0, normal_axis=1)
-        r = gauss_linking_integral(K, L)
+        r = gauss_linking_integral(*threading_circles())
         assert r.raw_value == pytest.approx(-1.0, abs=1e-9)
         assert r.nearest_integer == -1
         assert r.accepted
-
-    def test_row_chunks_match_whole_level(self, monkeypatch):
-        # a level taken in chunks of a few K rows sums to the same bits
-        K = euclid_circle([0, 0, 0], 1.0, normal_axis=2)
-        L = euclid_circle([1, 0, 0], 1.0, normal_axis=1)
-        whole = gauss_linking_integral(K, L)
-        monkeypatch.setattr(oracle, "_GAUSS_CHUNK", 3 * 256 * 7)
-        chunked = gauss_linking_integral(K, L)
-        assert chunked.raw_value == whole.raw_value
-        assert (chunked.min_alpha, chunked.max_alpha) == (whole.min_alpha, whole.max_alpha)
 
     def test_distant_circles_unlinked(self):
         K = euclid_circle([0, 0, 0], 1.0)
@@ -125,8 +95,7 @@ class TestGaussIntegral:
         assert r.nearest_integer == 0
 
     def test_orientation_reversal_negates(self):
-        K = euclid_circle([0, 0, 0], 1.0, normal_axis=2)
-        L = euclid_circle([1, 0, 0], 1.0, normal_axis=1)
+        K, L = threading_circles()
         a = gauss_linking_integral(K, L).raw_value
         b = gauss_linking_integral(K, reverse(L)).raw_value
         assert b == pytest.approx(-a, abs=1e-9)
@@ -136,6 +105,28 @@ class TestGaussIntegral:
         L = euclid_circle([2.0 + 1e-5, 0, 0], 1.0)
         with pytest.raises(ValueError, match="approach"):
             gauss_linking_integral(K, L)
+
+    def test_touching_circles_rejected_before_dividing(self):
+        # the circles meet at the shared node s = 0, where |x - y| = 0: the
+        # distance check must fire before the integrand divides by it
+        K = euclid_circle([0, 0, 0], 1.0)
+        L = EuclideanCurve(evaluate=lambda s: (
+            np.column_stack([2 - np.cos(s), 0 * s, np.sin(s)]),
+            np.column_stack([np.sin(s), 0 * s, np.cos(s)])))
+        with pytest.raises(ValueError, match="approach"):
+            gauss_linking_integral(K, L, m=64)
+
+    def test_nan_point_rejected(self):
+        circle = euclid_circle([5, 0, 0], 1.0)
+
+        def evaluate(s):
+            pts, vel = circle.evaluate(s)
+            pts[3] = np.nan
+            return pts, vel
+
+        with pytest.raises(ValueError, match="integrand is not finite"):
+            gauss_linking_integral(euclid_circle([0, 0, 0], 1.0),
+                                   EuclideanCurve(evaluate=evaluate))
 
     def test_report_method(self):
         K = euclid_circle([0, 0, 0], 1.0)
