@@ -245,45 +245,17 @@ class _CliffordTorusCurve(OrientedSubmanifold):
 
 
 class _SmallRoundSphere(OrientedSubmanifold):
-    def __init__(self, k: int, center, angular_radius: float, frame):
-        center = np.asarray(center, dtype=float)
-        frame = np.asarray(frame, dtype=float)
-        d = center.size
-        if frame.shape != (k + 1, d):
-            raise ValueError(f"frame must be {k + 1} vectors of length {d}")
-        if not 0.0 < angular_radius <= np.pi / 2:
-            raise ValueError("angular radius must lie in (0, pi/2]")
-        if abs(float(np.linalg.norm(center)) - 1.0) > 1e-10:
-            raise ValueError("center must be a unit vector")
-        g = frame @ frame.T
-        if float(np.max(np.abs(g - np.eye(k + 1)))) > 1e-10:
-            raise ValueError("frame must be orthonormal")
-        if float(np.max(np.abs(frame @ center))) > 1e-10:
-            raise ValueError("frame must be orthogonal to the center")
+    def __init__(self, k: int, center: np.ndarray, angular_radius: float, frame: np.ndarray):
         self.dim = k
-        self.ambient_n = d - 1
+        self.ambient_n = center.size - 1
         self.center = center
-        self.angular_radius = float(angular_radius)
+        self.angular_radius = angular_radius
         self.frame = frame
-        if k == 0:
-            self.chart_domain = ()
-            c, s = np.cos(self.angular_radius), np.sin(self.angular_radius)
-            self._points = np.vstack([c * center + s * frame[0],
-                                      c * center - s * frame[0]])
-            self._signs = np.array([1.0, -1.0])
-        else:
-            self.chart_domain = _sphere_chart_domain(k)
-            self._azi = _azimuth_sign(k)
+        self.chart_domain = _sphere_chart_domain(k)
+        self._azi = _azimuth_sign(k)
         self._validate()
 
-    def signed_points(self):
-        if self.dim != 0:
-            return super().signed_points()
-        return self._points, self._signs
-
     def batch(self, coords):
-        if self.dim == 0:
-            raise ValueError("signed point sets have no chart; use signed_points()")
         pts_k, jac_k = _sphere_chart(self.dim, coords, self._azi)
         c, s = np.cos(self.angular_radius), np.sin(self.angular_radius)
         pts = c * self.center[None, :] + s * (pts_k @ self.frame)
@@ -428,8 +400,29 @@ def small_round_sphere(k: int, center, angular_radius: float, frame) -> Oriented
 
     `frame` is an orthonormal (k+1)-frame orthogonal to the center; at
     angular radius pi/2 the result is the great subsphere of the frame's
-    span, and the chart orientation matches that limit.
+    span, and the chart orientation matches that limit.  For k = 0 the
+    result is the signed point pair at angular_radius from the center along
+    +frame[0] (sign +1) and -frame[0] (sign -1).
     """
+    center = np.asarray(center, dtype=float)
+    frame = np.asarray(frame, dtype=float)
+    d = center.size
+    if frame.shape != (k + 1, d):
+        raise ValueError(f"frame must be {k + 1} vectors of length {d}")
+    if not 0.0 < angular_radius <= np.pi / 2:
+        raise ValueError("angular radius must lie in (0, pi/2]")
+    if abs(float(np.linalg.norm(center)) - 1.0) > 1e-10:
+        raise ValueError("center must be a unit vector")
+    g = frame @ frame.T
+    if float(np.max(np.abs(g - np.eye(k + 1)))) > 1e-10:
+        raise ValueError("frame must be orthonormal")
+    if float(np.max(np.abs(frame @ center))) > 1e-10:
+        raise ValueError("frame must be orthogonal to the center")
+    angular_radius = float(angular_radius)
+    if k == 0:
+        c, s = np.cos(angular_radius), np.sin(angular_radius)
+        return _SignedPoints(np.vstack([c * center + s * frame[0], c * center - s * frame[0]]),
+                             np.array([1.0, -1.0]), d - 1)
     return _SmallRoundSphere(k, center, angular_radius, frame)
 
 

@@ -27,17 +27,24 @@ import numpy as np
 from . import __version__
 from .catalog import build_entry, catalog_schemas
 from .engine import (
+    TOL,
     DisjointnessError,
     GridSpec,
     evaluate_corollary,
     evaluate_join_degree,
     evaluate_main_theorem,
-    round_to_linking,
 )
 from .kernels import get_evaluator
 from .oracle import oracle_linking
 
 METHODS = ("main", "corollary", "join-full", "join-reduced", "oracle")
+# optional spec fields and their types, forwarded to the engine only when
+# present, so an absent field takes the engine's default
+_RUN_FIELDS = {"tol": float, "max_level": int, "min_alpha": float}
+_THRESHOLD_FIELDS = {"residual_cap": float, "error_mult": float, "error_floor": float}
+_GRID_FIELDS = {"curve": int, "surface": int, "u": int, "k": int, "l": int}
+# grid keys named otherwise on GridSpec
+_GRID_NAMES = {"k": "k_nodes", "l": "l_nodes"}
 
 
 def _fmt(x) -> str:
@@ -78,18 +85,19 @@ def _load_spec(path: str) -> dict:
     return spec
 
 
-def _field(obj: dict, key: str, conv, default, where: str = ""):
-    """obj[key] converted by conv, or default when absent.
-
-    A value conv rejects raises ValueError naming the field.
-    """
-    if key not in obj:
-        return default
+def _field(obj: dict, key: str, conv, where: str = ""):
+    """obj[key] converted by conv; a value conv rejects raises ValueError
+    naming the field."""
     try:
         return conv(obj[key])
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"spec field '{where}{key}' must be {conv.__name__}, got {obj[key]!r}") from exc
+
+
+def _present(obj: dict, fields: dict, where: str = "") -> dict:
+    """{key: converted value} of each of `fields` (key: type) that obj holds."""
+    return {key: _field(obj, key, conv, where) for key, conv in fields.items() if key in obj}
 
 
 def _object(spec: dict, key: str) -> dict:
@@ -100,22 +108,11 @@ def _object(spec: dict, key: str) -> dict:
     return value
 
 
-def _grid_from_spec(spec: dict) -> GridSpec:
-    g = _object(spec, "grid")
-    return GridSpec(
-        curve=_field(g, "curve", int, 64, "grid."),
-        surface=_field(g, "surface", int, 32, "grid."),
-        u=_field(g, "u", int, 32, "grid."),
-        k_nodes=_field(g, "k", int, None, "grid."),
-        l_nodes=_field(g, "l", int, None, "grid."),
-    )
-
-
 def _validate_spec(spec: dict) -> tuple:
     for field in ("ambient_n", "K", "L", "method"):
         if field not in spec:
             raise ValueError(f"spec is missing required field {field!r}")
-    n = _field(spec, "ambient_n", int, None)
+    n = _field(spec, "ambient_n", int)
     if spec["method"] not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     K = build_entry(spec["K"], n)
@@ -142,7 +139,7 @@ def _apply_overrides(spec: dict, args) -> dict:
         g = dict(_object(spec, "grid"))
         for part in args.grid.split(","):
             key, _, val = part.partition("=")
-            if key.strip() not in ("k", "l", "u", "curve", "surface") or not val:
+            if key.strip() not in _GRID_FIELDS or not val:
                 raise ValueError(f"bad --grid component {part!r}; use k=..,l=..,u=..")
             g[key.strip()] = int(val)
         spec["grid"] = g
@@ -152,24 +149,26 @@ def _apply_overrides(spec: dict, args) -> dict:
 
 
 def _dispatch(spec: dict):
+    """Run the spec's method, forwarding only the fields the spec holds."""
     _, K, L = _validate_spec(spec)
     method = spec["method"]
-    grid = _grid_from_spec(spec)
-    tol = _field(spec, "tol", float, 1e-9)
-    max_level = _field(spec, "max_level", int, 4)
-    min_alpha = _field(spec, "min_alpha", float, 0.01)
+    grid = GridSpec(**{_GRID_NAMES.get(key, key): value for key, value
+                       in _present(_object(spec, "grid"), _GRID_FIELDS, "grid.").items()})
+    kw = _present(spec, _RUN_FIELDS)
     if method == "oracle":
+        if "min_alpha" in kw:
+            raise ValueError("spec field 'min_alpha' does not apply to method oracle, "
+                             "which checks the R^3 distance of the projected curves")
         m = grid.nodes_for(K, "k")
         if grid.l_nodes is not None and grid.l_nodes != m:
             raise ValueError(f"spec field 'grid.l' ({grid.l_nodes}) must equal the K node "
                              f"count ({m}): the oracle takes one count for both curves")
-        return oracle_linking(K, L, m=m, tol=tol, max_level=max_level)
-    kw = dict(grid=grid, tol=tol, max_level=max_level, min_alpha=min_alpha)
+        return oracle_linking(K, L, m=m, **kw)
     if method == "main":
-        return evaluate_main_theorem(K, L, **kw)
+        return evaluate_main_theorem(K, L, grid=grid, **kw)
     if method == "corollary":
-        return evaluate_corollary(K, L, **kw)
-    return evaluate_join_degree(K, L, variant=method.removeprefix("join-"), **kw)
+        return evaluate_corollary(K, L, grid=grid, **kw)
+    return evaluate_join_degree(K, L, grid=grid, variant=method.removeprefix("join-"), **kw)
 
 
 def _kernel_mode(spec: dict) -> str:
@@ -177,35 +176,26 @@ def _kernel_mode(spec: dict) -> str:
 
 
 def _apply_thresholds(spec: dict, report):
-    """Optional spec-level rounding thresholds re-round the raw value."""
-    thr = _object(spec, "thresholds")
-    if not thr:
-        return report.nearest_integer, report.residual, report.accepted
-    nearest, residual, accepted = round_to_linking(
-        report.raw_value, report.error_estimate,
-        residual_cap=_field(thr, "residual_cap", float, 0.25, "thresholds."),
-        error_mult=_field(thr, "error_mult", float, 10.0, "thresholds."),
-        error_floor=_field(thr, "error_floor", float, 1e-6, "thresholds."))
-    return nearest, residual, accepted and report.converged
+    """The report re-rounded at the rounding thresholds the spec holds."""
+    return report.rounded(**_present(_object(spec, "thresholds"), _THRESHOLD_FIELDS,
+                                     "thresholds."))
 
 
 def _run_report(spec: dict, report, kernel_mode: str, wall_ms: float) -> dict:
-    nearest, residual, accepted = _apply_thresholds(spec, report)
-    linking = -nearest if report.method.startswith("join_degree") else nearest
     return {
         "kernel_mode": kernel_mode,
         "node_counts": list(report.node_counts),
         "report": {
             "raw_value": report.raw_value,
-            "nearest_integer": nearest,
-            "linking_number": linking,
-            "residual": residual,
+            "nearest_integer": report.nearest_integer,
+            "linking_number": report.linking_number,
+            "residual": report.residual,
             "error_estimate": report.error_estimate,
             "min_alpha": report.min_alpha,
             "max_alpha": report.max_alpha,
             "method": report.method,
             "converged": report.converged,
-            "accepted": accepted,
+            "accepted": report.accepted,
             "levels_used": report.levels_used,
         },
         "spec": spec,
@@ -218,9 +208,9 @@ def _run_and_print(spec: dict, args) -> int:
     t0 = time.perf_counter()
     report = _dispatch(spec)
     wall = 0.0 if args.stable else (time.perf_counter() - t0) * 1e3
-    out = _run_report(spec, report, _kernel_mode(spec), wall)
-    print(_to_json(out))
-    return 0 if (out["report"]["accepted"] and report.converged) else 2
+    report = _apply_thresholds(spec, report)
+    print(_to_json(_run_report(spec, report, _kernel_mode(spec), wall)))
+    return 0 if report.accepted else 2
 
 
 def cmd_link(args) -> int:
@@ -251,12 +241,13 @@ def cmd_convergence(args) -> int:
     """Per-level values of the run `link` makes, refined `--levels` times.
 
     Row j compares the grid refined j times with the one before it; its
-    converged flag tests that difference against the spec's tolerance.
+    converged flag tests that difference, on the Lk scale as `link` does,
+    against the spec's tolerance or the engine's default.
     """
     if args.levels < 1:
         raise ValueError(f"--levels must be at least 1, got {args.levels}")
     spec = _apply_overrides(_load_spec(args.spec), args)
-    tol = _field(spec, "tol", float, 1e-9)
+    tol = _present(spec, _RUN_FIELDS).get("tol", TOL)
     report = _dispatch(dict(spec, tol=0.0, max_level=args.levels - 1))
     values = report.level_values
     print("level,nodes,value,error_estimate,converged")
@@ -290,14 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("spec", help="path to a JSON link spec")
         p.add_argument("--tol", type=float, default=None,
-                       help="refinement tolerance (default from spec or 1e-9)")
+                       help="refinement tolerance on the Lk scale "
+                            "(default from spec or 1e-9)")
         p.add_argument("--grid", default=None,
                        help="node-count overrides, e.g. k=64,l=32,u=16")
         p.add_argument("--max-level", type=int, default=None, dest="max_level",
                        help="refinement levels allowed after levels 0 and 1, "
                             "which always run (at most max_level + 1 grid doublings)")
         p.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
-                       help="disjointness threshold in radians")
+                       help="disjointness threshold in radians "
+                            "(sphere methods; the oracle refuses it)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed echoed into the report (randomized fixtures only)")
         p.add_argument("--stable", action="store_true",

@@ -30,7 +30,11 @@ give the chunk's geometry against every L node (cos alpha and alpha here,
 R^3 differences and distances there), whose separation is checked before any
 per-pair value is evaluated.  ``CHUNK_BYTES`` sizes every chunk, and
 :func:`_refined_report` runs the one level loop,
-:func:`spherelink.quadrature.refine_until`, and builds the report.  Pair
+:func:`spherelink.quadrature.refine_until`, and builds the report.  Each
+route's terms fold its prefactor (sign / vol S^n here, 1 / 4 pi in the
+oracle) into the K-side weights, so every level sum is on the scale of Lk:
+the tolerance, the error estimate, the level values and the report are one
+number on one scale, and nothing is rescaled after refinement.  Pair
 kernels expand the bracket determinant into per-manifold minors combined by
 a matrix product; join-full sums each pair's join-map determinant against
 the u rule.  One Laplace recursion, :func:`_minor_dets`, gives both
@@ -43,7 +47,7 @@ count.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable
@@ -78,8 +82,14 @@ __all__ = [
 # bytes of per-pair temporaries one chunk of K rows may hold: 2^21 pair-kernel
 # alpha values, 2^17 join-full nodes on S^3, 2^20 / 3 oracle pairs
 CHUNK_BYTES = 1 << 24
-# default distance of max alpha from pi where -L matters (corollary, join-full)
+# distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
+# run defaults of every evaluator and the oracle: the refinement tolerance on
+# the Lk scale, the levels allowed after levels 0 and 1, the least geodesic
+# separation (radians) the sphere routes accept
+TOL = 1e-9
+MAX_LEVEL = 4
+MIN_ALPHA = 0.01
 
 
 class DisjointnessError(ValueError):
@@ -146,18 +156,17 @@ _ROUTES = {
 }
 
 
-def _check_separation(route: _Route, amin: float, amax: float, min_alpha: float,
-                      antipodal_margin: float = _ANTIPODAL_MARGIN):
+def _check_separation(route: _Route, amin: float, amax: float, min_alpha: float):
     """Raise DisjointnessError unless the alpha range clears the route's limits."""
     if amin <= min_alpha:
         raise DisjointnessError(
             f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}; "
             "K and L are not safely disjoint"
         )
-    if route.antipodal and amax >= np.pi - antipodal_margin:
+    if route.antipodal and amax >= np.pi - _ANTIPODAL_MARGIN:
         raise DisjointnessError(
             f"max geodesic separation {amax:.4f} rad reaches within "
-            f"{antipodal_margin} of pi: K is not safely disjoint from -L"
+            f"{_ANTIPODAL_MARGIN} of pi: K is not safely disjoint from -L"
         )
 
 
@@ -197,11 +206,14 @@ class LinkingReport:
     raw_value is the computed integral (for the join variants: the degree
     of the join map, whose negative is the linking number).  residual is
     the distance from raw_value to the nearest integer; `accepted` is the
-    verdict of :func:`round_to_linking` at default thresholds.  min/max
-    alpha are the separation extremes seen on every level's quadrature
-    grid: geodesic angles, or for the Gauss oracle R^3 distances.
-    level_values holds the prefactored value of every level integrated,
-    coarsest first, beside node_counts (empty for join-full).
+    verdict of :func:`round_to_linking` at default thresholds (see
+    :meth:`rounded`) and also requires `converged`.  min/max alpha are the
+    separation extremes seen on every level's quadrature grid: geodesic
+    angles, or for the Gauss oracle R^3 distances.  level_values holds the
+    value of every level integrated, coarsest first, beside node_counts.
+    raw_value, error_estimate and level_values are on the scale of Lk, the
+    scale the refinement tolerance is compared on: error_estimate is the
+    difference of the last two level values.
     """
 
     raw_value: float
@@ -224,6 +236,13 @@ class LinkingReport:
             return -self.nearest_integer
         return self.nearest_integer
 
+    def rounded(self, **thresholds) -> "LinkingReport":
+        """This report with raw_value re-rounded at `thresholds` (keyword
+        arguments of :func:`round_to_linking`); accepted still requires
+        converged."""
+        return replace(self, **_verdict(self.raw_value, self.error_estimate,
+                                        self.converged, **thresholds))
+
 
 def round_to_linking(raw: float, error_estimate: float,
                      residual_cap: float = 0.25,
@@ -239,6 +258,12 @@ def round_to_linking(raw: float, error_estimate: float,
     residual = abs(raw - nearest)
     accepted = residual <= residual_cap and residual <= error_mult * error_estimate + error_floor
     return nearest, residual, accepted
+
+
+def _verdict(raw, error_estimate, converged, **thresholds) -> dict:
+    """A report's rounding fields: accepted only when refinement converged."""
+    nearest, residual, accepted = round_to_linking(raw, error_estimate, **thresholds)
+    return dict(nearest_integer=nearest, residual=residual, accepted=accepted and converged)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +470,18 @@ def _level_sum(K, L, grid, terms, check):
     return tree_sum(rows), level.nodes, smin, smax
 
 
-def _kernel_terms(kern, K, L, grid):
-    """Pair-kernel values: kern(alpha, cos_alpha) times the bracket.
+def _kernel_terms(kern, scale, K, L, grid):
+    """Pair-kernel values: scale times kern(alpha, cos_alpha) times the bracket.
 
     The bracket determinant is expanded into per-side minors once per
-    level, with each side's quadrature weights folded in; each (s, t) pair
-    then costs one multiply-add through a matrix product.  The largest
-    per-pair temporary is one double.
+    level, with each side's quadrature weights folded in, and the route's
+    prefactor `scale` with K's; each (s, t) pair then costs one multiply-add
+    through a matrix product.  The largest per-pair temporary is one double.
     """
     pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
     pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
     subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
-    mk = _minor_dets(fk, subs) * signs * wk[:, None]
+    mk = _minor_dets(fk, subs) * signs * (scale * wk)[:, None]
     ml = _minor_dets(fl, comps) * wl[:, None]
 
     def values(s, e, alpha, dots):
@@ -467,14 +492,16 @@ def _kernel_terms(kern, K, L, grid):
     return _Level(_geodesic(pk, pl), values, 8, (len(pk), len(pl)), len(mk) * len(ml))
 
 
-def _join_terms(K, L, grid):
+def _join_terms(scale, K, L, grid):
     """join-full values: the u-rule-weighted det of the join map's Jacobian.
 
-    The join map reads each chunk's cos alpha and alpha.  Each node of
-    K x L x [0, 1] holds one d x d Jacobian; when one K row alone holds
-    more than CHUNK_BYTES of them, its L nodes are taken in blocks.
+    The route's prefactor `scale` is folded into K's weights.  The join map
+    reads each chunk's cos alpha and alpha.  Each node of K x L x [0, 1]
+    holds one d x d Jacobian; when one K row alone holds more than
+    CHUNK_BYTES of them, its L nodes are taken in blocks.
     """
     pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
+    wk = scale * wk
     pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
     u, wu = gauss_legendre(0.0, 1.0, grid.u).nodes_weights()
     nt, d = fl.shape[:2]
@@ -495,12 +522,12 @@ def _join_terms(K, L, grid):
     return _Level(_geodesic(pk, pl), values, pair_bytes, (len(pk), nt), len(pk) * nt * u.size)
 
 
-def _refined_report(K, L, terms, check, grid0, tol, max_level, prefactor,
-                    method) -> LinkingReport:
+def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> LinkingReport:
     """Level sums of one route refined from grid0 to tol, as a report.
 
-    The report's value, error and level values carry the prefactor; its
-    separation range spans every chunk of every level.
+    The terms put every level sum on the Lk scale, so the report takes the
+    refinement's value, error and level values as they are; its separation
+    range spans every chunk of every level.
     """
     levels = []
 
@@ -510,30 +537,25 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, prefactor,
 
     est = refine_until(grid0, level_sum, tol, max_level)
     _, counts, lows, highs = zip(*levels)
-    raw = prefactor * est.value
-    err = abs(prefactor) * est.error_estimate
-    nearest, residual, accepted = round_to_linking(raw, err)
     return LinkingReport(
-        raw_value=raw, nearest_integer=nearest, residual=residual, error_estimate=err,
-        min_alpha=min(lows), max_alpha=max(highs),
-        method=method, converged=est.converged, accepted=accepted and est.converged,
-        levels_used=est.levels_used, node_counts=counts,
-        level_values=tuple(prefactor * v for v in est.level_values))
+        raw_value=est.value, error_estimate=est.error_estimate,
+        **_verdict(est.value, est.error_estimate, est.converged),
+        min_alpha=min(lows), max_alpha=max(highs), method=method, converged=est.converged,
+        levels_used=est.levels_used, node_counts=counts, level_values=est.level_values)
 
 
-def _evaluate(method, K, L, grid, tol, max_level, min_alpha,
-              antipodal_margin) -> LinkingReport:
+def _evaluate(method, K, L, grid, tol, max_level, min_alpha) -> LinkingReport:
     """Integral of one `_ROUTES` entry over K x L, refined to tol."""
     k, l, n = _check_pair(K, L)
     route = _ROUTES[method]
+    scale = route.prefactor(k, n)
     if route.kernel is None:
-        terms = _join_terms
+        terms = partial(_join_terms, scale)
     else:
-        terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n))
-    check = partial(_check_separation, route, min_alpha=min_alpha,
-                    antipodal_margin=antipodal_margin)
+        terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n), scale)
+    check = partial(_check_separation, route, min_alpha=min_alpha)
     return _refined_report(K, L, terms, check, grid or GridSpec(), tol, max_level,
-                           route.prefactor(k, n), route.label)
+                           route.label)
 
 
 # ---------------------------------------------------------------------------
@@ -541,33 +563,32 @@ def _evaluate(method, K, L, grid, tol, max_level, min_alpha,
 # ---------------------------------------------------------------------------
 
 def evaluate_main_theorem(K: OrientedSubmanifold, L: OrientedSubmanifold,
-                          grid: GridSpec | None = None, tol: float = 1e-9,
-                          max_level: int = 4,
-                          min_alpha: float = 0.01) -> LinkingReport:
+                          grid: GridSpec | None = None, tol: float = TOL,
+                          max_level: int = MAX_LEVEL,
+                          min_alpha: float = MIN_ALPHA) -> LinkingReport:
     """Linking number by the direct geodesic-kernel integral over K x L."""
-    return _evaluate("main", K, L, grid, tol, max_level, min_alpha, _ANTIPODAL_MARGIN)
+    return _evaluate("main", K, L, grid, tol, max_level, min_alpha)
 
 
 def evaluate_corollary(K: OrientedSubmanifold, L: OrientedSubmanifold,
-                       grid: GridSpec | None = None, tol: float = 1e-9,
-                       max_level: int = 4, min_alpha: float = 0.01,
-                       antipodal_margin: float = _ANTIPODAL_MARGIN) -> LinkingReport:
+                       grid: GridSpec | None = None, tol: float = TOL,
+                       max_level: int = MAX_LEVEL,
+                       min_alpha: float = MIN_ALPHA) -> LinkingReport:
     """Convolution-kernel integral; equals Lk(K, L) + (-1)^n Lk(K, -L).
 
     Requires K disjoint from both L and the antipodal image -L (grid
-    max alpha below pi - antipodal_margin).  When L's antipodal image
+    max alpha at least 0.01 short of pi).  When L's antipodal image
     cannot link K (for instance both manifolds sit strictly on one side of
     a great hypersphere), the rounded value is itself the linking number.
     """
-    return _evaluate("corollary", K, L, grid, tol, max_level, min_alpha,
-                     antipodal_margin)
+    return _evaluate("corollary", K, L, grid, tol, max_level, min_alpha)
 
 
 def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
                          grid: GridSpec | None = None,
-                         variant: str = "reduced", tol: float = 1e-9,
-                         max_level: int = 4,
-                         min_alpha: float = 0.01) -> LinkingReport:
+                         variant: str = "reduced", tol: float = TOL,
+                         max_level: int = MAX_LEVEL,
+                         min_alpha: float = MIN_ALPHA) -> LinkingReport:
     """Degree of the join-sweep map K * L -> S^n; equals -Lk(K, L).
 
     variant "reduced" integrates the pullback with the join parameter
@@ -578,5 +599,4 @@ def evaluate_join_degree(K: OrientedSubmanifold, L: OrientedSubmanifold,
     """
     if variant not in ("reduced", "full"):
         raise ValueError(f"unknown join-degree variant {variant!r}")
-    return _evaluate("join-" + variant, K, L, grid, tol, max_level, min_alpha,
-                     _ANTIPODAL_MARGIN)
+    return _evaluate("join-" + variant, K, L, grid, tol, max_level, min_alpha)

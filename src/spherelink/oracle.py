@@ -14,11 +14,15 @@ the tests exercise directly.
 
 The double integral is one more ``terms`` of the engine's level sum,
 :func:`spherelink.engine._level_sum`, on a product of two periodic
-trapezoid rules: a chunk's geometry is its R^3 difference vectors and
-distances, and the minimum-distance check runs on each chunk of every level
-before the integrand divides by them.  The engine's
-:func:`~spherelink.engine._refined_report` refines the levels and reports
-them, so the report's distance range covers every node of every level.
+trapezoid rules of ``GridSpec.curve`` nodes each: a chunk's geometry is its
+R^3 difference vectors and distances, and the minimum-distance check runs
+on each chunk of every level before the integrand divides by them.  The
+1 / 4 pi is folded into the velocities, so every level sum is on the scale
+of Lk, as on the sphere routes.  The engine's
+:func:`~spherelink.engine._refined_report` refines the ``GridSpec`` levels
+and reports them, so the report's distance range covers every node of every
+level.  The oracle has no geodesic threshold: its separation check is the
+fixed R^3 distance ``_MIN_DISTANCE``.
 """
 
 from dataclasses import dataclass
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import OrientedSubmanifold
-from .engine import LinkingReport, _Level, _refined_report
-from .quadrature import ProductGrid, periodic_trapezoid
+from .engine import MAX_LEVEL, TOL, GridSpec, LinkingReport, _Level, _refined_report
+from .quadrature import periodic_trapezoid
 
 __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
            "find_pole", "POLE_CANDIDATES"]
@@ -61,6 +65,12 @@ def _candidate_poles():
 
 # 20 well-spread unit vectors on S^3: the 8 signed axes plus 12 diagonals.
 POLE_CANDIDATES = _candidate_poles()
+# curve samples a pole is checked against, and the geodesic clearance (rad)
+# it must keep from every one of them
+_POLE_SAMPLES = 512
+_POLE_CLEARANCE = 0.05
+# least R^3 distance between the projected curves the integral accepts
+_MIN_DISTANCE = 1e-3
 
 
 def _curve_points(curve: OrientedSubmanifold, m: int):
@@ -70,13 +80,13 @@ def _curve_points(curve: OrientedSubmanifold, m: int):
     return curve.batch(s[:, None])
 
 
-def find_pole(curves, samples: int = 512, min_distance: float = 0.05) -> np.ndarray:
+def find_pole(curves) -> np.ndarray:
     """Pick the candidate pole farthest from every sampled curve point."""
-    pts = np.vstack([_curve_points(c, samples)[0] for c in curves])
+    pts = np.vstack([_curve_points(c, _POLE_SAMPLES)[0] for c in curves])
     dots = np.clip(POLE_CANDIDATES @ pts.T, -1.0, 1.0)
     closest = np.arccos(dots.max(axis=1))  # geodesic distance to nearest point
     best = int(np.argmax(closest))
-    if closest[best] <= min_distance:
+    if closest[best] <= _POLE_CLEARANCE:
         raise ValueError("no candidate pole is clear of the curves")
     return POLE_CANDIDATES[best]
 
@@ -99,15 +109,13 @@ def _projection_frame(pole: np.ndarray) -> np.ndarray:
     return frame
 
 
-def stereographic_project(curve: OrientedSubmanifold, pole,
-                          min_distance: float = 0.05,
-                          check_samples: int = 512) -> EuclideanCurve:
+def stereographic_project(curve: OrientedSubmanifold, pole) -> EuclideanCurve:
     """Project a curve on S^3 to R^3 from `pole`, velocities by chain rule."""
     pole = np.asarray(pole, dtype=float)
     pole = pole / np.linalg.norm(pole)
-    pts = _curve_points(curve, check_samples)[0]
+    pts = _curve_points(curve, _POLE_SAMPLES)[0]
     closest = float(np.arccos(np.clip(np.max(pts @ pole), -1.0, 1.0)))
-    if closest <= min_distance:
+    if closest <= _POLE_CLEARANCE:
         raise ValueError(
             f"pole passes within {closest:.4f} rad of the curve; pick another pole"
         )
@@ -128,14 +136,17 @@ def stereographic_project(curve: OrientedSubmanifold, pole,
     return EuclideanCurve(evaluate=evaluate)
 
 
-def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid) -> _Level:
+def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level:
     """One level of the double integral, as a `terms` of the engine's level sum.
 
-    A chunk's geometry is the R^3 difference vectors x - y and their
+    Each curve gets a periodic trapezoid rule of grid.curve nodes.  A
+    chunk's geometry is the R^3 difference vectors x - y and their
     lengths, which are the separation checked.  Both sides' trapezoid
     weights and the 1 / 4 pi are folded into the velocities.
     """
-    (sk, wk), (sl, wl) = (rule.nodes_weights() for rule in grid.rules)
+    m = grid.curve
+    (sk, wk), (sl, wl) = (periodic_trapezoid(0.0, c.period, m).nodes_weights()
+                          for c in (K, L))
     x, dx = K.evaluate(sk)
     y, dy = L.evaluate(sl)
     if min(float(np.min(np.linalg.norm(dx, axis=1))),
@@ -154,35 +165,32 @@ def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: ProductGrid) -> _Le
         return np.sum(cross * diff, axis=2) / dist**3
 
     # the difference and cross-product vectors: three doubles each per pair
-    return _Level(geometry, values, 48, (len(x), len(y)), grid.total_points)
+    return _Level(geometry, values, 48, (m, m), m * m)
 
 
 def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
-                           m: int = 256, tol: float = 1e-9,
-                           max_level: int = 4,
-                           min_distance: float = 1e-3) -> LinkingReport:
+                           m: int = 256, tol: float = TOL,
+                           max_level: int = MAX_LEVEL) -> LinkingReport:
     """Classical linking integral of two closed curves in R^3.
 
     Periodic-trapezoid tensor quadrature (spectrally accurate for smooth
-    closed curves) with the node count doubled until the step-to-step
+    closed curves) on m nodes per curve, doubled until the step-to-step
     change falls below tol.  min/max alpha in the report hold the observed
-    Euclidean separation range, not geodesic angles.
+    Euclidean separation range, not geodesic angles; a range reaching
+    _MIN_DISTANCE raises ValueError.
     """
-    grid = ProductGrid([periodic_trapezoid(0.0, K.period, m),
-                        periodic_trapezoid(0.0, L.period, m)])
-
     def check(dmin, dmax):
-        if dmin <= min_distance:
+        if dmin <= _MIN_DISTANCE:
             raise ValueError(f"curves approach within {dmin:.2e} in R^3 "
-                             f"(threshold {min_distance})")
+                             f"(threshold {_MIN_DISTANCE})")
 
-    return _refined_report(K, L, _gauss_terms, check, grid, tol, max_level, 1.0,
+    return _refined_report(K, L, _gauss_terms, check, GridSpec(curve=m), tol, max_level,
                            "gauss_oracle")
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
-                   m: int = 256, tol: float = 1e-9,
-                   max_level: int = 4) -> LinkingReport:
+                   m: int = 256, tol: float = TOL,
+                   max_level: int = MAX_LEVEL) -> LinkingReport:
     """Project both S^3 curves from one shared admissible pole and integrate."""
     pole = find_pole([K, L])
     return gauss_linking_integral(

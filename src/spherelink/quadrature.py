@@ -9,11 +9,15 @@ spherical chart) are never sampled.
 Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
 the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
 ``grid0``, ``grid0.refined()``, ... (any grid object with a ``refined()``
-that doubles every node count), stops once two successive level values
-differ by less than ``tol`` or after ``max_level`` extra doublings, and
-returns every level's value in the :class:`Estimate`.  ``tol`` must be
->= 0: ``0`` runs every level, ``inf`` stops after level 1, and a negative
-or NaN tolerance raises ValueError.
+that doubles every node count; the engine's ``GridSpec`` is the only one),
+stops once two successive level values differ by less than ``tol`` or after
+``max_level`` extra doublings, and returns every level's value in the
+:class:`Estimate`.  ``tol``, the error estimate and the level values are
+one number on one scale, the scale of ``level_sum``'s values: every engine
+route and the oracle return them on the scale of Lk itself, so nothing is
+rescaled after the loop.  ``tol`` must be >= 0: ``0`` runs every level,
+``inf`` stops after level 1, and a negative or NaN tolerance raises
+ValueError.
 
 Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
@@ -97,9 +101,6 @@ class QuadratureRule1D:
         mid, half = 0.5 * (self.b + self.a), 0.5 * (self.b - self.a)
         return mid + half * x, half * w
 
-    def refined(self) -> "QuadratureRule1D":
-        return QuadratureRule1D(self.kind, self.a, self.b, 2 * self.m)
-
 
 def periodic_trapezoid(a: float, b: float, m: int) -> QuadratureRule1D:
     return QuadratureRule1D("periodic_trapezoid", a, b, m)
@@ -114,12 +115,6 @@ class ProductGrid:
 
     def __init__(self, rules):
         self.rules = tuple(rules)
-        self.factor_counts = tuple(r.m for r in self.rules)
-        self.total_points = int(np.prod(self.factor_counts)) if self.rules else 1
-
-    @property
-    def ndim(self) -> int:
-        return len(self.rules)
 
     def points_weights(self):
         """Flat node coordinates (N, d) and weights (N,), lexicographic."""
@@ -138,9 +133,6 @@ class ProductGrid:
         for g in wmesh[1:]:
             wts *= g.ravel()
         return pts, wts
-
-    def refined(self) -> "ProductGrid":
-        return ProductGrid(r.refined() for r in self.rules)
 
 
 @dataclass(frozen=True)
@@ -164,23 +156,15 @@ def tree_sum(values) -> float:
     carried unchanged to the next level.  The pairing depends only on the
     array length, never on chunking or worker count.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    n = v.size
-    if n == 0:
-        return 0.0
-    while n > 1:
-        half = n // 2
-        head = v[: 2 * half : 2] + v[1 : 2 * half : 2]
-        if n % 2:
-            v = np.concatenate([head, v[-1:]])
-        else:
-            v = head
-        n = v.size
-    return float(v[0])
+    return float(tree_sum_axis(np.ravel(values)))
 
 
 def tree_sum_axis(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Pairwise-tree sum along one axis, same pairing as :func:`tree_sum`."""
+    """Pairwise-tree sum along one axis: the one pairwise loop of the package.
+
+    Adjacent elements are combined level by level and an odd tail element
+    is carried unchanged, as :func:`tree_sum` describes.
+    """
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     n = v.shape[-1]
     if n == 0:
@@ -217,9 +201,11 @@ def refine_until(grid0, level_sum, tol: float, max_level: int = 6) -> Estimate:
     """Double every node count until the Richardson estimate drops below tol.
 
     level_sum(grid) integrates one level; grid0.refined() gives the next
-    grid.  Levels 0 and 1 always run, then at most max_level more.  Never
-    raises on non-convergence; the returned Estimate carries
-    ``converged=False`` when max_level was exhausted first.
+    grid.  Levels 0 and 1 always run, then at most max_level more.  tol is
+    compared with the last two level values as level_sum returns them, and
+    the Estimate's error_estimate is exactly that difference.  Never raises
+    on non-convergence; the returned Estimate carries ``converged=False``
+    when max_level was exhausted first.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")

@@ -245,9 +245,10 @@ def test_criterion_7_sign_laws(fixture_table, main_reports):
         ev = kernels.get_evaluator(K.dim, l_dim)
         reflected_kernel = lambda alpha, cos_alpha: ev.kernel_ratio(np.pi - alpha, -cos_alpha)
         value, _, _, _ = _level_sum(K, L, GridSpec(curve=128),
-                                    partial(_kernel_terms, reflected_kernel),
+                                    partial(_kernel_terms, reflected_kernel,
+                                            1 / _vol_sphere_any(n)),
                                     lambda amin, amax: None)
-        expected = sign_factor("antipodal_transfer", l=l_dim) * value / _vol_sphere_any(n)
+        expected = sign_factor("antipodal_transfer", l=l_dim) * value
         assert abs(direct.raw_value - expected) < 1e-8, name
     _passline(7, "anti-commutation, orientation-reversal negation, and the "
                  "antipodal-image sign all hold on the fixture suite")

@@ -13,6 +13,18 @@ GREAT_CIRCLES = {
     "method": "main",
 }
 
+# great circles passing within 0.05 rad: coarse levels cannot resolve the
+# peaked kernel, and on grid k = l = 8 the first step below tol = 1e-4 is the
+# sixth refinement (1.1e-5 on the Lk scale, 2.2e-4 before the 1 / 2 pi^2)
+NEAR_MISS = dict(
+    GREAT_CIRCLES,
+    L={"kind": "rotated",
+       "base": {"kind": "great_subsphere", "k": 1, "axes": [2, 3]},
+       "givens": [{"plane": [0, 2], "angle": np.pi / 2 - 0.05}]},
+    grid={"k": 8, "l": 8},
+    tol=1e-4,
+)
+
 
 def write_spec(tmp_path, spec, name="spec.json"):
     path = tmp_path / name
@@ -91,6 +103,22 @@ class TestLink:
         path = write_spec(tmp_path, spec)
         _, out, _ = run(capsys, ["link", path, "--stable"])
         assert json.loads(out)["spec"] == spec
+
+    @pytest.mark.parametrize("method", ["main", "join-full", "oracle"])
+    def test_absent_fields_take_engine_defaults(self, tmp_path, capsys, method):
+        # a spec that states today's defaults runs exactly as one that omits them
+        stated = dict(GREAT_CIRCLES, method=method, tol=1e-9, max_level=4,
+                      grid={"curve": 64, "surface": 32, "u": 32})
+        if method != "oracle":
+            stated["min_alpha"] = 0.01
+        reports = []
+        for spec in (dict(GREAT_CIRCLES, method=method), stated):
+            code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
+            assert code == 0
+            # everything but the spec echo, byte for byte
+            head, _, tail = out.partition(', "spec": ')
+            reports.append(head + tail[tail.index(', "version": '):])
+        assert reports[0] == reports[1]
 
     def test_grid_override_flag(self, tmp_path, capsys):
         path = write_spec(tmp_path, GREAT_CIRCLES)
@@ -275,21 +303,26 @@ class TestConvergence:
         assert "disjoint" in err
 
     def test_close_approach_flags_false_until_resolved(self, tmp_path, capsys):
-        # near-miss circles: early levels cannot resolve the peaked kernel
-        spec = dict(
-            GREAT_CIRCLES,
-            L={"kind": "rotated",
-               "base": {"kind": "great_subsphere", "k": 1, "axes": [2, 3]},
-               "givens": [{"plane": [0, 2], "angle": np.pi / 2 - 0.05}]},
-            grid={"k": 8, "l": 8},
-            tol=1e-4,
-        )
-        path = write_spec(tmp_path, spec)
+        path = write_spec(tmp_path, NEAR_MISS)
         code, out, _ = run(capsys, ["convergence", path, "--levels", "6"])
         assert code == 0
         flags = [line.split(",")[4] for line in out.strip().splitlines()[1:]]
         assert flags[0] == "false"
         assert flags[-1] == "true"
+
+    def test_link_and_convergence_agree(self, tmp_path, capsys):
+        # the same seven levels give link's verdict and convergence's flags,
+        # and row 6's step is the report's error estimate, bit for bit
+        path = write_spec(tmp_path, NEAR_MISS)
+        code, out, _ = run(capsys, ["link", path, "--max-level", "5", "--stable"])
+        report = json.loads(out)["report"]
+        _, table, _ = run(capsys, ["convergence", path, "--levels", "6"])
+        rows = [line.split(",") for line in table.strip().splitlines()[1:]]
+        assert [r[4] for r in rows] == ["false"] * 5 + ["true"]
+        assert code == 0 and report["converged"] and report["accepted"]
+        assert report["levels_used"] == 5
+        assert float(rows[-1][3]) == report["error_estimate"]
+        assert float(rows[-1][2]) == report["raw_value"]
 
 
 class TestCatalogCmd:
@@ -327,6 +360,22 @@ class TestOracleCmd:
         code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
         assert code == 0
         assert json.loads(out)["node_counts"][0] == 16 * 16
+
+    def test_min_alpha_rejected(self, tmp_path, capsys):
+        # the oracle checks R^3 distance, so a geodesic threshold would be
+        # ignored; it is refused instead, from the spec or the flag
+        spec = dict(GREAT_CIRCLES, min_alpha=3.0)
+        path = write_spec(tmp_path, spec)
+        code, _, err = run(capsys, ["link", path])
+        assert code == 1 and "threshold 3.0" in err
+        plain = write_spec(tmp_path, GREAT_CIRCLES, "plain.json")
+        oracle = write_spec(tmp_path, dict(spec, method="oracle"), "oracle.json")
+        for argv in (["oracle", path], ["link", oracle], ["convergence", oracle],
+                     ["oracle", plain, "--min-alpha", "0.5"]):
+            code, out, err = run(capsys, argv)
+            assert code == 1, argv
+            assert out == ""
+            assert err.startswith("error:") and "min_alpha" in err
 
     def test_wrong_dimension(self, tmp_path, capsys):
         spec = {

@@ -15,6 +15,7 @@ from spherelink import (
     great_subsphere,
     hopf_fiber,
     join_map,
+    oracle_linking,
     orientation_reversed,
     rotated,
     round_to_linking,
@@ -261,7 +262,7 @@ class TestLevelChecks:
 
     def test_nan_kernel_rejected(self):
         K, L = hopf_pair()
-        terms = partial(_kernel_terms, lambda alpha, cos_alpha: np.full_like(alpha, np.nan))
+        terms = partial(_kernel_terms, lambda alpha, cos_alpha: np.full_like(alpha, np.nan), 1.0)
         with pytest.raises(ValueError, match="not finite.*min separation"):
             _level_sum(K, L, GridSpec(curve=8), terms, lambda amin, amax: None)
 
@@ -273,13 +274,13 @@ class TestLevelChecks:
         with pytest.raises(DisjointnessError):
             evaluate_main_theorem(K, L, grid=GridSpec(curve=6), min_alpha=threshold)
 
-    def test_antipodal_margin_checked_on_refined_grid(self):
+    def test_antipodal_margin_checked_on_refined_grid(self, monkeypatch):
         K, L = hopf_pair()
         (_, amax0), (_, amax1) = self._alpha_ranges(K, L, 6)
         assert amax1 > amax0
-        margin = np.pi - 0.5 * (amax0 + amax1)
+        monkeypatch.setattr(engine, "_ANTIPODAL_MARGIN", np.pi - 0.5 * (amax0 + amax1))
         with pytest.raises(DisjointnessError):
-            evaluate_corollary(K, L, grid=GridSpec(curve=6), antipodal_margin=margin)
+            evaluate_corollary(K, L, grid=GridSpec(curve=6))
 
     def test_join_full_min_alpha_checked_on_refined_grid(self):
         K, L = hopf_pair()
@@ -440,6 +441,36 @@ class TestChunkBudget:
         assert len(chunks) == len(whole.node_counts) and min(chunks) > 1
         assert chunked.raw_value == whole.raw_value
         assert (chunked.min_alpha, chunked.max_alpha) == (whole.min_alpha, whole.max_alpha)
+
+
+class TestGridSpec:
+    def test_refined_doubles_every_count(self):
+        g = GridSpec(curve=8, surface=6, u=4, k_nodes=5).refined()
+        assert g == GridSpec(curve=16, surface=12, u=8, k_nodes=10)
+
+
+class TestLkScale:
+    """Every route refines on the Lk scale: tol, the error estimate and the
+    level values are one number, with nothing rescaled after refinement."""
+
+    RUNS = {
+        "main": lambda K, L: evaluate_main_theorem(K, L, GridSpec(curve=16), tol=0.0,
+                                                   max_level=1),
+        "corollary": lambda K, L: evaluate_corollary(K, L, GridSpec(curve=16), tol=0.0,
+                                                     max_level=1),
+        "join-reduced": lambda K, L: evaluate_join_degree(K, L, GridSpec(curve=16), tol=0.0,
+                                                          max_level=1),
+        "join-full": lambda K, L: evaluate_join_degree(K, L, GridSpec(curve=16, u=4), "full",
+                                                       tol=0.0, max_level=0),
+        "oracle": lambda K, L: oracle_linking(K, L, m=16, tol=0.0, max_level=1),
+    }
+
+    @pytest.mark.parametrize("route", RUNS)
+    def test_error_estimate_is_last_level_step(self, route):
+        r = self.RUNS[route](*clifford_pair(2, 3, np.pi / 4))
+        assert r.error_estimate > 0.0
+        assert r.error_estimate == abs(r.level_values[-1] - r.level_values[-2])
+        assert r.raw_value == r.level_values[-1]
 
 
 class TestSymmetries:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spherelink.engine import GridSpec
 from spherelink.quadrature import (
     Estimate,
     ProductGrid,
@@ -13,17 +14,22 @@ from spherelink.quadrature import (
 )
 
 
-def weighted_sum(f):
-    """A refine_until level: f summed against the grid's weights."""
+PERIOD = (0.0, 2 * np.pi)
+
+
+def weighted_sum(f, *intervals):
+    """A refine_until level: f summed against the product of periodic
+    trapezoid rules of grid.curve nodes, one per interval."""
     def level_sum(grid):
-        pts, wts = grid.points_weights()
+        rules = [periodic_trapezoid(a, b, grid.curve) for a, b in intervals]
+        pts, wts = ProductGrid(rules).points_weights()
         return tree_sum(f(pts) * wts)
     return level_sum
 
 
-def integrate(grid, f):
-    """The grid refined once, with the difference against grid itself."""
-    return refine_until(grid, weighted_sum(f), tol=np.inf)
+def integrate(m, f, *intervals):
+    """m nodes per interval refined once, with the difference against m."""
+    return refine_until(GridSpec(curve=m), weighted_sum(f, *intervals), tol=np.inf)
 
 
 class TestRules:
@@ -61,15 +67,10 @@ class TestProductGrid:
     def test_lexicographic_order(self):
         g = ProductGrid([periodic_trapezoid(0, 1, 2), periodic_trapezoid(0, 1, 3)])
         pts, wts = g.points_weights()
-        assert g.total_points == 6
+        assert pts.shape == (6, 2) and wts.shape == (6,)
         # first factor varies slowest
         assert np.allclose(pts[:3, 0], 0.0) and np.allclose(pts[3:, 0], 0.5)
         assert np.allclose(wts, (1 / 2) * (1 / 3))
-
-    def test_refined_doubles_every_factor(self):
-        g = ProductGrid([periodic_trapezoid(0, 1, 4), gauss_legendre(0, 1, 3)])
-        r = g.refined()
-        assert r.factor_counts == (8, 6)
 
 
 class TestTreeSum:
@@ -92,19 +93,26 @@ class TestTreeSum:
     def test_empty(self):
         assert tree_sum([]) == 0.0
 
+    def test_pairing_matches_reference(self, rng):
+        # adjacent pairs level by level, an odd tail carried unchanged
+        def reference(v):
+            while len(v) > 1:
+                v = [v[i] + v[i + 1] for i in range(0, len(v) - 1, 2)] + v[len(v) - len(v) % 2:]
+            return v[0]
+
+        for n in range(1, 40):
+            v = rng.standard_normal(n)
+            assert tree_sum(v) == reference(list(v))
+
 
 class TestIntegrate:
     def test_constant_over_torus(self):
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 8),
-                         periodic_trapezoid(0, 2 * np.pi, 8)])
-        est = integrate(g, lambda p: np.ones(p.shape[0]))
+        est = integrate(8, lambda p: np.ones(p.shape[0]), PERIOD, PERIOD)
         assert est.value == pytest.approx((2 * np.pi) ** 2, abs=1e-12)
         assert est.error_estimate < 1e-12
 
     def test_orthogonality(self):
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 16),
-                         periodic_trapezoid(0, 2 * np.pi, 16)])
-        est = integrate(g, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]))
+        est = integrate(16, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]), PERIOD, PERIOD)
         assert abs(est.value) < 1e-14
 
     def test_constant_distance_pair_factorization(self):
@@ -122,15 +130,13 @@ class TestIntegrate:
             alpha = np.arccos(np.clip(np.sum(x * y, axis=1), -1, 1))
             return phi_kernel_ratio(1, 1, alpha) * np.linalg.det(m)
 
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 16),
-                         periodic_trapezoid(0, 2 * np.pi, 16)])
-        est = integrate(g, integrand)
+        est = integrate(16, integrand, PERIOD, PERIOD)
         assert est.value == pytest.approx((2 * np.pi) ** 2 * 0.5, rel=1e-12)
 
 class TestRefineUntil:
     def test_infinite_tol_returns_base(self):
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 8)])
-        level_sum = weighted_sum(lambda p: np.exp(np.sin(p[:, 0])))
+        g = GridSpec(curve=8)
+        level_sum = weighted_sum(lambda p: np.exp(np.sin(p[:, 0])), PERIOD)
         est = refine_until(g, level_sum, tol=np.inf)
         coarse, fine = level_sum(g), level_sum(g.refined())
         assert est.levels_used == 0
@@ -140,8 +146,8 @@ class TestRefineUntil:
 
     def test_requires_positive_tol(self):
         # tol must be >= 0: negative and NaN raise, 0 runs every level
-        g = ProductGrid([periodic_trapezoid(0, 1, 4)])
-        level_sum = weighted_sum(lambda p: np.ones(p.shape[0]))
+        g = GridSpec(curve=4)
+        level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         for tol in (-1.0, np.nan):
             with pytest.raises(ValueError, match="tolerance"):
                 refine_until(g, level_sum, tol=tol)
@@ -153,10 +159,9 @@ class TestRefineUntil:
     def test_spectral_convergence_smooth_periodic(self):
         # each doubling of a periodic trapezoid on a smooth integrand must
         # slash the error estimate by far more than 10x until it bottoms out
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 4)])
         f = lambda p: np.exp(np.sin(p[:, 0]))
         exact = 2 * np.pi * 1.2660658777520084  # 2 pi I_0(1)
-        est = refine_until(g, weighted_sum(f), tol=0.0, max_level=4)
+        est = refine_until(GridSpec(curve=4), weighted_sum(f, PERIOD), tol=0.0, max_level=4)
         values = est.level_values
         errors = [abs(b - a) for a, b in zip(values[1:], values[2:])]
         resolved = [e for e in errors if e > 1e-14]
@@ -180,9 +185,8 @@ class TestRefineUntil:
             alpha = np.arccos(np.clip(np.sum(x * y, axis=1), -1, 1))
             return phi_kernel_ratio(1, 1, alpha) * np.linalg.det(m)
 
-        g = ProductGrid([periodic_trapezoid(0, 2 * np.pi, 8),
-                         periodic_trapezoid(0, 2 * np.pi, 8)])
-        est = refine_until(g, weighted_sum(integrand), tol=1e-9, max_level=2)
+        est = refine_until(GridSpec(curve=8), weighted_sum(integrand, PERIOD, PERIOD),
+                           tol=1e-9, max_level=2)
         assert not est.converged
         assert isinstance(est, Estimate)
 

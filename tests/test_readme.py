@@ -1,0 +1,42 @@
+"""README's examples run as written: its JSON spec through the command
+line (as `main` and as `oracle`) and its Python API block."""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from spherelink.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _block(lang: str) -> str:
+    blocks = re.findall(rf"```{lang}\n(.*?)```", README, re.DOTALL)
+    assert len(blocks) == 1, f"README should hold one {lang} block"
+    return blocks[0]
+
+
+@pytest.mark.parametrize("method", ["main", "oracle"])
+def test_json_spec_runs(tmp_path, capsys, method):
+    spec = json.loads(_block("json"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, method=method)))
+    code = main(["link", str(path), "--stable"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0
+    assert report["linking_number"] == 3
+
+
+def test_python_api_block_runs():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(_block("python"), "README.md", "exec"), {})
+    # a (2, 3) torus curve winds twice around the core circle of its first block
+    nearest, residual, error, oracle_value = out.getvalue().split()
+    assert int(nearest) == 2
+    assert float(residual) < 1e-9 and float(error) < 1e-9
+    assert abs(float(oracle_value) - 2) < 1e-6
