@@ -5,29 +5,39 @@ flags), a vectorized embedding `batch`, and a single-point `evaluate`
 returning the base point with its ordered tangent columns.  Chart
 coordinate order carries the orientation.
 
-Orientation of the sphere charts: the hyperspherical chart used for great
-and small round k-spheres is arranged (for k >= 3, by reversing the
-azimuth direction) so that det(x, dx_1, ..., dx_k) > 0 in the coordinate
-block, i.e. the chart realizes the point-first positive orientation.  With
-that normalization the standard nested great spheres S^k (first k+1 axes)
-and S^l (remaining axes) of S^n link exactly once with positive sign,
-which is the calibration every other orientation decision is checked
-against.
+Each geometry has one class.  Round k-spheres are one class: a small
+sphere of angular radius r about a center, and a great subsphere as the
+round sphere of radius pi/2 (the unit sphere of its frame's span).  Curves
+in S^3 are one class, c(s)/|c(s)| for a trigonometric series c in R^4:
+Hopf fibers (the circle-action orbits, degree 1) and (p, q) torus curves
+(degree max(|p|, |q|)) are such series with fixed coefficients, and a
+user-supplied series carries the orientation its parametrization induces.
+Rotation, antipodal image and orientation reversal wrap any entry.
+
+Orientation of the sphere charts: the hyperspherical chart used for round
+k-spheres is arranged (for k >= 3, by reversing the azimuth direction) so
+that det(x, dx_1, ..., dx_k) > 0 in the coordinate block, i.e. the chart
+realizes the point-first positive orientation.  With that normalization the
+standard nested great spheres S^k (first k+1 axes) and S^l (remaining axes)
+of S^n link exactly once with positive sign, which is the calibration every
+other orientation decision is checked against.
 
 Dimension-zero entries are signed point pairs; integration over them is
 signed summation with weight +-1 per point.
 
-A curve built from user-supplied trigonometric coefficients carries the
-orientation its parametrization induces; no normalization is applied.
+One kind table (`_KINDS`) describes every JSON catalog kind: its required
+ambient dimension, its fields with their converters and descriptions, and
+the factory they feed.  `build_entry` and `catalog_schemas` both read it.
 """
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spheregeom import SpherePoint, TangentColumns, _check_rotation
+from .spheregeom import SpherePoint, TangentColumns, _check_rotation, compose_givens
 
 __all__ = [
     "ChartDim",
@@ -44,6 +54,9 @@ __all__ = [
     "build_entry",
     "catalog_schemas",
 ]
+
+# Samples per chart dimension of the construction-time sanity check.
+_VALIDATION_SAMPLES = 9
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class OrientedSubmanifold(ABC):
         pts, tan = self.batch(p[None, :])
         return TangentColumns(base=SpherePoint(pts[0]), columns=tan[0])
 
-    def _validate(self, samples_per_dim: int = 9):
+    def _validate(self):
         """Dense-grid sanity check: unit norm, tangency, full tangent rank."""
         if self.dim == 0:
             pts, signs = self.signed_points()
@@ -92,8 +105,8 @@ class OrientedSubmanifold(ABC):
         axes = []
         for cd in self.chart_domain:
             span = cd.hi - cd.lo
-            frac = np.arange(samples_per_dim) / samples_per_dim if cd.periodic \
-                else (np.arange(samples_per_dim) + 0.5) / samples_per_dim
+            frac = np.arange(_VALIDATION_SAMPLES) / _VALIDATION_SAMPLES if cd.periodic \
+                else (np.arange(_VALIDATION_SAMPLES) + 0.5) / _VALIDATION_SAMPLES
             axes.append(cd.lo + span * frac)
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.column_stack([g.ravel() for g in mesh])
@@ -148,6 +161,10 @@ def _sphere_chart_domain(k: int) -> tuple[ChartDim, ...]:
     return tuple([ChartDim(0.0, np.pi, False)] * (k - 1) + [ChartDim(0.0, 2 * np.pi, True)])
 
 
+# ---------------------------------------------------------------------------
+# the three geometries: signed points, round spheres, trigonometric curves
+# ---------------------------------------------------------------------------
+
 class _SignedPoints(OrientedSubmanifold):
     dim = 0
     chart_domain = ()
@@ -165,102 +182,42 @@ class _SignedPoints(OrientedSubmanifold):
         return self._points, self._signs
 
 
-class _GreatSubsphere(OrientedSubmanifold):
-    def __init__(self, k: int, axes, ambient_n: int):
-        axes = tuple(int(a) for a in axes)
-        if len(axes) != k + 1:
-            raise ValueError(f"need {k + 1} axes for a great {k}-sphere")
-        if len(set(axes)) != len(axes):
-            raise ValueError("axes must be distinct")
-        if min(axes) < 0 or max(axes) > ambient_n:
-            raise ValueError(f"axes out of range 0..{ambient_n}")
-        if k > ambient_n - 1:
-            raise ValueError("a great subsphere must have dim <= n - 1")
-        self.dim = k
-        self.ambient_n = ambient_n
-        self.axes = axes
-        self.chart_domain = _sphere_chart_domain(k)
-        self._azi = _azimuth_sign(k)
-        self._validate()
+class _RoundSphere(OrientedSubmanifold):
+    """The round k-sphere c * center + s * (unit S^k @ frame).
 
-    def batch(self, coords):
-        pts_k, jac_k = _sphere_chart(self.dim, coords, self._azi)
-        n = coords.shape[0]
-        d = self.ambient_n + 1
-        pts = np.zeros((n, d))
-        jac = np.zeros((n, d, self.dim))
-        for i, ax in enumerate(self.axes):
-            pts[:, ax] = pts_k[:, i]
-            jac[:, ax, :] = jac_k[:, i, :]
-        return pts, jac
+    With (c, s) = (cos r, sin r) it is the sphere of angular radius r about
+    `center`; a great subsphere is the radius pi/2, passed as (0, 1).
+    """
 
-
-class _HopfFiber(OrientedSubmanifold):
-    dim = 1
-    ambient_n = 3
-    chart_domain = (ChartDim(0.0, 2 * np.pi, True),)
-
-    def __init__(self, base):
-        b = np.asarray(base, dtype=float)
-        if b.shape != (4,):
-            raise ValueError("hopf fiber base must be 4 reals (z1, z2)")
-        if abs(float(np.linalg.norm(b)) - 1.0) > 1e-10:
-            raise ValueError("hopf fiber base must be a unit vector")
-        self.base = b
-        self._validate()
-
-    def batch(self, coords):
-        t = coords[:, 0]
-        a1, b1, a2, b2 = self.base
-        c, s = np.cos(t), np.sin(t)
-        pts = np.column_stack([a1 * c - b1 * s, a1 * s + b1 * c,
-                               a2 * c - b2 * s, a2 * s + b2 * c])
-        jac = np.column_stack([-a1 * s - b1 * c, a1 * c - b1 * s,
-                               -a2 * s - b2 * c, a2 * c - b2 * s])[:, :, None]
-        return pts, jac
-
-
-class _CliffordTorusCurve(OrientedSubmanifold):
-    dim = 1
-    ambient_n = 3
-    chart_domain = (ChartDim(0.0, 2 * np.pi, True),)
-
-    def __init__(self, p: int, q: int, phase: float = 0.0):
-        if (p, q) == (0, 0):
-            raise ValueError("(p, q) = (0, 0) does not define a curve")
-        if gcd(abs(p), abs(q)) != 1:
-            raise ValueError("need gcd(|p|, |q|) = 1 for an embedded curve")
-        self.p, self.q, self.phase = int(p), int(q), float(phase)
-        self._validate()
-
-    def batch(self, coords):
-        s = coords[:, 0]
-        r = 1.0 / np.sqrt(2.0)
-        p, q, ph = self.p, self.q, self.phase
-        pts = r * np.column_stack([np.cos(p * s), np.sin(p * s),
-                                   np.cos(q * s + ph), np.sin(q * s + ph)])
-        jac = r * np.column_stack([-p * np.sin(p * s), p * np.cos(p * s),
-                                   -q * np.sin(q * s + ph), q * np.cos(q * s + ph)])[:, :, None]
-        return pts, jac
-
-
-class _SmallRoundSphere(OrientedSubmanifold):
-    def __init__(self, k: int, center: np.ndarray, angular_radius: float, frame: np.ndarray):
+    def __init__(self, k: int, center: np.ndarray, c: float, s: float, frame: np.ndarray):
         self.dim = k
         self.ambient_n = center.size - 1
         self.center = center
-        self.angular_radius = angular_radius
         self.frame = frame
+        self._c = c
+        self._s = s
         self.chart_domain = _sphere_chart_domain(k)
         self._azi = _azimuth_sign(k)
         self._validate()
 
     def batch(self, coords):
         pts_k, jac_k = _sphere_chart(self.dim, coords, self._azi)
-        c, s = np.cos(self.angular_radius), np.sin(self.angular_radius)
-        pts = c * self.center[None, :] + s * (pts_k @ self.frame)
-        jac = s * np.einsum("nij,id->ndj", jac_k, self.frame)
+        pts = pts_k @ self.frame
+        pts *= self._s
+        pts += self._c * self.center
+        jac = np.einsum("nij,id->ndj", jac_k, self.frame)
+        jac *= self._s
         return pts, jac
+
+
+def _round_sphere(k: int, center: np.ndarray, c: float, s: float,
+                  frame: np.ndarray) -> OrientedSubmanifold:
+    """The round sphere of `_RoundSphere`; for k = 0 its signed point pair,
+    +1 at c * center + s * frame[0] and -1 at c * center - s * frame[0]."""
+    if k == 0:
+        return _SignedPoints(np.vstack([c * center + s * frame[0], c * center - s * frame[0]]),
+                             np.array([1.0, -1.0]), center.size - 1)
+    return _RoundSphere(k, center, c, s, frame)
 
 
 class _FourierCurve(OrientedSubmanifold):
@@ -298,16 +255,39 @@ class _FourierCurve(OrientedSubmanifold):
         return pts, jac
 
 
-class _Rotated(OrientedSubmanifold):
+def _complex_orbit(z1: complex, z2: complex, m1: int, m2: int) -> OrientedSubmanifold:
+    """The curve s -> (z1 e^{i m1 s}, z2 e^{i m2 s}) of C^2 = R^4 as a
+    trigonometric series: z e^{i m s} = z cos(|m| s) + sign(m) i z sin(|m| s)."""
+    cc = np.zeros((max(abs(m1), abs(m2)) + 1, 4))
+    sc = np.zeros_like(cc)
+    for block, (z, m) in enumerate(((z1, m1), (z2, m2))):
+        w = np.sign(m) * 1j * z
+        cc[abs(m), 2 * block:2 * block + 2] = z.real, z.imag
+        sc[abs(m), 2 * block:2 * block + 2] = w.real, w.imag
+    return _FourierCurve(cc, sc)
+
+
+# ---------------------------------------------------------------------------
+# wrappers
+# ---------------------------------------------------------------------------
+
+class _Wrapper(OrientedSubmanifold):
+    """An entry derived from `inner`, on inner's chart."""
+
+    def __init__(self, inner: OrientedSubmanifold):
+        self.inner = inner
+        self.dim = inner.dim
+        self.ambient_n = inner.ambient_n
+        self.chart_domain = inner.chart_domain
+
+
+class _Rotated(_Wrapper):
     def __init__(self, inner: OrientedSubmanifold, rotation):
         r = _check_rotation(rotation)
         if r.shape[0] != inner.ambient_n + 1:
             raise ValueError("rotation dimension does not match the manifold")
-        self.inner = inner
+        super().__init__(inner)
         self.rotation = r
-        self.dim = inner.dim
-        self.ambient_n = inner.ambient_n
-        self.chart_domain = inner.chart_domain
 
     def batch(self, coords):
         pts, jac = self.inner.batch(coords)
@@ -318,15 +298,9 @@ class _Rotated(OrientedSubmanifold):
         return pts @ self.rotation.T, signs
 
 
-class _AntipodalImage(OrientedSubmanifold):
+class _AntipodalImage(_Wrapper):
     """Pointwise negation; tangent columns negate too, which is exactly the
     orientation transfer of the antipodal map (its differential is -I)."""
-
-    def __init__(self, inner: OrientedSubmanifold):
-        self.inner = inner
-        self.dim = inner.dim
-        self.ambient_n = inner.ambient_n
-        self.chart_domain = inner.chart_domain
 
     def batch(self, coords):
         pts, jac = self.inner.batch(coords)
@@ -339,14 +313,8 @@ class _AntipodalImage(OrientedSubmanifold):
         return -pts, signs
 
 
-class _Reflected(OrientedSubmanifold):
+class _Reflected(_Wrapper):
     """Orientation reversal: reflect the first chart coordinate."""
-
-    def __init__(self, inner: OrientedSubmanifold):
-        self.inner = inner
-        self.dim = inner.dim
-        self.ambient_n = inner.ambient_n
-        self.chart_domain = inner.chart_domain
 
     def batch(self, coords):
         c = np.array(coords, dtype=float)
@@ -369,30 +337,56 @@ class _Reflected(OrientedSubmanifold):
 def great_subsphere(k: int, axes, ambient_n: int) -> OrientedSubmanifold:
     """Unit k-sphere of the coordinate block `axes`, positively oriented.
 
-    The order of `axes` orients the block; with the blocks (0..k) and
-    (k+1..n) the two subspheres link once with sign +1.  For k = 0 the
-    result is the signed point pair {+e, -e}.
+    This is the round sphere of angular radius pi/2 whose frame is the
+    coordinate vectors of `axes`.  The order of `axes` orients the block;
+    with the blocks (0..k) and (k+1..n) the two subspheres link once with
+    sign +1.  For k = 0 the result is the signed point pair {+e, -e}.
     """
+    axes = tuple(int(a) for a in axes)
     if k == 0:
-        axes = tuple(int(a) for a in axes)
         if len(axes) != 1 or not 0 <= axes[0] <= ambient_n:
             raise ValueError("a 0-sphere takes exactly one valid axis")
-        d = ambient_n + 1
-        pts = np.zeros((2, d))
-        pts[0, axes[0]] = 1.0
-        pts[1, axes[0]] = -1.0
-        return _SignedPoints(pts, np.array([1.0, -1.0]), ambient_n)
-    return _GreatSubsphere(k, axes, ambient_n)
+    else:
+        if len(axes) != k + 1:
+            raise ValueError(f"need {k + 1} axes for a great {k}-sphere")
+        if len(set(axes)) != len(axes):
+            raise ValueError("axes must be distinct")
+        if min(axes) < 0 or max(axes) > ambient_n:
+            raise ValueError(f"axes out of range 0..{ambient_n}")
+        if k > ambient_n - 1:
+            raise ValueError("a great subsphere must have dim <= n - 1")
+    eye = np.eye(ambient_n + 1)
+    return _round_sphere(k, np.zeros(ambient_n + 1), 0.0, 1.0, eye[list(axes)])
 
 
 def hopf_fiber(base) -> OrientedSubmanifold:
-    """Orbit of (z1, z2) under the diagonal circle action on S^3."""
-    return _HopfFiber(base)
+    """Orbit of (z1, z2) under the diagonal circle action on S^3.
+
+    The orbit t -> (z1 e^{it}, z2 e^{it}) is a degree-1 trigonometric-series
+    curve.
+    """
+    b = np.asarray(base, dtype=float)
+    if b.shape != (4,):
+        raise ValueError("hopf fiber base must be 4 reals (z1, z2)")
+    if abs(float(np.linalg.norm(b)) - 1.0) > 1e-10:
+        raise ValueError("hopf fiber base must be a unit vector")
+    return _complex_orbit(complex(b[0], b[1]), complex(b[2], b[3]), 1, 1)
 
 
 def clifford_torus_curve(p: int, q: int, phase: float = 0.0) -> OrientedSubmanifold:
-    """(p, q) curve on the square torus |z1| = |z2| = 1/sqrt(2) in S^3."""
-    return _CliffordTorusCurve(p, q, phase)
+    """(p, q) curve on the square torus |z1| = |z2| = 1/sqrt(2) in S^3.
+
+    The curve s -> (e^{ips}, e^{i(qs + phase)}) / sqrt(2) is a
+    trigonometric-series curve of degree max(|p|, |q|).
+    """
+    if (p, q) == (0, 0):
+        raise ValueError("(p, q) = (0, 0) does not define a curve")
+    if gcd(abs(p), abs(q)) != 1:
+        raise ValueError("need gcd(|p|, |q|) = 1 for an embedded curve")
+    r = 1.0 / np.sqrt(2.0)
+    phase = float(phase)
+    return _complex_orbit(complex(r, 0.0), complex(r * np.cos(phase), r * np.sin(phase)),
+                          int(p), int(q))
 
 
 def small_round_sphere(k: int, center, angular_radius: float, frame) -> OrientedSubmanifold:
@@ -419,11 +413,7 @@ def small_round_sphere(k: int, center, angular_radius: float, frame) -> Oriented
     if float(np.max(np.abs(frame @ center))) > 1e-10:
         raise ValueError("frame must be orthogonal to the center")
     angular_radius = float(angular_radius)
-    if k == 0:
-        c, s = np.cos(angular_radius), np.sin(angular_radius)
-        return _SignedPoints(np.vstack([c * center + s * frame[0], c * center - s * frame[0]]),
-                             np.array([1.0, -1.0]), d - 1)
-    return _SmallRoundSphere(k, center, angular_radius, frame)
+    return _round_sphere(k, center, np.cos(angular_radius), np.sin(angular_radius), frame)
 
 
 def fourier_curve(cos_coeffs, sin_coeffs) -> OrientedSubmanifold:
@@ -475,56 +465,59 @@ def _scan_points(m: OrientedSubmanifold, samples_per_dim: int):
 # JSON entry construction (CLI surface)
 # ---------------------------------------------------------------------------
 
+class _Kind(NamedTuple):
+    """One JSON catalog kind.
+
+    fields maps each field name, in schema order, to its converter and its
+    description; a field named in `optional` may be left out, and then
+    takes the factory's default.  The factory is called as
+    factory(ambient_n, **converted fields).  A field whose converter is
+    `build_entry` holds a nested entry, built in the same sphere.
+    """
+
+    ambient_n: int | None
+    fields: dict
+    factory: Callable
+    optional: tuple = ()
+
+
+def _ints(value):
+    return [int(a) for a in value]
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _givens(value):
+    return [(_ints(g["plane"]), float(g["angle"])) for g in value]
+
+
 def build_entry(entry: dict, ambient_n: int) -> OrientedSubmanifold:
     """Construct a catalog entry from its JSON description."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ValueError("catalog entry must be an object with a 'kind' field")
     kind = entry["kind"]
+    kind_def = _KINDS.get(kind) if isinstance(kind, str) else None
+    if kind_def is None:
+        raise ValueError(f"unknown catalog kind {kind!r}")
+    if kind_def.ambient_n is not None and ambient_n != kind_def.ambient_n:
+        raise ValueError(f"{kind} requires ambient_n = {kind_def.ambient_n}")
 
     def field(name, conv):
         value = entry[name]
+        if conv is build_entry:
+            return build_entry(value, ambient_n)
         try:
             return conv(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"catalog entry {kind!r} field {name!r} is malformed: {value!r}") from exc
 
-    def ints(value):
-        return [int(a) for a in value]
-
-    def floats(value):
-        return np.asarray(value, dtype=float)
-
-    def givens(value):
-        return [(ints(g["plane"]), float(g["angle"])) for g in value]
-
     try:
-        if kind == "great_subsphere":
-            m = great_subsphere(field("k", int), field("axes", ints), ambient_n)
-        elif kind == "hopf_fiber":
-            _require_n(kind, ambient_n, 3)
-            m = hopf_fiber(field("base", floats))
-        elif kind == "clifford_torus_curve":
-            _require_n(kind, ambient_n, 3)
-            m = clifford_torus_curve(field("p", int), field("q", int),
-                                     field("phase", float) if "phase" in entry else 0.0)
-        elif kind == "small_round_sphere":
-            m = small_round_sphere(field("k", int), field("center", floats),
-                                   field("angular_radius", float), field("frame", floats))
-        elif kind == "fourier_curve":
-            _require_n(kind, ambient_n, 3)
-            m = fourier_curve(field("cos_coeffs", floats), field("sin_coeffs", floats))
-        elif kind == "rotated":
-            from .spheregeom import compose_givens
-            inner = build_entry(entry["base"], ambient_n)
-            r = compose_givens(ambient_n + 1, field("givens", givens))
-            m = rotated(inner, r)
-        elif kind == "antipodal_image":
-            m = antipodal_image(build_entry(entry["base"], ambient_n))
-        elif kind == "orientation_reversed":
-            m = orientation_reversed(build_entry(entry["base"], ambient_n))
-        else:
-            raise ValueError(f"unknown catalog kind {kind!r}")
+        m = kind_def.factory(ambient_n, **{name: field(name, conv)
+                                           for name, (conv, _) in kind_def.fields.items()
+                                           if name in entry or name not in kind_def.optional})
     except KeyError as exc:
         raise ValueError(f"catalog entry {kind!r} is missing field {exc}") from exc
     if m.ambient_n != ambient_n:
@@ -534,23 +527,43 @@ def build_entry(entry: dict, ambient_n: int) -> OrientedSubmanifold:
     return m
 
 
-def _require_n(kind: str, ambient_n: int, expected: int):
-    if ambient_n != expected:
-        raise ValueError(f"{kind} requires ambient_n = {expected}")
+_BASE = {"base": (build_entry, "catalog entry")}
+
+_KINDS = {
+    "great_subsphere": _Kind(
+        None,
+        {"k": (int, "int >= 0"), "axes": (_ints, "list of k+1 distinct axis indices")},
+        lambda n, k, axes: great_subsphere(k, axes, n)),
+    "hopf_fiber": _Kind(
+        3,
+        {"base": (_floats, "unit 4-vector (z1, z2) as reals")},
+        lambda n, base: hopf_fiber(base)),
+    "clifford_torus_curve": _Kind(
+        3,
+        {"p": (int, "int"), "q": (int, "int (gcd(|p|,|q|) = 1)"),
+         "phase": (float, "float, default 0")},
+        lambda n, **f: clifford_torus_curve(**f),
+        optional=("phase",)),
+    "small_round_sphere": _Kind(
+        None,
+        {"k": (int, "int >= 0"), "center": (_floats, "unit vector"),
+         "angular_radius": (float, "float in (0, pi/2]"),
+         "frame": (_floats, "orthonormal (k+1) x (n+1) rows, orthogonal to center")},
+        lambda n, **f: small_round_sphere(**f)),
+    "fourier_curve": _Kind(
+        3,
+        {"cos_coeffs": (_floats, "(J+1) x 4 array"), "sin_coeffs": (_floats, "(J+1) x 4 array")},
+        lambda n, **f: fourier_curve(**f)),
+    "rotated": _Kind(
+        None,
+        {**_BASE, "givens": (_givens, "list of {plane: [i, j], angle}")},
+        lambda n, base, givens: rotated(base, compose_givens(n + 1, givens))),
+    "antipodal_image": _Kind(None, _BASE, lambda n, base: antipodal_image(base)),
+    "orientation_reversed": _Kind(None, _BASE, lambda n, base: orientation_reversed(base)),
+}
 
 
 def catalog_schemas() -> dict:
     """Parameter schema per catalog kind, for the CLI listing."""
-    return {
-        "great_subsphere": {"k": "int >= 0", "axes": "list of k+1 distinct axis indices"},
-        "hopf_fiber": {"base": "unit 4-vector (z1, z2) as reals"},
-        "clifford_torus_curve": {"p": "int", "q": "int (gcd(|p|,|q|) = 1)",
-                                 "phase": "float, default 0"},
-        "small_round_sphere": {"k": "int >= 0", "center": "unit vector",
-                               "angular_radius": "float in (0, pi/2]",
-                               "frame": "orthonormal (k+1) x (n+1) rows, orthogonal to center"},
-        "fourier_curve": {"cos_coeffs": "(J+1) x 4 array", "sin_coeffs": "(J+1) x 4 array"},
-        "rotated": {"base": "catalog entry", "givens": "list of {plane: [i, j], angle}"},
-        "antipodal_image": {"base": "catalog entry"},
-        "orientation_reversed": {"base": "catalog entry"},
-    }
+    return {kind: {name: desc for name, (_, desc) in spec.fields.items()}
+            for kind, spec in _KINDS.items()}

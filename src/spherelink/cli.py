@@ -117,14 +117,10 @@ def _validate_spec(spec: dict) -> tuple:
         raise ValueError(f"method must be one of {METHODS}")
     K = build_entry(spec["K"], n)
     L = build_entry(spec["L"], n)
-    if K.dim + L.dim != n - 1:
-        raise ValueError(
-            f"dim K + dim L = {K.dim + L.dim}, but the linking integral requires "
-            f"dim K + dim L = n - 1 = {n - 1}"
-        )
+    # the engine checks dim K + dim L = n - 1; the oracle's check implies it
     if spec["method"] == "oracle" and (n != 3 or K.dim != 1 or L.dim != 1):
         raise ValueError("the oracle method requires two curves in S^3")
-    return n, K, L
+    return K, L
 
 
 def _apply_overrides(spec: dict, args) -> dict:
@@ -150,7 +146,7 @@ def _apply_overrides(spec: dict, args) -> dict:
 
 def _dispatch(spec: dict):
     """Run the spec's method, forwarding only the fields the spec holds."""
-    _, K, L = _validate_spec(spec)
+    K, L = _validate_spec(spec)
     method = spec["method"]
     grid = GridSpec(**{_GRID_NAMES.get(key, key): value for key, value
                        in _present(_object(spec, "grid"), _GRID_FIELDS, "grid.").items()})

@@ -11,7 +11,8 @@ the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
 ``grid0``, ``grid0.refined()``, ... (any grid object with a ``refined()``
 that doubles every node count; the engine's ``GridSpec`` is the only one),
 stops once two successive level values differ by less than ``tol`` or after
-``max_level`` extra doublings, and returns every level's value in the
+``max_level`` extra doublings (a required argument: the one level-cap
+default is the engine's ``MAX_LEVEL``), and returns every level's value in the
 :class:`Estimate`.  ``tol``, the error estimate and the level values are
 one number on one scale, the scale of ``level_sum``'s values: every engine
 route and the oracle return them on the scale of Lk itself, so nothing is
@@ -88,10 +89,6 @@ class QuadratureRule1D:
             raise ValueError("node count must be positive")
         if not self.b > self.a:
             raise ValueError("interval must have positive length")
-
-    @property
-    def periodic(self) -> bool:
-        return self.kind == "periodic_trapezoid"
 
     def nodes_weights(self):
         if self.kind == "periodic_trapezoid":
@@ -197,11 +194,13 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     return len(spans)
 
 
-def refine_until(grid0, level_sum, tol: float, max_level: int = 6) -> Estimate:
+def refine_until(grid0, level_sum, tol: float, max_level: int) -> Estimate:
     """Double every node count until the Richardson estimate drops below tol.
 
     level_sum(grid) integrates one level; grid0.refined() gives the next
-    grid.  Levels 0 and 1 always run, then at most max_level more.  tol is
+    grid.  Levels 0 and 1 always run, then at most max_level more.
+    max_level is required and has no default here: the run default is the
+    engine's ``MAX_LEVEL``, which every route and the oracle pass on.  tol is
     compared with the last two level values as level_sum returns them, and
     the Estimate's error_estimate is exactly that difference.  Never raises
     on non-convergence; the returned Estimate carries ``converged=False``

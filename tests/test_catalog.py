@@ -20,6 +20,33 @@ def batch_points(m, coords):
     return m.batch(np.asarray(coords, dtype=float))
 
 
+def chart_grid(m, samples=7):
+    """Interior tensor grid over the chart of m, (samples^dim, dim)."""
+    axes = [np.linspace(cd.lo, cd.hi, samples + 2)[1:-1] for cd in m.chart_domain]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def hopf_reference(base, t):
+    """Direct formula of the Hopf orbit t -> (z1 e^{it}, z2 e^{it})."""
+    a1, b1, a2, b2 = base
+    c, s = np.cos(t), np.sin(t)
+    pts = np.column_stack([a1 * c - b1 * s, a1 * s + b1 * c,
+                           a2 * c - b2 * s, a2 * s + b2 * c])
+    tan = np.column_stack([-a1 * s - b1 * c, a1 * c - b1 * s,
+                           -a2 * s - b2 * c, a2 * c - b2 * s])
+    return pts, tan
+
+
+def torus_reference(p, q, phase, s):
+    """Direct formula of the (p, q) curve (e^{ips}, e^{i(qs + phase)}) / sqrt 2."""
+    r = 1.0 / np.sqrt(2.0)
+    pts = r * np.column_stack([np.cos(p * s), np.sin(p * s),
+                               np.cos(q * s + phase), np.sin(q * s + phase)])
+    tan = r * np.column_stack([-p * np.sin(p * s), p * np.cos(p * s),
+                               -q * np.sin(q * s + phase), q * np.cos(q * s + phase)])
+    return pts, tan
+
+
 class TestGreatSubsphere:
     def test_circle_parametrization(self):
         c = great_subsphere(1, (0, 1), 3)
@@ -76,6 +103,23 @@ class TestGreatSubsphere:
         with pytest.raises(ValueError):
             great_subsphere(1, (0,), 3)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_is_round_sphere_of_radius_half_pi(self, n):
+        # a great k-sphere is the round sphere of angular radius pi/2 about
+        # any unit vector orthogonal to its block, framed by the block's axes
+        eye = np.eye(n + 1)
+        for k in range(n):
+            axes = tuple(range(n - k, n + 1))[::-1]
+            great = great_subsphere(k, axes, n)
+            round_ = small_round_sphere(k, eye[0], np.pi / 2, eye[list(axes)])
+            if k == 0:
+                for a, b in zip(great.signed_points(), round_.signed_points()):
+                    assert np.max(np.abs(a - b)) <= 1e-15
+                continue
+            coords = chart_grid(great, 5)
+            for a, b in zip(great.batch(coords), round_.batch(coords)):
+                assert np.max(np.abs(a - b)) <= 1e-15
+
     def test_evaluate_contract(self):
         m = great_subsphere(2, (0, 2, 4), 5)
         tc = m.evaluate([1.0, 2.0])
@@ -96,6 +140,15 @@ class TestHopfFiber:
         pts2, _ = f2.batch(t)
         assert np.allclose(pts2, np.column_stack(
             [0 * t[:, 0], 0 * t[:, 0], np.cos(t[:, 0]), np.sin(t[:, 0])]), atol=1e-15)
+
+    def test_matches_direct_formula(self):
+        b = np.array([0.3, -0.2, 0.8, 0.4])
+        for base in ((1, 0, 0, 0), b / np.linalg.norm(b)):
+            t = np.linspace(0.0, 2 * np.pi, 97)
+            pts, tan = hopf_fiber(base).batch(t[:, None])
+            ref_pts, ref_tan = hopf_reference(np.asarray(base, dtype=float), t)
+            assert np.max(np.abs(pts - ref_pts)) <= 1e-14
+            assert np.max(np.abs(tan[:, :, 0] - ref_tan)) <= 1e-14
 
     def test_requires_unit_base(self):
         with pytest.raises(ValueError):
@@ -129,6 +182,16 @@ class TestCliffordCurve:
         c2 = clifford_torus_curve(0, 1)
         pts2, _ = c2.batch(s)
         assert np.allclose(pts2[0], [r, 0, r * np.cos(0.9), r * np.sin(0.9)])
+
+    @pytest.mark.parametrize("p, q, phase", [
+        (1, 1, 0.0), (1, -1, 0.0), (2, 3, np.pi / 4), (1, 0, 0.0), (0, 1, 0.0), (-2, 1, 0.0),
+    ])
+    def test_matches_direct_formula(self, p, q, phase):
+        s = np.linspace(0.0, 2 * np.pi, 97)
+        pts, tan = clifford_torus_curve(p, q, phase).batch(s[:, None])
+        ref_pts, ref_tan = torus_reference(p, q, phase, s)
+        assert np.max(np.abs(pts - ref_pts)) <= 1e-14
+        assert np.max(np.abs(tan[:, :, 0] - ref_tan)) <= 1e-14
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,47 @@ NEAR_MISS = dict(
 )
 
 
+# `spherelink catalog` output, plain and --json, pinned byte for byte
+CATALOG_PLAIN = """\
+antipodal_image
+  base: catalog entry
+clifford_torus_curve
+  p: int
+  q: int (gcd(|p|,|q|) = 1)
+  phase: float, default 0
+fourier_curve
+  cos_coeffs: (J+1) x 4 array
+  sin_coeffs: (J+1) x 4 array
+great_subsphere
+  k: int >= 0
+  axes: list of k+1 distinct axis indices
+hopf_fiber
+  base: unit 4-vector (z1, z2) as reals
+orientation_reversed
+  base: catalog entry
+rotated
+  base: catalog entry
+  givens: list of {plane: [i, j], angle}
+small_round_sphere
+  k: int >= 0
+  center: unit vector
+  angular_radius: float in (0, pi/2]
+  frame: orthonormal (k+1) x (n+1) rows, orthogonal to center
+"""
+CATALOG_JSON = (
+    '{"antipodal_image": {"base": "catalog entry"}, '
+    '"clifford_torus_curve": {"p": "int", "phase": "float, default 0", '
+    '"q": "int (gcd(|p|,|q|) = 1)"}, '
+    '"fourier_curve": {"cos_coeffs": "(J+1) x 4 array", "sin_coeffs": "(J+1) x 4 array"}, '
+    '"great_subsphere": {"axes": "list of k+1 distinct axis indices", "k": "int >= 0"}, '
+    '"hopf_fiber": {"base": "unit 4-vector (z1, z2) as reals"}, '
+    '"orientation_reversed": {"base": "catalog entry"}, '
+    '"rotated": {"base": "catalog entry", "givens": "list of {plane: [i, j], angle}"}, '
+    '"small_round_sphere": {"angular_radius": "float in (0, pi/2]", "center": "unit vector", '
+    '"frame": "orthonormal (k+1) x (n+1) rows, orthogonal to center", "k": "int >= 0"}}\n'
+)
+
+
 def write_spec(tmp_path, spec, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec))
@@ -336,6 +377,14 @@ class TestCatalogCmd:
         code, out, _ = run(capsys, ["catalog", "--json"])
         schemas = json.loads(out)
         assert set(schemas["clifford_torus_curve"]) == {"p", "q", "phase"}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["catalog"], CATALOG_PLAIN), (["catalog", "--json"], CATALOG_JSON),
+    ])
+    def test_output_pinned(self, capsys, argv, expected):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == expected
 
 
 class TestOracleCmd:

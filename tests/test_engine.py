@@ -473,6 +473,43 @@ class TestLkScale:
         assert r.raw_value == r.level_values[-1]
 
 
+class TestHonestErrorEstimate:
+    """A report's error estimate bounds its distance from the value on the
+    grid 2x finer than its last level, up to a round-off floor."""
+
+    ROUNDOFF_FLOOR = 1e-12
+    ROUTES = {
+        "main": lambda K, L, grid, **kw: evaluate_main_theorem(K, L, grid, **kw),
+        "corollary": lambda K, L, grid, **kw: evaluate_corollary(K, L, grid, **kw),
+        "join-reduced": lambda K, L, grid, **kw: evaluate_join_degree(K, L, grid, **kw),
+        "join-full": lambda K, L, grid, **kw: evaluate_join_degree(K, L, grid, "full", **kw),
+        "oracle": lambda K, L, grid, **kw: oracle_linking(K, L, m=grid.curve, **kw),
+    }
+    PAIRS = {
+        "hopf": (hopf_pair, GridSpec(curve=8, u=4)),
+        "clifford_2_3": (lambda: clifford_pair(2, 3, np.pi / 4), GridSpec(curve=64)),
+        "great_1_2": (lambda: great_pair(1, 2), GridSpec(curve=8, surface=4, u=3)),
+        "great_2_2": (lambda: great_pair(2, 2), GridSpec(surface=4)),
+    }
+    CASES = ([("hopf", route) for route in ROUTES]
+             + [("clifford_2_3", route) for route in ("main", "corollary", "join-reduced",
+                                                      "oracle")]
+             + [("great_1_2", route) for route in ("main", "corollary", "join-reduced",
+                                                   "join-full")]
+             + [("great_2_2", route) for route in ("main", "corollary", "join-reduced")])
+
+    @pytest.mark.parametrize("pair, route", CASES)
+    def test_estimate_bounds_finer_grid(self, pair, route):
+        make, grid = self.PAIRS[pair]
+        K, L = make()
+        run = self.ROUTES[route]
+        r = run(K, L, grid, tol=1e-6, max_level=2)
+        finer = run(K, L, grid, tol=0.0, max_level=r.levels_used + 1)
+        assert finer.level_values[:-1] == r.level_values
+        ref = finer.level_values[-1]
+        assert abs(r.raw_value - ref) <= r.error_estimate + self.ROUNDOFF_FLOOR
+
+
 class TestSymmetries:
     def test_anticommutation(self):
         K, L = great_pair(1, 2)

@@ -29,7 +29,8 @@ def weighted_sum(f, *intervals):
 
 def integrate(m, f, *intervals):
     """m nodes per interval refined once, with the difference against m."""
-    return refine_until(GridSpec(curve=m), weighted_sum(f, *intervals), tol=np.inf)
+    return refine_until(GridSpec(curve=m), weighted_sum(f, *intervals), tol=np.inf,
+                        max_level=0)
 
 
 class TestRules:
@@ -137,7 +138,7 @@ class TestRefineUntil:
     def test_infinite_tol_returns_base(self):
         g = GridSpec(curve=8)
         level_sum = weighted_sum(lambda p: np.exp(np.sin(p[:, 0])), PERIOD)
-        est = refine_until(g, level_sum, tol=np.inf)
+        est = refine_until(g, level_sum, tol=np.inf, max_level=0)
         coarse, fine = level_sum(g), level_sum(g.refined())
         assert est.levels_used == 0
         assert est.value == fine
@@ -150,7 +151,7 @@ class TestRefineUntil:
         level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         for tol in (-1.0, np.nan):
             with pytest.raises(ValueError, match="tolerance"):
-                refine_until(g, level_sum, tol=tol)
+                refine_until(g, level_sum, tol=tol, max_level=0)
         est = refine_until(g, level_sum, tol=0.0, max_level=3)
         assert est.levels_used == 3
         assert len(est.level_values) == 5
