@@ -1,7 +1,8 @@
 """Parametrized oriented submanifolds of S^n with analytic tangent frames.
 
-Every entry exposes a chart (interval per dimension, with periodicity
-flags), a vectorized embedding `batch`, and a single-point `evaluate`
+Every entry exposes a chart (one :class:`spherelink.quadrature.ChartDim`
+per dimension: an interval, periodic or open, that owns its quadrature
+rule), a vectorized embedding `batch`, and a single-point `evaluate`
 returning the base point with its ordered tangent columns.  Chart
 coordinate order carries the orientation.
 
@@ -28,19 +29,23 @@ signed summation with weight +-1 per point.
 One kind table (`_KINDS`) describes every JSON catalog kind: its required
 ambient dimension, its fields with their converters and descriptions, and
 the factory they feed.  `build_entry` and `catalog_schemas` both read it.
+Its number fields, and the command line's, go through one strict integer
+converter (`_int`) and one strict number converter (`_float`): a boolean, a
+string or a non-integral value for an integer is a malformed field, never
+truncated or coerced.
 """
 
+import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .quadrature import ChartDim, product_rule
 from .spheregeom import SpherePoint, TangentColumns, _check_rotation, compose_givens
 
 __all__ = [
-    "ChartDim",
     "OrientedSubmanifold",
     "great_subsphere",
     "hopf_fiber",
@@ -55,15 +60,19 @@ __all__ = [
     "catalog_schemas",
 ]
 
-# Samples per chart dimension of the construction-time sanity check.
+# Samples per chart dimension of the construction-time sanity check, and
+# the most points it takes in all: 9^k up to k = 4, fewer per factor above.
 _VALIDATION_SAMPLES = 9
+_VALIDATION_POINTS = _VALIDATION_SAMPLES ** 4
 
 
-@dataclass(frozen=True)
-class ChartDim:
-    lo: float
-    hi: float
-    periodic: bool
+def _validation_samples(dim: int) -> int:
+    """Samples per chart factor of the sanity check: 9, lowered for dim >= 5
+    until the grid holds at most _VALIDATION_POINTS points; at least 1."""
+    m = _VALIDATION_SAMPLES
+    while m > 1 and m ** dim > _VALIDATION_POINTS:
+        m -= 1
+    return m
 
 
 class OrientedSubmanifold(ABC):
@@ -102,11 +111,11 @@ class OrientedSubmanifold(ABC):
             if not np.all(np.abs(signs) == 1):
                 raise ValueError("point-set signs must be +-1")
             return
+        m = _validation_samples(self.dim)
         axes = []
         for cd in self.chart_domain:
             span = cd.hi - cd.lo
-            frac = np.arange(_VALIDATION_SAMPLES) / _VALIDATION_SAMPLES if cd.periodic \
-                else (np.arange(_VALIDATION_SAMPLES) + 0.5) / _VALIDATION_SAMPLES
+            frac = np.arange(m) / m if cd.periodic else (np.arange(m) + 0.5) / m
             axes.append(cd.lo + span * frac)
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.column_stack([g.ravel() for g in mesh])
@@ -342,6 +351,8 @@ def great_subsphere(k: int, axes, ambient_n: int) -> OrientedSubmanifold:
     with the blocks (0..k) and (k+1..n) the two subspheres link once with
     sign +1.  For k = 0 the result is the signed point pair {+e, -e}.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     axes = tuple(int(a) for a in axes)
     if k == 0:
         if len(axes) != 1 or not 0 <= axes[0] <= ambient_n:
@@ -398,6 +409,8 @@ def small_round_sphere(k: int, center, angular_radius: float, frame) -> Oriented
     result is the signed point pair at angular_radius from the center along
     +frame[0] (sign +1) and -frame[0] (sign -1).
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     center = np.asarray(center, dtype=float)
     frame = np.asarray(frame, dtype=float)
     d = center.size
@@ -441,24 +454,18 @@ def orientation_reversed(m: OrientedSubmanifold) -> OrientedSubmanifold:
 
 
 def alpha_range_scan(k_manifold, l_manifold, samples_per_dim: int = 32):
-    """Geodesic-distance range between two entries over a dense chart scan."""
-    pk = _scan_points(k_manifold, samples_per_dim)
-    pl = _scan_points(l_manifold, samples_per_dim)
+    """Geodesic-distance range (min, max) between two entries on quadrature nodes.
+
+    Each side is sampled at the nodes of its chart's quadrature product
+    (:func:`spherelink.quadrature.product_rule`) with samples_per_dim nodes
+    per factor, a point set at its signed points, so at m the scan sees
+    exactly the nodes an engine route integrates on a grid of m nodes.
+    """
+    pk, pl = (m.signed_points()[0] if m.dim == 0
+              else m.batch(product_rule(m.chart_domain, samples_per_dim)[0])[0]
+              for m in (k_manifold, l_manifold))
     dots = np.clip(pk @ pl.T, -1.0, 1.0)
     return float(np.arccos(np.max(dots))), float(np.arccos(np.min(dots)))
-
-
-def _scan_points(m: OrientedSubmanifold, samples_per_dim: int):
-    if m.dim == 0:
-        return m.signed_points()[0]
-    axes = []
-    for cd in m.chart_domain:
-        span = cd.hi - cd.lo
-        frac = (np.arange(samples_per_dim) + 0.5) / samples_per_dim
-        axes.append(cd.lo + span * frac)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.column_stack([g.ravel() for g in mesh])
-    return m.batch(coords)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +488,35 @@ class _Kind(NamedTuple):
     optional: tuple = ()
 
 
+def _int(value) -> int:
+    """A JSON integer: an integral number, 3.0 included; a bool, a string
+    or 1.5 raises ValueError."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A JSON number as a float; a bool or a string raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _ints(value):
-    return [int(a) for a in value]
+    return [_int(a) for a in value]
 
 
 def _floats(value):
-    return np.asarray(value, dtype=float)
+    """A JSON number or (nested) list of numbers as a float array."""
+    if isinstance(value, (list, tuple)):
+        return np.array([_floats(v) for v in value], dtype=float)
+    return _float(value)
 
 
 def _givens(value):
-    return [(_ints(g["plane"]), float(g["angle"])) for g in value]
+    return [(_ints(g["plane"]), _float(g["angle"])) for g in value]
 
 
 def build_entry(entry: dict, ambient_n: int) -> OrientedSubmanifold:
@@ -510,7 +536,7 @@ def build_entry(entry: dict, ambient_n: int) -> OrientedSubmanifold:
             return build_entry(value, ambient_n)
         try:
             return conv(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"catalog entry {kind!r} field {name!r} is malformed: {value!r}") from exc
 
@@ -532,7 +558,7 @@ _BASE = {"base": (build_entry, "catalog entry")}
 _KINDS = {
     "great_subsphere": _Kind(
         None,
-        {"k": (int, "int >= 0"), "axes": (_ints, "list of k+1 distinct axis indices")},
+        {"k": (_int, "int >= 0"), "axes": (_ints, "list of k+1 distinct axis indices")},
         lambda n, k, axes: great_subsphere(k, axes, n)),
     "hopf_fiber": _Kind(
         3,
@@ -540,14 +566,14 @@ _KINDS = {
         lambda n, base: hopf_fiber(base)),
     "clifford_torus_curve": _Kind(
         3,
-        {"p": (int, "int"), "q": (int, "int (gcd(|p|,|q|) = 1)"),
-         "phase": (float, "float, default 0")},
+        {"p": (_int, "int"), "q": (_int, "int (gcd(|p|,|q|) = 1)"),
+         "phase": (_float, "float, default 0")},
         lambda n, **f: clifford_torus_curve(**f),
         optional=("phase",)),
     "small_round_sphere": _Kind(
         None,
-        {"k": (int, "int >= 0"), "center": (_floats, "unit vector"),
-         "angular_radius": (float, "float in (0, pi/2]"),
+        {"k": (_int, "int >= 0"), "center": (_floats, "unit vector"),
+         "angular_radius": (_float, "float in (0, pi/2]"),
          "frame": (_floats, "orthonormal (k+1) x (n+1) rows, orthogonal to center")},
         lambda n, **f: small_round_sphere(**f)),
     "fourier_curve": _Kind(

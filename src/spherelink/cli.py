@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .catalog import build_entry, catalog_schemas
+from .catalog import _float, _int, build_entry, catalog_schemas
 from .engine import (
     TOL,
     DisjointnessError,
@@ -38,11 +38,21 @@ from .kernels import get_evaluator
 from .oracle import oracle_linking
 
 METHODS = ("main", "corollary", "join-full", "join-reduced", "oracle")
-# optional spec fields and their types, forwarded to the engine only when
-# present, so an absent field takes the engine's default
-_RUN_FIELDS = {"tol": float, "max_level": int, "min_alpha": float}
-_THRESHOLD_FIELDS = {"residual_cap": float, "error_mult": float, "error_floor": float}
-_GRID_FIELDS = {"curve": int, "surface": int, "u": int, "k": int, "l": int}
+
+
+def _count(value) -> int:
+    """A grid node count: an integer >= 1."""
+    count = _int(value)
+    if count < 1:
+        raise ValueError(f"expected a node count >= 1, got {value!r}")
+    return count
+
+
+# optional spec fields and their converters, forwarded to the engine only
+# when present, so an absent field takes the engine's default
+_RUN_FIELDS = {"tol": _float, "max_level": _int, "min_alpha": _float}
+_THRESHOLD_FIELDS = {"residual_cap": _float, "error_mult": _float, "error_floor": _float}
+_GRID_FIELDS = {"curve": _count, "surface": _count, "u": _count, "k": _count, "l": _count}
 # grid keys named otherwise on GridSpec
 _GRID_NAMES = {"k": "k_nodes", "l": "l_nodes"}
 
@@ -90,9 +100,8 @@ def _field(obj: dict, key: str, conv, where: str = ""):
     naming the field."""
     try:
         return conv(obj[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"spec field '{where}{key}' must be {conv.__name__}, got {obj[key]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"spec field '{where}{key}' is malformed: {exc}") from exc
 
 
 def _present(obj: dict, fields: dict, where: str = "") -> dict:
@@ -112,7 +121,7 @@ def _validate_spec(spec: dict) -> tuple:
     for field in ("ambient_n", "K", "L", "method"):
         if field not in spec:
             raise ValueError(f"spec is missing required field {field!r}")
-    n = _field(spec, "ambient_n", int)
+    n = _field(spec, "ambient_n", _int)
     if spec["method"] not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     K = build_entry(spec["K"], n)

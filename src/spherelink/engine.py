@@ -57,9 +57,8 @@ import numpy as np
 from . import kernels
 from .catalog import OrientedSubmanifold
 from .quadrature import (
-    ProductGrid,
-    gauss_legendre,
-    periodic_trapezoid,
+    ChartDim,
+    product_rule,
     refine_until,
     run_chunked,
     tree_sum,
@@ -398,22 +397,12 @@ def _check_pair(K: OrientedSubmanifold, L: OrientedSubmanifold):
     return K.dim, L.dim, n
 
 
-def _rules_for(m: OrientedSubmanifold, nodes: int):
-    rules = []
-    for cd in m.chart_domain:
-        if cd.periodic:
-            rules.append(periodic_trapezoid(cd.lo, cd.hi, nodes))
-        else:
-            rules.append(gauss_legendre(cd.lo, cd.hi, nodes))
-    return rules
-
-
 def _side_arrays(m: OrientedSubmanifold, nodes: int):
     """Points, base+tangent frames and weights for one side."""
     if m.dim == 0:
         pts, signs = m.signed_points()
         return pts, pts[:, :, None], signs
-    coords, w = ProductGrid(_rules_for(m, nodes)).points_weights()
+    coords, w = product_rule(m.chart_domain, nodes)
     pts, tan = m.batch(coords)
     return pts, np.concatenate([pts[:, :, None], tan], axis=2), w
 
@@ -503,7 +492,7 @@ def _join_terms(scale, K, L, grid):
     pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
     wk = scale * wk
     pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
-    u, wu = gauss_legendre(0.0, 1.0, grid.u).nodes_weights()
+    u, wu = ChartDim(0.0, 1.0, False).rule(grid.u)
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
     pair_bytes = 8 * d * d * u.size

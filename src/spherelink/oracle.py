@@ -31,7 +31,7 @@ import numpy as np
 
 from .catalog import OrientedSubmanifold
 from .engine import MAX_LEVEL, TOL, GridSpec, LinkingReport, _Level, _refined_report
-from .quadrature import periodic_trapezoid
+from .quadrature import ChartDim, product_rule
 
 __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
            "find_pole", "POLE_CANDIDATES"]
@@ -45,8 +45,8 @@ class EuclideanCurve:
     period: float = 2 * np.pi
 
     def sample(self, m: int):
-        s = np.arange(m) * (self.period / m)
-        return self.evaluate(s)
+        """Points and velocities at the m nodes of the periodic trapezoid rule."""
+        return self.evaluate(ChartDim(0.0, self.period, True).rule(m)[0])
 
 
 def _candidate_poles():
@@ -76,8 +76,7 @@ _MIN_DISTANCE = 1e-3
 def _curve_points(curve: OrientedSubmanifold, m: int):
     if curve.ambient_n != 3 or curve.dim != 1:
         raise ValueError("the oracle handles curves on S^3 only")
-    s = np.arange(m) * (2 * np.pi / m)
-    return curve.batch(s[:, None])
+    return curve.batch(product_rule(curve.chart_domain, m)[0])
 
 
 def find_pole(curves) -> np.ndarray:
@@ -145,8 +144,7 @@ def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level
     weights and the 1 / 4 pi are folded into the velocities.
     """
     m = grid.curve
-    (sk, wk), (sl, wl) = (periodic_trapezoid(0.0, c.period, m).nodes_weights()
-                          for c in (K, L))
+    (sk, wk), (sl, wl) = (ChartDim(0.0, c.period, True).rule(m) for c in (K, L))
     x, dx = K.evaluate(sk)
     y, dy = L.evaluate(sl)
     if min(float(np.min(np.linalg.norm(dx, axis=1))),

@@ -1,10 +1,15 @@
-"""Tensor-product quadrature with deterministic summation.
+"""Chart quadrature, the refinement loop and deterministic summation.
 
-Rules are chosen to match chart structure: periodic chart directions use
-the uniform (periodic) trapezoid rule, which is spectrally accurate for
-smooth periodic integrands; open directions use Gauss-Legendre, whose
-nodes are strictly interior, so chart endpoints (e.g. the poles of a
-spherical chart) are never sampled.
+Chart sampling has one home here.  A chart factor, :class:`ChartDim`, owns
+its 1-D rule: periodic factors take the uniform (periodic) trapezoid rule,
+which is spectrally accurate for smooth periodic integrands, and open
+factors take Gauss-Legendre, whose nodes are strictly interior, so chart
+endpoints (e.g. the poles of a spherical chart) are never sampled.
+:func:`product_rule` maps a chart domain and one node count, shared by
+every factor, to the lexicographic product of those rules.  Every route,
+the oracle and the catalog's separation scan lay out their chart and curve
+nodes through these two; only the catalog's construction-time sanity
+checks on outside input keep layouts of their own.
 
 Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
 the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
@@ -35,11 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "QuadratureRule1D",
-    "ProductGrid",
+    "ChartDim",
+    "product_rule",
     "Estimate",
-    "periodic_trapezoid",
-    "gauss_legendre",
     "tree_sum",
     "tree_sum_axis",
     "refine_until",
@@ -74,62 +77,39 @@ def _leggauss(m: int):
 
 
 @dataclass(frozen=True)
-class QuadratureRule1D:
-    """One quadrature factor: rule kind, interval, node count."""
+class ChartDim:
+    """One chart factor: the interval [lo, hi], periodic or open."""
 
-    kind: str  # "periodic_trapezoid" or "gauss_legendre"
-    a: float
-    b: float
-    m: int
+    lo: float
+    hi: float
+    periodic: bool
 
-    def __post_init__(self):
-        if self.kind not in ("periodic_trapezoid", "gauss_legendre"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.m < 1:
+    def rule(self, m: int):
+        """Nodes and weights of m points: the periodic trapezoid rule on a
+        periodic factor, Gauss-Legendre on an open one."""
+        if m < 1:
             raise ValueError("node count must be positive")
-        if not self.b > self.a:
+        if not self.hi > self.lo:
             raise ValueError("interval must have positive length")
-
-    def nodes_weights(self):
-        if self.kind == "periodic_trapezoid":
-            h = (self.b - self.a) / self.m
-            return self.a + h * np.arange(self.m), np.full(self.m, h)
-        x, w = _leggauss(self.m)
-        mid, half = 0.5 * (self.b + self.a), 0.5 * (self.b - self.a)
+        if self.periodic:
+            h = (self.hi - self.lo) / m
+            return self.lo + h * np.arange(m), np.full(m, h)
+        x, w = _leggauss(m)
+        mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
         return mid + half * x, half * w
 
 
-def periodic_trapezoid(a: float, b: float, m: int) -> QuadratureRule1D:
-    return QuadratureRule1D("periodic_trapezoid", a, b, m)
-
-
-def gauss_legendre(a: float, b: float, m: int) -> QuadratureRule1D:
-    return QuadratureRule1D("gauss_legendre", a, b, m)
-
-
-class ProductGrid:
-    """Tensor product of 1-D rules; nodes in lexicographic factor order."""
-
-    def __init__(self, rules):
-        self.rules = tuple(rules)
-
-    def points_weights(self):
-        """Flat node coordinates (N, d) and weights (N,), lexicographic."""
-        if not self.rules:
-            return np.zeros((1, 0)), np.ones(1)
-        nodes = []
-        weights = []
-        for r in self.rules:
-            x, w = r.nodes_weights()
-            nodes.append(x)
-            weights.append(w)
-        mesh = np.meshgrid(*nodes, indexing="ij")
-        pts = np.column_stack([g.ravel() for g in mesh])
-        wmesh = np.meshgrid(*weights, indexing="ij")
-        wts = wmesh[0].ravel().copy()
-        for g in wmesh[1:]:
-            wts *= g.ravel()
-        return pts, wts
+def product_rule(domain, m: int):
+    """Tensor product of each factor's rule at m nodes: flat coordinates
+    (N, d) and weights (N,), lexicographic with the first factor slowest."""
+    nodes, weights = zip(*(cd.rule(m) for cd in domain))
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in mesh])
+    wmesh = np.meshgrid(*weights, indexing="ij")
+    wts = wmesh[0].ravel().copy()
+    for g in wmesh[1:]:
+        wts *= g.ravel()
+    return pts, wts
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from spherelink import kernels
 from spherelink.cli import main as cli_main
 from spherelink.engine import _kernel_terms, _level_sum, _side_arrays
 from spherelink.oracle import oracle_linking
-from spherelink.quadrature import ProductGrid, periodic_trapezoid
 from spherelink.spheregeom import _vol_sphere_any
 
 from conftest import (

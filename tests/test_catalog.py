@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,16 @@ from spherelink import (
     rotated,
     small_round_sphere,
 )
-from spherelink.catalog import alpha_range_scan, build_entry, catalog_schemas
+from spherelink.catalog import (
+    _VALIDATION_POINTS,
+    _validation_samples,
+    alpha_range_scan,
+    build_entry,
+    catalog_schemas,
+)
+from spherelink.engine import _side_arrays
 
-from conftest import random_rotation
+from conftest import random_fourier_pair, random_rotation, small_sphere_pair
 
 
 def batch_points(m, coords):
@@ -102,6 +111,21 @@ class TestGreatSubsphere:
             great_subsphere(3, (0, 1, 2, 3), 3)
         with pytest.raises(ValueError):
             great_subsphere(1, (0,), 3)
+
+    def test_negative_k_names_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            great_subsphere(-1, [], 3)
+
+    def test_validation_grid_bounded(self):
+        # 9 samples per chart factor up to k = 4; above, fewer, so that the
+        # construction-time check takes at most 9^4 points
+        assert [_validation_samples(k) for k in range(1, 5)] == [9] * 4
+        for k in range(5, 40):
+            m = _validation_samples(k)
+            assert m >= 1 and m ** k <= _VALIDATION_POINTS
+        t0 = time.perf_counter()
+        assert great_subsphere(8, range(9), 9).dim == 8
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_is_round_sphere_of_radius_half_pi(self, n):
@@ -238,6 +262,8 @@ class TestSmallRoundSphere:
         bad_frame[1, 1] = 1.0
         with pytest.raises(ValueError):
             small_round_sphere(1, [0, 0, 1, 0], 0.5, bad_frame)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            small_round_sphere(-1, [0, 0, 1, 0], 0.5, np.zeros((0, 4)))
 
 
 class TestFourierCurve:
@@ -337,6 +363,18 @@ class TestDisjointnessScan:
             assert amin > 0.01
             assert amin <= amax <= np.pi
 
+    @pytest.mark.parametrize("pair, m", [
+        (lambda: random_fourier_pair(np.random.default_rng(7)), 16),
+        (lambda: small_sphere_pair(0, 1), 8), (lambda: small_sphere_pair(1, 2), 6),
+        (lambda: small_sphere_pair(2, 2), 5)])
+    def test_scan_sees_engine_nodes(self, pair, m):
+        # at m the scan samples exactly the nodes an engine route integrates
+        # on a grid of m nodes per chart factor
+        K, L = pair()
+        dots = np.clip(_side_arrays(K, m)[0] @ _side_arrays(L, m)[0].T, -1.0, 1.0)
+        assert alpha_range_scan(K, L, m) == (float(np.arccos(dots.max())),
+                                             float(np.arccos(dots.min())))
+
 
 class TestBuildEntry:
     def test_each_kind(self):
@@ -373,6 +411,32 @@ class TestBuildEntry:
             build_entry({"kind": "hopf_fiber", "base": [1, 0, 0, 0]}, 4)
         with pytest.raises(ValueError):
             build_entry("not a dict", 3)
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"kind": "great_subsphere", "k": 1.9, "axes": [0.7, 1.2]}, "'k'"),
+        ({"kind": "great_subsphere", "k": 1, "axes": [0.7, 1.2]}, "'axes'"),
+        ({"kind": "great_subsphere", "k": True, "axes": [0, 1]}, "'k'"),
+        ({"kind": "clifford_torus_curve", "p": 2.9, "q": True}, "'p'"),
+        ({"kind": "clifford_torus_curve", "p": 2, "q": True}, "'q'"),
+        ({"kind": "clifford_torus_curve", "p": 2, "q": 3, "phase": False}, "'phase'"),
+        ({"kind": "clifford_torus_curve", "p": "2", "q": 3}, "'p'"),
+        ({"kind": "hopf_fiber", "base": [True, 0, 0, 0]}, "'base'"),
+        ({"kind": "rotated", "base": {"kind": "great_subsphere", "k": 1, "axes": [0, 1]},
+          "givens": [{"plane": [0, 2.5], "angle": 0.3}]}, "'givens'"),
+    ])
+    def test_strict_numbers(self, entry, field):
+        # integer fields refuse bools and non-integral numbers, float fields
+        # refuse bools and strings, instead of truncating or coercing them
+        with pytest.raises(ValueError, match=f"field {field} is malformed"):
+            build_entry(entry, 3)
+
+    def test_integral_floats_accepted(self):
+        a = build_entry({"kind": "great_subsphere", "k": 1.0, "axes": [2.0, 3.0]}, 3)
+        b = build_entry({"kind": "great_subsphere", "k": 1, "axes": [2, 3]}, 3)
+        s = np.linspace(0.0, 6.0, 7)[:, None]
+        assert all(np.array_equal(x, y) for x, y in zip(a.batch(s), b.batch(s)))
+        torus = build_entry({"kind": "clifford_torus_curve", "p": 2.0, "q": 3.0}, 3)
+        assert np.array_equal(torus.batch(s)[0], clifford_torus_curve(2, 3).batch(s)[0])
 
     def test_schemas_cover_kinds(self):
         schemas = catalog_schemas()

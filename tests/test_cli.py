@@ -214,6 +214,17 @@ class TestLink:
         ({"L": {"kind": "hopf_fiber", "base": {}}}, "base"),
         ({"L": {"kind": "rotated", "givens": 5,
                 "base": {"kind": "great_subsphere", "k": 1, "axes": [2, 3]}}}, "givens"),
+        # strict numbers: no truncation of non-integral values, no booleans
+        ({"ambient_n": 3.7}, "'ambient_n'"),
+        ({"grid": {"curve": 16.8}}, "'grid.curve'"),
+        ({"max_level": 1.9}, "'max_level'"),
+        ({"grid": {"curve": True}}, "'grid.curve'"),
+        ({"tol": False}, "'tol'"),
+        ({"K": {"kind": "great_subsphere", "k": 1.9, "axes": [0.7, 1.2]}}, "'k'"),
+        # a node count below 1 or a negative dimension names its field
+        ({"method": "join-full", "grid": {"u": 0}}, "'grid.u'"),
+        ({"grid": {"curve": -4}}, "'grid.curve'"),
+        ({"K": {"kind": "great_subsphere", "k": -1, "axes": []}}, "k must be >= 0"),
     ])
     def test_malformed_field_exit_1(self, tmp_path, capsys, change, field):
         spec = dict(GREAT_CIRCLES, **change) if isinstance(change, dict) else change
@@ -221,6 +232,17 @@ class TestLink:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and field in err
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        # 3.0 is the integer 3: the run matches the all-integer spec's
+        spec = dict(GREAT_CIRCLES, grid={"curve": 16, "u": 4}, max_level=1)
+        floats = dict(spec, ambient_n=3.0, grid={"curve": 16.0, "u": 4.0}, max_level=1.0)
+        reports = []
+        for each in (spec, floats):
+            code, out, _ = run(capsys, ["link", write_spec(tmp_path, each), "--stable"])
+            assert code == 0
+            reports.append(json.loads(out)["report"])
+        assert reports[0] == reports[1]
 
     def test_threshold_overrides(self, tmp_path, capsys):
         # an absurdly tight residual cap turns an accepted run into exit 2

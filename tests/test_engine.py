@@ -1,5 +1,5 @@
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from conftest import (
     great_pair,
     hopf_pair,
     random_fourier_pair,
+    small_sphere_pair,
     threading_circles,
 )
 
@@ -490,13 +491,18 @@ class TestHonestErrorEstimate:
         "clifford_2_3": (lambda: clifford_pair(2, 3, np.pi / 4), GridSpec(curve=64)),
         "great_1_2": (lambda: great_pair(1, 2), GridSpec(curve=8, surface=4, u=3)),
         "great_2_2": (lambda: great_pair(2, 2), GridSpec(surface=4)),
+        "small_1_1": (lambda: small_sphere_pair(1, 1), GridSpec(curve=16, u=6)),
+        "small_1_2": (lambda: small_sphere_pair(1, 2), GridSpec(curve=8, surface=6)),
+        "fourier_7": (lambda: random_fourier_pair(np.random.default_rng(7)),
+                      GridSpec(curve=16, u=6)),
+        "great_0_1": (lambda: great_pair(0, 1), GridSpec(curve=8, u=4)),
+        "great_1_3": (lambda: great_pair(1, 3), GridSpec(curve=8, surface=4)),
     }
-    CASES = ([("hopf", route) for route in ROUTES]
-             + [("clifford_2_3", route) for route in ("main", "corollary", "join-reduced",
-                                                      "oracle")]
-             + [("great_1_2", route) for route in ("main", "corollary", "join-reduced",
-                                                   "join-full")]
-             + [("great_2_2", route) for route in ("main", "corollary", "join-reduced")])
+    SURFACE_ROUTES = ("main", "corollary", "join-reduced")
+    CASES = (list(product(("hopf", "small_1_1", "fourier_7"), ROUTES))
+             + list(product(("clifford_2_3",), SURFACE_ROUTES + ("oracle",)))
+             + list(product(("great_1_2", "great_0_1"), SURFACE_ROUTES + ("join-full",)))
+             + list(product(("great_2_2", "small_1_2", "great_1_3"), SURFACE_ROUTES)))
 
     @pytest.mark.parametrize("pair, route", CASES)
     def test_estimate_bounds_finer_grid(self, pair, route):

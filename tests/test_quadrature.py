@@ -3,10 +3,9 @@ import pytest
 
 from spherelink.engine import GridSpec
 from spherelink.quadrature import (
+    ChartDim,
     Estimate,
-    ProductGrid,
-    gauss_legendre,
-    periodic_trapezoid,
+    product_rule,
     refine_until,
     tree_sum,
     tree_sum_axis,
@@ -21,8 +20,7 @@ def weighted_sum(f, *intervals):
     """A refine_until level: f summed against the product of periodic
     trapezoid rules of grid.curve nodes, one per interval."""
     def level_sum(grid):
-        rules = [periodic_trapezoid(a, b, grid.curve) for a, b in intervals]
-        pts, wts = ProductGrid(rules).points_weights()
+        pts, wts = product_rule([ChartDim(a, b, True) for a, b in intervals], grid.curve)
         return tree_sum(f(pts) * wts)
     return level_sum
 
@@ -35,43 +33,51 @@ def integrate(m, f, *intervals):
 
 class TestRules:
     def test_weight_normalization(self):
-        for rule in [periodic_trapezoid(0, 2 * np.pi, 37),
-                     gauss_legendre(-1.5, 2.5, 12),
-                     periodic_trapezoid(1.0, 4.0, 8),
-                     gauss_legendre(0, np.pi, 5)]:
-            _, w = rule.nodes_weights()
-            assert np.sum(w) == pytest.approx(rule.b - rule.a, abs=1e-12)
+        for cd, m in [(ChartDim(0, 2 * np.pi, True), 37), (ChartDim(-1.5, 2.5, False), 12),
+                      (ChartDim(1.0, 4.0, True), 8), (ChartDim(0, np.pi, False), 5)]:
+            _, w = cd.rule(m)
+            assert np.sum(w) == pytest.approx(cd.hi - cd.lo, abs=1e-12)
 
     def test_gauss_degree_exactness(self):
         # m nodes integrate polynomials up to degree 2m - 1 exactly
-        rule = gauss_legendre(-1.0, 1.0, 4)
-        x, w = rule.nodes_weights()
+        x, w = ChartDim(-1.0, 1.0, False).rule(4)
         got = float(np.sum(w * (x**7 - 2 * x**6 + x**3 + 1)))
         exact = -2 * (2 / 7) + 2  # odd powers vanish on [-1, 1]
         assert got == pytest.approx(exact, abs=1e-12)
 
     def test_gauss_nodes_interior(self):
-        x, _ = gauss_legendre(0, np.pi, 16).nodes_weights()
+        x, _ = ChartDim(0, np.pi, False).rule(16)
         assert x.min() > 0 and x.max() < np.pi
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            periodic_trapezoid(0, 1, 0)
-        with pytest.raises(ValueError):
-            gauss_legendre(1, 1, 4)
-        with pytest.raises(ValueError):
-            from spherelink.quadrature import QuadratureRule1D
-            QuadratureRule1D("simpson", 0, 1, 4)
+        with pytest.raises(ValueError, match="node count"):
+            ChartDim(0, 1, True).rule(0)
+        with pytest.raises(ValueError, match="positive length"):
+            ChartDim(1, 1, False).rule(4)
 
 
-class TestProductGrid:
+class TestProductRule:
     def test_lexicographic_order(self):
-        g = ProductGrid([periodic_trapezoid(0, 1, 2), periodic_trapezoid(0, 1, 3)])
-        pts, wts = g.points_weights()
-        assert pts.shape == (6, 2) and wts.shape == (6,)
+        pts, wts = product_rule([ChartDim(0, 1, True), ChartDim(0, 1, True)], 2)
+        assert pts.shape == (4, 2) and wts.shape == (4,)
         # first factor varies slowest
-        assert np.allclose(pts[:3, 0], 0.0) and np.allclose(pts[3:, 0], 0.5)
-        assert np.allclose(wts, (1 / 2) * (1 / 3))
+        assert np.array_equal(pts[:, 0], [0.0, 0.0, 0.5, 0.5])
+        assert np.array_equal(pts[:, 1], [0.0, 0.5, 0.0, 0.5])
+        assert np.allclose(wts, 1 / 4)
+
+    def test_mixed_periodic_and_open(self):
+        # an open factor between two periodic ones: node j of the product is
+        # (a[j0], b[j1], c[j2]) with j = (j0 * m + j1) * m + j2, and its weight
+        # is the product of the three factors' weights
+        domain = [ChartDim(0, 2 * np.pi, True), ChartDim(0, np.pi, False),
+                  ChartDim(-1, 3, True)]
+        m = 3
+        rules = [cd.rule(m) for cd in domain]
+        pts, wts = product_rule(domain, m)
+        assert pts.shape == (m ** 3, 3) and wts.shape == (m ** 3,)
+        for j, (j0, j1, j2) in enumerate(np.ndindex(m, m, m)):
+            assert list(pts[j]) == [rules[0][0][j0], rules[1][0][j1], rules[2][0][j2]]
+            assert wts[j] == rules[0][1][j0] * rules[1][1][j1] * rules[2][1][j2]
 
 
 class TestTreeSum:

@@ -1,7 +1,9 @@
 """README's examples run as written: its JSON spec through the command
-line (as `main` and as `oracle`) and its Python API block."""
+line (as `main` and as `oracle`) and its Python API block; and every
+module-qualified name it cites exists."""
 
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -40,3 +42,24 @@ def test_python_api_block_runs():
     assert int(nearest) == 2
     assert float(residual) < 1e-9 and float(error) < 1e-9
     assert abs(float(oracle_value) - 2) < 1e-6
+
+
+# a backticked name qualified by a module of the package, with or without
+# the `spherelink.` prefix: `spherelink.engine.sign_factor`, `engine._level_sum`
+_QUALIFIED = re.compile(r"`(?:spherelink\.)?((?:catalog|cli|engine|kernels|oracle|quadrature"
+                        r"|spheregeom)(?:\.\w+)*)`")
+
+
+def test_qualified_names_resolve():
+    # docs that still cite a deleted or renamed name fail here
+    names = set(_QUALIFIED.findall(README))
+    assert {"quadrature", "engine._level_sum", "engine.sign_factor"} <= names
+    missing = []
+    for dotted in sorted(names):
+        module, *attrs = dotted.split(".")
+        obj = importlib.import_module(f"spherelink.{module}")
+        for name in attrs:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(dotted)
+    assert missing == []
