@@ -31,18 +31,18 @@ ambient dimension, its fields with their converters and descriptions, and
 the factory they feed.  `build_entry` and `catalog_schemas` both read it.
 Its number fields, and the command line's, go through one strict integer
 converter (`_int`) and one strict number converter (`_float`): a boolean, a
-string or a non-integral value for an integer is a malformed field, never
-truncated or coerced.
+string, a non-integral value for an integer or a non-finite number (NaN,
+Infinity, 1e999) is a malformed field, never truncated or coerced.
 """
 
 import numbers
 from abc import ABC, abstractmethod
-from math import gcd
+from math import gcd, isfinite
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import ChartDim, product_rule
+from .quadrature import ChartDim, product_rule, tensor_grid
 from .spheregeom import SpherePoint, TangentColumns, _check_rotation, compose_givens
 
 __all__ = [
@@ -117,9 +117,7 @@ class OrientedSubmanifold(ABC):
             span = cd.hi - cd.lo
             frac = np.arange(m) / m if cd.periodic else (np.arange(m) + 0.5) / m
             axes.append(cd.lo + span * frac)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.column_stack([g.ravel() for g in mesh])
-        pts, tan = self.batch(coords)
+        pts, tan = self.batch(tensor_grid(axes))
         if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))) > 1e-12:
             raise ValueError("embedding leaves the unit sphere (|x| != 1)")
         radial = np.einsum("nd,ndk->nk", pts, tan)
@@ -498,9 +496,11 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A JSON number as a float; a bool or a string raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"expected a number, got {value!r}")
+    """A finite JSON number as a float; a bool, a string, NaN or an infinity
+    (which Python's JSON reader makes of NaN, Infinity and 1e999) raises
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 

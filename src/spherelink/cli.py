@@ -15,9 +15,14 @@ All floating-point output is formatted with 17 significant digits, which
 round-trips IEEE doubles exactly; reports serialize with sorted keys so a
 given spec and version yields byte-identical output (pass --stable to zero
 the wall-time field, the one legitimately varying value).
+
+The CLI restates no library decision: the method list is the engine's
+routes plus the oracle, a run report holds every LinkingReport field, and
+an absent spec field takes the library's default.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -27,6 +32,7 @@ import numpy as np
 from . import __version__
 from .catalog import _float, _int, build_entry, catalog_schemas
 from .engine import (
+    _ROUTES,
     TOL,
     DisjointnessError,
     GridSpec,
@@ -35,9 +41,9 @@ from .engine import (
     evaluate_main_theorem,
 )
 from .kernels import get_evaluator
-from .oracle import oracle_linking
+from .oracle import CURVE_NODES, oracle_linking
 
-METHODS = ("main", "corollary", "join-full", "join-reduced", "oracle")
+METHODS = (*_ROUTES, "oracle")
 
 
 def _count(value) -> int:
@@ -49,7 +55,8 @@ def _count(value) -> int:
 
 
 # optional spec fields and their converters, forwarded to the engine only
-# when present, so an absent field takes the engine's default
+# when present, so an absent field takes the engine's default; each run
+# flag's argparse dest is its spec key
 _RUN_FIELDS = {"tol": _float, "max_level": _int, "min_alpha": _float}
 _THRESHOLD_FIELDS = {"residual_cap": _float, "error_mult": _float, "error_floor": _float}
 _GRID_FIELDS = {"curve": _count, "surface": _count, "u": _count, "k": _count, "l": _count}
@@ -133,23 +140,17 @@ def _validate_spec(spec: dict) -> tuple:
 
 
 def _apply_overrides(spec: dict, args) -> dict:
-    spec = dict(spec)
-    if getattr(args, "tol", None) is not None:
-        spec["tol"] = args.tol
-    if getattr(args, "max_level", None) is not None:
-        spec["max_level"] = args.max_level
-    if getattr(args, "min_alpha", None) is not None:
-        spec["min_alpha"] = args.min_alpha
-    if getattr(args, "grid", None):
+    spec = dict(spec, **{key: vars(args)[key] for key in _RUN_FIELDS
+                         if vars(args)[key] is not None})
+    if args.grid:
         g = dict(_object(spec, "grid"))
         for part in args.grid.split(","):
-            key, _, val = part.partition("=")
-            if key.strip() not in _GRID_FIELDS or not val:
-                raise ValueError(f"bad --grid component {part!r}; use k=..,l=..,u=..")
-            g[key.strip()] = int(val)
+            key, _, val = (s.strip() for s in part.partition("="))
+            if key not in _GRID_FIELDS or not val.isdecimal():
+                raise ValueError(f"bad --grid component {part!r}; use k=..,l=..,u=.. "
+                                 "with integer node counts")
+            g[key] = int(val)
         spec["grid"] = g
-    if getattr(args, "seed", None) is not None:
-        spec["seed"] = args.seed
     return spec
 
 
@@ -157,27 +158,23 @@ def _dispatch(spec: dict):
     """Run the spec's method, forwarding only the fields the spec holds."""
     K, L = _validate_spec(spec)
     method = spec["method"]
-    grid = GridSpec(**{_GRID_NAMES.get(key, key): value for key, value
-                       in _present(_object(spec, "grid"), _GRID_FIELDS, "grid.").items()})
+    grid = _present(_object(spec, "grid"), _GRID_FIELDS, "grid.")
     kw = _present(spec, _RUN_FIELDS)
     if method == "oracle":
         if "min_alpha" in kw:
             raise ValueError("spec field 'min_alpha' does not apply to method oracle, "
                              "which checks the R^3 distance of the projected curves")
-        m = grid.nodes_for(K, "k")
-        if grid.l_nodes is not None and grid.l_nodes != m:
-            raise ValueError(f"spec field 'grid.l' ({grid.l_nodes}) must equal the K node "
+        m = grid.get("k", grid.get("curve", CURVE_NODES))
+        if grid.get("l", m) != m:
+            raise ValueError(f"spec field 'grid.l' ({grid['l']}) must equal the K node "
                              f"count ({m}): the oracle takes one count for both curves")
         return oracle_linking(K, L, m=m, **kw)
+    grid = GridSpec(**{_GRID_NAMES.get(key, key): value for key, value in grid.items()})
     if method == "main":
         return evaluate_main_theorem(K, L, grid=grid, **kw)
     if method == "corollary":
         return evaluate_corollary(K, L, grid=grid, **kw)
     return evaluate_join_degree(K, L, grid=grid, variant=method.removeprefix("join-"), **kw)
-
-
-def _kernel_mode(spec: dict) -> str:
-    return "gauss" if spec["method"] == "oracle" else "closed_form"
 
 
 def _apply_thresholds(spec: dict, report):
@@ -186,23 +183,14 @@ def _apply_thresholds(spec: dict, report):
                                      "thresholds."))
 
 
-def _run_report(spec: dict, report, kernel_mode: str, wall_ms: float) -> dict:
+def _run_report(spec: dict, report, wall_ms: float) -> dict:
+    """The run report: every LinkingReport field and linking_number under
+    "report", except node_counts, which sits beside it."""
+    fields = dataclasses.asdict(report)
     return {
-        "kernel_mode": kernel_mode,
-        "node_counts": list(report.node_counts),
-        "report": {
-            "raw_value": report.raw_value,
-            "nearest_integer": report.nearest_integer,
-            "linking_number": report.linking_number,
-            "residual": report.residual,
-            "error_estimate": report.error_estimate,
-            "min_alpha": report.min_alpha,
-            "max_alpha": report.max_alpha,
-            "method": report.method,
-            "converged": report.converged,
-            "accepted": report.accepted,
-            "levels_used": report.levels_used,
-        },
+        "kernel_mode": "gauss" if spec["method"] == "oracle" else "closed_form",
+        "node_counts": fields.pop("node_counts"),
+        "report": dict(fields, linking_number=report.linking_number),
         "spec": spec,
         "version": __version__,
         "wall_time_ms": wall_ms,
@@ -214,7 +202,7 @@ def _run_and_print(spec: dict, args) -> int:
     report = _dispatch(spec)
     wall = 0.0 if args.stable else (time.perf_counter() - t0) * 1e3
     report = _apply_thresholds(spec, report)
-    print(_to_json(_run_report(spec, report, _kernel_mode(spec), wall)))
+    print(_to_json(_run_report(spec, report, wall)))
     return 0 if report.accepted else 2
 
 
@@ -229,8 +217,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    if args.k < 0 or args.l < 0:
-        raise ValueError("kernel orders must be nonnegative")
     ev = get_evaluator(args.k, args.l)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.num)
     print("alpha,phi,kernel_ratio,convolution")
@@ -296,8 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
                        help="disjointness threshold in radians "
                             "(sphere methods; the oracle refuses it)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed echoed into the report (randomized fixtures only)")
         p.add_argument("--stable", action="store_true",
                        help="zero the wall-time field for byte-identical reports")
 

@@ -176,7 +176,8 @@ class GridSpec:
     `curve` applies to 1-dimensional manifolds, `surface` to each chart
     dimension of manifolds of dimension >= 2, `u` to the join parameter
     (read by the full join-degree variant only).  `k_nodes` / `l_nodes`
-    override the per-dimension count for one side.
+    override the per-dimension count for one side.  Every count given must
+    be >= 1; ValueError names the first that is not.
     """
 
     curve: int = 64
@@ -184,6 +185,11 @@ class GridSpec:
     u: int = 32
     k_nodes: int | None = None
     l_nodes: int | None = None
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not value >= 1:
+                raise ValueError(f"GridSpec.{name} must be a node count >= 1, got {value!r}")
 
     def nodes_for(self, m: OrientedSubmanifold, side: str) -> int:
         override = self.k_nodes if side == "k" else self.l_nodes

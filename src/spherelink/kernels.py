@@ -146,9 +146,18 @@ def _near_pi_series(k: int, l: int, form):
     climbs to it from 0, gaining ~10x per step.  The series converges for
     eps < pi and keeps the terms before the first one under u/4 of the
     leading term at the switch (later terms shrink > 2x each).
+
+    For high orders float64 cannot carry this: the integers overflow, the
+    truncated psi is <= 0 at a step of the search (its root would be
+    complex) or the kept series is not finite.  Each raises ValueError
+    naming (k, l).
     """
     n = k + l + 1
-    psi = _psi_series(k, l)
+    refused = f"kernel orders (k, l) = ({k}, {l}) are too high for the float64 near-pi series"
+    try:
+        psi = _psi_series(k, l)
+    except OverflowError as exc:
+        raise ValueError(refused) from exc
     mass = sum(float(np.abs(c).sum()) * (np.pi if with_eps else 1.0) for c, _, with_eps in form)
     target = _UNIT_ROUNDOFF * mass / _FORM_TOL
     eps, psi_desc = 0.0, psi[::-1].tolist()
@@ -156,13 +165,18 @@ def _near_pi_series(k: int, l: int, form):
         value = 0.0
         for v in psi_desc:
             value = value * eps * eps + v
+        if value <= 0.0:  # the root would be complex
+            raise ValueError(refused)
         eps = min(0.5 * np.pi, (target / value) ** (1.0 / n))
     h = np.ones(1)
     for _ in range(n):
         h = np.convolve(h, _x_over_sin_x())[:_SERIES_TERMS]
     ratio = np.convolve(psi, h)[:_SERIES_TERMS]
     small = np.abs(ratio) * eps ** (2 * np.arange(_SERIES_TERMS)) < 0.25 * _UNIT_ROUNDOFF * ratio[0]
-    return eps, ratio[: int(np.argmax(small)) if small.any() else _SERIES_TERMS]
+    series = ratio[: int(np.argmax(small)) if small.any() else _SERIES_TERMS]
+    if not np.isfinite(series).all():
+        raise ValueError(refused)
+    return eps, series
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +227,9 @@ class KernelEvaluator:
         self.n = self.k + self.l + 1
         self._phi_form = _closed_form(self.k, self.l, "phi")
         self._conv_form = _closed_form(self.k, self.l, "conv")
-        eps_switch, self._series = _near_pi_series(self.k, self.l, self._phi_form)
+        # too high an order overflows inside the series, which then raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps_switch, self._series = _near_pi_series(self.k, self.l, self._phi_form)
         self.alpha_switch = np.pi - eps_switch
 
     def _evaluate(self, alpha, cos_alpha, form, sin_power=0, series=False):

@@ -34,7 +34,7 @@ from .engine import MAX_LEVEL, TOL, GridSpec, LinkingReport, _Level, _refined_re
 from .quadrature import ChartDim, product_rule
 
 __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
-           "find_pole", "POLE_CANDIDATES"]
+           "find_pole", "POLE_CANDIDATES", "CURVE_NODES"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ _POLE_SAMPLES = 512
 _POLE_CLEARANCE = 0.05
 # least R^3 distance between the projected curves the integral accepts
 _MIN_DISTANCE = 1e-3
+# default base node count per curve, of the Python API and the CLI alike
+CURVE_NODES = 256
 
 
 def _curve_points(curve: OrientedSubmanifold, m: int):
@@ -167,7 +169,7 @@ def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level
 
 
 def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
-                           m: int = 256, tol: float = TOL,
+                           m: int = CURVE_NODES, tol: float = TOL,
                            max_level: int = MAX_LEVEL) -> LinkingReport:
     """Classical linking integral of two closed curves in R^3.
 
@@ -187,7 +189,7 @@ def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
-                   m: int = 256, tol: float = TOL,
+                   m: int = CURVE_NODES, tol: float = TOL,
                    max_level: int = MAX_LEVEL) -> LinkingReport:
     """Project both S^3 curves from one shared admissible pole and integrate."""
     pole = find_pole([K, L])

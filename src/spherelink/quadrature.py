@@ -6,10 +6,11 @@ which is spectrally accurate for smooth periodic integrands, and open
 factors take Gauss-Legendre, whose nodes are strictly interior, so chart
 endpoints (e.g. the poles of a spherical chart) are never sampled.
 :func:`product_rule` maps a chart domain and one node count, shared by
-every factor, to the lexicographic product of those rules.  Every route,
-the oracle and the catalog's separation scan lay out their chart and curve
-nodes through these two; only the catalog's construction-time sanity
-checks on outside input keep layouts of their own.
+every factor, to the lexicographic product of those rules, laid out by
+:func:`tensor_grid`.  Every route, the oracle and the catalog's separation
+scan lay out their chart and curve nodes through these; only the catalog's
+construction-time sanity checks on outside input keep layouts of their own
+(tensor grids too, of midpoints).
 
 Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
 the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
@@ -22,8 +23,8 @@ default is the engine's ``MAX_LEVEL``), and returns every level's value in the
 one number on one scale, the scale of ``level_sum``'s values: every engine
 route and the oracle return them on the scale of Lk itself, so nothing is
 rescaled after the loop.  ``tol`` must be >= 0: ``0`` runs every level,
-``inf`` stops after level 1, and a negative or NaN tolerance raises
-ValueError.
+``inf`` stops after level 1, and a negative or NaN tolerance, like a
+negative ``max_level``, raises ValueError.
 
 Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
@@ -32,16 +33,18 @@ caps the count), but the combination tree never depends on the worker
 count, so results are bit-identical for any parallelism level.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 __all__ = [
     "ChartDim",
     "product_rule",
+    "tensor_grid",
     "Estimate",
     "tree_sum",
     "tree_sum_axis",
@@ -99,17 +102,23 @@ class ChartDim:
         return mid + half * x, half * w
 
 
+def tensor_grid(factors) -> np.ndarray:
+    """The flat tensor grid of 1-D arrays: shape (N, d), lexicographic with
+    the first factor slowest, for any number d >= 1 of factors."""
+    sizes = [len(a) for a in factors]
+    total, before, cols = math.prod(sizes), 1, []
+    for a, m in zip(factors, sizes):
+        cols.append(np.tile(np.repeat(a, total // (before * m)), before))
+        before *= m
+    return np.column_stack(cols)
+
+
 def product_rule(domain, m: int):
     """Tensor product of each factor's rule at m nodes: flat coordinates
-    (N, d) and weights (N,), lexicographic with the first factor slowest."""
+    (N, d) and weights (N,), lexicographic with the first factor slowest;
+    each weight is the product of its factors' weights, taken in order."""
     nodes, weights = zip(*(cd.rule(m) for cd in domain))
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in mesh])
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    wts = wmesh[0].ravel().copy()
-    for g in wmesh[1:]:
-        wts *= g.ravel()
-    return pts, wts
+    return tensor_grid(nodes), reduce(np.multiply, tensor_grid(weights).T)
 
 
 @dataclass(frozen=True)
@@ -179,15 +188,17 @@ def refine_until(grid0, level_sum, tol: float, max_level: int) -> Estimate:
 
     level_sum(grid) integrates one level; grid0.refined() gives the next
     grid.  Levels 0 and 1 always run, then at most max_level more.
-    max_level is required and has no default here: the run default is the
-    engine's ``MAX_LEVEL``, which every route and the oracle pass on.  tol is
-    compared with the last two level values as level_sum returns them, and
-    the Estimate's error_estimate is exactly that difference.  Never raises
-    on non-convergence; the returned Estimate carries ``converged=False``
-    when max_level was exhausted first.
+    max_level (>= 0) is required and has no default here: the run default
+    is the engine's ``MAX_LEVEL``, which every route and the oracle pass
+    on.  tol is compared with the last two level values as level_sum
+    returns them, and the Estimate's error_estimate is exactly that
+    difference.  Never raises on non-convergence; the returned Estimate
+    carries ``converged=False`` when max_level was exhausted first.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    if not max_level >= 0:
+        raise ValueError(f"max_level must be >= 0, got {max_level!r}")
     grid = grid0.refined()
     values = [level_sum(grid0), level_sum(grid)]
     err = abs(values[1] - values[0])

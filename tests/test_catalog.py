@@ -126,6 +126,8 @@ class TestGreatSubsphere:
         t0 = time.perf_counter()
         assert great_subsphere(8, range(9), 9).dim == 8
         assert time.perf_counter() - t0 < 1.0
+        # more chart factors than np.meshgrid takes (32)
+        assert great_subsphere(33, range(34), 34).dim == 33
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_is_round_sphere_of_radius_half_pi(self, n):

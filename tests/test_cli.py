@@ -1,9 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from spherelink import GridSpec, LinkingReport, evaluate_main_theorem, oracle_linking
 from spherelink.cli import main
+from spherelink.oracle import CURVE_NODES
+
+from conftest import great_pair
 
 
 GREAT_CIRCLES = {
@@ -73,9 +78,17 @@ def write_spec(tmp_path, spec, name="spec.json"):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"the report holds {name}, which strict JSON has no word for")
+
+
 def run(capsys, argv):
+    """Exit code, stdout and stderr of one CLI call; a link or oracle report
+    on stdout must parse as strict JSON (no NaN or Infinity)."""
     code = main(argv)
     captured = capsys.readouterr()
+    if argv[0] in ("link", "oracle") and captured.out.strip():
+        json.loads(captured.out, parse_constant=_refuse_constant)
     return code, captured.out, captured.err
 
 
@@ -148,8 +161,9 @@ class TestLink:
     @pytest.mark.parametrize("method", ["main", "join-full", "oracle"])
     def test_absent_fields_take_engine_defaults(self, tmp_path, capsys, method):
         # a spec that states today's defaults runs exactly as one that omits them
+        curve = CURVE_NODES if method == "oracle" else 64
         stated = dict(GREAT_CIRCLES, method=method, tol=1e-9, max_level=4,
-                      grid={"curve": 64, "surface": 32, "u": 32})
+                      grid={"curve": curve, "surface": 32, "u": 32})
         if method != "oracle":
             stated["min_alpha"] = 0.01
         reports = []
@@ -161,11 +175,44 @@ class TestLink:
             reports.append(head + tail[tail.index(', "version": '):])
         assert reports[0] == reports[1]
 
+    def test_oracle_default_nodes_match_python_api(self, tmp_path, capsys):
+        # a spec without a grid runs the oracle at oracle_linking's own default
+        code, out, _ = run(capsys, ["oracle", write_spec(tmp_path, GREAT_CIRCLES), "--stable"])
+        assert code == 0
+        K, L = great_pair(1, 1)
+        assert json.loads(out)["node_counts"] == list(oracle_linking(K, L).node_counts)
+
+    @pytest.mark.parametrize("method", ["main", "oracle"])
+    def test_report_carries_every_field(self, tmp_path, capsys, method):
+        # every LinkingReport field and linking_number; node_counts sits
+        # beside the report, and level_values are the Python report's
+        spec = dict(GREAT_CIRCLES, method=method, grid={"curve": 16}, tol=1e-6)
+        code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
+        assert code == 0
+        doc = json.loads(out)
+        names = {f.name for f in dataclasses.fields(LinkingReport)}
+        assert set(doc["report"]) == names - {"node_counts"} | {"linking_number"}
+        K, L = great_pair(1, 1)
+        if method == "oracle":
+            expected = oracle_linking(K, L, m=16, tol=1e-6)
+        else:
+            expected = evaluate_main_theorem(K, L, grid=GridSpec(curve=16), tol=1e-6)
+        assert doc["report"]["level_values"] == list(expected.level_values)
+        assert doc["node_counts"] == list(expected.node_counts)
+
     def test_grid_override_flag(self, tmp_path, capsys):
         path = write_spec(tmp_path, GREAT_CIRCLES)
         code, out, _ = run(capsys, ["link", path, "--stable", "--grid", "k=16,l=16"])
         assert code == 0
         assert json.loads(out)["spec"]["grid"] == {"k": 16, "l": 16}
+
+    @pytest.mark.parametrize("grid", ["u=abc", "u=1.5", "q=4", "u"])
+    def test_bad_grid_flag_names_flag_and_key(self, tmp_path, capsys, grid):
+        path = write_spec(tmp_path, GREAT_CIRCLES)
+        code, out, err = run(capsys, ["link", path, "--grid", grid])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--grid" in err and repr(grid) in err
 
     def test_byte_identical_repeat_and_workers(self, tmp_path, capsys, monkeypatch):
         spec = {
@@ -225,6 +272,18 @@ class TestLink:
         ({"method": "join-full", "grid": {"u": 0}}, "'grid.u'"),
         ({"grid": {"curve": -4}}, "'grid.curve'"),
         ({"K": {"kind": "great_subsphere", "k": -1, "axes": []}}, "k must be >= 0"),
+        ({"max_level": -3}, "max_level"),
+        # non-finite numbers (NaN, Infinity, 1e999 in the JSON text)
+        ({"min_alpha": float("nan")}, "'min_alpha'"),
+        ({"tol": float("inf")}, "'tol'"),
+        ({"thresholds": {"residual_cap": float("nan")}}, "'thresholds.residual_cap'"),
+        ({"L": {"kind": "clifford_torus_curve", "p": 1, "q": 1, "phase": float("inf")}},
+         "'phase'"),
+        ({"L": {"kind": "hopf_fiber", "base": [float("nan"), 0, 0, 1]}}, "'base'"),
+        ({"L": {"kind": "fourier_curve", "cos_coeffs": [[0, 0, 0, 0], [float("nan"), 0, 0, 0]],
+                "sin_coeffs": [[0, 0, 0, 0], [0, 1, 0, 0]]}}, "'cos_coeffs'"),
+        ({"L": {"kind": "rotated", "givens": [{"plane": [0, 2], "angle": float("inf")}],
+                "base": {"kind": "great_subsphere", "k": 1, "axes": [2, 3]}}}, "'givens'"),
     ])
     def test_malformed_field_exit_1(self, tmp_path, capsys, change, field):
         spec = dict(GREAT_CIRCLES, **change) if isinstance(change, dict) else change
@@ -300,6 +359,14 @@ class TestPhi:
     def test_negative_order_rejected(self, capsys):
         code, _, err = run(capsys, ["phi", "--k", "-1", "--l", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("k, l", [(0, 35), (60, 60)])
+    def test_orders_past_float64_series_rejected(self, capsys, k, l):
+        # a TypeError traceback and a NaN table before the check at construction
+        code, out, err = run(capsys, ["phi", "--k", str(k), "--l", str(l)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"({k}, {l})" in err
 
 
 class TestConvergence:

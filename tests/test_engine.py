@@ -161,6 +161,12 @@ class TestMinorDets:
                     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (d, m)
 
 
+@pytest.mark.parametrize("field", ["curve", "surface", "u", "k_nodes", "l_nodes"])
+def test_grid_count_below_one_names_field(field):
+    with pytest.raises(ValueError, match=f"GridSpec.{field} "):
+        GridSpec(**{field: 0})
+
+
 class TestRoundToLinking:
     def test_clean_accept(self):
         nearest, residual, accepted = round_to_linking(0.9999996, 1e-7)
@@ -497,9 +503,13 @@ class TestHonestErrorEstimate:
                       GridSpec(curve=16, u=6)),
         "great_0_1": (lambda: great_pair(0, 1), GridSpec(curve=8, u=4)),
         "great_1_3": (lambda: great_pair(1, 3), GridSpec(curve=8, surface=4)),
+        "great_1_1": (lambda: great_pair(1, 1), GridSpec(curve=8, u=4)),
+        "clifford_1_1_core": (lambda: (clifford_torus_curve(1, 1),
+                                       great_subsphere(1, (2, 3), 3)), GridSpec(curve=16, u=6)),
     }
     SURFACE_ROUTES = ("main", "corollary", "join-reduced")
-    CASES = (list(product(("hopf", "small_1_1", "fourier_7"), ROUTES))
+    CASES = (list(product(("hopf", "small_1_1", "fourier_7", "great_1_1", "clifford_1_1_core"),
+                          ROUTES))
              + list(product(("clifford_2_3",), SURFACE_ROUTES + ("oracle",)))
              + list(product(("great_1_2", "great_0_1"), SURFACE_ROUTES + ("join-full",)))
              + list(product(("great_2_2", "small_1_2", "great_1_3"), SURFACE_ROUTES)))

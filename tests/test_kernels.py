@@ -181,6 +181,20 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             KernelEvaluator(1.5, 1)
 
+    @pytest.mark.parametrize("k, l", [(0, 35), (0, 83), (4, 82), (60, 60)])
+    def test_orders_past_float64_series_rejected(self, k, l):
+        # the switch search turns negative, the integers overflow, or the
+        # near-pi series is not finite
+        with pytest.raises(ValueError, match=rf"\({k}, {l}\)"):
+            KernelEvaluator(k, l)
+
+    @pytest.mark.parametrize("k, l", [(40, 42), (0, 82)])
+    def test_high_orders_that_fit_still_build(self, k, l):
+        ev = KernelEvaluator(k, l)
+        alphas = np.array([0.01, 1.0, 2.0, 3.0, np.pi])
+        for values in (ev.phi(alphas), ev.kernel_ratio(alphas), ev.convolution(alphas)):
+            assert np.isfinite(values).all()
+
     def test_fast_paths_match_direct(self):
         alphas = np.linspace(0.0, np.pi, 257)
         for k, l in [(2, 2), (1, 3), (0, 2)]:

@@ -7,6 +7,7 @@ from spherelink.quadrature import (
     Estimate,
     product_rule,
     refine_until,
+    tensor_grid,
     tree_sum,
     tree_sum_axis,
     worker_count,
@@ -78,6 +79,14 @@ class TestProductRule:
         for j, (j0, j1, j2) in enumerate(np.ndindex(m, m, m)):
             assert list(pts[j]) == [rules[0][0][j0], rules[1][0][j1], rules[2][0][j2]]
             assert wts[j] == rules[0][1][j0] * rules[1][1][j1] * rules[2][1][j2]
+
+    def test_tensor_grid_any_factor_count(self):
+        # lexicographic for more factors than np.meshgrid takes (32)
+        factors = [np.array([0.5])] * 31 + [np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])]
+        grid = tensor_grid(factors)
+        assert grid.shape == (6, 33)
+        assert np.array_equal(grid[:, :31], np.full((6, 31), 0.5))
+        assert grid[:, 31:].tolist() == [[1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5]]
 
 
 class TestTreeSum:
@@ -162,6 +171,11 @@ class TestRefineUntil:
         assert est.levels_used == 3
         assert len(est.level_values) == 5
         assert not est.converged
+
+    def test_rejects_negative_max_level(self):
+        level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
+        with pytest.raises(ValueError, match="max_level"):
+            refine_until(GridSpec(curve=4), level_sum, tol=0.0, max_level=-3)
 
     def test_spectral_convergence_smooth_periodic(self):
         # each doubling of a periodic trapezoid on a smooth integrand must
