@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .quadrature import ChartDim, product_rule, tensor_grid
-from .spheregeom import SpherePoint, TangentColumns, _check_rotation, compose_givens
+from .spheregeom import (SpherePoint, TangentColumns, _check_rotation, alpha_extremes,
+                         compose_givens)
 
 __all__ = [
     "OrientedSubmanifold",
@@ -462,8 +463,7 @@ def alpha_range_scan(k_manifold, l_manifold, samples_per_dim: int = 32):
     pk, pl = (m.signed_points()[0] if m.dim == 0
               else m.batch(product_rule(m.chart_domain, samples_per_dim)[0])[0]
               for m in (k_manifold, l_manifold))
-    dots = np.clip(pk @ pl.T, -1.0, 1.0)
-    return float(np.arccos(np.max(dots))), float(np.arccos(np.min(dots)))
+    return alpha_extremes(pk @ pl.T)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,12 @@ Every route is one sum over K x L, and ``_ROUTES`` holds what differs per
 CLI method name: label, kernel, sign and separation check.  One chunk loop,
 :func:`_level_sum`, sums every level, the Gauss integral of
 :mod:`spherelink.oracle` included: per chunk of K rows the route's terms
-give the chunk's geometry against every L node (cos alpha and alpha here,
-R^3 differences and distances there), whose separation is checked before any
-per-pair value is evaluated.  ``CHUNK_BYTES`` sizes every chunk, and
+give the chunk's geometry against every L node and its separation range
+(here the dot products c = cos alpha, with the alpha range from their two
+extremes; there R^3 differences and distances), and the range is checked
+before any per-pair value is evaluated.  A pair-kernel chunk is then one
+dot product, one kernel pass straight from c, one minor matmul and one row
+reduction.  ``CHUNK_BYTES`` sizes every chunk, and
 :func:`_refined_report` runs the one level loop,
 :func:`spherelink.quadrature.refine_until`, and builds the report.  Each
 route's terms fold its prefactor (sign / vol S^n here, 1 / 4 pi in the
@@ -36,10 +39,10 @@ oracle) into the K-side weights, so every level sum is on the scale of Lk:
 the tolerance, the error estimate, the level values and the report are one
 number on one scale, and nothing is rescaled after refinement.  Pair
 kernels expand the bracket determinant into per-manifold minors combined by
-a matrix product; join-full sums each pair's join-map determinant against
-the u rule.  One Laplace recursion, :func:`_minor_dets`, gives both
-determinants.  A dimension-0 side enters as its signed points with +-1
-weights.
+a matrix product; join-full forms its chunk's alpha and sums each pair's
+join-map determinant against the u rule.  One Laplace recursion,
+:func:`_minor_dets`, gives both determinants.  A dimension-0 side enters
+as its signed points with +-1 weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
@@ -64,7 +67,7 @@ from .quadrature import (
     tree_sum,
     tree_sum_axis,
 )
-from .spheregeom import SpherePoint, _vol_sphere_any, geodesic_distance
+from .spheregeom import SpherePoint, _vol_sphere_any, alpha_extremes, geodesic_distance
 
 __all__ = [
     "DisjointnessError",
@@ -79,7 +82,7 @@ __all__ = [
 ]
 
 # bytes of per-pair temporaries one chunk of K rows may hold: 2^21 pair-kernel
-# alpha values, 2^17 join-full nodes on S^3, 2^20 / 3 oracle pairs
+# cos alpha values, 2^17 join-full nodes on S^3, 2^20 / 3 oracle pairs
 CHUNK_BYTES = 1 << 24
 # distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
@@ -133,7 +136,7 @@ class _Route:
     """What one CLI method needs: report label, kernel, sign, separation."""
 
     label: str
-    # (evaluator, n) -> kern(alpha, cos_alpha), resolved per call so that
+    # (evaluator, n) -> kern(cos_alpha), resolved per call so that
     # wrappers installed on KernelEvaluator are seen; None for join-full
     kernel: Callable | None
     sign_rule: str | None
@@ -145,24 +148,25 @@ class _Route:
 
 
 _ROUTES = {
-    "main": _Route("main_theorem", lambda ev, n: ev.kernel_ratio, None, False),
+    "main": _Route("main_theorem", lambda ev, n: partial(ev.kernel_ratio, None), None, False),
     "corollary": _Route("corollary",
-                        lambda ev, n: partial(ev.convolution_fast, sin_power=n),
+                        lambda ev, n: partial(ev.convolution_fast, None, sin_power=n),
                         "corollary_prefactor", True),
-    "join-reduced": _Route("join_degree_reduced", lambda ev, n: ev.kernel_ratio,
+    "join-reduced": _Route("join_degree_reduced", lambda ev, n: partial(ev.kernel_ratio, None),
                            "join_reduced_net", False),
     "join-full": _Route("join_degree_full", None, None, True),
 }
 
 
 def _check_separation(route: _Route, amin: float, amax: float, min_alpha: float):
-    """Raise DisjointnessError unless the alpha range clears the route's limits."""
-    if amin <= min_alpha:
+    """Raise DisjointnessError unless the alpha range clears the route's
+    limits; a NaN extreme clears none."""
+    if not amin > min_alpha:
         raise DisjointnessError(
             f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}; "
             "K and L are not safely disjoint"
         )
-    if route.antipodal and amax >= np.pi - _ANTIPODAL_MARGIN:
+    if route.antipodal and not amax < np.pi - _ANTIPODAL_MARGIN:
         raise DisjointnessError(
             f"max geodesic separation {amax:.4f} rad reaches within "
             f"{_ANTIPODAL_MARGIN} of pi: K is not safely disjoint from -L"
@@ -279,38 +283,40 @@ def _join_batch(x, tx, y, ty, c, alpha, u) -> np.ndarray:
     """Geodesic-sweep map from x toward -y with its exact Jacobian columns.
 
     x: (r, d) points with tangent columns tx (r, d, k); y: (t, d) with ty
-    (t, d, l); c = x.y = cos alpha and alpha, (r, t), as the level sum
-    formed them; u: (nu,) fractions of the arc.  Returns
-    (r, t, nu, d, k + l + 2): the image f = x cos w - v sin w, where
-    s = sin alpha, v = (y - c x) / s and w = u (pi - alpha), then the
-    derivative of f along each column of tx, each column of ty and along
-    u, by the chain rule: c' = x'.y + x.y', alpha' = -c'/s, s' = c alpha',
+    (t, d, l); c = x.y = cos alpha and alpha, (r, t); u: (nu,) fractions of
+    the arc.  Returns (r, t, nu, d, k + l + 2), a view of memory laid out
+    column by column with the nodes last, which :func:`_minor_dets` reads
+    without a copy: the image f = x cos w - v sin w, where s = sin alpha,
+    v = (y - c x) / s and w = u (pi - alpha), then the derivative of f
+    along each column of tx, each column of ty and along u, by the chain
+    rule: c' = x'.y + x.y', alpha' = -c'/s, s' = c alpha',
     w' = u' (pi - alpha) - u alpha', v' = (y' - c' x - c x')/s - v s'/s and
     f' = x' cos w - x sin w w' - v' sin w - v cos w w'.
     """
     (r, d, k), (t, l) = tx.shape, ty.shape[::2]
     dc = np.concatenate([np.einsum("td,rdj->rtj", y, tx), np.einsum("rd,tdj->rtj", x, ty),
-                         np.zeros((r, t, 1))], axis=2)[:, :, None, :]
-    # per pair (r, t, 1, 1), per node of u (r, t, nu, 1), columns last
-    c = c[:, :, None, None]
-    s = np.sin(alpha)[:, :, None, None]
-    eta = np.pi - alpha[:, :, None, None]
-    w = u[:, None] * eta
+                         np.zeros((r, t, 1))], axis=2).transpose(2, 0, 1)[..., None]
+    # per pair (r, t, 1), per node (r, t, nu); columns, then coordinates, lead
+    c = c[:, :, None]
+    s = np.sin(alpha)[:, :, None]
+    eta = np.pi - alpha[:, :, None]
+    w = u * eta
     cw, sw = np.cos(w), np.sin(w)
-    x = x[:, None, None, :]
-    v = (y[:, None, :] - c * x) / s
+    x = x.T[:, :, None, None]
+    v = (y.T[:, None, :, None] - c * x) / s
     dalpha = -dc / s
-    dw = -u[:, None] * dalpha
-    dw[..., -1:] += eta
+    dw = -u * dalpha
+    dw[-1] += eta
     # f' = x' (cos w + c sin w / s) - y' sin w / s + x a + v b
     a = sw / s * dc - sw * dw
     b = sw * c / s * dalpha - cw * dw
-    out = np.empty((r, t, u.size, d, k + l + 2))
-    out[..., 0] = x * cw - v * sw
-    out[..., 1:] = x[..., None] * a[:, :, :, None, :] + v[..., None] * b[:, :, :, None, :]
-    out[..., 1 : k + 1] += tx[:, None, None] * (cw + c * sw / s)[..., None]
-    out[..., k + 1 : k + l + 1] -= ty[None, :, None] * (sw / s)[..., None]
-    return out
+    out = np.empty((k + l + 2, d, r, t, u.size))
+    out[0] = x * cw - v * sw
+    np.multiply(x, a[:, None], out=out[1:])
+    out[1:] += v * b[:, None]
+    out[1 : k + 1] += tx.transpose(2, 1, 0)[..., None, None] * (cw + c * sw / s)
+    out[k + 1 : k + l + 1] -= ty.transpose(2, 1, 0)[:, :, None, :, None] * (sw / s)
+    return out.transpose(2, 3, 4, 1, 0)
 
 
 def join_map(x: SpherePoint, y: SpherePoint, u: float) -> SpherePoint:
@@ -371,7 +377,9 @@ def _minor_dets(frames: np.ndarray, subsets) -> np.ndarray:
     One Laplace recursion for every size: for j = 1 ... m the j-row minors
     of each frame's first j columns are expanded along column j from the
     (j-1)-row minors, so each minor of each size is formed exactly once.
-    The columns are read from one contiguous (m, d, N) transpose and the
+    The columns are read from one contiguous (m, d, N) transpose, which is
+    a view when the frames were laid out column by column (as
+    :func:`_join_batch` lays out join-full's) and a copy otherwise, and the
     terms accumulate in place.  This is the inner loop of the bracket
     expansion and the join-full determinant (m = d, the whole frame).
     """
@@ -418,14 +426,11 @@ _Level = namedtuple("_Level", "geometry values pair_bytes shape nodes")
 
 
 def _geodesic(pk, pl):
-    """Chunk geometry of the sphere routes: (alpha, cos alpha), checked on alpha."""
+    """Chunk geometry of the sphere routes: the dot products c = cos alpha,
+    with the alpha range taken from their two extremes."""
     def geometry(s, e):
-        # a fresh array on purpose: clipping in place (out=) measured ~10%
-        # slower on (2,3) pairs, with ~6x the page faults, as the allocator
-        # returned chunk buffers to the system and mapped them again
-        dots = np.clip(pk[s:e] @ pl.T, -1.0, 1.0)
-        alpha = np.arccos(dots)
-        return (alpha, dots), alpha
+        dots = pk[s:e] @ pl.T
+        return (dots,), alpha_extremes(dots)
 
     return geometry
 
@@ -434,14 +439,15 @@ def _level_sum(K, L, grid, terms, check):
     """One quadrature level of a route: a chunked sum over K x L.
 
     terms(K, L, grid) gives the level's `_Level`: geometry(s, e) returns K
-    rows s:e's geometry against every L node and their separation matrix,
-    values(s, e, *geometry) their weighted per-pair values, pair_bytes the
-    size of the largest per-pair temporaries, shape (K nodes, L nodes) and
-    nodes the level's quadrature node count.  A chunk holds as many K rows
-    as keep their temporaries within CHUNK_BYTES.  check(min, max) runs on
-    each chunk's separation range before its values are evaluated, and
-    every K row is tree-summed whole, so the value does not depend on the
-    chunking.  Returns (value, nodes, min separation, max separation).
+    rows s:e's geometry against every L node and its separation range
+    (min, max), values(s, e, *geometry) their weighted per-pair values,
+    pair_bytes the size of the largest per-pair temporaries, shape
+    (K nodes, L nodes) and nodes the level's quadrature node count.  A
+    chunk holds as many K rows as keep their temporaries within
+    CHUNK_BYTES.  check(min, max) runs on each chunk's separation range
+    before its values are evaluated, and every K row is tree-summed whole,
+    so the value does not depend on the chunking.  Returns (value, nodes,
+    min separation, max separation).
     """
     level = terms(K, L, grid)
     nk, nl = level.shape
@@ -451,10 +457,9 @@ def _level_sum(K, L, grid, terms, check):
     hi = -lo
 
     def work(s, e):
-        geometry, sep = level.geometry(s, e)
-        ci = s // cs
-        lo[ci], hi[ci] = float(sep.min()), float(sep.max())
-        check(lo[ci], hi[ci])
+        geometry, (smin, smax) = level.geometry(s, e)
+        check(smin, smax)
+        lo[s // cs], hi[s // cs] = smin, smax
         rows[s:e] = tree_sum_axis(level.values(s, e, *geometry), axis=1)
 
     run_chunked(nk, work, chunk=cs)
@@ -466,7 +471,7 @@ def _level_sum(K, L, grid, terms, check):
 
 
 def _kernel_terms(kern, scale, K, L, grid):
-    """Pair-kernel values: scale times kern(alpha, cos_alpha) times the bracket.
+    """Pair-kernel values: scale times kern(cos_alpha) times the bracket.
 
     The bracket determinant is expanded into per-side minors once per
     level, with each side's quadrature weights folded in, and the route's
@@ -479,8 +484,8 @@ def _kernel_terms(kern, scale, K, L, grid):
     mk = _minor_dets(fk, subs) * signs * (scale * wk)[:, None]
     ml = _minor_dets(fl, comps) * wl[:, None]
 
-    def values(s, e, alpha, dots):
-        vals = kern(alpha, dots)
+    def values(s, e, dots):
+        vals = kern(dots)
         vals *= mk[s:e] @ ml.T
         return vals
 
@@ -491,9 +496,10 @@ def _join_terms(scale, K, L, grid):
     """join-full values: the u-rule-weighted det of the join map's Jacobian.
 
     The route's prefactor `scale` is folded into K's weights.  The join map
-    reads each chunk's cos alpha and alpha.  Each node of K x L x [0, 1]
-    holds one d x d Jacobian; when one K row alone holds more than
-    CHUNK_BYTES of them, its L nodes are taken in blocks.
+    reads cos alpha and alpha, which it forms from each block's dot
+    products.  Each node of K x L x [0, 1] holds one d x d Jacobian; when
+    one K row alone holds more than CHUNK_BYTES of them, its L nodes are
+    taken in blocks.
     """
     pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
     wk = scale * wk
@@ -503,13 +509,14 @@ def _join_terms(scale, K, L, grid):
     whole = [tuple(range(d))]
     pair_bytes = 8 * d * d * u.size
 
-    def values(s, e, alpha, dots):
+    def values(s, e, dots):
         cols = max(1, CHUNK_BYTES // ((e - s) * pair_bytes))
         vals = np.empty((e - s, nt))
         for t0 in range(0, nt, cols):
             t1 = min(t0 + cols, nt)
+            c = np.clip(dots[:, t0:t1], -1.0, 1.0)
             jac = _join_batch(fk[s:e, :, 0], fk[s:e, :, 1:], fl[t0:t1, :, 0], fl[t0:t1, :, 1:],
-                              dots[:, t0:t1], alpha[:, t0:t1], u)
+                              c, np.arccos(c), u)
             dets = _minor_dets(jac.reshape(-1, d, d), whole).reshape(e - s, t1 - t0, u.size)
             vals[:, t0:t1] = tree_sum_axis(dets * wu, axis=2) * wl[t0:t1]
         return vals * wk[s:e, None]

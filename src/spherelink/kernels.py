@@ -10,19 +10,30 @@ geodesic distance alpha:
 
 They satisfy phi(k,l) = phi(l,k) and phi(k, l, alpha) + (-1)^k phi(k, l,
 pi - alpha) = (-1)^k convolution(k, l, alpha).  Both come from one closed
-form generated per (k, l) by product-to-sum: with c = cos(alpha),
-s = sin(alpha), phi = P(c) + s Q(c) + (pi - alpha)(R(c) + s S(c)) and the
-convolution is the same without the (pi - alpha) part.  phi vanishes to
-order n at alpha = pi, where the form cancels; past a switch point
-phi / sin^n comes from its Taylor series in (pi - alpha)^2, whose
-coefficients are summed exactly in integers.  Switch and term count follow
-per order from bounds (_near_pi_series).  Against adaptive Gauss-Legendre
-on [0.01, pi] for k, l <= 4 the ratio is good to ~1e-14 relative.
+form generated per (k, l) by product-to-sum, its coefficients exact
+integers over one common denominator: with c = cos(alpha), s = sin(alpha),
+phi = P(c) + s Q(c) + (pi - alpha)(R(c) + s S(c)) and the convolution is
+the same without the (pi - alpha) part.  Each order takes one of two
+forms:
 
-The engine passes cos(alpha) along with alpha: s is then sqrt((1-c)(1+c)),
-whose factors are exact near c = +-1, and no transcendental is evaluated.
+* odd k + l (even n): both kernels are polynomials in c, and phi is
+  divisible by (1 + c)^(n/2), where it vanishes to order n at alpha = pi.
+  Exact division gives phi / sin^n = P(c) / (1 - c)^(n/2) and
+  convolution / sin^n = Q(c) / (1 - c^2)^(n/2); there is nothing to cancel
+  and no transcendental to evaluate.
+* even k + l: the closed form cancels at alpha = pi, so past a switch
+  point phi / sin^n comes from its Taylor series in (pi - alpha)^2, whose
+  coefficients are summed exactly in integers.  Switch and term count
+  follow per order from bounds (_near_pi_series).
+
+Against adaptive Gauss-Legendre on [0.01, pi] for k, l <= 4 the ratio is
+good to ~1e-14 relative.
+
+Every kernel is evaluated from alpha or from c = cos(alpha) alone, the
+engine's dot products.  From c, 1 - c and 1 + c are exact near c = +-1;
+the even orders form alpha = arccos(c) and s = sqrt((1-c)(1+c)) block by
+block.  From alpha, 1 - c = 2 sin^2(alpha/2) and 1 + c = 2 cos^2(alpha/2).
 """
-
 import math
 from functools import lru_cache
 from itertools import zip_longest
@@ -68,38 +79,97 @@ def _cos_sin_monomials(m: int):
                  for a, b in ((t1, t2), (u1, u2)))
 
 
-def _closed_form(k: int, l: int, kernel: str):
-    """Terms (coeffs, with_s, with_eps) whose sum coeffs(c) [* s] [* (pi - alpha)]
-    is the kernel; coeffs are monomials in c, lowest degree first.
+# i^e as (real, imaginary) parts, for e mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+@lru_cache(maxsize=None)
+def _closed_form_exact(k: int, l: int, kernel: str):
+    """The closed form as integer monomial rows over one denominator.
+
+    Returns (rows, den): rows 0-3 multiply (1, s, pi - alpha, s (pi - alpha))
+    and rows 4-5 (pi, pi s); row i's coefficients in c, lowest degree first,
+    are over the common denominator den = 2^(k+l) lcm(1 .. k+l).
 
     phi: each e^{i(p(beta - alpha) + q beta)} integrates over [alpha, pi] to
     ((-1)^f e^{-ip alpha} - e^{iq alpha}) / (i f) for f = p + q != 0, and to
     (pi - alpha) e^{-ip alpha} for f = 0.  convolution: e^{ip alpha}
     e^{i(q - p) beta} integrates over [0, pi] to e^{ip alpha} times pi or
-    ((-1)^g - 1) / (i g), g = q - p.  The kernel is real, so z e^{i m alpha}
+    ((-1)^g - 1) / (i g), g = q - p.  With 2^(k+l) sin^k x sin^l y the sum
+    of C(k,j) C(l,j') (-1)^(j+j') (-i)^(k+l) e^{i(px + qy)}, every term is
+    an integer times a power of i; the kernel is real, so z e^{i m alpha}
     contributes Re z cos(|m| alpha) - sign(m) Im z sin(|m| alpha).
     """
-    def sin_power(m):  # (p, a_p) with sin^m x = sum of a_p e^{i p x}
-        return [(m - 2 * j, (-0.5j) ** m * math.comb(m, j) * (-1) ** j) for j in range(m + 1)]
-
-    polys = [[0.0] * (max(k, l) + 1) for _ in range(4)]  # (cos, sin) x (plain, swept)
-    for p, a in sin_power(k):
-        for q, b in sin_power(l):
+    total = k + l
+    lcm = math.lcm(*range(1, total + 1))
+    rows = [[0] * (max(k, l) + 1) for _ in range(6)]
+    for j in range(k + 1):
+        for jj in range(l + 1):
+            p, q = k - 2 * j, l - 2 * jj
+            b = math.comb(k, j) * math.comb(l, jj) * (-1) ** (j + jj) * lcm
+            e = 3 * total  # (-i)^(k+l); 1 / (i f) = i^3 / f
             if kernel == "phi":
                 f = p + q
-                parts = ([(2, -p, a * b)] if f == 0 else
-                         [(0, -p, a * b * (-1) ** f / (1j * f)), (0, q, -a * b / (1j * f))])
+                parts = ([(2, -p, b, e)] if f == 0 else
+                         [(0, -p, (-b if f % 2 else b) // f, e + 3), (0, q, -b // f, e + 3)])
             else:
                 g = q - p
-                parts = [(0, p, a * b * (np.pi if g == 0 else ((-1) ** g - 1) / (1j * g)))]
-            for row, m, z in parts:
+                parts = ([(4, p, b, e)] if g == 0 else
+                         [(0, p, -2 * b // g, e + 3)] if g % 2 else [])
+            for row, m, w, ee in parts:
+                re, im = (w * x for x in _I_POWERS[ee % 4])
                 cos_m, sin_m = _cos_sin_monomials(abs(m))
                 for i, v in enumerate(cos_m):
-                    polys[row][i] += z.real * v
+                    rows[row][i] += re * v
                 for i, v in enumerate(sin_m):  # empty for m = 0
-                    polys[row + 1][i] -= (z.imag if m > 0 else -z.imag) * v
-    terms = [(np.trim_zeros(np.array(c), "b"), bool(i & 1), i >= 2) for i, c in enumerate(polys)]
-    return [t for t in terms if t[0].size]
+                    rows[row + 1][i] -= (im if m > 0 else -im) * v
+    return rows, 2 ** total * lcm
+
+
+def _closed_form(k: int, l: int, kernel: str):
+    """Terms (coeffs, with_s, with_eps) whose sum coeffs(c) [* s] [* (pi - alpha)]
+    is the kernel; coeffs are float monomials in c, lowest degree first,
+    each the exact coefficient correctly rounded."""
+    rows, den = _closed_form_exact(k, l, kernel)
+    terms = []
+    for i in range(4):
+        pis = rows[i + 4] if i < 2 else [0] * len(rows[i])
+        coeffs = np.trim_zeros(np.array([a / den + np.pi * (b / den)
+                                         for a, b in zip(rows[i], pis)]), "b")
+        if coeffs.size:
+            terms.append((coeffs, bool(i & 1), i >= 2))
+    return terms
+
+
+def _rational_forms(k: int, l: int):
+    """For odd k + l: P, float monomials in t = 1 - c, with
+    phi / sin^n = P(t) / t^(n/2), and Q, float monomials in c, with
+    convolution = Q(c).
+
+    Both closed forms are then plain polynomials in c (every f and g is odd,
+    so each term is real and no pi or pi - alpha enters).  phi vanishes to
+    order n at alpha = pi, so its integer polynomial is divided exactly by
+    (1 + c)^(n/2), and a nonzero remainder raises ArithmeticError.  The
+    quotient is then shifted exactly to t = 1 - c, where its coefficients
+    are positive for every k + l < 90 (checked): no term cancels on
+    [0, pi].
+    """
+    (phi_rows, den), (conv_rows, _) = (_closed_form_exact(k, l, kern) for kern in ("phi", "conv"))
+    if any(any(row) for row in phi_rows[1:] + conv_rows[1:]):
+        raise ArithmeticError(f"closed forms of ({k}, {l}) are not polynomials in cos alpha")
+    quotient = phi_rows[0]
+    for _ in range((k + l + 1) // 2):
+        high_first, carry = [], 0
+        for v in reversed(quotient):  # synthetic division by c + 1
+            carry = v - carry
+            high_first.append(carry)
+        if high_first.pop():
+            raise ArithmeticError(f"phi of ({k}, {l}) is not divisible by (1 + cos alpha)^(n/2)")
+        quotient = high_first[::-1]
+    in_t = [sum(v * math.comb(i, j) for i, v in enumerate(quotient) if i >= j) * (-1) ** j
+            for j in range(len(quotient))]
+    return tuple(np.trim_zeros(np.array([v / den for v in poly]), "b")
+                 for poly in (in_t, conv_rows[0]))
 
 
 @lru_cache(maxsize=1)
@@ -147,7 +217,8 @@ def _near_pi_series(k: int, l: int, form):
     eps < pi and keeps the terms before the first one under u/4 of the
     leading term at the switch (later terms shrink > 2x each).
 
-    For high orders float64 cannot carry this: the integers overflow, the
+    For high orders float64 cannot carry this: the integers overflow, a
+    psi coefficient is not finite (inf / inf in its denominators), the
     truncated psi is <= 0 at a step of the search (its root would be
     complex) or the kept series is not finite.  Each raises ValueError
     naming (k, l).
@@ -158,6 +229,8 @@ def _near_pi_series(k: int, l: int, form):
         psi = _psi_series(k, l)
     except OverflowError as exc:
         raise ValueError(refused) from exc
+    if not np.isfinite(psi).all():
+        raise ValueError(refused)
     mass = sum(float(np.abs(c).sum()) * (np.pi if with_eps else 1.0) for c, _, with_eps in form)
     target = _UNIT_ROUNDOFF * mass / _FORM_TOL
     eps, psi_desc = 0.0, psi[::-1].tolist()
@@ -184,11 +257,21 @@ def _near_pi_series(k: int, l: int, form):
 # ---------------------------------------------------------------------------
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.full_like(x, coeffs[-1])
-    for v in coeffs[-2::-1]:
-        acc *= x
-        acc += v
+    """The polynomial coeffs (lowest degree first) at x, a new array."""
+    if coeffs.size == 1:
+        return np.full_like(x, coeffs[0])
+    acc = coeffs[-1] * x
+    for i, v in enumerate(coeffs[-2::-1]):
+        if i:
+            acc *= x
+        if v:
+            acc += v
     return acc
+
+
+def _poly(coeffs: np.ndarray, x: np.ndarray):
+    """coeffs at x, or the constant itself when there is one coefficient."""
+    return coeffs[0] if coeffs.size == 1 else _horner(coeffs, x)
 
 
 def _form_at(form, a, c, s):
@@ -204,19 +287,41 @@ def _form_at(form, a, c, s):
     return out
 
 
-def _sin_pow(s: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
-    """s^n from s and s2 = s^2 (n >= 1)."""
+def _power(x: np.ndarray, p: int) -> np.ndarray:
+    """x^p (p >= 1) by repeated multiplies; x itself when p = 1."""
+    if p == 1:
+        return x
+    out = x * x
+    for _ in range(p - 2):
+        out *= x
+    return out
+
+
+def _sin_pow(s, s2: np.ndarray, n: int) -> np.ndarray:
+    """s^n from s and s2 = s^2 (n >= 1; s is read only for odd n)."""
     out = s if n & 1 else s2
     for _ in range((n - 1) // 2):
         out = out * s2
     return out
 
 
+def _one_pm_cos(x: np.ndarray, from_cos: bool, sign: float) -> np.ndarray:
+    """1 + sign cos(alpha) (sign = +-1) from c = x, or from alpha = x as
+    2 sin^2(alpha/2) or 2 cos^2(alpha/2), exact to rounding at both ends."""
+    if from_cos:
+        return 1.0 + sign * x
+    out = (np.sin if sign < 0 else np.cos)(0.5 * x)
+    out *= out
+    out *= 2.0
+    return out
+
+
 class KernelEvaluator:
     """Kernels of one (k, l) order pair, read-only after construction (which
-    generates the closed forms and series; nothing is fitted), so threads
-    may share it.  The fast entry points take alpha and, optionally,
-    cos(alpha); without it, c = cos(alpha) and s = stable_sin(alpha).
+    generates the closed forms, the series and, for odd k + l, P and Q;
+    nothing is fitted), so threads may share it.  The fast entry points take
+    alpha or, instead, cos(alpha) alone: with cos_alpha given, alpha is not
+    read and may be None.
     """
 
     def __init__(self, k: int, l: int):
@@ -231,63 +336,91 @@ class KernelEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             eps_switch, self._series = _near_pi_series(self.k, self.l, self._phi_form)
         self.alpha_switch = np.pi - eps_switch
+        self._rational = _rational_forms(self.k, self.l) if self.n % 2 == 0 else None
 
-    def _evaluate(self, alpha, cos_alpha, form, sin_power=0, series=False):
-        """form / sin^sin_power over cache-sized blocks; with series, entries
-        past the switch come from the near-pi series instead."""
-        alpha = np.asarray(alpha, dtype=float)
-        a = alpha.ravel()
-        if cos_alpha is None:
-            c, s = np.cos(a), stable_sin(a)
-        else:
-            c, s = np.asarray(cos_alpha, dtype=float).ravel(), None
-        out = np.empty_like(a)
+    def _evaluate(self, alpha, cos_alpha, kernel, sin_power=0):
+        """kernel ("phi" or "conv") / sin^sin_power over cache-sized blocks,
+        from cos_alpha when it is given, else from alpha; phi is only asked
+        for sin_power 0 or n."""
+        from_cos = cos_alpha is not None
+        x = np.asarray(cos_alpha if from_cos else alpha, dtype=float)
+        flat = x.ravel()
+        out = np.empty_like(flat)
+        lo_ok, hi_ok = (-1.0, 1.0) if from_cos else (0.0, np.pi)
+        block = self._rational_block if self._rational else self._form_block
         with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(0, a.size, _BLOCK):
+            for i in range(0, flat.size, _BLOCK):
                 part = slice(i, i + _BLOCK)
-                ab, cb = a[part], c[part]
-                lo, hi = float(ab.min()), float(ab.max())
-                if lo < -1e-12 or hi > np.pi + 1e-12:
-                    raise ValueError("alpha must lie in [0, pi]")
-                if sin_power and lo < 1e-8:
+                xb = flat[part]
+                lo, hi = float(xb.min()), float(xb.max())
+                if not (lo >= lo_ok - 1e-12 and hi <= hi_ok + 1e-12):
+                    raise ValueError("cos alpha must lie in [-1, 1]" if from_cos
+                                     else "alpha must lie in [0, pi]")
+                # cos(1e-8) rounds to 1.0
+                if sin_power and (hi >= 1.0 if from_cos else lo < 1e-8):
                     raise ValueError(
                         "kernel ratio requested at alpha < 1e-8; the integrand is "
                         "unbounded there (points of K and L nearly coincide)")
-                if s is None:
-                    s2 = (1.0 - cb) * (1.0 + cb)
-                    sb = np.sqrt(s2)
-                else:
-                    sb = s[part]
-                    s2 = sb * sb
-                val = _form_at(form, ab, cb, sb)
-                if sin_power:
-                    val /= _sin_pow(sb, s2, sin_power)
-                if series and hi > self.alpha_switch:
-                    near = np.flatnonzero(ab > self.alpha_switch)
-                    fix = self.near_pi_ratio(_eps_from_pi(ab[near]))
-                    if sin_power < self.n:
-                        fix *= _sin_pow(sb[near], s2[near], self.n - sin_power)
-                    val[near] = fix
-                out[part] = val
-        return _maybe_scalar(out.reshape(alpha.shape))
+                block(xb, from_cos, kernel, sin_power, out[part])
+        return _maybe_scalar(out.reshape(x.shape))
+
+    def _rational_block(self, x, from_cos, kernel, sin_power, out):
+        """Odd k + l, from c or alpha = x, into out: the ratio P(t) / t^(n/2)
+        or phi = P(t) (1 + c)^(n/2) for t = 1 - c, or Q(c) / sin^sin_power."""
+        t = _one_pm_cos(x, from_cos, -1.0)
+        if kernel == "phi":
+            p = _poly(self._rational[0], t)
+            if sin_power:
+                np.divide(p, _power(t, self.n // 2), out=out)
+            else:
+                np.multiply(p, _power(_one_pm_cos(x, from_cos, 1.0), self.n // 2), out=out)
+            return
+        q = _poly(self._rational[1], x if from_cos else np.cos(x))
+        if sin_power:
+            t *= _one_pm_cos(x, from_cos, 1.0)  # sin^2 alpha
+            np.divide(q, _sin_pow(np.sqrt(t) if sin_power & 1 else None, t, sin_power), out=out)
+        else:
+            out[...] = q
+
+    def _form_block(self, x, from_cos, kernel, sin_power, out):
+        """Even k + l, from c or alpha = x, into out: the closed form, phi
+        past the switch from the series."""
+        if from_cos:
+            c = np.clip(x, -1.0, 1.0)
+            a = np.arccos(c)
+            s2 = (1.0 - c) * (1.0 + c)
+            s = np.sqrt(s2)
+        else:
+            a, c, s = x, np.cos(x), stable_sin(x)
+            s2 = s * s
+        val = _form_at(self._phi_form if kernel == "phi" else self._conv_form, a, c, s)
+        if sin_power:
+            val /= _sin_pow(s, s2, sin_power)
+        if kernel == "phi" and float(a.max()) > self.alpha_switch:
+            near = np.flatnonzero(a > self.alpha_switch)
+            fix = self.near_pi_ratio(_eps_from_pi(a[near]))
+            if sin_power < self.n:
+                fix *= _sin_pow(s[near], s2[near], self.n - sin_power)
+            val[near] = fix
+        out[...] = val
 
     def phi(self, alpha):
         """Sweep kernel phi(k, l, alpha)."""
         return self.phi_fast(alpha)
 
     def phi_fast(self, alpha, cos_alpha=None):
-        """phi, optionally from cos(alpha); series times sin^n past the switch."""
-        return self._evaluate(alpha, cos_alpha, self._phi_form, series=True)
+        """phi at alpha, or from cos_alpha alone."""
+        return self._evaluate(alpha, cos_alpha, "phi")
 
     def kernel_ratio(self, alpha, cos_alpha=None):
-        """phi(alpha) / sin^n(alpha) with the endpoint handled by series.
+        """phi(alpha) / sin^n(alpha), at alpha or from cos_alpha alone.
 
         Finite on (0, pi]; tends to k! l! / n! at alpha = pi.  Raises for
-        alpha outside [0, pi] and below 1e-8, where the ratio diverges like
-        alpha^{-n} and the disjointness hypothesis of the linking integral
-        is violated.
+        alpha outside [0, pi] (cos_alpha outside [-1, 1]) or NaN, and below
+        1e-8, where the ratio diverges like alpha^{-n} and the disjointness
+        hypothesis of the linking integral is violated.
         """
-        return self._evaluate(alpha, cos_alpha, self._phi_form, self.n, series=True)
+        return self._evaluate(alpha, cos_alpha, "phi", self.n)
 
     def near_pi_ratio(self, eps):
         """kernel_ratio at alpha = pi - eps by the series, for eps <= pi - alpha_switch."""
@@ -299,9 +432,10 @@ class KernelEvaluator:
         return self.convolution_fast(alpha)
 
     def convolution_fast(self, alpha, cos_alpha=None, sin_power=0):
-        """Convolution kernel over sin^sin_power(alpha); the corollary uses
-        sin_power = n, kept off alpha = 0 and pi by its margins."""
-        return self._evaluate(alpha, cos_alpha, self._conv_form, sin_power)
+        """Convolution kernel over sin^sin_power(alpha), at alpha or from
+        cos_alpha alone; the corollary uses sin_power = n, kept off alpha = 0
+        and pi by its margins."""
+        return self._evaluate(alpha, cos_alpha, "conv", sin_power)
 
 
 def _maybe_scalar(out):

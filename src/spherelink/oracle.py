@@ -142,7 +142,7 @@ def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level
 
     Each curve gets a periodic trapezoid rule of grid.curve nodes.  A
     chunk's geometry is the R^3 difference vectors x - y and their
-    lengths, which are the separation checked.  Both sides' trapezoid
+    lengths, whose range is the separation checked.  Both sides' trapezoid
     weights and the 1 / 4 pi are folded into the velocities.
     """
     m = grid.curve
@@ -158,7 +158,7 @@ def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level
     def geometry(s, e):
         diff = x[s:e, None, :] - y[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
-        return (diff, dist), dist
+        return (diff, dist), (float(dist.min()), float(dist.max()))
 
     def values(s, e, diff, dist):
         cross = np.cross(dx[s:e, None, :], np.broadcast_to(dy, diff.shape))

@@ -30,12 +30,19 @@ Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
 evaluation may be distributed over worker threads (``SPHERELINK_WORKERS``
 caps the count), but the combination tree never depends on the worker
-count, so results are bit-identical for any parallelism level.
+count, so results are bit-identical for any parallelism level.  While any
+call of :func:`run_chunked` runs more than one thread, numpy's bundled
+OpenBLAS is held at one thread, so each worker's matrix products do not
+start a BLAS thread pool of their own on top of the workers; the previous
+count is restored when the last such call ends.
 """
 
+import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -72,6 +79,65 @@ def worker_count() -> int:
     if workers < 1:
         raise ValueError(f"SPHERELINK_WORKERS must be an integer >= 1, got {raw!r}")
     return workers
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None.
+
+    Looked up on first use, never at import, through numpy's own extension
+    module, whose dependencies include the bundled library.  A numpy linked
+    to another BLAS, or built without the ``scipy_openblas`` symbols, gives
+    None.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _BlasCap:
+    """One OpenBLAS thread while any holder is inside :meth:`one_thread`.
+
+    The thread count is process-wide, so holders are counted under a lock:
+    the first to enter saves the count and sets 1, the last to leave
+    restores it, however calls nest or overlap.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    @contextmanager
+    def one_thread(self):
+        api = _openblas_threads()
+        if api is None:
+            yield
+            return
+        get, put = api
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                put(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    put(self._saved)
+
+
+_BLAS_CAP = _BlasCap()
 
 
 @lru_cache(maxsize=256)
@@ -170,7 +236,9 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     """Apply work(start, stop) over fixed chunks, optionally in threads.
 
     Chunk boundaries depend only on `total` and `chunk`, so any side effects
-    keyed by chunk index land identically for every worker count.
+    keyed by chunk index land identically for every worker count.  With
+    more than one thread, OpenBLAS runs one thread of its own for as long
+    as the pool does.
     """
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     w = workers if workers is not None else worker_count()
@@ -178,7 +246,7 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
         for s, e in spans:
             work(s, e)
     else:
-        with ThreadPoolExecutor(max_workers=w) as pool:
+        with _BLAS_CAP.one_thread(), ThreadPoolExecutor(max_workers=w) as pool:
             list(pool.map(lambda span: work(*span), spans))
     return len(spans)
 

@@ -16,6 +16,7 @@ __all__ = [
     "TangentColumns",
     "PairGeometry",
     "geodesic_distance",
+    "alpha_extremes",
     "bracket_form",
     "sphere_volume",
     "antipode",
@@ -117,6 +118,14 @@ def geodesic_distance(x: SpherePoint, y: SpherePoint) -> PairGeometry:
     c = float(np.clip(np.dot(x.coords, y.coords), -1.0, 1.0))
     alpha = float(np.arccos(c))
     return PairGeometry(alpha=alpha, cos_alpha=c, sin_alpha=float(np.sin(alpha)))
+
+
+def alpha_extremes(dots) -> tuple[float, float]:
+    """(min, max) geodesic distance over an array of dot products x . y:
+    arccos of its largest and of its smallest entry, each clamped to
+    [-1, 1].  Both are NaN when any entry is NaN."""
+    return (float(np.arccos(np.clip(np.max(dots), -1.0, 1.0))),
+            float(np.arccos(np.clip(np.min(dots), -1.0, 1.0))))
 
 
 def bracket_form(x: TangentColumns, y: TangentColumns) -> float:

@@ -242,7 +242,7 @@ def test_criterion_7_sign_laws(fixture_table, main_reports):
         n = K.ambient_n
         direct = evaluate_main_theorem(K, antipodal_image(L), tol=1e-9)
         ev = kernels.get_evaluator(K.dim, l_dim)
-        reflected_kernel = lambda alpha, cos_alpha: ev.kernel_ratio(np.pi - alpha, -cos_alpha)
+        reflected_kernel = lambda cos_alpha: ev.kernel_ratio(None, -cos_alpha)
         value, _, _, _ = _level_sum(K, L, GridSpec(curve=128),
                                     partial(_kernel_terms, reflected_kernel,
                                             1 / _vol_sphere_any(n)),

@@ -360,6 +360,14 @@ class TestPhi:
         code, _, err = run(capsys, ["phi", "--k", "-1", "--l", "1"])
         assert code == 1
 
+    def test_nan_alpha_rejected(self, capsys):
+        # NaN passes no range comparison, so no row of NaN is printed
+        code, out, err = run(capsys, ["phi", "--k", "1", "--l", "1", "--alpha-min", "nan",
+                                      "--num", "2"])
+        assert code == 1
+        assert out.strip() == "alpha,phi,kernel_ratio,convolution"
+        assert "error: alpha must lie in [0, pi]" in err
+
     @pytest.mark.parametrize("k, l", [(0, 35), (60, 60)])
     def test_orders_past_float64_series_rejected(self, capsys, k, l):
         # a TypeError traceback and a NaN table before the check at construction

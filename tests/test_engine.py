@@ -144,6 +144,21 @@ class TestJoinMap:
                     - f(x - h * dx, y - h * dy, u - h * du)) / (2 * h)
             assert np.allclose(full[..., col], diff, rtol=0, atol=1e-8), col
 
+    def test_jacobian_columns_read_without_copy(self, rng):
+        # the Jacobian is laid out column by column, nodes last: its flat
+        # (N, d, d) frames are a view, and the (d, d, N) transpose that
+        # _minor_dets reads is contiguous
+        x = rng.standard_normal((3, 4))
+        y = rng.standard_normal((2, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        c = np.clip(x @ y.T, -1.0, 1.0)
+        jac = _join_batch(x, rng.standard_normal((3, 4, 1)), y, rng.standard_normal((2, 4, 1)),
+                          c, np.arccos(c), rng.uniform(0.0, 1.0, 5))
+        frames = jac.reshape(-1, 4, 4)
+        assert np.shares_memory(frames, jac)
+        assert frames.transpose(2, 1, 0).flags.c_contiguous
+
 
 class TestMinorDets:
     def test_matches_lu_on_every_row_subset(self, rng):
@@ -269,9 +284,45 @@ class TestLevelChecks:
 
     def test_nan_kernel_rejected(self):
         K, L = hopf_pair()
-        terms = partial(_kernel_terms, lambda alpha, cos_alpha: np.full_like(alpha, np.nan), 1.0)
+        terms = partial(_kernel_terms, lambda cos_alpha: np.full_like(cos_alpha, np.nan), 1.0)
         with pytest.raises(ValueError, match="not finite.*min separation"):
             _level_sum(K, L, GridSpec(curve=8), terms, lambda amin, amax: None)
+
+    CASES = {
+        "hopf-main": (hopf_pair, GridSpec(curve=8), "main"),
+        "hopf-join-full": (hopf_pair, GridSpec(curve=8, u=4), "join-full"),
+        "small_1_2-main": (lambda: small_sphere_pair(1, 2), GridSpec(curve=8, surface=6), "main"),
+        "small_1_2-corollary": (lambda: small_sphere_pair(1, 2), GridSpec(curve=8, surface=6),
+                                "corollary"),
+        "clifford_2_3-main": (lambda: clifford_pair(2, 3, 0.3), GridSpec(curve=16), "main"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_extremes_and_counts_match_every_pair(self, case):
+        # each chunk's alpha range comes from its two extreme dot products:
+        # it must equal the range of arccos over every pair of every level,
+        # bit for bit, as the whole-chunk arccos gave it
+        pair, grid, method = self.CASES[case]
+        K, L = pair()
+        report = engine._evaluate(method, K, L, grid, 0.0, 0, engine.MIN_ALPHA)
+        lows, highs, counts = [], [], []
+        for g in (grid, grid.refined()):
+            pk = _side_arrays(K, g.nodes_for(K, "k"))[0]
+            pl = _side_arrays(L, g.nodes_for(L, "l"))[0]
+            alpha = np.arccos(np.clip(pk @ pl.T, -1.0, 1.0))
+            lows.append(alpha.min())
+            highs.append(alpha.max())
+            counts.append(alpha.size * (g.u if method == "join-full" else 1))
+        assert (report.min_alpha, report.max_alpha) == (min(lows), max(highs))
+        assert report.node_counts == tuple(counts)
+
+    def test_nan_extremes_fail_separation(self):
+        # a NaN dot product makes both extremes NaN, which clear no threshold
+        for route in engine._ROUTES.values():
+            with pytest.raises(DisjointnessError, match="min geodesic separation nan"):
+                engine._check_separation(route, np.nan, np.nan, engine.MIN_ALPHA)
+        with pytest.raises(DisjointnessError, match="-L"):
+            engine._check_separation(engine._ROUTES["corollary"], 1.0, np.nan, engine.MIN_ALPHA)
 
     def test_min_alpha_checked_on_refined_grid(self):
         K, L = hopf_pair()

@@ -3,6 +3,7 @@ import pytest
 
 from spherelink.kernels import (
     KernelEvaluator,
+    _rational_forms,
     convolution,
     get_evaluator,
     phi,
@@ -10,7 +11,7 @@ from spherelink.kernels import (
     stable_sin,
 )
 
-from spherelink.engine import sign_factor
+from spherelink.engine import MIN_ALPHA, sign_factor
 
 from conftest import conv_numeric, phi_numeric, reduced_kernel_numeric
 
@@ -181,10 +182,11 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             KernelEvaluator(1.5, 1)
 
-    @pytest.mark.parametrize("k, l", [(0, 35), (0, 83), (4, 82), (60, 60)])
+    @pytest.mark.parametrize("k, l", [(0, 35), (0, 83), (4, 82), (60, 60),
+                                      (82, 5), (6, 82), (81, 11)])
     def test_orders_past_float64_series_rejected(self, k, l):
-        # the switch search turns negative, the integers overflow, or the
-        # near-pi series is not finite
+        # the switch search turns negative, the integers overflow, a psi
+        # coefficient is NaN, or the near-pi series is not finite
         with pytest.raises(ValueError, match=rf"\({k}, {l}\)"):
             KernelEvaluator(k, l)
 
@@ -194,6 +196,29 @@ class TestEvaluator:
         alphas = np.array([0.01, 1.0, 2.0, 3.0, np.pi])
         for values in (ev.phi(alphas), ev.kernel_ratio(alphas), ev.convolution(alphas)):
             assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (2, 3)])
+    def test_nan_and_out_of_range_rejected(self, k, l):
+        # NaN fails every range comparison, so it must fail the check too;
+        # on both paths, for an even and an odd k + l
+        ev = KernelEvaluator(k, l)
+        for bad in (np.nan, -0.5, 4.0):
+            for kern in (ev.phi, ev.kernel_ratio, ev.convolution):
+                with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi\]"):
+                    kern(np.array([1.0, bad]))
+        for bad in (np.nan, -1.5, 1.0 + 1e-9):
+            for kern in (ev.phi_fast, ev.kernel_ratio, ev.convolution_fast):
+                with pytest.raises(ValueError, match=r"cos alpha must lie in \[-1, 1\]"):
+                    kern(None, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (2, 3)])
+    def test_cos_path_error_below_min(self, k, l):
+        # cos(1e-8) rounds to 1: c = 1 is alpha = 0, the largest c below it
+        # is alpha = 1.5e-8
+        ev = KernelEvaluator(k, l)
+        with pytest.raises(ValueError, match="alpha < 1e-8"):
+            ev.kernel_ratio(None, np.array([0.0, 1.0]))
+        assert np.isfinite(ev.kernel_ratio(None, np.nextafter(1.0, 0.0)))
 
     def test_fast_paths_match_direct(self):
         alphas = np.linspace(0.0, np.pi, 257)
@@ -216,6 +241,9 @@ class TestEvaluator:
 
 GRID = np.linspace(0.01, np.pi, 20001)
 ORDERS = [(k, l) for k in range(5) for l in range(5)]
+# every order with odd k + l <= 7, on [MIN_ALPHA, pi]
+ODD_ORDERS = [(k, total - k) for total in (1, 3, 5, 7) for k in range(total + 1)]
+MIN_GRID = np.linspace(MIN_ALPHA, np.pi, 4001)
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +287,43 @@ class TestFullAccuracy:
             for engine, alpha_only in pairs:
                 rel = np.max(np.abs(engine - alpha_only) / np.abs(alpha_only))
                 assert rel <= 1e-12, (k, l, rel)
+
+    @pytest.mark.parametrize("k, l", ODD_ORDERS)
+    def test_rational_forms_match_closed_form(self, k, l):
+        # odd k + l evaluate P(1 - c) / (1 - c)^(n/2) and Q(c); with the
+        # rational forms switched off the same evaluator takes the closed
+        # form plus the near-pi series, which the even orders keep.  Bounds
+        # are those above: 1e-13 relative for the ratio, 1e-13 of
+        # max(1, |value|) for phi and the convolution, 1e-12 relative for
+        # the corollary quotient short of the antipodal margin.
+        c = np.cos(MIN_GRID)
+        alpha = np.arccos(c)
+        off_pi = alpha < np.pi - 0.01
+        ev = KernelEvaluator(k, l)
+        closed = KernelEvaluator(k, l)
+        closed._rational = None
+        n = ev.n
+        ref_ratio = closed.kernel_ratio(alpha)
+        ref_phi, ref_conv = closed.phi(alpha), closed.convolution(alpha)
+        ref_quot = closed.convolution_fast(alpha[off_pi], sin_power=n)
+        for args in ((alpha, None), (None, c)):
+            rel = np.max(np.abs(ev.kernel_ratio(*args) - ref_ratio) / ref_ratio)
+            assert rel <= 1e-13, (k, l, args[0] is None, rel)
+            pairs = ((ev.phi_fast(*args), ref_phi), (ev.convolution_fast(*args), ref_conv))
+            for got, ref in pairs:
+                err = np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))
+                assert err <= 1e-13, (k, l, args[0] is None, err)
+            quot = ev.convolution_fast(*(a if a is None else a[off_pi] for a in args), sin_power=n)
+            rel = np.max(np.abs(quot - ref_quot) / np.abs(ref_quot))
+            assert rel <= 1e-12, (k, l, args[0] is None, rel)
+
+    def test_rational_numerator_has_positive_coefficients(self):
+        # P in t = 1 - c has no cancelling terms, which is what keeps the
+        # odd-order ratio accurate on all of [0, pi] without a series
+        for total in range(1, 42, 2):
+            for k in range(total + 1):
+                numerator = _rational_forms(k, total - k)[0]
+                assert (numerator > 0).all(), (k, total - k)
 
     def test_join_reduced_is_signed_kernel_ratio(self):
         # integrating the join parameter out of the reduced join-degree

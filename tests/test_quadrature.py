@@ -1,17 +1,25 @@
+import sys
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 
+from spherelink import engine, quadrature
 from spherelink.engine import GridSpec
 from spherelink.quadrature import (
     ChartDim,
     Estimate,
     product_rule,
     refine_until,
+    run_chunked,
     tensor_grid,
     tree_sum,
     tree_sum_axis,
     worker_count,
 )
+
+from conftest import small_sphere_pair
 
 
 PERIOD = (0.0, 2 * np.pi)
@@ -224,3 +232,79 @@ class TestDeterminism:
         monkeypatch.setenv("SPHERELINK_WORKERS", value)
         with pytest.raises(ValueError, match="SPHERELINK_WORKERS"):
             worker_count()
+
+
+class TestBlasThreads:
+    """run_chunked holds OpenBLAS at one thread while it runs more than one
+    worker, and leaves the count as it found it."""
+
+    @pytest.fixture
+    def blas(self):
+        api = quadrature._openblas_threads()
+        if api is None:
+            pytest.skip("numpy is not linked to its bundled scipy_openblas")
+        get, put = api
+        before = get()
+        put(2)  # a count the cap visibly changes
+        yield get
+        put(before)
+
+    def test_two_worker_evaluation_restores_count(self, blas, monkeypatch):
+        monkeypatch.setenv("SPHERELINK_WORKERS", "2")
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 10)  # several chunks a level
+        seen = []
+        K, L = small_sphere_pair(1, 2)
+        ev = engine.kernels.get_evaluator(1, 2)
+
+        def kern(c):
+            seen.append(blas())
+            return ev.kernel_ratio(None, c)
+
+        value = engine._level_sum(K, L, GridSpec(curve=16, surface=8),
+                                  partial(engine._kernel_terms, kern, 1.0), lambda lo, hi: None)
+        assert np.isfinite(value[0])
+        assert len(seen) > 1 and set(seen) == {1}
+        assert blas() == 2
+        engine.evaluate_corollary(K, L, grid=GridSpec(curve=16, surface=8), max_level=0)
+        assert blas() == 2
+
+    def test_nested_and_concurrent_calls_restore_count(self, blas):
+        # more threads than cores and a short switch interval: a lost
+        # update of the holder count would show as a count other than 1
+        # inside some chunk, or other than 2 after the last call
+        seen = []
+
+        def inner(s, e):
+            seen.append(blas())
+
+        def outer(s, e):
+            seen.append(blas())
+            run_chunked(4, inner, workers=2, chunk=1)
+
+        def caller():
+            for _ in range(20):
+                run_chunked(4, outer, workers=3, chunk=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 4 * 20 * 4 * 5 and set(seen) == {1}
+        assert blas() == 2
+
+    def test_runs_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_openblas_threads", lambda: None)
+        out = np.zeros(10)
+
+        def work(s, e):
+            out[s:e] = np.arange(s, e)
+
+        assert run_chunked(10, work, workers=2, chunk=3) == 4
+        assert np.array_equal(out, np.arange(10))
