@@ -9,6 +9,11 @@ projection.  The join degree's "reduced" variant is the direct kernel
 carrying the join sign (the join parameter integrates out exactly); its
 "full" variant integrates the join map's Jacobian determinant, with exact
 chain-rule derivatives, over K x L x [0, 1] and is the independent check.
+
+The package exports the catalog constructors, the evaluators with their
+grid, report and rounding, the kernels, the oracle and `sphere_volume`.
+Every route works on whole arrays of points and tangent frames, which stay
+private to `engine`.
 """
 
 __version__ = "0.1.0"
@@ -31,21 +36,12 @@ from .engine import (
     evaluate_corollary,
     evaluate_join_degree,
     evaluate_main_theorem,
-    join_map,
     round_to_linking,
     sign_factor,
 )
 from .kernels import KernelEvaluator, convolution, phi, phi_kernel_ratio
 from .oracle import gauss_linking_integral, oracle_linking, stereographic_project
-from .spheregeom import (
-    SpherePoint,
-    TangentColumns,
-    antipode,
-    apply_rotation,
-    bracket_form,
-    geodesic_distance,
-    sphere_volume,
-)
+from .spheregeom import sphere_volume
 
 __all__ = [
     "__version__",
@@ -64,7 +60,6 @@ __all__ = [
     "evaluate_corollary",
     "evaluate_join_degree",
     "evaluate_main_theorem",
-    "join_map",
     "round_to_linking",
     "sign_factor",
     "KernelEvaluator",
@@ -74,11 +69,5 @@ __all__ = [
     "gauss_linking_integral",
     "oracle_linking",
     "stereographic_project",
-    "SpherePoint",
-    "TangentColumns",
-    "antipode",
-    "apply_rotation",
-    "bracket_form",
-    "geodesic_distance",
     "sphere_volume",
 ]

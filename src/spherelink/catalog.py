@@ -2,9 +2,8 @@
 
 Every entry exposes a chart (one :class:`spherelink.quadrature.ChartDim`
 per dimension: an interval, periodic or open, that owns its quadrature
-rule), a vectorized embedding `batch`, and a single-point `evaluate`
-returning the base point with its ordered tangent columns.  Chart
-coordinate order carries the orientation.
+rule) and a vectorized embedding `batch` returning base points with their
+ordered tangent columns.  Chart coordinate order carries the orientation.
 
 Each geometry has one class.  Round k-spheres are one class: a small
 sphere of angular radius r about a center, and a great subsphere as the
@@ -43,8 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .quadrature import ChartDim, product_rule, tensor_grid
-from .spheregeom import (SpherePoint, TangentColumns, _check_rotation, alpha_extremes,
-                         compose_givens)
+from .spheregeom import _check_rotation, alpha_extremes, compose_givens
 
 __all__ = [
     "OrientedSubmanifold",
@@ -94,14 +92,6 @@ class OrientedSubmanifold(ABC):
 
     def signed_points(self):
         raise ValueError("not a zero-dimensional (signed point set) manifold")
-
-    def evaluate(self, p) -> TangentColumns:
-        """Embed one chart point, returning the base and tangent columns."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        if p.shape != (self.dim,):
-            raise ValueError(f"chart point must have {self.dim} coordinates")
-        pts, tan = self.batch(p[None, :])
-        return TangentColumns(base=SpherePoint(pts[0]), columns=tan[0])
 
     def _validate(self):
         """Dense-grid sanity check: unit norm, tangency, full tangent rank."""

@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands:
-  link         evaluate a link spec (JSON) and print a run report (JSON)
-  phi          tabulate the distance kernels to CSV
-  convergence  per-level values of a link run, CSV
-  catalog      list catalog kinds and their parameter schemas
-  oracle       R^3 Gauss-integral oracle for an S^3 curve-pair spec
+  link     evaluate a link spec (JSON) and print a run report (JSON)
+  phi      tabulate the distance kernels to CSV
+  catalog  list catalog kinds and their parameter schemas
 
-Exit codes for link/oracle: 0 when the value rounds to an accepted integer,
-2 when rounding is rejected or the quadrature did not converge, 1 for any
-validation problem (malformed JSON, dimension mismatch, disjointness).
+The R^3 Gauss-integral oracle is the spec method "oracle" of `link`, and a
+refinement study is `link --tol 0 --max-level N`, whose report holds the
+value and node count of every level.
+
+Exit codes: 0 when the value rounds to an accepted integer, 2 when rounding
+is rejected or the quadrature did not converge, 1 for any invalid input
+(a usage error, malformed JSON, dimension mismatch, disjointness).
 
 All floating-point output is formatted with 17 significant digits, which
 round-trips IEEE doubles exactly; reports serialize with sorted keys so a
@@ -33,7 +35,6 @@ from . import __version__
 from .catalog import _float, _int, build_entry, catalog_schemas
 from .engine import (
     _ROUTES,
-    TOL,
     DisjointnessError,
     GridSpec,
     evaluate_corollary,
@@ -197,7 +198,8 @@ def _run_report(spec: dict, report, wall_ms: float) -> dict:
     }
 
 
-def _run_and_print(spec: dict, args) -> int:
+def cmd_link(args) -> int:
+    spec = _apply_overrides(_load_spec(args.spec), args)
     t0 = time.perf_counter()
     report = _dispatch(spec)
     wall = 0.0 if args.stable else (time.perf_counter() - t0) * 1e3
@@ -206,46 +208,20 @@ def _run_and_print(spec: dict, args) -> int:
     return 0 if report.accepted else 2
 
 
-def cmd_link(args) -> int:
-    return _run_and_print(_apply_overrides(_load_spec(args.spec), args), args)
-
-
-def cmd_oracle(args) -> int:
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    spec["method"] = "oracle"
-    return _run_and_print(spec, args)
-
-
 def cmd_phi(args) -> int:
+    for dest, conv in (("alpha_min", _float), ("alpha_max", _float), ("num", _count)):
+        try:
+            conv(vars(args)[dest])
+        except ValueError as exc:
+            raise ValueError(f"--{dest.replace('_', '-')} is malformed: {exc}") from exc
     ev = get_evaluator(args.k, args.l)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.num)
-    print("alpha,phi,kernel_ratio,convolution")
     phi_vals = np.atleast_1d(ev.phi(alphas))
     ratio_vals = np.atleast_1d(ev.kernel_ratio(alphas))
     conv_vals = np.atleast_1d(ev.convolution(alphas))
+    print("alpha,phi,kernel_ratio,convolution")
     for a, p, r, c in zip(alphas, phi_vals, ratio_vals, conv_vals):
         print(f"{_fmt(a)},{_fmt(p)},{_fmt(r)},{_fmt(c)}")
-    return 0
-
-
-def cmd_convergence(args) -> int:
-    """Per-level values of the run `link` makes, refined `--levels` times.
-
-    Row j compares the grid refined j times with the one before it; its
-    converged flag tests that difference, on the Lk scale as `link` does,
-    against the spec's tolerance or the engine's default.
-    """
-    if args.levels < 1:
-        raise ValueError(f"--levels must be at least 1, got {args.levels}")
-    spec = _apply_overrides(_load_spec(args.spec), args)
-    tol = _present(spec, _RUN_FIELDS).get("tol", TOL)
-    report = _dispatch(dict(spec, tol=0.0, max_level=args.levels - 1))
-    values = report.level_values
-    print("level,nodes,value,error_estimate,converged")
-    for j in range(1, len(values)):
-        err = abs(values[j] - values[j - 1])
-        print(f"{j},{report.node_counts[j]},{_fmt(values[j])},"
-              f"{_fmt(err)},{str(err < tol).lower()}")
     return 0
 
 
@@ -261,32 +237,38 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other invalid input does; exit 2 is a
+    rejected or unconverged result.  Subparsers take this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherelink",
         description="Linking numbers of closed submanifolds of the n-sphere.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
-        p.add_argument("spec", help="path to a JSON link spec")
-        p.add_argument("--tol", type=float, default=None,
-                       help="refinement tolerance on the Lk scale "
-                            "(default from spec or 1e-9)")
-        p.add_argument("--grid", default=None,
-                       help="node-count overrides, e.g. k=64,l=32,u=16")
-        p.add_argument("--max-level", type=int, default=None, dest="max_level",
-                       help="refinement levels allowed after levels 0 and 1, "
-                            "which always run (at most max_level + 1 grid doublings)")
-        p.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
-                       help="disjointness threshold in radians "
-                            "(sphere methods; the oracle refuses it)")
-        p.add_argument("--stable", action="store_true",
-                       help="zero the wall-time field for byte-identical reports")
-
     p_link = sub.add_parser("link", help="evaluate a link spec")
-    add_run_flags(p_link)
+    p_link.add_argument("spec", help="path to a JSON link spec")
+    p_link.add_argument("--tol", type=float, default=None,
+                        help="refinement tolerance on the Lk scale "
+                             "(default from spec or 1e-9)")
+    p_link.add_argument("--grid", default=None,
+                        help="node-count overrides, e.g. k=64,l=32,u=16")
+    p_link.add_argument("--max-level", type=int, default=None, dest="max_level",
+                        help="refinement levels allowed after levels 0 and 1, "
+                             "which always run (at most max_level + 1 grid doublings)")
+    p_link.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
+                        help="disjointness threshold in radians "
+                             "(sphere methods; the oracle refuses it)")
+    p_link.add_argument("--stable", action="store_true",
+                        help="zero the wall-time field for byte-identical reports")
     p_link.set_defaults(func=cmd_link)
 
     p_phi = sub.add_parser("phi", help="tabulate the kernels to CSV")
@@ -297,18 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--num", type=int, default=65)
     p_phi.set_defaults(func=cmd_phi)
 
-    p_conv = sub.add_parser("convergence", help="per-level refinement study")
-    add_run_flags(p_conv)
-    p_conv.add_argument("--levels", type=int, default=4)
-    p_conv.set_defaults(func=cmd_convergence)
-
     p_cat = sub.add_parser("catalog", help="list catalog kinds")
     p_cat.add_argument("--json", action="store_true")
     p_cat.set_defaults(func=cmd_catalog)
-
-    p_oracle = sub.add_parser("oracle", help="R^3 Gauss oracle for S^3 curves")
-    add_run_flags(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 

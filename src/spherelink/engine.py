@@ -67,14 +67,13 @@ from .quadrature import (
     tree_sum,
     tree_sum_axis,
 )
-from .spheregeom import SpherePoint, _vol_sphere_any, alpha_extremes, geodesic_distance
+from .spheregeom import _vol_sphere_any, alpha_extremes
 
 __all__ = [
     "DisjointnessError",
     "GridSpec",
     "LinkingReport",
     "sign_factor",
-    "join_map",
     "evaluate_main_theorem",
     "evaluate_corollary",
     "evaluate_join_degree",
@@ -319,31 +318,24 @@ def _join_batch(x, tx, y, ty, c, alpha, u) -> np.ndarray:
     return out.transpose(2, 3, 4, 1, 0)
 
 
-def join_map(x: SpherePoint, y: SpherePoint, u: float) -> SpherePoint:
-    """Point at parameter u on the geodesic arc from x to -y.
-
-    u = 0 gives x, u = 1 gives -y.  Undefined for coincident or antipodal
-    x, y (the arc direction degenerates with sin(alpha)).
-    """
-    pg = geodesic_distance(x, y)
-    if pg.sin_alpha < 1e-8 or not 0.0 < pg.alpha < np.pi:
-        raise ValueError(
-            "join map needs 0 < alpha < pi; points are (nearly) coincident or antipodal"
-        )
-    none = np.empty((1, x.coords.size, 0))
-    f = _join_batch(x.coords[None, :], none, y.coords[None, :], none,
-                    np.array([[pg.cos_alpha]]), np.array([[pg.alpha]]),
-                    np.array([float(u)]))[0, 0, 0, :, 0]
-    return SpherePoint(f)
-
-
 # ---------------------------------------------------------------------------
 # shared pair machinery
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
 def _laplace_subsets(d: int, m: int):
-    """Row subsets, complements and signs for expansion by the first m columns."""
+    """Row subsets, complements and signs for expansion by the first m columns.
+
+    A d x d determinant whose first m columns are a frame A and whose last
+    d - m are a frame B is the sum over the m-row subsets S of
+    signs[S] det A[S] det B[comps[S]].  With A = (x, dx_1, ..., dx_k) and
+    B = (y, dy_1, ..., dy_l), as `_side_arrays` lays the frames out, that is
+    the bracket det(x, dx, y, dy) every pair kernel integrates.  Its column
+    order carries the sphere's point-first orientation: a tangent basis
+    A_1, ..., A_n at p is positive exactly when (p, A_1, ..., A_n) is a
+    positive basis of R^{n+1}.  That convention is normative for every
+    orientation decision in the package.
+    """
     subs = list(combinations(range(d), m))
     base = m * (m - 1) // 2
     signs = np.array([(-1.0) ** (sum(s) - base) for s in subs])
@@ -471,7 +463,8 @@ def _level_sum(K, L, grid, terms, check):
 
 
 def _kernel_terms(kern, scale, K, L, grid):
-    """Pair-kernel values: scale times kern(cos_alpha) times the bracket.
+    """Pair-kernel values: scale times kern(cos_alpha) times the bracket
+    det(x, dx, y, dy), in the point-first column order of `_laplace_subsets`.
 
     The bracket determinant is expanded into per-side minors once per
     level, with each side's quadrature weights folded in, and the route's

@@ -39,14 +39,15 @@ __all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
 
 @dataclass(frozen=True)
 class EuclideanCurve:
-    """Closed curve in R^3: vectorized map s -> (points, velocities)."""
+    """Closed curve in R^3: `at` maps an array of parameters s to its
+    (points, velocities), vectorized."""
 
-    evaluate: callable
+    at: callable
     period: float = 2 * np.pi
 
     def sample(self, m: int):
         """Points and velocities at the m nodes of the periodic trapezoid rule."""
-        return self.evaluate(ChartDim(0.0, self.period, True).rule(m)[0])
+        return self.at(ChartDim(0.0, self.period, True).rule(m)[0])
 
 
 def _candidate_poles():
@@ -122,7 +123,7 @@ def stereographic_project(curve: OrientedSubmanifold, pole) -> EuclideanCurve:
         )
     frame = _projection_frame(pole)
 
-    def evaluate(s):
+    def at(s):
         p, t = curve.batch(np.asarray(s, dtype=float)[:, None])
         v = t[:, :, 0]
         w = p @ pole
@@ -134,7 +135,7 @@ def stereographic_project(curve: OrientedSubmanifold, pole) -> EuclideanCurve:
         vel3 = dxi / denom + xi * (dw[:, None] / denom**2)
         return pts3, vel3
 
-    return EuclideanCurve(evaluate=evaluate)
+    return EuclideanCurve(at=at)
 
 
 def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level:
@@ -147,8 +148,8 @@ def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level
     """
     m = grid.curve
     (sk, wk), (sl, wl) = (ChartDim(0.0, c.period, True).rule(m) for c in (K, L))
-    x, dx = K.evaluate(sk)
-    y, dy = L.evaluate(sl)
+    x, dx = K.at(sk)
+    y, dy = L.at(sl)
     if min(float(np.min(np.linalg.norm(dx, axis=1))),
            float(np.min(np.linalg.norm(dy, axis=1)))) <= 1e-8:
         raise ValueError("curve velocity vanishes on the sample grid")

@@ -17,6 +17,12 @@ from spherelink.catalog import alpha_range_scan
 from spherelink.oracle import EuclideanCurve
 
 
+def unit_rows(rng, n, d):
+    """n random unit vectors in R^d, one per row."""
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
 def random_rotation(dim: int, rng) -> np.ndarray:
     """Haar-ish random element of SO(dim) via QR with sign fixing."""
     a = rng.standard_normal((dim, dim))
@@ -111,7 +117,7 @@ def euclid_circle(center, radius, normal_axis=2):
     center = np.asarray(center, dtype=float)
     axes = [i for i in range(3) if i != normal_axis]
 
-    def evaluate(s):
+    def at(s):
         pts = np.tile(center, (len(s), 1))
         vel = np.zeros((len(s), 3))
         pts[:, axes[0]] += radius * np.cos(s)
@@ -120,7 +126,7 @@ def euclid_circle(center, radius, normal_axis=2):
         vel[:, axes[1]] = radius * np.cos(s)
         return pts, vel
 
-    return EuclideanCurve(evaluate=evaluate)
+    return EuclideanCurve(at=at)
 
 
 def threading_circles():

@@ -146,14 +146,6 @@ class TestGreatSubsphere:
             for a, b in zip(great.batch(coords), round_.batch(coords)):
                 assert np.max(np.abs(a - b)) <= 1e-15
 
-    def test_evaluate_contract(self):
-        m = great_subsphere(2, (0, 2, 4), 5)
-        tc = m.evaluate([1.0, 2.0])
-        assert tc.k == 2
-        assert np.linalg.norm(tc.base.coords) == pytest.approx(1.0, abs=1e-14)
-        with pytest.raises(ValueError):
-            m.evaluate([1.0])
-
 
 class TestHopfFiber:
     def test_axis_fibers(self):

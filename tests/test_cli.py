@@ -6,6 +6,7 @@ import pytest
 
 from spherelink import GridSpec, LinkingReport, evaluate_main_theorem, oracle_linking
 from spherelink.cli import main
+from spherelink.engine import TOL
 from spherelink.oracle import CURVE_NODES
 
 from conftest import great_pair
@@ -83,11 +84,11 @@ def _refuse_constant(name):
 
 
 def run(capsys, argv):
-    """Exit code, stdout and stderr of one CLI call; a link or oracle report
-    on stdout must parse as strict JSON (no NaN or Infinity)."""
+    """Exit code, stdout and stderr of one CLI call; a link report on stdout
+    must parse as strict JSON (no NaN or Infinity)."""
     code = main(argv)
     captured = capsys.readouterr()
-    if argv[0] in ("link", "oracle") and captured.out.strip():
+    if argv[0] == "link" and captured.out.strip():
         json.loads(captured.out, parse_constant=_refuse_constant)
     return code, captured.out, captured.err
 
@@ -177,7 +178,8 @@ class TestLink:
 
     def test_oracle_default_nodes_match_python_api(self, tmp_path, capsys):
         # a spec without a grid runs the oracle at oracle_linking's own default
-        code, out, _ = run(capsys, ["oracle", write_spec(tmp_path, GREAT_CIRCLES), "--stable"])
+        spec = dict(GREAT_CIRCLES, method="oracle")
+        code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
         assert code == 0
         K, L = great_pair(1, 1)
         assert json.loads(out)["node_counts"] == list(oracle_linking(K, L).node_counts)
@@ -361,11 +363,28 @@ class TestPhi:
         assert code == 1
 
     def test_nan_alpha_rejected(self, capsys):
-        # NaN passes no range comparison, so no row of NaN is printed
+        # NaN passes no range comparison, so it is refused before any row
         code, out, err = run(capsys, ["phi", "--k", "1", "--l", "1", "--alpha-min", "nan",
                                       "--num", "2"])
         assert code == 1
-        assert out.strip() == "alpha,phi,kernel_ratio,convolution"
+        assert out == ""
+        assert err.startswith("error:") and "--alpha-min" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha-max", "inf"), ("--alpha-min", "-inf"), ("--num", "0"), ("--num", "-2"),
+    ])
+    def test_bad_flag_names_flag(self, capsys, flag, value):
+        # no numpy warning, no bare header: exit 1 before any output
+        code, out, err = run(capsys, ["phi", "--k", "1", "--l", "1", f"{flag}={value}"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and flag in err and value in err
+
+    def test_alpha_outside_range_prints_nothing(self, capsys):
+        code, out, err = run(capsys, ["phi", "--k", "1", "--l", "1", "--alpha-min=-1",
+                                      "--num", "2"])
+        assert code == 1
+        assert out == ""
         assert "error: alpha must lie in [0, pi]" in err
 
     @pytest.mark.parametrize("k, l", [(0, 35), (60, 60)])
@@ -378,6 +397,20 @@ class TestPhi:
 
 
 class TestConvergence:
+    """A refinement study is `link --tol 0 --max-level N`: it runs all N + 2
+    levels, and its report holds each level's value and node count."""
+
+    def study(self, tmp_path, capsys, spec, max_level):
+        path = write_spec(tmp_path, spec)
+        code, out, _ = run(capsys, ["link", path, "--tol", "0", "--max-level", str(max_level),
+                                    "--stable"])
+        # no step is below a zero tolerance, so the run never converges
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["report"]["converged"] is False
+        assert len(doc["report"]["level_values"]) == len(doc["node_counts"]) == max_level + 2
+        return doc["report"]["level_values"], doc["node_counts"], doc["report"]
+
     def test_hopf_four_levels(self, tmp_path, capsys):
         b = np.array([0.3, -0.2, 0.8, 0.4])
         b /= np.linalg.norm(b)
@@ -388,79 +421,57 @@ class TestConvergence:
             "method": "main",
             "grid": {"k": 16, "l": 16},
         }
-        path = write_spec(tmp_path, spec)
-        code, out, _ = run(capsys, ["convergence", path, "--levels", "4"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "level,nodes,value,error_estimate,converged"
-        assert len(lines) == 5
-        final = lines[-1].split(",")
-        assert float(final[3]) < 1e-8
-        assert final[4] == "true"
+        values, _, report = self.study(tmp_path, capsys, spec, 3)
+        step = abs(values[-1] - values[-2])
+        assert step < TOL
+        assert step == report["error_estimate"]
+        assert values[-1] == report["raw_value"]
 
     def test_single_level(self, tmp_path, capsys):
-        path = write_spec(tmp_path, GREAT_CIRCLES)
-        code, out, _ = run(capsys, ["convergence", path, "--levels", "1"])
-        assert code == 0
-        assert len(out.strip().splitlines()) == 2
-
-    def _rows(self, tmp_path, capsys, spec):
-        path = write_spec(tmp_path, spec)
-        code, out, _ = run(capsys, ["convergence", path, "--levels", "2"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "level,nodes,value,error_estimate,converged"
-        return [line.split(",") for line in lines[1:]]
+        _, counts, _ = self.study(tmp_path, capsys, GREAT_CIRCLES, 0)
+        assert counts == [64 * 64, 128 * 128]
 
     def test_oracle_rows(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES, method="oracle", grid={"k": 16})
-        rows = self._rows(tmp_path, capsys, spec)
-        assert [int(r[1]) for r in rows] == [32 * 32, 64 * 64]
-        assert all(float(r[2]) == pytest.approx(1.0, abs=1e-12) for r in rows)
+        values, counts, _ = self.study(tmp_path, capsys, spec, 1)
+        assert counts == [16 * 16, 32 * 32, 64 * 64]
+        assert all(v == pytest.approx(1.0, abs=1e-12) for v in values[1:])
 
     def test_join_full_rows(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES, method="join-full", grid={"curve": 8, "u": 4})
-        rows = self._rows(tmp_path, capsys, spec)
-        assert [int(r[1]) for r in rows] == [16 * 16 * 8, 32 * 32 * 16]
-        assert all(float(r[2]) == pytest.approx(-1.0, abs=1e-12) for r in rows)
-
-    def test_levels_below_one_rejected(self, tmp_path, capsys):
-        path = write_spec(tmp_path, GREAT_CIRCLES)
-        code, out, err = run(capsys, ["convergence", path, "--levels", "0"])
-        assert code == 1
-        assert out == ""
-        assert "--levels" in err
+        values, counts, _ = self.study(tmp_path, capsys, spec, 1)
+        assert counts == [8 * 8 * 4, 16 * 16 * 8, 32 * 32 * 16]
+        assert all(v == pytest.approx(-1.0, abs=1e-12) for v in values[1:])
 
     def test_intersecting_pair_rejected(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES,
                     L={"kind": "great_subsphere", "k": 1, "axes": [1, 2]})
         path = write_spec(tmp_path, spec)
-        code, out, err = run(capsys, ["convergence", path, "--levels", "1"])
+        code, out, err = run(capsys, ["link", path, "--tol", "0", "--max-level", "0"])
         assert code == 1
         assert out == ""
         assert "disjoint" in err
 
     def test_close_approach_flags_false_until_resolved(self, tmp_path, capsys):
-        path = write_spec(tmp_path, NEAR_MISS)
-        code, out, _ = run(capsys, ["convergence", path, "--levels", "6"])
-        assert code == 0
-        flags = [line.split(",")[4] for line in out.strip().splitlines()[1:]]
-        assert flags[0] == "false"
-        assert flags[-1] == "true"
+        values, _, _ = self.study(tmp_path, capsys, NEAR_MISS, 5)
+        steps = [abs(b - a) for a, b in zip(values, values[1:])]
+        assert steps[0] >= NEAR_MISS["tol"]
+        assert steps[-1] < NEAR_MISS["tol"]
 
     def test_link_and_convergence_agree(self, tmp_path, capsys):
-        # the same seven levels give link's verdict and convergence's flags,
-        # and row 6's step is the report's error estimate, bit for bit
+        # the same seven levels give link's verdict: only the last step is
+        # below the spec's tol, and it is link's error estimate, bit for bit
+        values, _, _ = self.study(tmp_path, capsys, NEAR_MISS, 5)
+        steps = [abs(b - a) for a, b in zip(values, values[1:])]
+        assert [step < NEAR_MISS["tol"] for step in steps] == [False] * 5 + [True]
         path = write_spec(tmp_path, NEAR_MISS)
         code, out, _ = run(capsys, ["link", path, "--max-level", "5", "--stable"])
         report = json.loads(out)["report"]
-        _, table, _ = run(capsys, ["convergence", path, "--levels", "6"])
-        rows = [line.split(",") for line in table.strip().splitlines()[1:]]
-        assert [r[4] for r in rows] == ["false"] * 5 + ["true"]
         assert code == 0 and report["converged"] and report["accepted"]
         assert report["levels_used"] == 5
-        assert float(rows[-1][3]) == report["error_estimate"]
-        assert float(rows[-1][2]) == report["raw_value"]
+        assert report["level_values"] == values
+        assert steps[-1] == report["error_estimate"]
+        assert values[-1] == report["raw_value"]
 
 
 class TestCatalogCmd:
@@ -485,9 +496,11 @@ class TestCatalogCmd:
 
 
 class TestOracleCmd:
+    """The oracle is the spec method "oracle" of `link`."""
+
     def test_great_circles(self, tmp_path, capsys):
-        path = write_spec(tmp_path, GREAT_CIRCLES)
-        code, out, _ = run(capsys, ["oracle", path, "--stable"])
+        path = write_spec(tmp_path, dict(GREAT_CIRCLES, method="oracle"))
+        code, out, _ = run(capsys, ["link", path, "--stable"])
         assert code == 0
         report = json.loads(out)
         assert report["report"]["method"] == "gauss_oracle"
@@ -514,10 +527,9 @@ class TestOracleCmd:
         path = write_spec(tmp_path, spec)
         code, _, err = run(capsys, ["link", path])
         assert code == 1 and "threshold 3.0" in err
-        plain = write_spec(tmp_path, GREAT_CIRCLES, "plain.json")
         oracle = write_spec(tmp_path, dict(spec, method="oracle"), "oracle.json")
-        for argv in (["oracle", path], ["link", oracle], ["convergence", oracle],
-                     ["oracle", plain, "--min-alpha", "0.5"]):
+        plain = write_spec(tmp_path, dict(GREAT_CIRCLES, method="oracle"), "plain.json")
+        for argv in (["link", oracle], ["link", plain, "--min-alpha", "0.5"]):
             code, out, err = run(capsys, argv)
             assert code == 1, argv
             assert out == ""
@@ -528,12 +540,37 @@ class TestOracleCmd:
             "ambient_n": 4,
             "K": {"kind": "great_subsphere", "k": 1, "axes": [0, 1]},
             "L": {"kind": "great_subsphere", "k": 2, "axes": [2, 3, 4]},
-            "method": "main",
+            "method": "oracle",
         }
         path = write_spec(tmp_path, spec)
-        code, _, err = run(capsys, ["oracle", path])
+        code, _, err = run(capsys, ["link", path])
         assert code == 1
         assert "S^3" in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["link", "spec.json", "--tol", "abc"],
+        ["phi", "--k", "1", "--l", "1", "--num", "1.5"],
+        ["oracle", "spec.json"],
+        ["convergence", "spec.json", "--levels", "2"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2 is kept for a rejected or unconverged result
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["link", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 CHEAP_SPEC = dict(GREAT_CIRCLES, grid={"curve": 8}, max_level=1, tol=1e-9)

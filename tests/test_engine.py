@@ -14,7 +14,6 @@ from spherelink import (
     evaluate_main_theorem,
     great_subsphere,
     hopf_fiber,
-    join_map,
     oracle_linking,
     orientation_reversed,
     rotated,
@@ -30,7 +29,7 @@ from spherelink.engine import (
     _side_arrays,
 )
 from spherelink.oracle import gauss_linking_integral
-from spherelink.spheregeom import SpherePoint, compose_givens
+from spherelink.spheregeom import compose_givens
 
 from conftest import (
     clifford_pair,
@@ -39,6 +38,7 @@ from conftest import (
     random_fourier_pair,
     small_sphere_pair,
     threading_circles,
+    unit_rows,
 )
 
 
@@ -88,34 +88,44 @@ class TestSignFactor:
             sign_factor("mystery")
 
 
-class TestJoinMap:
-    def x_y(self):
-        return SpherePoint([1, 0, 0, 0]), SpherePoint([0, 0, 1, 0])
+def join_points(x, y, u):
+    """Column 0 of `_join_batch`, the join map's image: (r, t, nu, d)."""
+    c = np.clip(x @ y.T, -1.0, 1.0)
+    tx, ty = np.empty(x.shape + (0,)), np.empty(y.shape + (0,))
+    return _join_batch(x, tx, y, ty, c, np.arccos(c), np.asarray(u))[..., 0]
 
-    def test_endpoints(self):
-        x, y = self.x_y()
-        assert np.allclose(join_map(x, y, 0.0).coords, x.coords, atol=1e-14)
-        assert np.allclose(join_map(x, y, 1.0).coords, -y.coords, atol=1e-14)
+
+class TestJoinMap:
+    def test_endpoints(self, rng):
+        x, y = np.eye(4)[[0]], np.eye(4)[[2]]
+        f = join_points(x, y, [0.0, 1.0])[0, 0]
+        assert np.allclose(f[0], x[0], rtol=0, atol=1e-14)
+        assert np.allclose(f[1], -y[0], rtol=0, atol=1e-14)
+        x, y = unit_rows(rng, 6, 5), unit_rows(rng, 7, 5)
+        f = join_points(x, y, [0.0, 1.0])
+        assert np.abs(f[:, :, 0] - x[:, None, :]).max() <= 1e-12
+        assert np.abs(f[:, :, 1] + y[None, :, :]).max() <= 1e-12
 
     def test_midpoint_orthogonal(self):
-        x, y = self.x_y()
-        expected = (x.coords - y.coords) / np.sqrt(2)
-        assert np.allclose(join_map(x, y, 0.5).coords, expected, atol=1e-12)
+        x, y = np.eye(4)[[0]], np.eye(4)[[2]]
+        f = join_points(x, y, [0.5])[0, 0, 0]
+        assert np.allclose(f, (x[0] - y[0]) / np.sqrt(2), rtol=0, atol=1e-12)
 
     def test_unit_norm_random(self, rng):
-        for _ in range(50):
-            x = SpherePoint(rng.standard_normal(5))
-            y = SpherePoint(rng.standard_normal(5))
-            u = float(rng.uniform(0, 1))
-            f = join_map(x, y, u)
-            assert np.linalg.norm(f.coords) == pytest.approx(1.0, abs=1e-10)
+        x, y = unit_rows(rng, 6, 5), unit_rows(rng, 7, 5)
+        f = join_points(x, y, rng.uniform(0.0, 1.0, 8))
+        assert np.abs(np.linalg.norm(f, axis=-1) - 1.0).max() <= 1e-10
 
     def test_degenerate_rejected(self):
-        x = SpherePoint([1, 0, 0, 0])
-        with pytest.raises(ValueError):
-            join_map(x, x, 0.5)
-        with pytest.raises(ValueError):
-            join_map(x, SpherePoint([-1, 0, 0, 0]), 0.5)
+        # the arc direction (y - c x) / sin alpha degenerates at alpha = 0 and
+        # pi; join-full refuses both on the level's own nodes before any value
+        K = great_subsphere(1, (0, 1), 3)
+        grid = GridSpec(curve=8, u=4)
+        with pytest.raises(DisjointnessError):
+            evaluate_join_degree(K, great_subsphere(1, (1, 2), 3), variant="full", grid=grid)
+        K, L = clifford_pair(2, 3, np.pi / 2)
+        with pytest.raises(DisjointnessError, match="-L"):
+            evaluate_join_degree(K, L, variant="full", grid=grid)
 
     def test_jacobian_matches_differences(self, rng):
         # every column, including its components along x and v, which the
@@ -601,7 +611,7 @@ class TestSymmetries:
 
 
 class TestConvergenceTable:
-    """Per-level values a report carries; `spherelink convergence` prints them."""
+    """Per-level values a report carries; `spherelink link` prints them."""
 
     def test_rows_shrink(self):
         K, L = clifford_pair(2, 3, np.pi / 4)

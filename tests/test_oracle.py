@@ -20,10 +20,10 @@ from conftest import euclid_circle, hopf_pair, threading_circles
 
 
 def reverse(curve: EuclideanCurve) -> EuclideanCurve:
-    def evaluate(s):
-        pts, vel = curve.evaluate(curve.period - np.asarray(s, dtype=float))
+    def at(s):
+        pts, vel = curve.at(curve.period - np.asarray(s, dtype=float))
         return pts, -vel
-    return EuclideanCurve(evaluate=evaluate, period=curve.period)
+    return EuclideanCurve(at=at, period=curve.period)
 
 
 class TestPoleMachinery:
@@ -62,9 +62,9 @@ class TestStereographicProjection:
         K = clifford_torus_curve(2, 3)
         proj = stereographic_project(K, np.array([1.0, 1, 1, 1]) / 2)
         s = np.linspace(0.1, 6.0, 17)
-        pts, vel = proj.evaluate(s)
+        pts, vel = proj.at(s)
         h = 1e-6
-        fd = (proj.evaluate(s + h)[0] - proj.evaluate(s - h)[0]) / (2 * h)
+        fd = (proj.at(s + h)[0] - proj.at(s - h)[0]) / (2 * h)
         assert np.max(np.abs(fd - vel)) < 1e-6
 
     def test_hopf_fibers_stay_disjoint(self):
@@ -110,7 +110,7 @@ class TestGaussIntegral:
         # the circles meet at the shared node s = 0, where |x - y| = 0: the
         # distance check must fire before the integrand divides by it
         K = euclid_circle([0, 0, 0], 1.0)
-        L = EuclideanCurve(evaluate=lambda s: (
+        L = EuclideanCurve(at=lambda s: (
             np.column_stack([2 - np.cos(s), 0 * s, np.sin(s)]),
             np.column_stack([np.sin(s), 0 * s, np.cos(s)])))
         with pytest.raises(ValueError, match="approach"):
@@ -119,14 +119,14 @@ class TestGaussIntegral:
     def test_nan_point_rejected(self):
         circle = euclid_circle([5, 0, 0], 1.0)
 
-        def evaluate(s):
-            pts, vel = circle.evaluate(s)
+        def at(s):
+            pts, vel = circle.at(s)
             pts[3] = np.nan
             return pts, vel
 
         with pytest.raises(ValueError, match="integrand is not finite"):
             gauss_linking_integral(euclid_circle([0, 0, 0], 1.0),
-                                   EuclideanCurve(evaluate=evaluate))
+                                   EuclideanCurve(at=at))
 
     def test_report_method(self):
         K = euclid_circle([0, 0, 0], 1.0)
@@ -136,7 +136,7 @@ class TestGaussIntegral:
         assert r.min_alpha <= r.max_alpha
 
     def test_vanishing_velocity_rejected(self):
-        frozen = EuclideanCurve(evaluate=lambda s: (
+        frozen = EuclideanCurve(at=lambda s: (
             np.tile([1.0, 0, 0], (len(s), 1)), np.zeros((len(s), 3))))
         L = euclid_circle([5, 0, 0], 1.0)
         with pytest.raises(ValueError, match="velocity"):

@@ -1,7 +1,9 @@
 """README's examples run as written: its JSON spec through the command
-line (as `main` and as `oracle`) and its Python API block; and every
-module-qualified name it cites exists."""
+line (as `main` and as `oracle`) and its Python API block; its command-line
+block names the subcommands the parser has; and every module-qualified name
+it cites exists."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from spherelink.cli import main
+from spherelink.cli import _build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -42,6 +44,16 @@ def test_python_api_block_runs():
     assert int(nearest) == 2
     assert float(residual) < 1e-9 and float(error) < 1e-9
     assert abs(float(oracle_value) - 2) < 1e-6
+
+
+def test_command_line_block_matches_parser():
+    # the usage block after "## Command line", one "spherelink <command>" per line
+    section = README.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("spherelink ")}
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
 
 
 # a backticked name qualified by a module of the package, with or without
