@@ -3,8 +3,8 @@
 Computes Lk(K, L) for disjoint closed oriented submanifolds K^k, L^l of
 S^n (k + l = n - 1) by three routes -- a direct geodesic distance-kernel
 integral over K x L, an antipodally-paired convolution variant, and the
-degree of the geodesic join-sweep map -- validated for curves in S^3
-against the classical Euclidean double-integral oracle via stereographic
+degree of the geodesic join-sweep map -- validated at every order against
+the oracle, the classical Gauss integral in R^n after stereographic
 projection.  The join degree's "reduced" variant is the direct kernel
 carrying the join sign (the join parameter integrates out exactly); its
 "full" variant integrates the join map's Jacobian determinant, with exact
@@ -40,7 +40,7 @@ from .engine import (
     sign_factor,
 )
 from .kernels import KernelEvaluator, convolution, phi, phi_kernel_ratio
-from .oracle import gauss_linking_integral, oracle_linking, stereographic_project
+from .oracle import oracle_linking
 from .spheregeom import sphere_volume
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "convolution",
     "phi",
     "phi_kernel_ratio",
-    "gauss_linking_integral",
     "oracle_linking",
-    "stereographic_project",
     "sphere_volume",
 ]

@@ -5,9 +5,10 @@ Subcommands:
   phi      tabulate the distance kernels to CSV
   catalog  list catalog kinds and their parameter schemas
 
-The R^3 Gauss-integral oracle is the spec method "oracle" of `link`, and a
-refinement study is `link --tol 0 --max-level N`, whose report holds the
-value and node count of every level.
+The Gauss-integral oracle in R^n (stereographic projection, any order) is
+the spec method "oracle" of `link`, and a refinement study is
+`link --tol 0 --max-level N`, whose report holds the value and node count
+of every level.
 
 Exit codes: 0 when the value rounds to an accepted integer, 2 when rounding
 is rejected or the quadrature did not converge, 1 for any invalid input
@@ -52,6 +53,18 @@ def _count(value) -> int:
     count = _int(value)
     if count < 1:
         raise ValueError(f"expected a node count >= 1, got {value!r}")
+    return count
+
+
+# most rows `spherelink phi` tabulates: its four float64 columns stay near 32 MB
+PHI_MAX_ROWS = 1 << 20
+
+
+def _rows(value) -> int:
+    """A `phi` row count: a node count of at most PHI_MAX_ROWS."""
+    count = _count(value)
+    if count > PHI_MAX_ROWS:
+        raise ValueError(f"expected at most {PHI_MAX_ROWS} rows, got {value!r}")
     return count
 
 
@@ -132,12 +145,7 @@ def _validate_spec(spec: dict) -> tuple:
     n = _field(spec, "ambient_n", _int)
     if spec["method"] not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    K = build_entry(spec["K"], n)
-    L = build_entry(spec["L"], n)
-    # the engine checks dim K + dim L = n - 1; the oracle's check implies it
-    if spec["method"] == "oracle" and (n != 3 or K.dim != 1 or L.dim != 1):
-        raise ValueError("the oracle method requires two curves in S^3")
-    return K, L
+    return build_entry(spec["K"], n), build_entry(spec["L"], n)
 
 
 def _apply_overrides(spec: dict, args) -> dict:
@@ -160,17 +168,14 @@ def _dispatch(spec: dict):
     K, L = _validate_spec(spec)
     method = spec["method"]
     grid = _present(_object(spec, "grid"), _GRID_FIELDS, "grid.")
+    grid = {_GRID_NAMES.get(key, key): value for key, value in grid.items()}
     kw = _present(spec, _RUN_FIELDS)
     if method == "oracle":
         if "min_alpha" in kw:
             raise ValueError("spec field 'min_alpha' does not apply to method oracle, "
-                             "which checks the R^3 distance of the projected curves")
-        m = grid.get("k", grid.get("curve", CURVE_NODES))
-        if grid.get("l", m) != m:
-            raise ValueError(f"spec field 'grid.l' ({grid['l']}) must equal the K node "
-                             f"count ({m}): the oracle takes one count for both curves")
-        return oracle_linking(K, L, m=m, **kw)
-    grid = GridSpec(**{_GRID_NAMES.get(key, key): value for key, value in grid.items()})
+                             "which checks the R^n distance of the projected manifolds")
+        return oracle_linking(K, L, GridSpec(**{"curve": CURVE_NODES, **grid}), **kw)
+    grid = GridSpec(**grid)
     if method == "main":
         return evaluate_main_theorem(K, L, grid=grid, **kw)
     if method == "corollary":
@@ -209,7 +214,7 @@ def cmd_link(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    for dest, conv in (("alpha_min", _float), ("alpha_max", _float), ("num", _count)):
+    for dest, conv in (("alpha_min", _float), ("alpha_max", _float), ("num", _rows)):
         try:
             conv(vars(args)[dest])
         except ValueError as exc:
@@ -265,8 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="refinement levels allowed after levels 0 and 1, "
                              "which always run (at most max_level + 1 grid doublings)")
     p_link.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
-                        help="disjointness threshold in radians "
-                             "(sphere methods; the oracle refuses it)")
+                        help="geodesic disjointness threshold in radians (sphere "
+                             "methods; the oracle checks R^n distance and refuses it)")
     p_link.add_argument("--stable", action="store_true",
                         help="zero the wall-time field for byte-identical reports")
     p_link.set_defaults(func=cmd_link)

@@ -28,21 +28,21 @@ CLI method name: label, kernel, sign and separation check.  One chunk loop,
 :mod:`spherelink.oracle` included: per chunk of K rows the route's terms
 give the chunk's geometry against every L node and its separation range
 (here the dot products c = cos alpha, with the alpha range from their two
-extremes; there R^3 differences and distances), and the range is checked
+extremes; there squared R^n distances), and the range is checked
 before any per-pair value is evaluated.  A pair-kernel chunk is then one
 dot product, one kernel pass straight from c, one minor matmul and one row
 reduction.  ``CHUNK_BYTES`` sizes every chunk, and
 :func:`_refined_report` runs the one level loop,
 :func:`spherelink.quadrature.refine_until`, and builds the report.  Each
-route's terms fold its prefactor (sign / vol S^n here, 1 / 4 pi in the
-oracle) into the K-side weights, so every level sum is on the scale of Lk:
-the tolerance, the error estimate, the level values and the report are one
+route's terms fold its prefactor (sign / vol S^n here, sign / vol S^{n-1}
+in the oracle) into the K-side weights, so every level sum is on the scale
+of Lk: the tolerance, the error estimate, the level values and the report are one
 number on one scale, and nothing is rescaled after refinement.  Pair
 kernels expand the bracket determinant into per-manifold minors combined by
 a matrix product; join-full forms its chunk's alpha and sums each pair's
 join-map determinant against the u rule.  One Laplace recursion,
-:func:`_minor_dets`, gives both determinants.  A dimension-0 side enters
-as its signed points with +-1 weights.
+:func:`_minor_dets`, gives every determinant, the oracle's included.  A
+dimension-0 side enters as its signed points with +-1 weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 # bytes of per-pair temporaries one chunk of K rows may hold: 2^21 pair-kernel
-# cos alpha values, 2^17 join-full nodes on S^3, 2^20 / 3 oracle pairs
+# cos alpha values or oracle squared distances, 2^17 join-full nodes on S^3
 CHUNK_BYTES = 1 << 24
 # distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
@@ -114,6 +114,21 @@ def sign_factor(rule: str, k: int | None = None, l: int | None = None,
         second factor inside the bracket: (-1)^(l+1).
       * ``corollary_prefactor`` -- the (-1)^k in front of the convolution
         integral.
+      * ``stereographic``       -- the sign of the Gauss integral in R^n of
+        :mod:`spherelink.oracle`, (1 / vol S^{n-1}) det(x - y, dx, dy) /
+        |x - y|^n after stereographic projection from a pole p through a
+        frame Q with det(Q, p) = +1: (-1)^(l+1).  Both integrals are
+        invariant under isotopies of K and L in S^n minus p, and the
+        dilations x -> r x of R^n (r -> 0) shrink the pair towards -p
+        while leaving the Gauss integral unchanged, so comparing the two
+        integrands near -p fixes the sign.  There phi(alpha) / vol S^n
+        tends to phi(0) / vol S^n = 1 / vol S^{n-1}, sin alpha to alpha =
+        |y - x| = 2 |Y - X| (projected points X, Y) and the bracket
+        det(x, dx, y - x, dy) to det(-p, Q A), where A = Q^T (dx, y - x, dy)
+        = 2 (dX, Y - X, dY) to first order.  det(-p, Q) = (-1)^(n+1)
+        det(Q, p), and moving Y - X to the front of A across the k columns
+        of dX gives (-1)^(k+1) det(X - Y, dX, dY).  So the sphere integrand
+        tends to (-1)^(n+k) = (-1)^(l+1) times the Gauss one (n = k + l + 1).
     """
     if rule == "block_swap":
         return (-1) ** ((k + 1) * (l + 1))
@@ -127,6 +142,8 @@ def sign_factor(rule: str, k: int | None = None, l: int | None = None,
         return (-1) ** (l + 1)
     if rule == "corollary_prefactor":
         return (-1) ** k
+    if rule == "stereographic":
+        return (-1) ** (l + 1)
     raise ValueError(f"unknown sign rule {rule!r}")
 
 
@@ -217,7 +234,7 @@ class LinkingReport:
     verdict of :func:`round_to_linking` at default thresholds (see
     :meth:`rounded`) and also requires `converged`.  min/max alpha are the
     separation extremes seen on every level's quadrature grid: geodesic
-    angles, or for the Gauss oracle R^3 distances.  level_values holds the
+    angles, or for the Gauss oracle R^n distances.  level_values holds the
     value of every level integrated, coarsest first, beside node_counts.
     raw_value, error_estimate and level_values are on the scale of Lk, the
     scale the refinement tolerance is compared on: error_estimate is the
@@ -376,6 +393,8 @@ def _minor_dets(frames: np.ndarray, subsets) -> np.ndarray:
     expansion and the join-full determinant (m = d, the whole frame).
     """
     n, d, _ = frames.shape
+    if not subsets[0]:  # the one minor of no rows: det of 0 x 0 is 1
+        return np.ones((n, 1))
     steps, final = _laplace_plan(d, tuple(subsets))
     cols = np.ascontiguousarray(frames.transpose(2, 1, 0))
     prev = cols[0]

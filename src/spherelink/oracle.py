@@ -1,199 +1,178 @@
-"""Independent ground truth for links of curves in S^3.
+"""Independent ground truth: the Gauss linking integral in R^n.
 
-A disjoint pair of closed curves on S^3 is pushed through stereographic
-projection (from a pole avoiding both curves) into ordinary 3-space, where
-the classical double-line-integral counts the linking number:
+Disjoint closed oriented K^k, L^l in S^n (k + l = n - 1) are carried by
+stereographic projection, from one pole clear of both, into R^n, where the
+classical Gauss integral counts their linking number:
 
-    Lk = (1 / 4 pi) * integral of (x'(s) x y'(t)) . (x - y) / |x - y|^3.
+    Lk = sign / vol S^{n-1} * integral over K x L of
+         det(x - y, dx, dy) / |x - y|^n,
 
-The projection frame (q1, q2, q3) is completed so that det(q1, q2, q3, p)
-= +1; with the point-first orientation of S^3 this makes the projection
-orientation-preserving, so the Euclidean value needs no sign fix to match
-the sphere-side evaluators.  Pole choice cannot affect the result, which
-the tests exercise directly.
+with ``sign = sign_factor("stereographic", l=l)`` (derived there) for the
+projection frame of :func:`_projection_frame`.  Every order is covered,
+zero-dimensional sides (signed points) included.
 
-The double integral is one more ``terms`` of the engine's level sum,
-:func:`spherelink.engine._level_sum`, on a product of two periodic
-trapezoid rules of ``GridSpec.curve`` nodes each: a chunk's geometry is its
-R^3 difference vectors and distances, and the minimum-distance check runs
-on each chunk of every level before the integrand divides by them.  The
-1 / 4 pi is folded into the velocities, so every level sum is on the scale
-of Lk, as on the sphere routes.  The engine's
-:func:`~spherelink.engine._refined_report` refines the ``GridSpec`` levels
-and reports them, so the report's distance range covers every node of every
-level.  The oracle has no geodesic threshold: its separation check is the
-fixed R^3 distance ``_MIN_DISTANCE``.
+The integral is one more ``terms`` of the engine's level sum,
+:func:`spherelink.engine._level_sum`, on the sides' own quadrature nodes and
+point-first frames from :func:`spherelink.engine._side_arrays`, projected
+once per level with their tangent columns.  The numerator splits as
+det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
+per-side minors (:func:`~spherelink.engine._laplace_subsets`,
+:func:`~spherelink.engine._minor_dets`), stacked so that one matrix product
+sums both, with the weights, the sign and 1 / vol S^{n-1} folded into K's
+side.  A chunk's geometry is its squared distances
+|x|^2 + |y|^2 - 2 x.y, one more matrix product, whose range is the
+separation checked against ``_MIN_DISTANCE`` before anything divides by
+it.  The engine's :func:`~spherelink.engine._refined_report` refines the
+``GridSpec`` levels and reports them; the report's min/max alpha hold the
+R^n distance range over every level's nodes.  The oracle has no geodesic
+threshold.
 """
 
-from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
 from .catalog import OrientedSubmanifold
-from .engine import MAX_LEVEL, TOL, GridSpec, LinkingReport, _Level, _refined_report
-from .quadrature import ChartDim, product_rule
+from .engine import (
+    MAX_LEVEL,
+    TOL,
+    GridSpec,
+    LinkingReport,
+    _check_pair,
+    _laplace_subsets,
+    _Level,
+    _minor_dets,
+    _refined_report,
+    _side_arrays,
+    sign_factor,
+)
+from .spheregeom import _vol_sphere_any
 
-__all__ = ["EuclideanCurve", "stereographic_project", "gauss_linking_integral",
-           "find_pole", "POLE_CANDIDATES", "CURVE_NODES"]
+__all__ = ["oracle_linking", "find_pole", "pole_candidates", "stereographic_frames",
+           "CURVE_NODES"]
 
-
-@dataclass(frozen=True)
-class EuclideanCurve:
-    """Closed curve in R^3: `at` maps an array of parameters s to its
-    (points, velocities), vectorized."""
-
-    at: callable
-    period: float = 2 * np.pi
-
-    def sample(self, m: int):
-        """Points and velocities at the m nodes of the periodic trapezoid rule."""
-        return self.at(ChartDim(0.0, self.period, True).rule(m)[0])
-
-
-def _candidate_poles():
-    polest = []
-    eye = np.eye(4)
-    for i in range(4):
-        polest.append(eye[i])
-        polest.append(-eye[i])
-    signs = [(1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1),
-             (-1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1),
-             (-1, 1, 1, -1), (-1, 1, -1, 1), (-1, -1, 1, 1), (1, -1, -1, -1)]
-    for sg in signs:
-        polest.append(np.asarray(sg, dtype=float) / 2.0)
-    return np.array(polest)
-
-
-# 20 well-spread unit vectors on S^3: the 8 signed axes plus 12 diagonals.
-POLE_CANDIDATES = _candidate_poles()
-# curve samples a pole is checked against, and the geodesic clearance (rad)
-# it must keep from every one of them
-_POLE_SAMPLES = 512
+# geodesic clearance (rad) the pole keeps from every node of every level
 _POLE_CLEARANCE = 0.05
-# least R^3 distance between the projected curves the integral accepts
+# least R^n distance between the projected manifolds the integral accepts
 _MIN_DISTANCE = 1e-3
 # default base node count per curve, of the Python API and the CLI alike
 CURVE_NODES = 256
 
 
-def _curve_points(curve: OrientedSubmanifold, m: int):
-    if curve.ambient_n != 3 or curve.dim != 1:
-        raise ValueError("the oracle handles curves on S^3 only")
-    return curve.batch(product_rule(curve.chart_domain, m)[0])
+def pole_candidates(d: int) -> np.ndarray:
+    """Unit pole candidates on S^{d-1}: the signed axes +-e_i, then
+    +-(e_i + e_j) / sqrt 2 and +-(e_i - e_j) / sqrt 2 for i < j; 2 d^2 rows."""
+    eye = np.eye(d)
+    diagonals = [eye[i] + s * eye[j] for i, j in combinations(range(d), 2) for s in (1, -1)]
+    half = np.vstack([eye, np.reshape(diagonals, (-1, d)) / np.sqrt(2)])
+    return np.vstack([half, -half])
 
 
-def find_pole(curves) -> np.ndarray:
-    """Pick the candidate pole farthest from every sampled curve point."""
-    pts = np.vstack([_curve_points(c, _POLE_SAMPLES)[0] for c in curves])
-    dots = np.clip(POLE_CANDIDATES @ pts.T, -1.0, 1.0)
-    closest = np.arccos(dots.max(axis=1))  # geodesic distance to nearest point
-    best = int(np.argmax(closest))
-    if closest[best] <= _POLE_CLEARANCE:
-        raise ValueError("no candidate pole is clear of the curves")
-    return POLE_CANDIDATES[best]
+def find_pole(points: np.ndarray) -> np.ndarray:
+    """The candidate pole farthest from every row of `points` (unit vectors
+    of R^{n+1}); ValueError when none keeps _POLE_CLEARANCE from them all."""
+    candidates = pole_candidates(points.shape[1])
+    # cos of each one's clearance; fmax skips a NaN point, which the
+    # integrand's finiteness check then reports
+    nearest = np.fmax.reduce(candidates @ points.T, axis=1)
+    best = int(np.argmin(nearest))
+    if nearest[best] >= np.cos(_POLE_CLEARANCE):
+        raise ValueError("no candidate pole is clear of K and L")
+    return candidates[best]
 
 
 def _projection_frame(pole: np.ndarray) -> np.ndarray:
-    """Orthonormal (q1, q2, q3) with det(q1, q2, q3, pole) = +1, fixed rule."""
-    drop = int(np.argmax(np.abs(pole)))
-    qs = []
-    for i in range(4):
-        if i == drop:
-            continue
-        v = np.eye(4)[i] - np.dot(np.eye(4)[i], pole) * pole
-        for q in qs:
-            v = v - np.dot(v, q) * q
-        v = v / np.linalg.norm(v)
-        qs.append(v)
-    frame = np.column_stack(qs)
+    """Orthonormal columns q_1, ..., q_n orthogonal to the pole, with
+    det(q_1, ..., q_n, pole) = +1: the pole and every axis but its largest
+    component, orthonormalised in order, the last column negated if need be."""
+    axes = np.delete(np.eye(len(pole)), int(np.argmax(np.abs(pole))), axis=1)
+    frame = np.linalg.qr(np.column_stack([pole, axes]))[0][:, 1:]
     if np.linalg.det(np.column_stack([frame, pole])) < 0:
-        frame = frame[:, [0, 2, 1]]
+        frame[:, -1] *= -1
     return frame
 
 
-def stereographic_project(curve: OrientedSubmanifold, pole) -> EuclideanCurve:
-    """Project a curve on S^3 to R^3 from `pole`, velocities by chain rule."""
-    pole = np.asarray(pole, dtype=float)
-    pole = pole / np.linalg.norm(pole)
-    pts = _curve_points(curve, _POLE_SAMPLES)[0]
-    closest = float(np.arccos(np.clip(np.max(pts @ pole), -1.0, 1.0)))
-    if closest <= _POLE_CLEARANCE:
-        raise ValueError(
-            f"pole passes within {closest:.4f} rad of the curve; pick another pole"
-        )
-    frame = _projection_frame(pole)
+def stereographic_frames(frames: np.ndarray, pole: np.ndarray) -> np.ndarray:
+    """Point-first frames (N, n+1, 1 + m) on S^n projected from `pole` to R^n.
 
-    def at(s):
-        p, t = curve.batch(np.asarray(s, dtype=float)[:, None])
-        v = t[:, :, 0]
-        w = p @ pole
-        dw = v @ pole
-        xi = p @ frame
-        dxi = v @ frame
-        denom = (1.0 - w)[:, None]
-        pts3 = xi / denom
-        vel3 = dxi / denom + xi * (dw[:, None] / denom**2)
-        return pts3, vel3
-
-    return EuclideanCurve(at=at)
-
-
-def _gauss_terms(K: EuclideanCurve, L: EuclideanCurve, grid: GridSpec) -> _Level:
-    """One level of the double integral, as a `terms` of the engine's level sum.
-
-    Each curve gets a periodic trapezoid rule of grid.curve nodes.  A
-    chunk's geometry is the R^3 difference vectors x - y and their
-    lengths, whose range is the separation checked.  Both sides' trapezoid
-    weights and the 1 / 4 pi are folded into the velocities.
+    With Q = _projection_frame(pole), a point x maps to X = Q^T x / (1 - p.x)
+    and a tangent column t to its chain-rule image (Q^T t + X p.t) / (1 - p.x).
+    ValueError when a point comes within _POLE_CLEARANCE of the pole.
     """
-    m = grid.curve
-    (sk, wk), (sl, wl) = (ChartDim(0.0, c.period, True).rule(m) for c in (K, L))
-    x, dx = K.at(sk)
-    y, dy = L.at(sl)
-    if min(float(np.min(np.linalg.norm(dx, axis=1))),
-           float(np.min(np.linalg.norm(dy, axis=1)))) <= 1e-8:
-        raise ValueError("curve velocity vanishes on the sample grid")
-    dx = dx * wk[:, None]
-    dy = dy * (wl / (4.0 * np.pi))[:, None]
+    dots = np.einsum("d,ndc->nc", pole, frames)
+    nearest = np.fmax.reduce(dots[:, 0])
+    if nearest >= np.cos(_POLE_CLEARANCE):
+        closest = float(np.arccos(min(nearest, 1.0)))
+        raise ValueError(f"pole passes within {closest:.4f} rad of the manifold")
+    den = 1.0 - dots[:, None, :1]
+    out = np.matmul(_projection_frame(pole).T, frames) / den
+    out[:, :, 1:] += out[:, :, :1] * (dots[:, None, 1:] / den)
+    return out
+
+
+def _sides(K, L, grid: GridSpec):
+    """Both sides' `_side_arrays` at the grid's node counts."""
+    return _side_arrays(K, grid.nodes_for(K, "k")), _side_arrays(L, grid.nodes_for(L, "l"))
+
+
+def _gauss_terms(pole, K, L, grid: GridSpec) -> _Level:
+    """One level of the Gauss integral, as a `terms` of the engine's level sum.
+
+    Each per-pair temporary is one double: a chunk's squared distances and
+    its numerators, divided in place by |x - y|^2 n // 2 times and, for odd
+    n, by |x - y|, the square root taken in place.
+    """
+    k, l, n = _check_pair(K, L)
+    (fk, wk), (fl, wl) = ((stereographic_frames(f, pole), w) for _, f, w in _sides(K, L, grid))
+    x, y = fk[:, :, 0], fl[:, :, 0]
+    subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)
+    subs2, comps2, signs2 = _laplace_subsets(n, k)       # det(dx | y, dy)
+    scale = sign_factor("stereographic", l=l) / _vol_sphere_any(n - 1)
+    mk = np.hstack([_minor_dets(fk, subs) * signs,
+                    _minor_dets(fk[:, :, 1:], subs2) * signs2 * (-1) ** (k + 1)])
+    mk *= (scale * wk)[:, None]
+    ml = np.hstack([_minor_dets(fl[:, :, 1:], comps), _minor_dets(fl, comps2)]) * wl[:, None]
+    # |x - y|^2 = (-2 x, |x|^2, 1) . (y, 1, |y|^2): one matrix product
+    xa = np.column_stack([-2.0 * x, np.sum(x * x, axis=1), np.ones(len(x))])
+    ya = np.column_stack([y, np.ones(len(y)), np.sum(y * y, axis=1)])
 
     def geometry(s, e):
-        diff = x[s:e, None, :] - y[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        return (diff, dist), (float(dist.min()), float(dist.max()))
+        r2 = xa[s:e] @ ya.T
+        return (r2,), tuple(np.sqrt(np.maximum((r2.min(), r2.max()), 0.0)))
 
-    def values(s, e, diff, dist):
-        cross = np.cross(dx[s:e, None, :], np.broadcast_to(dy, diff.shape))
-        return np.sum(cross * diff, axis=2) / dist**3
+    def values(s, e, r2):
+        vals = mk[s:e] @ ml.T
+        for _ in range(n // 2):
+            vals /= r2
+        if n % 2:
+            vals /= np.sqrt(r2, out=r2)
+        return vals
 
-    # the difference and cross-product vectors: three doubles each per pair
-    return _Level(geometry, values, 48, (m, m), m * m)
-
-
-def gauss_linking_integral(K: EuclideanCurve, L: EuclideanCurve,
-                           m: int = CURVE_NODES, tol: float = TOL,
-                           max_level: int = MAX_LEVEL) -> LinkingReport:
-    """Classical linking integral of two closed curves in R^3.
-
-    Periodic-trapezoid tensor quadrature (spectrally accurate for smooth
-    closed curves) on m nodes per curve, doubled until the step-to-step
-    change falls below tol.  min/max alpha in the report hold the observed
-    Euclidean separation range, not geodesic angles; a range reaching
-    _MIN_DISTANCE raises ValueError.
-    """
-    def check(dmin, dmax):
-        if dmin <= _MIN_DISTANCE:
-            raise ValueError(f"curves approach within {dmin:.2e} in R^3 "
-                             f"(threshold {_MIN_DISTANCE})")
-
-    return _refined_report(K, L, _gauss_terms, check, GridSpec(curve=m), tol, max_level,
-                           "gauss_oracle")
+    return _Level(geometry, values, 8, (len(x), len(y)), len(x) * len(y))
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
-                   m: int = CURVE_NODES, tol: float = TOL,
-                   max_level: int = MAX_LEVEL) -> LinkingReport:
-    """Project both S^3 curves from one shared admissible pole and integrate."""
-    pole = find_pole([K, L])
-    return gauss_linking_integral(
-        stereographic_project(K, pole), stereographic_project(L, pole),
-        m=m, tol=tol, max_level=max_level)
+                   grid: GridSpec | None = None, tol: float = TOL,
+                   max_level: int = MAX_LEVEL, m: int = CURVE_NODES) -> LinkingReport:
+    """Lk(K, L) by the Gauss integral of the stereographic images in R^n.
+
+    grid holds the base node counts, as for the engine's evaluators; without
+    one, curves take m nodes (GridSpec(curve=m)).  One pole serves every
+    level: the candidate farthest from both sides' nodes on level 1, the
+    finer of the two levels every run integrates, since a coarse base grid
+    can overstate a candidate's clearance.  Each level refuses a node within
+    _POLE_CLEARANCE of it, and a chunk whose R^n distances reach
+    _MIN_DISTANCE raises ValueError before any division.
+    """
+    _, _, n = _check_pair(K, L)
+    grid = grid or GridSpec(curve=m)
+    pole = find_pole(np.vstack([pts for pts, _, _ in _sides(K, L, grid.refined())]))
+
+    def check(dmin, dmax):
+        if dmin <= _MIN_DISTANCE:
+            raise ValueError(f"K and L approach within {dmin:.2e} in R^{n} "
+                             f"(threshold {_MIN_DISTANCE})")
+
+    return _refined_report(K, L, partial(_gauss_terms, pole), check, grid, tol, max_level,
+                           "gauss_oracle")

@@ -14,7 +14,7 @@ from spherelink import (
     small_round_sphere,
 )
 from spherelink.catalog import alpha_range_scan
-from spherelink.oracle import EuclideanCurve
+from spherelink.oracle import _projection_frame
 
 
 def unit_rows(rng, n, d):
@@ -112,27 +112,48 @@ def clifford_pair(p: int, q: int, phase: float):
     return clifford_torus_curve(p, q), clifford_torus_curve(p, q, phase)
 
 
-def euclid_circle(center, radius, normal_axis=2):
-    """Round circle in a coordinate plane of R^3, as an EuclideanCurve."""
+# the pole the lifted circles are projected from, through the oracle's frame
+LIFT_POLE = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def lifted_circle(center, radius, normal_axis=2):
+    """Round circle on S^3 whose stereographic image from LIFT_POLE is the
+    circle of R^3 with this center and radius in the coordinate plane
+    normal to `normal_axis`, run from the plane's first axis to its second.
+
+    The inverse projection X -> (2 Q X + (|X|^2 - 1) p) / (|X|^2 + 1) takes
+    the circle's node on the first axis to a point a, with tangent t (the
+    quotient rule on the second axis), and its node on the second axis to
+    b.  The S^3 circle lies in the affine plane through a spanned by t and
+    b - a; the plane's foot from the origin is its center, and it starts
+    at a, heading along t.
+    """
+    q, p = _projection_frame(LIFT_POLE), LIFT_POLE
+    e = np.eye(3)[[i for i in range(3) if i != normal_axis]]
     center = np.asarray(center, dtype=float)
-    axes = [i for i in range(3) if i != normal_axis]
 
-    def at(s):
-        pts = np.tile(center, (len(s), 1))
-        vel = np.zeros((len(s), 3))
-        pts[:, axes[0]] += radius * np.cos(s)
-        pts[:, axes[1]] += radius * np.sin(s)
-        vel[:, axes[0]] = -radius * np.sin(s)
-        vel[:, axes[1]] = radius * np.cos(s)
-        return pts, vel
+    def lift(x):
+        return (2 * q @ x + (x @ x - 1) * p) / (x @ x + 1)
 
-    return EuclideanCurve(at=at)
+    x = center + radius * e[0]
+    a, b = lift(x), lift(center + radius * e[1])
+    t = (2 * q @ e[1] + 2 * (x @ e[1]) * (p - a)) / (x @ x + 1)
+    plane = np.linalg.qr(np.column_stack([t, b - a]))[0]
+    foot = a - plane @ (plane.T @ a)
+    e1 = (a - foot) / np.linalg.norm(a - foot)
+    e2 = t - (t @ e1) * e1
+    frame = np.vstack([e1, e2 / np.linalg.norm(e2)])
+    c = np.linalg.norm(foot)
+    return small_round_sphere(1, foot / c, np.arccos(c), frame)
 
 
 def threading_circles():
-    """Unit circle in the xy-plane threaded by one in the xz-plane: Lk = -1."""
-    return (euclid_circle([0, 0, 0], 1.0, normal_axis=2),
-            euclid_circle([1, 0, 0], 1.0, normal_axis=1))
+    """Circles on S^3 projecting to a circle of radius 1/2 about the origin
+    in the xy-plane and one of radius 1/2 about (1/2, 0, 0) in the xz-plane.
+    Run counterclockwise in their planes, the second pierces the first's
+    spanning disk downward at the origin: one negative crossing, Lk = -1."""
+    return (lifted_circle([0, 0, 0], 0.5, normal_axis=2),
+            lifted_circle([0.5, 0, 0], 0.5, normal_axis=1))
 
 
 @pytest.fixture(scope="session")

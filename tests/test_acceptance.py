@@ -182,8 +182,20 @@ def test_criterion_5_oracle_equivalence():
         assert main.nearest_integer == orc.nearest_integer, name
         if expected is not None:
             assert main.nearest_integer == expected, name
+    # surfaces, on one test-sized grid per pair for both routes
+    surfaces = [(f"small ({k},{l})", *small_sphere_pair(k, l))
+                for k, l in ((1, 2), (2, 1), (2, 2), (1, 3))]
+    surfaces += [(f"great ({k},{l})", *great_pair(k, l)) for k, l in ((1, 2), (2, 2))]
+    grid = GridSpec(curve=16, surface=6)
+    for name, K, L in surfaces:
+        main = evaluate_main_theorem(K, L, grid, tol=1e-6, max_level=1)
+        orc = oracle_linking(K, L, grid, tol=1e-6, max_level=1)
+        assert abs(main.raw_value - orc.raw_value) < 1e-6, (
+            name, main.raw_value, orc.raw_value)
+        assert main.nearest_integer == orc.nearest_integer == 1, name
     _passline(5, f"sphere integral matches the Euclidean oracle on "
-                 f"{len(pairs)} curve pairs (|diff| < 1e-3, same integer)")
+                 f"{len(pairs)} curve pairs (|diff| < 1e-3) and {len(surfaces)} "
+                 f"surface pairs (|diff| < 1e-6), same integer")
 
 
 def test_criterion_6_identity_suite(rng):

@@ -292,6 +292,17 @@ class TestFourierCurve:
         with pytest.raises(ValueError):
             fourier_curve(cc, sc)
 
+    def test_vanishing_velocity_rejected(self):
+        # c(s) = (1, 1 - cos s, 1 - cos 2s, 0) stops at s = 0, a validation
+        # node: its frame there is rank-deficient, so no route (the oracle
+        # included) ever integrates a curve whose velocity vanishes
+        cc = np.zeros((3, 4))
+        cc[0] = [1.0, 1.0, 1.0, 0.0]
+        cc[1, 1] = -1.0
+        cc[2, 2] = -1.0
+        with pytest.raises(ValueError, match="rank-deficient"):
+            fourier_curve(cc, np.zeros((3, 4)))
+
 
 class TestWrappers:
     def test_rotated_identity(self):

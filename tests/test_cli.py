@@ -372,6 +372,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha-max", "inf"), ("--alpha-min", "-inf"), ("--num", "0"), ("--num", "-2"),
+        ("--num", "1000000000000"),
     ])
     def test_bad_flag_names_flag(self, capsys, flag, value):
         # no numpy warning, no bare header: exit 1 before any output
@@ -432,7 +433,7 @@ class TestConvergence:
         assert counts == [64 * 64, 128 * 128]
 
     def test_oracle_rows(self, tmp_path, capsys):
-        spec = dict(GREAT_CIRCLES, method="oracle", grid={"k": 16})
+        spec = dict(GREAT_CIRCLES, method="oracle", grid={"curve": 16})
         values, counts, _ = self.study(tmp_path, capsys, spec, 1)
         assert counts == [16 * 16, 32 * 32, 64 * 64]
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in values[1:])
@@ -507,21 +508,19 @@ class TestOracleCmd:
         assert report["report"]["nearest_integer"] == 1
         assert report["kernel_mode"] == "gauss"
 
-    def test_unequal_l_count_rejected(self, tmp_path, capsys):
-        # the oracle takes one node count for both curves; a different
-        # grid.l would be ignored, so it is refused
+    def test_l_count_sets_l_nodes(self, tmp_path, capsys):
+        # the oracle reads the spec's grid as every route does: grid.l sets
+        # L's node count apart from K's
         spec = dict(GREAT_CIRCLES, method="oracle", grid={"k": 16, "l": 64})
-        code, out, err = run(capsys, ["link", write_spec(tmp_path, spec)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "grid.l" in err
-        spec["grid"] = {"k": 16, "l": 16}
         code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
         assert code == 0
-        assert json.loads(out)["node_counts"][0] == 16 * 16
+        assert json.loads(out)["node_counts"][0] == 16 * 64
+        K, L = great_pair(1, 1)
+        python = oracle_linking(K, L, GridSpec(k_nodes=16, l_nodes=64))
+        assert json.loads(out)["report"]["level_values"] == list(python.level_values)
 
     def test_min_alpha_rejected(self, tmp_path, capsys):
-        # the oracle checks R^3 distance, so a geodesic threshold would be
+        # the oracle checks R^n distance, so a geodesic threshold would be
         # ignored; it is refused instead, from the spec or the flag
         spec = dict(GREAT_CIRCLES, min_alpha=3.0)
         path = write_spec(tmp_path, spec)
@@ -536,16 +535,32 @@ class TestOracleCmd:
             assert err.startswith("error:") and "min_alpha" in err
 
     def test_wrong_dimension(self, tmp_path, capsys):
+        # two circles in S^4: dim K + dim L is not n - 1
+        spec = {
+            "ambient_n": 4,
+            "K": {"kind": "great_subsphere", "k": 1, "axes": [0, 1]},
+            "L": {"kind": "great_subsphere", "k": 1, "axes": [2, 3]},
+            "method": "oracle",
+        }
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, ["link", path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "n - 1" in err
+
+    def test_surface_pair_in_s4(self, tmp_path, capsys):
+        # a (1,2) pair in S^4 runs on the spec's grid and links +1, as on main
         spec = {
             "ambient_n": 4,
             "K": {"kind": "great_subsphere", "k": 1, "axes": [0, 1]},
             "L": {"kind": "great_subsphere", "k": 2, "axes": [2, 3, 4]},
-            "method": "oracle",
+            "method": "oracle", "grid": {"curve": 16, "surface": 8},
         }
-        path = write_spec(tmp_path, spec)
-        code, _, err = run(capsys, ["link", path])
-        assert code == 1
-        assert "S^3" in err
+        code, out, _ = run(capsys, ["link", write_spec(tmp_path, spec), "--stable"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["report"]["linking_number"] == 1
+        assert report["node_counts"][0] == 16 * 8 * 8
 
 
 class TestUsage:

@@ -28,7 +28,6 @@ from spherelink.engine import (
     _minor_dets,
     _side_arrays,
 )
-from spherelink.oracle import gauss_linking_integral
 from spherelink.spheregeom import compose_givens
 
 from conftest import (
@@ -487,7 +486,7 @@ class TestChunkBudget:
         "join-full": lambda: evaluate_join_degree(
             *great_pair(1, 2), variant="full",
             grid=GridSpec(curve=12, surface=6, u=4), max_level=0),
-        "oracle": lambda: gauss_linking_integral(*threading_circles(), m=64),
+        "oracle": lambda: oracle_linking(*threading_circles(), m=64),
     }
 
     @pytest.mark.parametrize("route", RUNS)
@@ -551,7 +550,7 @@ class TestHonestErrorEstimate:
         "corollary": lambda K, L, grid, **kw: evaluate_corollary(K, L, grid, **kw),
         "join-reduced": lambda K, L, grid, **kw: evaluate_join_degree(K, L, grid, **kw),
         "join-full": lambda K, L, grid, **kw: evaluate_join_degree(K, L, grid, "full", **kw),
-        "oracle": lambda K, L, grid, **kw: oracle_linking(K, L, m=grid.curve, **kw),
+        "oracle": lambda K, L, grid, **kw: oracle_linking(K, L, grid, **kw),
     }
     PAIRS = {
         "hopf": (hopf_pair, GridSpec(curve=8, u=4)),
@@ -572,8 +571,10 @@ class TestHonestErrorEstimate:
     CASES = (list(product(("hopf", "small_1_1", "fourier_7", "great_1_1", "clifford_1_1_core"),
                           ROUTES))
              + list(product(("clifford_2_3",), SURFACE_ROUTES + ("oracle",)))
-             + list(product(("great_1_2", "great_0_1"), SURFACE_ROUTES + ("join-full",)))
-             + list(product(("great_2_2", "small_1_2", "great_1_3"), SURFACE_ROUTES)))
+             + list(product(("great_1_2", "great_0_1"),
+                            SURFACE_ROUTES + ("join-full", "oracle")))
+             + list(product(("great_2_2", "small_1_2", "great_1_3"),
+                            SURFACE_ROUTES + ("oracle",))))
 
     @pytest.mark.parametrize("pair, route", CASES)
     def test_estimate_bounds_finer_grid(self, pair, route):
