@@ -41,8 +41,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import ChartDim, product_rule, tensor_grid
-from .spheregeom import _check_rotation, alpha_extremes, compose_givens
+from .quadrature import ChartDim, tensor_grid
+from .spheregeom import _check_rotation, compose_givens
 
 __all__ = [
     "OrientedSubmanifold",
@@ -54,7 +54,6 @@ __all__ = [
     "rotated",
     "antipodal_image",
     "orientation_reversed",
-    "alpha_range_scan",
     "build_entry",
     "catalog_schemas",
 ]
@@ -440,20 +439,6 @@ def antipodal_image(m: OrientedSubmanifold) -> OrientedSubmanifold:
 def orientation_reversed(m: OrientedSubmanifold) -> OrientedSubmanifold:
     """Same point set, opposite orientation."""
     return _Reflected(m)
-
-
-def alpha_range_scan(k_manifold, l_manifold, samples_per_dim: int = 32):
-    """Geodesic-distance range (min, max) between two entries on quadrature nodes.
-
-    Each side is sampled at the nodes of its chart's quadrature product
-    (:func:`spherelink.quadrature.product_rule`) with samples_per_dim nodes
-    per factor, a point set at its signed points, so at m the scan sees
-    exactly the nodes an engine route integrates on a grid of m nodes.
-    """
-    pk, pl = (m.signed_points()[0] if m.dim == 0
-              else m.batch(product_rule(m.chart_domain, samples_per_dim)[0])[0]
-              for m in (k_manifold, l_manifold))
-    return alpha_extremes(pk @ pl.T)
 
 
 # ---------------------------------------------------------------------------

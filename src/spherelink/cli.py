@@ -36,6 +36,7 @@ from . import __version__
 from .catalog import _float, _int, build_entry, catalog_schemas
 from .engine import (
     _ROUTES,
+    MIN_ALPHA,
     DisjointnessError,
     GridSpec,
     evaluate_corollary,
@@ -173,7 +174,7 @@ def _dispatch(spec: dict):
     if method == "oracle":
         if "min_alpha" in kw:
             raise ValueError("spec field 'min_alpha' does not apply to method oracle, "
-                             "which checks the R^n distance of the projected manifolds")
+                             f"which checks geodesic separation at the fixed {MIN_ALPHA} rad")
         return oracle_linking(K, L, GridSpec(**{"curve": CURVE_NODES, **grid}), **kw)
     grid = GridSpec(**grid)
     if method == "main":
@@ -271,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "which always run (at most max_level + 1 grid doublings)")
     p_link.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
                         help="geodesic disjointness threshold in radians (sphere "
-                             "methods; the oracle checks R^n distance and refuses it)")
+                             f"methods; the oracle holds it at {MIN_ALPHA} and refuses it)")
     p_link.add_argument("--stable", action="store_true",
                         help="zero the wall-time field for byte-identical reports")
     p_link.set_defaults(func=cmd_link)

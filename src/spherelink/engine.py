@@ -26,13 +26,13 @@ Every route is one sum over K x L, and ``_ROUTES`` holds what differs per
 CLI method name: label, kernel, sign and separation check.  One chunk loop,
 :func:`_level_sum`, sums every level, the Gauss integral of
 :mod:`spherelink.oracle` included: per chunk of K rows the route's terms
-give the chunk's geometry against every L node and its separation range
-(here the dot products c = cos alpha, with the alpha range from their two
-extremes; there squared R^n distances), and the range is checked
-before any per-pair value is evaluated.  A pair-kernel chunk is then one
-dot product, one kernel pass straight from c, one minor matmul and one row
-reduction.  ``CHUNK_BYTES`` sizes every chunk, and
-:func:`_refined_report` runs the one level loop,
+give the chunk's geometry against every L node, the dot products
+c = cos alpha (:func:`_geodesic`), and its geodesic separation range from
+their two extremes, which :func:`_check_separation` checks before any
+per-pair value is evaluated.  A pair-kernel chunk, the oracle's included
+(:func:`_pair_level`), is then one dot product, one kernel pass straight
+from c, one minor matmul and one row reduction.  ``CHUNK_BYTES`` sizes
+every chunk, and :func:`_refined_report` runs the one level loop,
 :func:`spherelink.quadrature.refine_until`, and builds the report.  Each
 route's terms fold its prefactor (sign / vol S^n here, sign / vol S^{n-1}
 in the oracle) into the K-side weights, so every level sum is on the scale
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .catalog import OrientedSubmanifold
+from .catalog import OrientedSubmanifold, _int
 from .quadrature import (
     ChartDim,
     product_rule,
@@ -81,13 +81,13 @@ __all__ = [
 ]
 
 # bytes of per-pair temporaries one chunk of K rows may hold: 2^21 pair-kernel
-# cos alpha values or oracle squared distances, 2^17 join-full nodes on S^3
+# cos alpha values (the oracle's included), 2^17 join-full nodes on S^3
 CHUNK_BYTES = 1 << 24
 # distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
 # run defaults of every evaluator and the oracle: the refinement tolerance on
 # the Lk scale, the levels allowed after levels 0 and 1, the least geodesic
-# separation (radians) the sphere routes accept
+# separation (radians) the routes accept, fixed for the oracle
 TOL = 1e-9
 MAX_LEVEL = 4
 MIN_ALPHA = 0.01
@@ -174,15 +174,16 @@ _ROUTES = {
 }
 
 
-def _check_separation(route: _Route, amin: float, amax: float, min_alpha: float):
-    """Raise DisjointnessError unless the alpha range clears the route's
-    limits; a NaN extreme clears none."""
+def _check_separation(amin: float, amax: float, min_alpha: float, antipodal: bool = False):
+    """Raise DisjointnessError unless the alpha range clears min_alpha and,
+    for an antipodal route, keeps max alpha from pi; a NaN extreme clears
+    none."""
     if not amin > min_alpha:
         raise DisjointnessError(
             f"min geodesic separation {amin:.4f} rad <= threshold {min_alpha}; "
             "K and L are not safely disjoint"
         )
-    if route.antipodal and not amax < np.pi - _ANTIPODAL_MARGIN:
+    if antipodal and not amax < np.pi - _ANTIPODAL_MARGIN:
         raise DisjointnessError(
             f"max geodesic separation {amax:.4f} rad reaches within "
             f"{_ANTIPODAL_MARGIN} of pi: K is not safely disjoint from -L"
@@ -197,7 +198,9 @@ class GridSpec:
     dimension of manifolds of dimension >= 2, `u` to the join parameter
     (read by the full join-degree variant only).  `k_nodes` / `l_nodes`
     override the per-dimension count for one side.  Every count given must
-    be >= 1; ValueError names the first that is not.
+    be an integer >= 1 (catalog's `_int`: 3.0 is 3; 16.5, a bool or a
+    string is not), stored as an int; ValueError names the first that is
+    not.
     """
 
     curve: int = 64
@@ -208,20 +211,28 @@ class GridSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value is not None and not value >= 1:
-                raise ValueError(f"GridSpec.{name} must be a node count >= 1, got {value!r}")
+            if value is None:
+                continue
+            try:
+                count = _int(value)
+            except ValueError:
+                count = 0
+            if count < 1:
+                raise ValueError(f"GridSpec.{name} must be an integer node count >= 1, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, count)
 
     def nodes_for(self, m: OrientedSubmanifold, side: str) -> int:
         override = self.k_nodes if side == "k" else self.l_nodes
         if override is not None:
-            return int(override)
+            return override
         return self.curve if m.dim == 1 else self.surface
 
     def refined(self) -> "GridSpec":
         """The next refinement level: every count doubled."""
         return GridSpec(2 * self.curve, 2 * self.surface, 2 * self.u,
-                        None if self.k_nodes is None else 2 * int(self.k_nodes),
-                        None if self.l_nodes is None else 2 * int(self.l_nodes))
+                        None if self.k_nodes is None else 2 * self.k_nodes,
+                        None if self.l_nodes is None else 2 * self.l_nodes)
 
 
 @dataclass(frozen=True)
@@ -233,8 +244,8 @@ class LinkingReport:
     the distance from raw_value to the nearest integer; `accepted` is the
     verdict of :func:`round_to_linking` at default thresholds (see
     :meth:`rounded`) and also requires `converged`.  min/max alpha are the
-    separation extremes seen on every level's quadrature grid: geodesic
-    angles, or for the Gauss oracle R^n distances.  level_values holds the
+    separation extremes seen on every level's quadrature grid, geodesic
+    angles for every method, the oracle included.  level_values holds the
     value of every level integrated, coarsest first, beside node_counts.
     raw_value, error_estimate and level_values are on the scale of Lk, the
     scale the refinement tolerance is compared on: error_estimate is the
@@ -488,14 +499,20 @@ def _kernel_terms(kern, scale, K, L, grid):
     The bracket determinant is expanded into per-side minors once per
     level, with each side's quadrature weights folded in, and the route's
     prefactor `scale` with K's; each (s, t) pair then costs one multiply-add
-    through a matrix product.  The largest per-pair temporary is one double.
+    through a matrix product.
     """
     pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
     pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
     subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
     mk = _minor_dets(fk, subs) * signs * (scale * wk)[:, None]
     ml = _minor_dets(fl, comps) * wl[:, None]
+    return _pair_level(kern, pk, mk, pl, ml)
 
+
+def _pair_level(kern, pk, mk, pl, ml) -> _Level:
+    """One level of a pair kernel: per chunk of K rows, kern of the chunk's
+    dot products c = cos alpha times the minor product mk @ ml.T.  The
+    largest per-pair temporary is one double."""
     def values(s, e, dots):
         vals = kern(dots)
         vals *= mk[s:e] @ ml.T
@@ -567,7 +584,7 @@ def _evaluate(method, K, L, grid, tol, max_level, min_alpha) -> LinkingReport:
         terms = partial(_join_terms, scale)
     else:
         terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n), scale)
-    check = partial(_check_separation, route, min_alpha=min_alpha)
+    check = partial(_check_separation, min_alpha=min_alpha, antipodal=route.antipodal)
     return _refined_report(K, L, terms, check, grid or GridSpec(), tol, max_level,
                            route.label)
 

@@ -19,13 +19,17 @@ det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
 per-side minors (:func:`~spherelink.engine._laplace_subsets`,
 :func:`~spherelink.engine._minor_dets`), stacked so that one matrix product
 sums both, with the weights, the sign and 1 / vol S^{n-1} folded into K's
-side.  A chunk's geometry is its squared distances
-|x|^2 + |y|^2 - 2 x.y, one more matrix product, whose range is the
-separation checked against ``_MIN_DISTANCE`` before anything divides by
-it.  The engine's :func:`~spherelink.engine._refined_report` refines the
-``GridSpec`` levels and reports them; the report's min/max alpha hold the
-R^n distance range over every level's nodes.  The oracle has no geodesic
-threshold.
+side.  The denominator needs no projected distances: the images X, Y of
+x, y satisfy |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's
+minors carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
+(2 (1 - c))^(-n/2) of the chunk's dot products c = x.y.  The oracle's chunks
+are thus the sphere routes' own, :func:`~spherelink.engine._pair_level` on
+:func:`~spherelink.engine._geodesic`, checked by
+:func:`~spherelink.engine._check_separation` at the fixed
+``engine.MIN_ALPHA`` before any kernel is formed, and the report's min/max
+alpha are geodesic, as for every route.  The engine's
+:func:`~spherelink.engine._refined_report` refines the ``GridSpec`` levels
+and reports them.
 """
 
 from functools import partial
@@ -36,13 +40,16 @@ import numpy as np
 from .catalog import OrientedSubmanifold
 from .engine import (
     MAX_LEVEL,
+    MIN_ALPHA,
     TOL,
     GridSpec,
     LinkingReport,
     _check_pair,
+    _check_separation,
     _laplace_subsets,
     _Level,
     _minor_dets,
+    _pair_level,
     _refined_report,
     _side_arrays,
     sign_factor,
@@ -54,8 +61,6 @@ __all__ = ["oracle_linking", "find_pole", "pole_candidates", "stereographic_fram
 
 # geodesic clearance (rad) the pole keeps from every node of every level
 _POLE_CLEARANCE = 0.05
-# least R^n distance between the projected manifolds the integral accepts
-_MIN_DISTANCE = 1e-3
 # default base node count per curve, of the Python API and the CLI alike
 CURVE_NODES = 256
 
@@ -116,40 +121,34 @@ def _sides(K, L, grid: GridSpec):
     return _side_arrays(K, grid.nodes_for(K, "k")), _side_arrays(L, grid.nodes_for(L, "l"))
 
 
+def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
+    """(2 (1 - c))^(-n/2), in place on a chunk's dot products c = x.y: the
+    Gauss kernel |X - Y|^-n of the images without their conformal factors."""
+    c *= -2.0
+    c += 2.0
+    return np.power(c, -0.5 * n, out=c)
+
+
 def _gauss_terms(pole, K, L, grid: GridSpec) -> _Level:
     """One level of the Gauss integral, as a `terms` of the engine's level sum.
 
-    Each per-pair temporary is one double: a chunk's squared distances and
-    its numerators, divided in place by |x - y|^2 n // 2 times and, for odd
-    n, by |x - y|, the square root taken in place.
+    The images X, Y of x, y satisfy
+    |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
+    carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
+    :func:`_gauss_kernel` of the routes' own chunk geometry.
     """
     k, l, n = _check_pair(K, L)
-    (fk, wk), (fl, wl) = ((stereographic_frames(f, pole), w) for _, f, w in _sides(K, L, grid))
-    x, y = fk[:, :, 0], fl[:, :, 0]
+    (pk, fk, wk), (pl, fl, wl) = _sides(K, L, grid)
+    fk, fl = stereographic_frames(fk, pole), stereographic_frames(fl, pole)
     subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)
     subs2, comps2, signs2 = _laplace_subsets(n, k)       # det(dx | y, dy)
     scale = sign_factor("stereographic", l=l) / _vol_sphere_any(n - 1)
     mk = np.hstack([_minor_dets(fk, subs) * signs,
                     _minor_dets(fk[:, :, 1:], subs2) * signs2 * (-1) ** (k + 1)])
-    mk *= (scale * wk)[:, None]
-    ml = np.hstack([_minor_dets(fl[:, :, 1:], comps), _minor_dets(fl, comps2)]) * wl[:, None]
-    # |x - y|^2 = (-2 x, |x|^2, 1) . (y, 1, |y|^2): one matrix product
-    xa = np.column_stack([-2.0 * x, np.sum(x * x, axis=1), np.ones(len(x))])
-    ya = np.column_stack([y, np.ones(len(y)), np.sum(y * y, axis=1)])
-
-    def geometry(s, e):
-        r2 = xa[s:e] @ ya.T
-        return (r2,), tuple(np.sqrt(np.maximum((r2.min(), r2.max()), 0.0)))
-
-    def values(s, e, r2):
-        vals = mk[s:e] @ ml.T
-        for _ in range(n // 2):
-            vals /= r2
-        if n % 2:
-            vals /= np.sqrt(r2, out=r2)
-        return vals
-
-    return _Level(geometry, values, 8, (len(x), len(y)), len(x) * len(y))
+    mk *= (scale * wk * (1.0 - pk @ pole) ** (n / 2))[:, None]
+    ml = np.hstack([_minor_dets(fl[:, :, 1:], comps), _minor_dets(fl, comps2)])
+    ml *= (wl * (1.0 - pl @ pole) ** (n / 2))[:, None]
+    return _pair_level(partial(_gauss_kernel, n), pk, mk, pl, ml)
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
@@ -162,17 +161,12 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
     level: the candidate farthest from both sides' nodes on level 1, the
     finer of the two levels every run integrates, since a coarse base grid
     can overstate a candidate's clearance.  Each level refuses a node within
-    _POLE_CLEARANCE of it, and a chunk whose R^n distances reach
-    _MIN_DISTANCE raises ValueError before any division.
+    _POLE_CLEARANCE of it, and a chunk whose geodesic separation reaches the
+    engine's MIN_ALPHA raises DisjointnessError before its kernel is formed.
     """
-    _, _, n = _check_pair(K, L)
+    _check_pair(K, L)
     grid = grid or GridSpec(curve=m)
     pole = find_pole(np.vstack([pts for pts, _, _ in _sides(K, L, grid.refined())]))
-
-    def check(dmin, dmax):
-        if dmin <= _MIN_DISTANCE:
-            raise ValueError(f"K and L approach within {dmin:.2e} in R^{n} "
-                             f"(threshold {_MIN_DISTANCE})")
-
-    return _refined_report(K, L, partial(_gauss_terms, pole), check, grid, tol, max_level,
-                           "gauss_oracle")
+    return _refined_report(K, L, partial(_gauss_terms, pole),
+                           partial(_check_separation, min_alpha=MIN_ALPHA), grid, tol,
+                           max_level, "gauss_oracle")

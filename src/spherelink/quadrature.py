@@ -7,10 +7,10 @@ factors take Gauss-Legendre, whose nodes are strictly interior, so chart
 endpoints (e.g. the poles of a spherical chart) are never sampled.
 :func:`product_rule` maps a chart domain and one node count, shared by
 every factor, to the lexicographic product of those rules, laid out by
-:func:`tensor_grid`.  Every route, the oracle and the catalog's separation
-scan lay out their chart and curve nodes through these; only the catalog's
-construction-time sanity checks on outside input keep layouts of their own
-(tensor grids too, of midpoints).
+:func:`tensor_grid`.  Every route and the oracle lay out their chart and
+curve nodes through these; only the catalog's construction-time sanity
+checks on outside input keep layouts of their own (tensor grids too, of
+midpoints).
 
 Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
 the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
@@ -30,11 +30,14 @@ Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
 evaluation may be distributed over worker threads (``SPHERELINK_WORKERS``
 caps the count), but the combination tree never depends on the worker
-count, so results are bit-identical for any parallelism level.  While any
-call of :func:`run_chunked` runs more than one thread, numpy's bundled
-OpenBLAS is held at one thread, so each worker's matrix products do not
-start a BLAS thread pool of their own on top of the workers; the previous
-count is restored when the last such call ends.
+count, so results are bit-identical for any parallelism level.  While a
+call of :func:`run_chunked` runs its chunks on a worker pool, or on one
+worker, numpy's bundled OpenBLAS is held at one thread: the workers are the
+package's parallelism, and a per-chunk matrix product neither starts a BLAS
+thread pool on top of them nor pays BLAS thread wake-ups on its own.  Only
+a single chunk with more than one worker allowed keeps OpenBLAS's own
+threads, which then use the cores the idle workers leave.  The previous
+count is restored when the last capped call ends.
 """
 
 import ctypes
@@ -42,7 +45,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -236,18 +239,21 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     """Apply work(start, stop) over fixed chunks, optionally in threads.
 
     Chunk boundaries depend only on `total` and `chunk`, so any side effects
-    keyed by chunk index land identically for every worker count.  With
-    more than one thread, OpenBLAS runs one thread of its own for as long
-    as the pool does.
+    keyed by chunk index land identically for every worker count.  OpenBLAS
+    runs one thread of its own for as long as the call does, unless several
+    workers are allowed but there is one chunk to share: then its own
+    threads take up the workers' idle cores.
     """
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     w = workers if workers is not None else worker_count()
-    if w <= 1 or len(spans) <= 1:
-        for s, e in spans:
-            work(s, e)
-    else:
-        with _BLAS_CAP.one_thread(), ThreadPoolExecutor(max_workers=w) as pool:
-            list(pool.map(lambda span: work(*span), spans))
+    pooled = w > 1 and len(spans) > 1
+    with _BLAS_CAP.one_thread() if pooled or w <= 1 else nullcontext():
+        if pooled:
+            with ThreadPoolExecutor(max_workers=w) as pool:
+                list(pool.map(lambda span: work(*span), spans))
+        else:
+            for s, e in spans:
+                work(s, e)
     return len(spans)
 
 

@@ -13,8 +13,9 @@ from spherelink import (
     hopf_fiber,
     small_round_sphere,
 )
-from spherelink.catalog import alpha_range_scan
+from spherelink.engine import _side_arrays
 from spherelink.oracle import _projection_frame
+from spherelink.spheregeom import alpha_extremes
 
 
 def unit_rows(rng, n, d):
@@ -31,6 +32,12 @@ def random_rotation(dim: int, rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def alpha_range(K, L, m: int):
+    """Geodesic separation range (min, max) of K and L on the nodes an
+    engine route integrates at m nodes per chart factor."""
+    return alpha_extremes(_side_arrays(K, m)[0] @ _side_arrays(L, m)[0].T)
 
 
 def random_fourier_pair(rng, scale: float = 0.12, min_sep: float = 0.15):
@@ -56,7 +63,7 @@ def random_fourier_pair(rng, scale: float = 0.12, min_sep: float = 0.15):
             l_curve = fourier_curve(cc2, sc2)
         except ValueError:
             continue
-        amin, amax = alpha_range_scan(k_curve, l_curve, 64)
+        amin, amax = alpha_range(k_curve, l_curve, 64)
         if amin > min_sep and amax < np.pi - min_sep:
             return k_curve, l_curve
     raise RuntimeError("could not sample a disjoint perturbed pair")

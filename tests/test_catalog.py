@@ -16,13 +16,10 @@ from spherelink import (
 from spherelink.catalog import (
     _VALIDATION_POINTS,
     _validation_samples,
-    alpha_range_scan,
     build_entry,
     catalog_schemas,
 )
-from spherelink.engine import _side_arrays
-
-from conftest import random_fourier_pair, random_rotation, small_sphere_pair
+from conftest import alpha_range, random_rotation
 
 
 def batch_points(m, coords):
@@ -185,7 +182,7 @@ class TestHopfFiber:
             cross = z1[0] * z2[1] - z1[1] * z2[0]
             if abs(cross) < 1e-3:
                 continue
-            amin, _ = alpha_range_scan(hopf_fiber(b1), hopf_fiber(b2), 32)
+            amin, _ = alpha_range(hopf_fiber(b1), hopf_fiber(b2), 32)
             assert amin > 0.0
 
 
@@ -342,7 +339,7 @@ class TestWrappers:
         m = clifford_torus_curve(2, 3)
         r = orientation_reversed(m)
         # same image: compare sorted sample clouds via distance scan
-        amin, amax = alpha_range_scan(m, r, 64)
+        amin, amax = alpha_range(m, r, 64)
         assert amin == pytest.approx(0.0, abs=1e-12)
         # reversal of a point pair flips the signs
         p = orientation_reversed(great_subsphere(0, (0,), 1))
@@ -364,21 +361,9 @@ class TestDisjointnessScan:
             (clifford_torus_curve(2, 3), clifford_torus_curve(2, 3, np.pi / 4)),
         ]
         for k_m, l_m in pairs:
-            amin, amax = alpha_range_scan(k_m, l_m, 48)
+            amin, amax = alpha_range(k_m, l_m, 48)
             assert amin > 0.01
             assert amin <= amax <= np.pi
-
-    @pytest.mark.parametrize("pair, m", [
-        (lambda: random_fourier_pair(np.random.default_rng(7)), 16),
-        (lambda: small_sphere_pair(0, 1), 8), (lambda: small_sphere_pair(1, 2), 6),
-        (lambda: small_sphere_pair(2, 2), 5)])
-    def test_scan_sees_engine_nodes(self, pair, m):
-        # at m the scan samples exactly the nodes an engine route integrates
-        # on a grid of m nodes per chart factor
-        K, L = pair()
-        dots = np.clip(_side_arrays(K, m)[0] @ _side_arrays(L, m)[0].T, -1.0, 1.0)
-        assert alpha_range_scan(K, L, m) == (float(np.arccos(dots.max())),
-                                             float(np.arccos(dots.min())))
 
 
 class TestBuildEntry:

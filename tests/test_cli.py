@@ -6,7 +6,7 @@ import pytest
 
 from spherelink import GridSpec, LinkingReport, evaluate_main_theorem, oracle_linking
 from spherelink.cli import main
-from spherelink.engine import TOL
+from spherelink.engine import MIN_ALPHA, TOL
 from spherelink.oracle import CURVE_NODES
 
 from conftest import great_pair
@@ -520,8 +520,9 @@ class TestOracleCmd:
         assert json.loads(out)["report"]["level_values"] == list(python.level_values)
 
     def test_min_alpha_rejected(self, tmp_path, capsys):
-        # the oracle checks R^n distance, so a geodesic threshold would be
-        # ignored; it is refused instead, from the spec or the flag
+        # the oracle holds the geodesic threshold at the engine's MIN_ALPHA,
+        # so another value would be ignored; it is refused instead, from the
+        # spec or the flag, naming the fixed threshold
         spec = dict(GREAT_CIRCLES, min_alpha=3.0)
         path = write_spec(tmp_path, spec)
         code, _, err = run(capsys, ["link", path])
@@ -533,6 +534,7 @@ class TestOracleCmd:
             assert code == 1, argv
             assert out == ""
             assert err.startswith("error:") and "min_alpha" in err
+            assert f"fixed {MIN_ALPHA} rad" in err
 
     def test_wrong_dimension(self, tmp_path, capsys):
         # two circles in S^4: dim K + dim L is not n - 1

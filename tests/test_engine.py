@@ -187,8 +187,10 @@ class TestMinorDets:
 
 @pytest.mark.parametrize("field", ["curve", "surface", "u", "k_nodes", "l_nodes"])
 def test_grid_count_below_one_names_field(field):
-    with pytest.raises(ValueError, match=f"GridSpec.{field} "):
-        GridSpec(**{field: 0})
+    # a count below one, a non-integral count and a boolean are all refused
+    for value in (0, 16.5, True):
+        with pytest.raises(ValueError, match=f"GridSpec.{field} "):
+            GridSpec(**{field: value})
 
 
 class TestRoundToLinking:
@@ -327,11 +329,11 @@ class TestLevelChecks:
 
     def test_nan_extremes_fail_separation(self):
         # a NaN dot product makes both extremes NaN, which clear no threshold
-        for route in engine._ROUTES.values():
+        for antipodal in (False, True):
             with pytest.raises(DisjointnessError, match="min geodesic separation nan"):
-                engine._check_separation(route, np.nan, np.nan, engine.MIN_ALPHA)
+                engine._check_separation(np.nan, np.nan, engine.MIN_ALPHA, antipodal)
         with pytest.raises(DisjointnessError, match="-L"):
-            engine._check_separation(engine._ROUTES["corollary"], 1.0, np.nan, engine.MIN_ALPHA)
+            engine._check_separation(1.0, np.nan, engine.MIN_ALPHA, antipodal=True)
 
     def test_min_alpha_checked_on_refined_grid(self):
         K, L = hopf_pair()

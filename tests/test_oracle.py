@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spherelink import (
+    DisjointnessError,
     GridSpec,
     clifford_torus_curve,
     evaluate_main_theorem,
@@ -26,6 +27,14 @@ from conftest import (
 def projected(M, nodes, pole):
     """Projected point-first frames of M's quadrature nodes."""
     return stereographic_frames(_side_arrays(M, nodes)[1], pole)
+
+
+def kernel_calls(monkeypatch):
+    """Record the shape of every chunk whose Gauss kernel is formed."""
+    calls, kernel = [], oracle._gauss_kernel
+    monkeypatch.setattr(oracle, "_gauss_kernel",
+                        lambda n, c: calls.append(c.shape) or kernel(n, c))
+    return calls
 
 
 def with_pole(monkeypatch, pole):
@@ -137,22 +146,28 @@ class TestGaussIntegral:
         b = oracle_linking(K, orientation_reversed(L)).raw_value
         assert b == pytest.approx(-a, abs=1e-9)
 
-    def test_proximity_rejected(self):
+    def test_proximity_rejected(self, monkeypatch):
         # the images pass within 1e-5 of each other at (1/2, 0, 0)
         K = lifted_circle([0, 0, 0], 0.5)
         L = lifted_circle([1.0 + 1e-5, 0, 0], 0.5)
-        with pytest.raises(ValueError, match="approach"):
+        kernels = kernel_calls(monkeypatch)
+        with pytest.raises(DisjointnessError, match="min geodesic separation 0.0000 rad"):
             oracle_linking(K, L)
+        assert kernels == []
 
-    def test_touching_circles_rejected_before_dividing(self):
+    def test_touching_circles_rejected_before_dividing(self, monkeypatch):
         # the circles meet at K's node 0 and L's node m/2, where |x - y| = 0:
-        # the distance check must fire before the integrand divides by it
+        # the separation check must fire before the kernel divides by it
         K = lifted_circle([0, 0, 0], 0.5)
         L = lifted_circle([1.0, 0, 0], 0.5, normal_axis=1)
-        with pytest.raises(ValueError, match="approach"):
+        kernels = kernel_calls(monkeypatch)
+        with pytest.raises(DisjointnessError, match="min geodesic separation 0.0000 rad"):
             oracle_linking(K, L, m=64)
+        assert kernels == []
 
     def test_nan_point_rejected(self, monkeypatch):
+        # a NaN node makes every chunk's separation range NaN, which clears
+        # no threshold
         K, L = lifted_circle([0, 0, 0], 0.5), lifted_circle([3, 0, 0], 0.5)
         batch = L.batch
 
@@ -162,8 +177,20 @@ class TestGaussIntegral:
             return pts, tan
 
         monkeypatch.setattr(L, "batch", poisoned)
-        with pytest.raises(ValueError, match="integrand is not finite"):
+        kernels = kernel_calls(monkeypatch)
+        with pytest.raises(DisjointnessError, match="min geodesic separation nan"):
             oracle_linking(K, L)
+        assert kernels == []
+
+    def test_separation_matches_main(self):
+        # one geometry for every route: the oracle's min/max alpha are
+        # main's, bit for bit, on the same grid
+        for (K, L), grid in ((hopf_pair(), GridSpec(curve=32)),
+                             (small_sphere_pair(1, 2), GridSpec(curve=16, surface=6))):
+            orc = oracle_linking(K, L, grid, tol=1e-6, max_level=0)
+            main = evaluate_main_theorem(K, L, grid, tol=1e-6, max_level=0)
+            assert (orc.min_alpha, orc.max_alpha) == (main.min_alpha, main.max_alpha)
+            assert orc.node_counts == main.node_counts
 
     def test_report_method(self):
         K = lifted_circle([0, 0, 0], 0.5)

@@ -235,7 +235,7 @@ class TestDeterminism:
 
 
 class TestBlasThreads:
-    """run_chunked holds OpenBLAS at one thread while it runs more than one
+    """run_chunked holds OpenBLAS at one thread while it runs a pool or one
     worker, and leaves the count as it found it."""
 
     @pytest.fixture
@@ -250,23 +250,30 @@ class TestBlasThreads:
         put(before)
 
     def test_two_worker_evaluation_restores_count(self, blas, monkeypatch):
-        monkeypatch.setenv("SPHERELINK_WORKERS", "2")
+        # two workers, then one: the cap holds whether or not a pool runs
         monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 10)  # several chunks a level
-        seen = []
         K, L = small_sphere_pair(1, 2)
         ev = engine.kernels.get_evaluator(1, 2)
+        for workers in ("2", "1"):
+            monkeypatch.setenv("SPHERELINK_WORKERS", workers)
+            seen = []
 
-        def kern(c):
-            seen.append(blas())
-            return ev.kernel_ratio(None, c)
+            def kern(c):
+                seen.append(blas())
+                return ev.kernel_ratio(None, c)
 
-        value = engine._level_sum(K, L, GridSpec(curve=16, surface=8),
-                                  partial(engine._kernel_terms, kern, 1.0), lambda lo, hi: None)
-        assert np.isfinite(value[0])
-        assert len(seen) > 1 and set(seen) == {1}
-        assert blas() == 2
-        engine.evaluate_corollary(K, L, grid=GridSpec(curve=16, surface=8), max_level=0)
-        assert blas() == 2
+            value = engine._level_sum(K, L, GridSpec(curve=16, surface=8),
+                                      partial(engine._kernel_terms, kern, 1.0),
+                                      lambda lo, hi: None)
+            assert np.isfinite(value[0])
+            assert len(seen) > 1 and set(seen) == {1}, workers
+            assert blas() == 2
+            engine.evaluate_corollary(K, L, grid=GridSpec(curve=16, surface=8), max_level=0)
+            assert blas() == 2
+        # one chunk with two workers allowed keeps OpenBLAS's own threads
+        seen = []
+        run_chunked(1, lambda s, e: seen.append(blas()), workers=2)
+        assert seen == [2]
 
     def test_nested_and_concurrent_calls_restore_count(self, blas):
         # more threads than cores and a short switch interval: a lost
