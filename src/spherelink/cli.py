@@ -7,8 +7,9 @@ Subcommands:
 
 The Gauss-integral oracle in R^n (stereographic projection, any order) is
 the spec method "oracle" of `link`, and a refinement study is
-`link --tol 0 --max-level N`, whose report holds the value and node count
-of every level.
+`link --tol 0 --max-level N`, which doubles every chart factor at each of
+its N + 1 steps and whose report holds the value and node count of every
+level sum, each step's base grid and its one-factor probes.
 
 Exit codes: 0 when the value rounds to an accepted integer, 2 when rounding
 is rejected or the quadrature did not converge, 1 for any invalid input
@@ -268,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--grid", default=None,
                         help="node-count overrides, e.g. k=64,l=32,u=16")
     p_link.add_argument("--max-level", type=int, default=None, dest="max_level",
-                        help="refinement levels allowed after levels 0 and 1, "
-                             "which always run (at most max_level + 1 grid doublings)")
+                        help="doublings allowed per chart factor of the base grid; "
+                             "probes go one further")
     p_link.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
                         help="geodesic disjointness threshold in radians (sphere "
                              f"methods; the oracle holds it at {MIN_ALPHA} and refuses it)")

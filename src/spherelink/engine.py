@@ -32,12 +32,17 @@ their two extremes, which :func:`_check_separation` checks before any
 per-pair value is evaluated.  A pair-kernel chunk, the oracle's included
 (:func:`_pair_level`), is then one dot product, one kernel pass straight
 from c, one minor matmul and one row reduction.  ``CHUNK_BYTES`` sizes
-every chunk, and :func:`_refined_report` runs the one level loop,
-:func:`spherelink.quadrature.refine_until`, and builds the report.  Each
-route's terms fold its prefactor (sign / vol S^n here, sign / vol S^{n-1}
-in the oracle) into the K-side weights, so every level sum is on the scale
-of Lk: the tolerance, the error estimate, the level values and the report are one
-number on one scale, and nothing is rescaled after refinement.  Pair
+every chunk, and :func:`_refined_report` runs the one refinement loop,
+:func:`spherelink.quadrature.refine_until`, and builds the report.  A level
+is a tuple of node counts, one per tensor factor: K's chart factors, then
+L's, then the join parameter u for join-full (``GridSpec.counts`` gives
+the base); each refinement step integrates the base and one probe per
+factor with that factor doubled, and grows only the factors whose probe
+still moves the value.  Each route's terms fold its prefactor
+(sign / vol S^n here, sign / vol S^{n-1} in the oracle) into the K-side
+weights, so every level sum is on the scale of Lk: the tolerance, the error
+estimate, the level values and the report are one number on one scale, and
+nothing is rescaled after refinement.  Pair
 kernels expand the bracket determinant into per-manifold minors combined by
 a matrix product; join-full forms its chunk's alpha and sums each pair's
 join-map determinant against the u rule.  One Laplace recursion,
@@ -86,8 +91,9 @@ CHUNK_BYTES = 1 << 24
 # distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
 # run defaults of every evaluator and the oracle: the refinement tolerance on
-# the Lk scale, the levels allowed after levels 0 and 1, the least geodesic
-# separation (radians) the routes accept, fixed for the oracle
+# the Lk scale, the doublings allowed per factor of the base grid (probes go
+# one further), the least geodesic separation (radians) the routes accept,
+# fixed for the oracle
 TOL = 1e-9
 MAX_LEVEL = 4
 MIN_ALPHA = 0.01
@@ -228,11 +234,12 @@ class GridSpec:
             return override
         return self.curve if m.dim == 1 else self.surface
 
-    def refined(self) -> "GridSpec":
-        """The next refinement level: every count doubled."""
-        return GridSpec(2 * self.curve, 2 * self.surface, 2 * self.u,
-                        None if self.k_nodes is None else 2 * self.k_nodes,
-                        None if self.l_nodes is None else 2 * self.l_nodes)
+    def counts(self, K: OrientedSubmanifold, L: OrientedSubmanifold,
+               u: bool = False) -> tuple[int, ...]:
+        """Base node count of every tensor factor: K's chart factors, then
+        L's, then the join parameter's when `u`."""
+        return ((self.nodes_for(K, "k"),) * K.dim + (self.nodes_for(L, "l"),) * L.dim
+                + ((self.u,) if u else ()))
 
 
 @dataclass(frozen=True)
@@ -246,10 +253,13 @@ class LinkingReport:
     :meth:`rounded`) and also requires `converged`.  min/max alpha are the
     separation extremes seen on every level's quadrature grid, geodesic
     angles for every method, the oracle included.  level_values holds the
-    value of every level integrated, coarsest first, beside node_counts.
-    raw_value, error_estimate and level_values are on the scale of Lk, the
-    scale the refinement tolerance is compared on: error_estimate is the
-    difference of the last two level values.
+    value of every level sum taken, in the order taken, base grid first,
+    beside node_counts; each refinement step takes its base grid G and one
+    probe G_i per factor with that factor doubled, and levels_used counts
+    the steps that grew the base.  raw_value, error_estimate and
+    level_values are on the scale of Lk, the scale the refinement tolerance
+    is compared on: with Delta_i = v(G_i) - v(G) on the last step,
+    error_estimate is sum |Delta_i| and raw_value is v(G) + sum Delta_i.
     """
 
     raw_value: float
@@ -433,14 +443,22 @@ def _check_pair(K: OrientedSubmanifold, L: OrientedSubmanifold):
     return K.dim, L.dim, n
 
 
-def _side_arrays(m: OrientedSubmanifold, nodes: int):
-    """Points, base+tangent frames and weights for one side."""
+def _side_arrays(m: OrientedSubmanifold, counts: tuple[int, ...]):
+    """Points, base+tangent frames and weights for one side, at one node
+    count per chart factor."""
     if m.dim == 0:
         pts, signs = m.signed_points()
         return pts, pts[:, :, None], signs
-    coords, w = product_rule(m.chart_domain, nodes)
+    coords, w = product_rule(m.chart_domain, counts)
     pts, tan = m.batch(coords)
     return pts, np.concatenate([pts[:, :, None], tan], axis=2), w
+
+
+def _sides(K, L, counts):
+    """Both sides' `_side_arrays` at their factors' counts, and the counts
+    left after them (join-full's u)."""
+    k, l = K.dim, L.dim
+    return _side_arrays(K, counts[:k]), _side_arrays(L, counts[k:k + l]), counts[k + l:]
 
 
 # one quadrature level of a route, as `_level_sum` sums it
@@ -457,10 +475,10 @@ def _geodesic(pk, pl):
     return geometry
 
 
-def _level_sum(K, L, grid, terms, check):
+def _level_sum(K, L, counts, terms, check):
     """One quadrature level of a route: a chunked sum over K x L.
 
-    terms(K, L, grid) gives the level's `_Level`: geometry(s, e) returns K
+    terms(K, L, counts) gives the level's `_Level`: geometry(s, e) returns K
     rows s:e's geometry against every L node and its separation range
     (min, max), values(s, e, *geometry) their weighted per-pair values,
     pair_bytes the size of the largest per-pair temporaries, shape
@@ -471,7 +489,7 @@ def _level_sum(K, L, grid, terms, check):
     so the value does not depend on the chunking.  Returns (value, nodes,
     min separation, max separation).
     """
-    level = terms(K, L, grid)
+    level = terms(K, L, counts)
     nk, nl = level.shape
     cs = max(1, CHUNK_BYTES // (level.pair_bytes * nl))
     rows = np.empty(nk)
@@ -492,7 +510,7 @@ def _level_sum(K, L, grid, terms, check):
     return tree_sum(rows), level.nodes, smin, smax
 
 
-def _kernel_terms(kern, scale, K, L, grid):
+def _kernel_terms(kern, scale, K, L, counts):
     """Pair-kernel values: scale times kern(cos_alpha) times the bracket
     det(x, dx, y, dy), in the point-first column order of `_laplace_subsets`.
 
@@ -501,8 +519,7 @@ def _kernel_terms(kern, scale, K, L, grid):
     prefactor `scale` with K's; each (s, t) pair then costs one multiply-add
     through a matrix product.
     """
-    pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
-    pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
+    (pk, fk, wk), (pl, fl, wl), _ = _sides(K, L, counts)
     subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
     mk = _minor_dets(fk, subs) * signs * (scale * wk)[:, None]
     ml = _minor_dets(fl, comps) * wl[:, None]
@@ -521,7 +538,7 @@ def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     return _Level(_geodesic(pk, pl), values, 8, (len(pk), len(pl)), len(mk) * len(ml))
 
 
-def _join_terms(scale, K, L, grid):
+def _join_terms(scale, K, L, counts):
     """join-full values: the u-rule-weighted det of the join map's Jacobian.
 
     The route's prefactor `scale` is folded into K's weights.  The join map
@@ -530,10 +547,9 @@ def _join_terms(scale, K, L, grid):
     one K row alone holds more than CHUNK_BYTES of them, its L nodes are
     taken in blocks.
     """
-    pk, fk, wk = _side_arrays(K, grid.nodes_for(K, "k"))
+    (pk, fk, wk), (pl, fl, wl), (nu,) = _sides(K, L, counts)
     wk = scale * wk
-    pl, fl, wl = _side_arrays(L, grid.nodes_for(L, "l"))
-    u, wu = ChartDim(0.0, 1.0, False).rule(grid.u)
+    u, wu = ChartDim(0.0, 1.0, False).rule(nu)
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
     pair_bytes = 8 * d * d * u.size
@@ -554,10 +570,12 @@ def _join_terms(scale, K, L, grid):
 
 
 def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> LinkingReport:
-    """Level sums of one route refined from grid0 to tol, as a report.
+    """Level sums of one route refined from the base counts grid0 to tol,
+    as a report.
 
     The terms put every level sum on the Lk scale, so the report takes the
-    refinement's value, error and level values as they are; its separation
+    refinement's value, error and level values as they are, with each level
+    sum's node count beside its value in the order taken; its separation
     range spans every chunk of every level.
     """
     levels = []
@@ -585,8 +603,8 @@ def _evaluate(method, K, L, grid, tol, max_level, min_alpha) -> LinkingReport:
     else:
         terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n), scale)
     check = partial(_check_separation, min_alpha=min_alpha, antipodal=route.antipodal)
-    return _refined_report(K, L, terms, check, grid or GridSpec(), tol, max_level,
-                           route.label)
+    counts = (grid or GridSpec()).counts(K, L, u=route.kernel is None)
+    return _refined_report(K, L, terms, check, counts, tol, max_level, route.label)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ are thus the sphere routes' own, :func:`~spherelink.engine._pair_level` on
 :func:`~spherelink.engine._check_separation` at the fixed
 ``engine.MIN_ALPHA`` before any kernel is formed, and the report's min/max
 alpha are geodesic, as for every route.  The engine's
-:func:`~spherelink.engine._refined_report` refines the ``GridSpec`` levels
-and reports them.
+:func:`~spherelink.engine._refined_report` refines from the ``GridSpec``
+base counts one factor at a time, as for every route, and reports the
+levels.
 """
 
 from functools import partial
@@ -51,9 +52,10 @@ from .engine import (
     _minor_dets,
     _pair_level,
     _refined_report,
-    _side_arrays,
+    _sides,
     sign_factor,
 )
+from .quadrature import probes
 from .spheregeom import _vol_sphere_any
 
 __all__ = ["oracle_linking", "find_pole", "pole_candidates", "stereographic_frames",
@@ -116,11 +118,6 @@ def stereographic_frames(frames: np.ndarray, pole: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sides(K, L, grid: GridSpec):
-    """Both sides' `_side_arrays` at the grid's node counts."""
-    return _side_arrays(K, grid.nodes_for(K, "k")), _side_arrays(L, grid.nodes_for(L, "l"))
-
-
 def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
     """(2 (1 - c))^(-n/2), in place on a chunk's dot products c = x.y: the
     Gauss kernel |X - Y|^-n of the images without their conformal factors."""
@@ -129,7 +126,7 @@ def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
     return np.power(c, -0.5 * n, out=c)
 
 
-def _gauss_terms(pole, K, L, grid: GridSpec) -> _Level:
+def _gauss_terms(pole, K, L, counts) -> _Level:
     """One level of the Gauss integral, as a `terms` of the engine's level sum.
 
     The images X, Y of x, y satisfy
@@ -138,7 +135,7 @@ def _gauss_terms(pole, K, L, grid: GridSpec) -> _Level:
     :func:`_gauss_kernel` of the routes' own chunk geometry.
     """
     k, l, n = _check_pair(K, L)
-    (pk, fk, wk), (pl, fl, wl) = _sides(K, L, grid)
+    (pk, fk, wk), (pl, fl, wl), _ = _sides(K, L, counts)
     fk, fl = stereographic_frames(fk, pole), stereographic_frames(fl, pole)
     subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)
     subs2, comps2, signs2 = _laplace_subsets(n, k)       # det(dx | y, dy)
@@ -158,15 +155,17 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
 
     grid holds the base node counts, as for the engine's evaluators; without
     one, curves take m nodes (GridSpec(curve=m)).  One pole serves every
-    level: the candidate farthest from both sides' nodes on level 1, the
-    finer of the two levels every run integrates, since a coarse base grid
-    can overstate a candidate's clearance.  Each level refuses a node within
-    _POLE_CLEARANCE of it, and a chunk whose geodesic separation reaches the
-    engine's MIN_ALPHA raises DisjointnessError before its kernel is formed.
+    level: the candidate farthest from both sides' nodes on the grids of the
+    first refinement step, the base and its probes, which every run
+    integrates, since a coarse base grid alone can overstate a candidate's
+    clearance.  Each level refuses a node within _POLE_CLEARANCE of it, and
+    a chunk whose geodesic separation reaches the engine's MIN_ALPHA raises
+    DisjointnessError before its kernel is formed.
     """
     _check_pair(K, L)
-    grid = grid or GridSpec(curve=m)
-    pole = find_pole(np.vstack([pts for pts, _, _ in _sides(K, L, grid.refined())]))
+    counts = (grid or GridSpec(curve=m)).counts(K, L)
+    pole = find_pole(np.vstack([side[0] for c in [counts] + probes(counts)
+                                for side in _sides(K, L, c)[:2]]))
     return _refined_report(K, L, partial(_gauss_terms, pole),
-                           partial(_check_separation, min_alpha=MIN_ALPHA), grid, tol,
+                           partial(_check_separation, min_alpha=MIN_ALPHA), counts, tol,
                            max_level, "gauss_oracle")

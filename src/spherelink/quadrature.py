@@ -5,25 +5,32 @@ its 1-D rule: periodic factors take the uniform (periodic) trapezoid rule,
 which is spectrally accurate for smooth periodic integrands, and open
 factors take Gauss-Legendre, whose nodes are strictly interior, so chart
 endpoints (e.g. the poles of a spherical chart) are never sampled.
-:func:`product_rule` maps a chart domain and one node count, shared by
-every factor, to the lexicographic product of those rules, laid out by
-:func:`tensor_grid`.  Every route and the oracle lay out their chart and
-curve nodes through these; only the catalog's construction-time sanity
-checks on outside input keep layouts of their own (tensor grids too, of
-midpoints).
+:func:`product_rule` maps a chart domain and one node count per factor to
+the lexicographic product of those rules, laid out by :func:`tensor_grid`.
+Every route and the oracle lay out their chart and curve nodes through
+these; only the catalog's construction-time sanity checks on outside input
+keep layouts of their own (tensor grids too, of midpoints).
 
 Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
-the one Richardson loop of the package.  It calls ``level_sum(grid)`` on
-``grid0``, ``grid0.refined()``, ... (any grid object with a ``refined()``
-that doubles every node count; the engine's ``GridSpec`` is the only one),
-stops once two successive level values differ by less than ``tol`` or after
-``max_level`` extra doublings (a required argument: the one level-cap
-default is the engine's ``MAX_LEVEL``), and returns every level's value in the
-:class:`Estimate`.  ``tol``, the error estimate and the level values are
-one number on one scale, the scale of ``level_sum``'s values: every engine
-route and the oracle return them on the scale of Lk itself, so nothing is
-rescaled after the loop.  ``tol`` must be >= 0: ``0`` runs every level,
-``inf`` stops after level 1, and a negative or NaN tolerance, like a
+the one refinement loop of the package.  A grid is a tuple of node counts,
+one per tensor factor (the engine's order: K's chart factors, then L's,
+then the join parameter ``u`` for join-full), and ``level_sum(counts)``
+integrates it.  Each step integrates the base grid G and its probes G_i
+(:func:`probes`: G with factor i doubled), and takes
+Delta_i = v(G_i) - v(G).  Tensor-product errors add to leading order, so
+the sum of |Delta_i| estimates the error of v(G) + sum Delta_i, which is
+second order.  The loop stops once that sum is below ``tol``; otherwise it
+doubles, in the base, the factors whose |Delta_i| >= tol / f (f factors;
+at least one qualifies) and steps again, reusing every level sum it has
+already taken.  ``max_level`` (a required argument: the one default is
+the engine's ``MAX_LEVEL``) caps each base factor at that many doublings,
+so no probe is finer than 2^(max_level + 1) times its base count.  The
+:class:`Estimate` lists every level sum in the order it was taken.
+``tol``, the error estimate and the level values are one number on one
+scale, the scale of ``level_sum``'s values: every engine route and the
+oracle return them on the scale of Lk itself, so nothing is rescaled after
+the loop.  ``tol`` must be >= 0: ``0`` grows every factor to the cap,
+``inf`` stops after the first step, and a negative or NaN tolerance, like a
 negative ``max_level``, raises ValueError.
 
 Reproducibility contract: node order is lexicographic in factor order, and
@@ -59,6 +66,7 @@ __all__ = [
     "tree_sum",
     "tree_sum_axis",
     "refine_until",
+    "probes",
     "worker_count",
 ]
 
@@ -182,19 +190,32 @@ def tensor_grid(factors) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def product_rule(domain, m: int):
-    """Tensor product of each factor's rule at m nodes: flat coordinates
-    (N, d) and weights (N,), lexicographic with the first factor slowest;
-    each weight is the product of its factors' weights, taken in order."""
-    nodes, weights = zip(*(cd.rule(m) for cd in domain))
+def product_rule(domain, counts):
+    """Tensor product of each factor's rule at its own node count: flat
+    coordinates (N, d) and weights (N,), lexicographic with the first factor
+    slowest; each weight is the product of its factors' weights, taken in
+    order."""
+    if len(counts) != len(domain):
+        raise ValueError(f"{len(domain)} chart factors need as many node counts, "
+                         f"got {len(counts)}")
+    nodes, weights = zip(*(cd.rule(m) for cd, m in zip(domain, counts)))
     return tensor_grid(nodes), reduce(np.multiply, tensor_grid(weights).T)
+
+
+def probes(counts: tuple) -> list[tuple]:
+    """The grids one refinement step probes: counts with factor i doubled,
+    for each factor i in order."""
+    return [counts[:i] + (2 * m,) + counts[i + 1:] for i, m in enumerate(counts)]
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """Quadrature result with a one-step Richardson error estimate.
+    """Quadrature result with a per-factor error estimate.
 
-    level_values holds the value of every level integrated, coarsest first.
+    value is the last step's v(G) + sum Delta_i and error_estimate its
+    sum |Delta_i|; levels_used counts the steps that grew the base grid;
+    level_values holds every level sum taken, in the order taken, base
+    first.
     """
 
     value: float
@@ -258,29 +279,44 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
 
 
 def refine_until(grid0, level_sum, tol: float, max_level: int) -> Estimate:
-    """Double every node count until the Richardson estimate drops below tol.
+    """Grow the factors whose one-factor doubling still moves the value.
 
-    level_sum(grid) integrates one level; grid0.refined() gives the next
-    grid.  Levels 0 and 1 always run, then at most max_level more.
-    max_level (>= 0) is required and has no default here: the run default
-    is the engine's ``MAX_LEVEL``, which every route and the oracle pass
-    on.  tol is compared with the last two level values as level_sum
-    returns them, and the Estimate's error_estimate is exactly that
-    difference.  Never raises on non-convergence; the returned Estimate
-    carries ``converged=False`` when max_level was exhausted first.
+    grid0 is the tuple of base node counts, one per factor, and
+    level_sum(counts) integrates one grid.  Each step takes the base G, each
+    probe G_i of :func:`probes` and Delta_i = v(G_i) - v(G); it stops once
+    sum |Delta_i| < tol, and otherwise doubles in the base every factor with
+    |Delta_i| >= tol / f that is below its cap, max_level (>= 0, required,
+    the run default being the engine's ``MAX_LEVEL``) doublings of grid0.
+    A level sum already taken, such as the probe a one-factor step grows
+    into, is reused.  The Estimate's value is v(G) + sum Delta_i and its
+    error_estimate sum |Delta_i|, both from the last step.  Never raises on
+    non-convergence: a run that ends with every qualifying factor at its
+    cap carries ``converged=False``.  A grid of no factors is one level
+    sum with estimate 0.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     if not max_level >= 0:
         raise ValueError(f"max_level must be >= 0, got {max_level!r}")
-    grid = grid0.refined()
-    values = [level_sum(grid0), level_sum(grid)]
-    err = abs(values[1] - values[0])
-    level = 0
-    while err >= tol and level < max_level:
-        level += 1
-        grid = grid.refined()
-        values.append(level_sum(grid))
-        err = abs(values[-1] - values[-2])
-    return Estimate(value=values[-1], error_estimate=err, levels_used=level,
-                    converged=bool(err < tol), level_values=tuple(values))
+    base = tuple(grid0)
+    caps = [m * 2**max_level for m in base]
+    share = tol / max(len(base), 1)
+    sums = {}
+
+    def value(counts):
+        if counts not in sums:
+            sums[counts] = level_sum(counts)
+        return sums[counts]
+
+    steps = 0
+    while True:
+        v = value(base)
+        deltas = [value(g) - v for g in probes(base)]
+        err = math.fsum(abs(d) for d in deltas)
+        grow = {i for i, d in enumerate(deltas) if abs(d) >= share and base[i] < caps[i]}
+        if err < tol or not grow:
+            break
+        base = tuple(2 * m if i in grow else m for i, m in enumerate(base))
+        steps += 1
+    return Estimate(value=v + math.fsum(deltas), error_estimate=err, levels_used=steps,
+                    converged=bool(err < tol), level_values=tuple(sums.values()))

@@ -37,7 +37,7 @@ def random_rotation(dim: int, rng) -> np.ndarray:
 def alpha_range(K, L, m: int):
     """Geodesic separation range (min, max) of K and L on the nodes an
     engine route integrates at m nodes per chart factor."""
-    return alpha_extremes(_side_arrays(K, m)[0] @ _side_arrays(L, m)[0].T)
+    return alpha_extremes(_side_arrays(K, (m,) * K.dim)[0] @ _side_arrays(L, (m,) * L.dim)[0].T)
 
 
 def random_fourier_pair(rng, scale: float = 0.12, min_sep: float = 0.15):

@@ -122,8 +122,8 @@ def test_criterion_3_corollary_fixtures():
     K1, L1 = great_pair(1, 1)
     r0 = evaluate_corollary(K1, L1)
     assert abs(r0.raw_value) < 1e-12
-    pk, fk, _ = _side_arrays(K1, 64)
-    pl, fl, _ = _side_arrays(L1, 64)
+    pk, fk, _ = _side_arrays(K1, (64,))
+    pl, fl, _ = _side_arrays(L1, (64,))
     alpha = np.arccos(np.clip(pk @ pl.T, -1.0, 1.0))
     ev = kernels.get_evaluator(1, 1)
     kern = ev.convolution_fast(alpha) / kernels.stable_sin(alpha) ** 3
@@ -255,7 +255,7 @@ def test_criterion_7_sign_laws(fixture_table, main_reports):
         direct = evaluate_main_theorem(K, antipodal_image(L), tol=1e-9)
         ev = kernels.get_evaluator(K.dim, l_dim)
         reflected_kernel = lambda cos_alpha: ev.kernel_ratio(None, -cos_alpha)
-        value, _, _, _ = _level_sum(K, L, GridSpec(curve=128),
+        value, _, _, _ = _level_sum(K, L, GridSpec(curve=128).counts(K, L),
                                     partial(_kernel_terms, reflected_kernel,
                                             1 / _vol_sphere_any(n)),
                                     lambda amin, amax: None)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -398,10 +399,12 @@ class TestPhi:
 
 
 class TestConvergence:
-    """A refinement study is `link --tol 0 --max-level N`: it runs all N + 2
-    levels, and its report holds each level's value and node count."""
+    """A refinement study is `link --tol 0 --max-level N`: it runs N + 1
+    steps, each the base grid and one probe per factor with that factor
+    doubled, growing every factor, and its report holds each level sum's
+    value and node count."""
 
-    def study(self, tmp_path, capsys, spec, max_level):
+    def study(self, tmp_path, capsys, spec, max_level, factors=2):
         path = write_spec(tmp_path, spec)
         code, out, _ = run(capsys, ["link", path, "--tol", "0", "--max-level", str(max_level),
                                     "--stable"])
@@ -409,8 +412,15 @@ class TestConvergence:
         assert code == 2
         doc = json.loads(out)
         assert doc["report"]["converged"] is False
-        assert len(doc["report"]["level_values"]) == len(doc["node_counts"]) == max_level + 2
+        assert (len(doc["report"]["level_values"]) == len(doc["node_counts"])
+                == (max_level + 1) * (factors + 1))
         return doc["report"]["level_values"], doc["node_counts"], doc["report"]
+
+    @staticmethod
+    def steps(values, factors=2):
+        """Each step's (base value, probe differences) of a study."""
+        return [(values[i], [v - values[i] for v in values[i + 1:i + 1 + factors]])
+                for i in range(0, len(values), factors + 1)]
 
     def test_hopf_four_levels(self, tmp_path, capsys):
         b = np.array([0.3, -0.2, 0.8, 0.4])
@@ -423,26 +433,27 @@ class TestConvergence:
             "grid": {"k": 16, "l": 16},
         }
         values, _, report = self.study(tmp_path, capsys, spec, 3)
-        step = abs(values[-1] - values[-2])
-        assert step < TOL
-        assert step == report["error_estimate"]
-        assert values[-1] == report["raw_value"]
+        base, deltas = self.steps(values)[-1]
+        assert report["error_estimate"] < TOL
+        assert report["error_estimate"] == math.fsum(abs(d) for d in deltas)
+        assert report["raw_value"] == base + math.fsum(deltas)
 
     def test_single_level(self, tmp_path, capsys):
         _, counts, _ = self.study(tmp_path, capsys, GREAT_CIRCLES, 0)
-        assert counts == [64 * 64, 128 * 128]
+        assert counts == [64 * 64, 128 * 64, 64 * 128]
 
     def test_oracle_rows(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES, method="oracle", grid={"curve": 16})
         values, counts, _ = self.study(tmp_path, capsys, spec, 1)
-        assert counts == [16 * 16, 32 * 32, 64 * 64]
-        assert all(v == pytest.approx(1.0, abs=1e-12) for v in values[1:])
+        assert counts == [16 * 16, 32 * 16, 16 * 32, 32 * 32, 64 * 32, 32 * 64]
+        assert all(v == pytest.approx(1.0, abs=1e-12) for v in values[3:])
 
     def test_join_full_rows(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES, method="join-full", grid={"curve": 8, "u": 4})
-        values, counts, _ = self.study(tmp_path, capsys, spec, 1)
-        assert counts == [8 * 8 * 4, 16 * 16 * 8, 32 * 32 * 16]
-        assert all(v == pytest.approx(-1.0, abs=1e-12) for v in values[1:])
+        values, counts, _ = self.study(tmp_path, capsys, spec, 1, factors=3)
+        assert counts == [8 * 8 * 4, 16 * 8 * 4, 8 * 16 * 4, 8 * 8 * 8,
+                          16 * 16 * 8, 32 * 16 * 8, 16 * 32 * 8, 16 * 16 * 16]
+        assert all(v == pytest.approx(-1.0, abs=1e-12) for v in values[4:])
 
     def test_intersecting_pair_rejected(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES,
@@ -455,24 +466,29 @@ class TestConvergence:
 
     def test_close_approach_flags_false_until_resolved(self, tmp_path, capsys):
         values, _, _ = self.study(tmp_path, capsys, NEAR_MISS, 5)
-        steps = [abs(b - a) for a, b in zip(values, values[1:])]
-        assert steps[0] >= NEAR_MISS["tol"]
-        assert steps[-1] < NEAR_MISS["tol"]
+        estimates = [math.fsum(map(abs, deltas)) for _, deltas in self.steps(values)]
+        assert estimates[0] >= NEAR_MISS["tol"]
+        assert estimates[-1] < NEAR_MISS["tol"]
 
     def test_link_and_convergence_agree(self, tmp_path, capsys):
-        # the same seven levels give link's verdict: only the last step is
-        # below the spec's tol, and it is link's error estimate, bit for bit
+        # the same six steps give link's verdict: only the last step's
+        # estimate is below the spec's tol, and it is link's, bit for bit;
+        # both factors exceed tol / 2 on every earlier step, so link grows
+        # both, as the study does
         values, _, _ = self.study(tmp_path, capsys, NEAR_MISS, 5)
-        steps = [abs(b - a) for a, b in zip(values, values[1:])]
-        assert [step < NEAR_MISS["tol"] for step in steps] == [False] * 5 + [True]
+        steps = self.steps(values)
+        estimates = [math.fsum(map(abs, deltas)) for _, deltas in steps]
+        assert [e < NEAR_MISS["tol"] for e in estimates] == [False] * 5 + [True]
+        assert all(abs(d) >= NEAR_MISS["tol"] / 2 for _, deltas in steps[:-1] for d in deltas)
         path = write_spec(tmp_path, NEAR_MISS)
         code, out, _ = run(capsys, ["link", path, "--max-level", "5", "--stable"])
         report = json.loads(out)["report"]
         assert code == 0 and report["converged"] and report["accepted"]
         assert report["levels_used"] == 5
         assert report["level_values"] == values
-        assert steps[-1] == report["error_estimate"]
-        assert values[-1] == report["raw_value"]
+        base, deltas = steps[-1]
+        assert estimates[-1] == report["error_estimate"]
+        assert base + math.fsum(deltas) == report["raw_value"]
 
 
 class TestCatalogCmd:

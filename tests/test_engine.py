@@ -1,3 +1,4 @@
+import math
 from functools import partial
 from itertools import combinations, product
 
@@ -20,7 +21,7 @@ from spherelink import (
     round_to_linking,
     sign_factor,
 )
-from spherelink import engine
+from spherelink import engine, oracle
 from spherelink.engine import (
     _join_batch,
     _kernel_terms,
@@ -28,6 +29,7 @@ from spherelink.engine import (
     _minor_dets,
     _side_arrays,
 )
+from spherelink.quadrature import Estimate, probes
 from spherelink.spheregeom import compose_givens
 
 from conftest import (
@@ -289,7 +291,7 @@ class TestLevelChecks:
     def _alpha_ranges(self, K, L, nodes):
         ranges = []
         for m in (nodes, 2 * nodes):
-            dots = np.clip(_side_arrays(K, m)[0] @ _side_arrays(L, m)[0].T, -1.0, 1.0)
+            dots = np.clip(_side_arrays(K, (m,))[0] @ _side_arrays(L, (m,))[0].T, -1.0, 1.0)
             ranges.append((float(np.arccos(dots.max())), float(np.arccos(dots.min()))))
         return ranges
 
@@ -297,7 +299,7 @@ class TestLevelChecks:
         K, L = hopf_pair()
         terms = partial(_kernel_terms, lambda cos_alpha: np.full_like(cos_alpha, np.nan), 1.0)
         with pytest.raises(ValueError, match="not finite.*min separation"):
-            _level_sum(K, L, GridSpec(curve=8), terms, lambda amin, amax: None)
+            _level_sum(K, L, GridSpec(curve=8).counts(K, L), terms, lambda amin, amax: None)
 
     CASES = {
         "hopf-main": (hopf_pair, GridSpec(curve=8), "main"),
@@ -317,13 +319,13 @@ class TestLevelChecks:
         K, L = pair()
         report = engine._evaluate(method, K, L, grid, 0.0, 0, engine.MIN_ALPHA)
         lows, highs, counts = [], [], []
-        for g in (grid, grid.refined()):
-            pk = _side_arrays(K, g.nodes_for(K, "k"))[0]
-            pl = _side_arrays(L, g.nodes_for(L, "l"))[0]
+        base = grid.counts(K, L, u=method == "join-full")
+        for c in [base] + probes(base):
+            (pk, _, _), (pl, _, _), u = engine._sides(K, L, c)
             alpha = np.arccos(np.clip(pk @ pl.T, -1.0, 1.0))
             lows.append(alpha.min())
             highs.append(alpha.max())
-            counts.append(alpha.size * (g.u if method == "join-full" else 1))
+            counts.append(alpha.size * math.prod(u))
         assert (report.min_alpha, report.max_alpha) == (min(lows), max(highs))
         assert report.node_counts == tuple(counts)
 
@@ -513,9 +515,13 @@ class TestChunkBudget:
 
 
 class TestGridSpec:
-    def test_refined_doubles_every_count(self):
-        g = GridSpec(curve=8, surface=6, u=4, k_nodes=5).refined()
-        assert g == GridSpec(curve=16, surface=12, u=8, k_nodes=10)
+    def test_counts_per_factor(self):
+        # K's chart factors, then L's, then u for join-full
+        g = GridSpec(curve=8, surface=6, u=4, k_nodes=5)
+        K, L = small_sphere_pair(1, 2)
+        assert g.counts(K, L) == (5, 6, 6)
+        assert g.counts(L, K, u=True) == (5, 5, 8, 4)
+        assert g.counts(*small_sphere_pair(0, 0)) == ()
 
 
 class TestLkScale:
@@ -536,15 +542,21 @@ class TestLkScale:
 
     @pytest.mark.parametrize("route", RUNS)
     def test_error_estimate_is_last_level_step(self, route):
+        # at tol 0 every factor grows, so the last step is the base and one
+        # probe per factor, the last level sums taken
         r = self.RUNS[route](*clifford_pair(2, 3, np.pi / 4))
+        factors = 3 if route == "join-full" else 2
+        base, *probed = r.level_values[-factors - 1:]
+        deltas = [v - base for v in probed]
         assert r.error_estimate > 0.0
-        assert r.error_estimate == abs(r.level_values[-1] - r.level_values[-2])
-        assert r.raw_value == r.level_values[-1]
+        assert r.error_estimate == math.fsum(abs(d) for d in deltas)
+        assert r.raw_value == base + math.fsum(deltas)
 
 
 class TestHonestErrorEstimate:
-    """A report's error estimate bounds its distance from the value on the
-    grid 2x finer than its last level, up to a round-off floor."""
+    """A report's error estimate bounds its distance from the value on a
+    grid one doubling finer, in every factor, than any grid the run
+    integrated, up to a round-off floor."""
 
     ROUNDOFF_FLOOR = 1e-12
     ROUTES = {
@@ -558,7 +570,7 @@ class TestHonestErrorEstimate:
         "hopf": (hopf_pair, GridSpec(curve=8, u=4)),
         "clifford_2_3": (lambda: clifford_pair(2, 3, np.pi / 4), GridSpec(curve=64)),
         "great_1_2": (lambda: great_pair(1, 2), GridSpec(curve=8, surface=4, u=3)),
-        "great_2_2": (lambda: great_pair(2, 2), GridSpec(surface=4)),
+        "great_2_2": (lambda: great_pair(2, 2), GridSpec(surface=4, u=10)),
         "small_1_1": (lambda: small_sphere_pair(1, 1), GridSpec(curve=16, u=6)),
         "small_1_2": (lambda: small_sphere_pair(1, 2), GridSpec(curve=8, surface=6)),
         "fourier_7": (lambda: random_fourier_pair(np.random.default_rng(7)),
@@ -576,17 +588,38 @@ class TestHonestErrorEstimate:
              + list(product(("great_1_2", "great_0_1"),
                             SURFACE_ROUTES + ("join-full", "oracle")))
              + list(product(("great_2_2", "small_1_2", "great_1_3"),
-                            SURFACE_ROUTES + ("oracle",))))
+                            SURFACE_ROUTES + ("oracle",)))
+             # clifford_2_3 and great_1_3 join-full take 12 s and 10 s at
+             # u = 10 on 2 CPU cores, most of it the reference level
+             # (ROADMAP item 2)
+             + [("great_2_2", "join-full")])
 
     @pytest.mark.parametrize("pair, route", CASES)
-    def test_estimate_bounds_finer_grid(self, pair, route):
+    def test_estimate_bounds_finer_grid(self, pair, route, monkeypatch):
         make, grid = self.PAIRS[pair]
         K, L = make()
         run = self.ROUTES[route]
+        grids, poles = [], []
+        refine, find_pole = engine.refine_until, oracle.find_pole
+
+        def recorded(grid0, level_sum, tol, max_level):
+            return refine(grid0, lambda c: grids.append(c) or level_sum(c), tol, max_level)
+
+        monkeypatch.setattr(engine, "refine_until", recorded)
+        monkeypatch.setattr(oracle, "find_pole", lambda pts: poles.append(find_pole(pts))
+                            or poles[-1])
         r = run(K, L, grid, tol=1e-6, max_level=2)
-        finer = run(K, L, grid, tol=0.0, max_level=r.levels_used + 1)
-        assert finer.level_values[:-1] == r.level_values
-        ref = finer.level_values[-1]
+        # the reference is the route's one level sum on the finer grid, from
+        # the run's own pole for the oracle
+        finer = tuple(2 * max(c) for c in zip(*grids))
+
+        def one_level(grid0, level_sum, tol, max_level):
+            value = level_sum(finer)
+            return Estimate(value, 0.0, 0, level_values=(value,))
+
+        monkeypatch.setattr(engine, "refine_until", one_level)
+        monkeypatch.setattr(oracle, "find_pole", lambda pts: poles[0])
+        ref = run(K, L, grid, tol=0.0, max_level=0).raw_value
         assert abs(r.raw_value - ref) <= r.error_estimate + self.ROUNDOFF_FLOOR
 
 
@@ -620,17 +653,17 @@ class TestConvergenceTable:
         K, L = clifford_pair(2, 3, np.pi / 4)
         r = evaluate_main_theorem(K, L, grid=GridSpec(curve=32), tol=0.0, max_level=3)
         values = r.level_values
-        assert len(values) == 5
-        errs = [abs(b - a) for a, b in zip(values, values[1:])]
+        assert len(values) == 4 * 3  # four steps, each the base and two probes
+        errs = [abs(values[i + 1] - values[i]) + abs(values[i + 2] - values[i])
+                for i in range(0, len(values), 3)]
         # spectral: each doubling slashes the estimate by far more than 10x
         for e1, e2 in zip(errs, errs[1:]):
             assert e2 < e1 / 10
-        assert errs[-1] < 1e-8
         assert errs[-1] < 1e-9  # converged at the default tol
-        assert r.node_counts[1] == 64 * 64
-        assert values[-1] == r.raw_value
+        assert r.error_estimate == errs[-1]
+        assert r.node_counts[:4] == (32 * 32, 64 * 32, 32 * 64, 64 * 64)
 
     def test_single_level(self):
         K, L = great_pair(1, 1)
         r = evaluate_main_theorem(K, L, tol=0.0, max_level=0)
-        assert len(r.level_values) == 2  # one row: level 1 against level 0
+        assert len(r.level_values) == 3  # one step: the base and a probe per curve

@@ -26,7 +26,7 @@ from conftest import (
 
 def projected(M, nodes, pole):
     """Projected point-first frames of M's quadrature nodes."""
-    return stereographic_frames(_side_arrays(M, nodes)[1], pole)
+    return stereographic_frames(_side_arrays(M, (nodes,) * M.dim)[1], pole)
 
 
 def kernel_calls(monkeypatch):
@@ -53,7 +53,7 @@ class TestPoleMachinery:
     def test_find_pole_clears_curves(self):
         K = great_subsphere(1, (0, 1), 3)
         L = great_subsphere(1, (2, 3), 3)
-        pole = find_pole(np.vstack([_side_arrays(M, 16)[0] for M in (K, L)]))
+        pole = find_pole(np.vstack([_side_arrays(M, (16,))[0] for M in (K, L)]))
         pts = np.vstack([K.batch(np.linspace(0, 2 * np.pi, 64)[:, None])[0],
                          L.batch(np.linspace(0, 2 * np.pi, 64)[:, None])[0]])
         assert np.arccos(np.clip(np.max(pts @ pole), -1, 1)) > 0.05
@@ -105,7 +105,7 @@ class TestStereographicProjection:
 
     def test_hopf_fibers_stay_disjoint(self):
         K, L = hopf_pair()
-        pole = find_pole(np.vstack([_side_arrays(M, 256)[0] for M in (K, L)]))
+        pole = find_pole(np.vstack([_side_arrays(M, (256,))[0] for M in (K, L)]))
         pk, pl = (projected(M, 256, pole)[:, :, 0] for M in (K, L))
         dmin = np.min(np.linalg.norm(pk[:, None, :] - pl[None, :, :], axis=2))
         assert dmin > 1e-3

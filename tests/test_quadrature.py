@@ -25,18 +25,22 @@ from conftest import small_sphere_pair
 PERIOD = (0.0, 2 * np.pi)
 
 
-def weighted_sum(f, *intervals):
+def weighted_sum(f, *intervals, grids=None):
     """A refine_until level: f summed against the product of periodic
-    trapezoid rules of grid.curve nodes, one per interval."""
-    def level_sum(grid):
-        pts, wts = product_rule([ChartDim(a, b, True) for a, b in intervals], grid.curve)
+    trapezoid rules, one per interval at its own node count; each grid
+    integrated is appended to `grids` when one is given."""
+    def level_sum(counts):
+        if grids is not None:
+            grids.append(counts)
+        pts, wts = product_rule([ChartDim(a, b, True) for a, b in intervals], counts)
         return tree_sum(f(pts) * wts)
     return level_sum
 
 
 def integrate(m, f, *intervals):
-    """m nodes per interval refined once, with the difference against m."""
-    return refine_until(GridSpec(curve=m), weighted_sum(f, *intervals), tol=np.inf,
+    """One refinement step from m nodes per interval: the base and each
+    one-factor doubling."""
+    return refine_until((m,) * len(intervals), weighted_sum(f, *intervals), tol=np.inf,
                         max_level=0)
 
 
@@ -67,7 +71,7 @@ class TestRules:
 
 class TestProductRule:
     def test_lexicographic_order(self):
-        pts, wts = product_rule([ChartDim(0, 1, True), ChartDim(0, 1, True)], 2)
+        pts, wts = product_rule([ChartDim(0, 1, True), ChartDim(0, 1, True)], (2, 2))
         assert pts.shape == (4, 2) and wts.shape == (4,)
         # first factor varies slowest
         assert np.array_equal(pts[:, 0], [0.0, 0.0, 0.5, 0.5])
@@ -82,7 +86,7 @@ class TestProductRule:
                   ChartDim(-1, 3, True)]
         m = 3
         rules = [cd.rule(m) for cd in domain]
-        pts, wts = product_rule(domain, m)
+        pts, wts = product_rule(domain, (m, m, m))
         assert pts.shape == (m ** 3, 3) and wts.shape == (m ** 3,)
         for j, (j0, j1, j2) in enumerate(np.ndindex(m, m, m)):
             assert list(pts[j]) == [rules[0][0][j0], rules[1][0][j1], rules[2][0][j2]]
@@ -159,38 +163,81 @@ class TestIntegrate:
 
 class TestRefineUntil:
     def test_infinite_tol_returns_base(self):
-        g = GridSpec(curve=8)
-        level_sum = weighted_sum(lambda p: np.exp(np.sin(p[:, 0])), PERIOD)
-        est = refine_until(g, level_sum, tol=np.inf, max_level=0)
-        coarse, fine = level_sum(g), level_sum(g.refined())
-        assert est.levels_used == 0
-        assert est.value == fine
-        assert est.error_estimate == abs(fine - coarse)
-        assert est.level_values == (coarse, fine)
+        # one step: the base, each one-factor doubling, and the base plus
+        # the probes' differences
+        f = lambda p: np.exp(np.sin(p[:, 0]) + np.cos(p[:, 1]))
+        level_sum = weighted_sum(f, PERIOD, PERIOD)
+        est = refine_until((8, 4), level_sum, tol=np.inf, max_level=0)
+        base, probe0, probe1 = level_sum((8, 4)), level_sum((16, 4)), level_sum((8, 8))
+        assert est.levels_used == 0 and est.converged
+        assert est.level_values == (base, probe0, probe1)
+        assert est.error_estimate == abs(probe0 - base) + abs(probe1 - base)
+        assert est.value == base + ((probe0 - base) + (probe1 - base))
 
     def test_requires_positive_tol(self):
         # tol must be >= 0: negative and NaN raise, 0 runs every level
-        g = GridSpec(curve=4)
         level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         for tol in (-1.0, np.nan):
             with pytest.raises(ValueError, match="tolerance"):
-                refine_until(g, level_sum, tol=tol, max_level=0)
-        est = refine_until(g, level_sum, tol=0.0, max_level=3)
+                refine_until((4,), level_sum, tol=tol, max_level=0)
+        est = refine_until((4,), level_sum, tol=0.0, max_level=3)
         assert est.levels_used == 3
-        assert len(est.level_values) == 5
+        assert len(est.level_values) == 5  # one factor: 4, 8, 16, 32 and 64 nodes
         assert not est.converged
 
     def test_rejects_negative_max_level(self):
         level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         with pytest.raises(ValueError, match="max_level"):
-            refine_until(GridSpec(curve=4), level_sum, tol=0.0, max_level=-3)
+            refine_until((4,), level_sum, tol=0.0, max_level=-3)
+
+    def test_exact_factor_stays_at_base(self):
+        # 2 + cos x is exact on 4 trapezoid nodes, exp(sin y) is not: only y
+        # doubles, and each step reuses the probe it grew into as its base
+        grids = []
+        f = lambda p: (2.0 + np.cos(p[:, 0])) * np.exp(np.sin(p[:, 1]))
+        est = refine_until((4, 4), weighted_sum(f, PERIOD, PERIOD, grids=grids), tol=1e-10,
+                           max_level=4)
+        assert grids == [(4, 4), (8, 4), (4, 8), (8, 8), (4, 16), (8, 16), (4, 32)]
+        assert est.converged and est.levels_used == 2
+        assert len(est.level_values) == len(grids)
+        assert est.value == pytest.approx(2 * (2 * np.pi) ** 2 * 1.2660658777520084,
+                                          rel=1e-14)
+
+    def test_zero_tol_grows_every_factor_to_cap(self):
+        grids = []
+        f = lambda p: np.exp(np.sin(p[:, 0]) * np.cos(p[:, 1]) + np.sin(p[:, 2]))
+        est = refine_until((4, 2, 3), weighted_sum(f, PERIOD, PERIOD, PERIOD, grids=grids),
+                           tol=0.0, max_level=2)
+        assert not est.converged and est.levels_used == 2
+        # every base factor reaches max_level doublings, and no probe goes
+        # past one more
+        assert np.max(grids, axis=0).tolist() == [4 << 3, 2 << 3, 3 << 3]
+        assert len(set(grids)) == len(grids) == 3 * 4
+
+    def test_no_factors_is_one_level_sum(self):
+        calls = []
+
+        def level_sum(counts):
+            calls.append(counts)
+            return 0.75
+
+        est = refine_until((), level_sum, tol=1e-9, max_level=4)
+        assert calls == [()]
+        assert (est.value, est.error_estimate, est.levels_used) == (0.75, 0.0, 0)
+        assert est.converged and est.level_values == (0.75,)
+
+    def test_zero_dimensional_pair_is_one_level_sum(self):
+        K, L = small_sphere_pair(0, 0)
+        r = engine.evaluate_main_theorem(K, L)
+        assert len(r.node_counts) == len(r.level_values) == 1
+        assert r.error_estimate == 0.0 and r.converged and r.nearest_integer == 1
 
     def test_spectral_convergence_smooth_periodic(self):
         # each doubling of a periodic trapezoid on a smooth integrand must
         # slash the error estimate by far more than 10x until it bottoms out
         f = lambda p: np.exp(np.sin(p[:, 0]))
         exact = 2 * np.pi * 1.2660658777520084  # 2 pi I_0(1)
-        est = refine_until(GridSpec(curve=4), weighted_sum(f, PERIOD), tol=0.0, max_level=4)
+        est = refine_until((4,), weighted_sum(f, PERIOD), tol=0.0, max_level=4)
         values = est.level_values
         errors = [abs(b - a) for a, b in zip(values[1:], values[2:])]
         resolved = [e for e in errors if e > 1e-14]
@@ -214,10 +261,15 @@ class TestRefineUntil:
             alpha = np.arccos(np.clip(np.sum(x * y, axis=1), -1, 1))
             return phi_kernel_ratio(1, 1, alpha) * np.linalg.det(m)
 
-        est = refine_until(GridSpec(curve=8), weighted_sum(integrand, PERIOD, PERIOD),
+        grids = []
+        est = refine_until((8, 8), weighted_sum(integrand, PERIOD, PERIOD, grids=grids),
                            tol=1e-9, max_level=2)
         assert not est.converged
         assert isinstance(est, Estimate)
+        # an unconverged run ends only at the cap: both bases at 8 << 2,
+        # probed once more
+        assert est.levels_used == 2
+        assert np.max(grids, axis=0).tolist() == [8 << 3, 8 << 3]
 
 
 class TestDeterminism:
@@ -262,7 +314,7 @@ class TestBlasThreads:
                 seen.append(blas())
                 return ev.kernel_ratio(None, c)
 
-            value = engine._level_sum(K, L, GridSpec(curve=16, surface=8),
+            value = engine._level_sum(K, L, GridSpec(curve=16, surface=8).counts(K, L),
                                       partial(engine._kernel_terms, kern, 1.0),
                                       lambda lo, hi: None)
             assert np.isfinite(value[0])
