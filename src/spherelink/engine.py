@@ -31,9 +31,13 @@ c = cos alpha (:func:`_geodesic`), and its geodesic separation range from
 their two extremes, which :func:`_check_separation` checks before any
 per-pair value is evaluated.  A pair-kernel chunk, the oracle's included
 (:func:`_pair_level`), is then one dot product, one kernel pass straight
-from c, one minor matmul and one row reduction.  ``CHUNK_BYTES`` sizes
-every chunk, and :func:`_refined_report` runs the one refinement loop,
-:func:`spherelink.quadrature.refine_until`, and builds the report.  A level
+from c, one minor matmul and one row reduction.  ``CHUNK_BYTES`` bounds
+the bytes a chunk holds at once, every per-pair temporary counted (three
+doubles a pair for a pair kernel; for join-full its Jacobians, scratch and
+minors per node and its per-pair arrays), so memory stays within the
+budget per chunk in flight as levels double.  :func:`_refined_report` runs
+the one refinement loop, :func:`spherelink.quadrature.refine_until`, and
+builds the report.  A level
 is a tuple of node counts, one per tensor factor: K's chart factors, then
 L's, then the join parameter u for join-full (``GridSpec.counts`` gives
 the base); each refinement step integrates the base and one probe per
@@ -44,8 +48,9 @@ weights, so every level sum is on the scale of Lk: the tolerance, the error
 estimate, the level values and the report are one number on one scale, and
 nothing is rescaled after refinement.  Pair
 kernels expand the bracket determinant into per-manifold minors combined by
-a matrix product; join-full forms its chunk's alpha and sums each pair's
-join-map determinant against the u rule.  One Laplace recursion,
+a matrix product; join-full forms its chunk's alpha, builds each block's
+Jacobians in place, one column at a time, and sums each pair's join-map
+determinant against the u rule.  One Laplace recursion,
 :func:`_minor_dets`, gives every determinant, the oracle's included.  A
 dimension-0 side enters as its signed points with +-1 weights.
 
@@ -58,6 +63,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -85,9 +91,9 @@ __all__ = [
     "round_to_linking",
 ]
 
-# bytes of per-pair temporaries one chunk of K rows may hold: 2^21 pair-kernel
-# cos alpha values (the oracle's included), 2^17 join-full nodes on S^3
-CHUNK_BYTES = 1 << 24
+# bytes of per-pair temporaries one chunk of K rows may hold at once, every
+# one of them counted (`_pair_level`, `_join_pair_bytes`)
+CHUNK_BYTES = 1 << 22
 # distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
 # run defaults of every evaluator and the oracle: the refinement tolerance on
@@ -328,12 +334,16 @@ def _join_batch(x, tx, y, ty, c, alpha, u) -> np.ndarray:
     along each column of tx, each column of ty and along u, by the chain
     rule: c' = x'.y + x.y', alpha' = -c'/s, s' = c alpha',
     w' = u' (pi - alpha) - u alpha', v' = (y' - c' x - c x')/s - v s'/s and
-    f' = x' cos w - x sin w w' - v' sin w - v cos w w'.
+    f' = x' cos w - x sin w w' - v' sin w - v cos w w'.  Each column is
+    written into the result in place, one at a time, through one
+    (d, r, t, nu) scratch array, so the call holds the Jacobian, that
+    scratch and ten arrays of one double per node (`_join_pair_bytes`).
     """
     (r, d, k), (t, l) = tx.shape, ty.shape[::2]
+    # c' per pair along each column: tx's, ty's, then u's (zero)
     dc = np.concatenate([np.einsum("td,rdj->rtj", y, tx), np.einsum("rd,tdj->rtj", x, ty),
                          np.zeros((r, t, 1))], axis=2).transpose(2, 0, 1)[..., None]
-    # per pair (r, t, 1), per node (r, t, nu); columns, then coordinates, lead
+    # per pair (r, t, 1), per node (r, t, nu); coordinates lead
     c = c[:, :, None]
     s = np.sin(alpha)[:, :, None]
     eta = np.pi - alpha[:, :, None]
@@ -341,19 +351,44 @@ def _join_batch(x, tx, y, ty, c, alpha, u) -> np.ndarray:
     cw, sw = np.cos(w), np.sin(w)
     x = x.T[:, :, None, None]
     v = (y.T[:, None, :, None] - c * x) / s
-    dalpha = -dc / s
-    dw = -u * dalpha
-    dw[-1] += eta
-    # f' = x' (cos w + c sin w / s) - y' sin w / s + x a + v b
-    a = sw / s * dc - sw * dw
-    b = sw * c / s * dalpha - cw * dw
+    # f' = x' (cos w + c sin w / s) - y' sin w / s + x a + v b, with
+    # a = sin w c' / s - sin w w' and b = c sin w alpha' / s - cos w w'
+    sw_s = sw / s
+    swc_s = sw * c / s
+    cw_swc = cw + swc_s
     out = np.empty((k + l + 2, d, r, t, u.size))
-    out[0] = x * cw - v * sw
-    np.multiply(x, a[:, None], out=out[1:])
-    out[1:] += v * b[:, None]
-    out[1 : k + 1] += tx.transpose(2, 1, 0)[..., None, None] * (cw + c * sw / s)
-    out[k + 1 : k + l + 1] -= ty.transpose(2, 1, 0)[:, :, None, :, None] * (sw / s)
+    tmp = np.empty((d, r, t, u.size))
+    np.multiply(x, cw, out=out[0])
+    out[0] -= np.multiply(v, sw, out=tmp)
+    for j, (col, dcj) in enumerate(zip(out[1:], dc)):
+        dalpha = -dcj / s
+        dw = -u * dalpha
+        if j == k + l:
+            dw += eta
+        np.multiply(x, sw_s * dcj - sw * dw, out=col)
+        col += np.multiply(v, swc_s * dalpha - cw * dw, out=tmp)
+        if j < k:
+            col += np.multiply(tx[:, :, j].T[:, :, None, None], cw_swc, out=tmp)
+        elif j < k + l:
+            col -= np.multiply(ty[:, :, j - k].T[:, None, :, None], sw_s, out=tmp)
     return out.transpose(2, 3, 4, 1, 0)
+
+
+def _join_pair_bytes(d: int, nu: int) -> int:
+    """Bytes a join-full chunk holds at once per (K node, L node) pair on
+    S^(d-1) at nu u nodes, every temporary counted.
+
+    Per pair, 3 d + 5 doubles: the dot product, the row values, c, alpha,
+    s, pi - alpha, c' (d - 1 columns) and v = (y - c x) / s with its two
+    temporaries.  Per node, the d x d Jacobian and the larger of what
+    building it and taking its determinant hold beside it: `_join_batch`'s
+    scratch column (d) and ten arrays (w, cos w, sin w, sin w / s,
+    c sin w / s and cos w + c sin w / s, then a column's w' with its two
+    products and their difference), or `_minor_dets`'s minors of two sizes,
+    at most comb(d + 1, (d + 1) // 2) together, and one term.
+    """
+    node = d * d + max(d + 10, comb(d + 1, (d + 1) // 2) + 1)
+    return 8 * (3 * d + 5 + nu * node)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +516,12 @@ def _level_sum(K, L, counts, terms, check):
     terms(K, L, counts) gives the level's `_Level`: geometry(s, e) returns K
     rows s:e's geometry against every L node and its separation range
     (min, max), values(s, e, *geometry) their weighted per-pair values,
-    pair_bytes the size of the largest per-pair temporaries, shape
-    (K nodes, L nodes) and nodes the level's quadrature node count.  A
-    chunk holds as many K rows as keep their temporaries within
-    CHUNK_BYTES.  check(min, max) runs on each chunk's separation range
-    before its values are evaluated, and every K row is tree-summed whole,
-    so the value does not depend on the chunking.  Returns (value, nodes,
+    pair_bytes the bytes of every temporary a chunk holds at once per
+    (K node, L node) pair, shape (K nodes, L nodes) and nodes the level's
+    quadrature node count.  A chunk holds as many K rows as keep their
+    temporaries within CHUNK_BYTES.  check(min, max) runs on each chunk's
+    separation range before its values are evaluated, and every K row is
+    tree-summed whole, so the value does not depend on the chunking.  Returns (value, nodes,
     min separation, max separation).
     """
     level = terms(K, L, counts)
@@ -528,14 +563,14 @@ def _kernel_terms(kern, scale, K, L, counts):
 
 def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     """One level of a pair kernel: per chunk of K rows, kern of the chunk's
-    dot products c = cos alpha times the minor product mk @ ml.T.  The
-    largest per-pair temporary is one double."""
+    dot products c = cos alpha times the minor product mk @ ml.T, which
+    hold three doubles a pair: c, the kernel's values and the product."""
     def values(s, e, dots):
         vals = kern(dots)
         vals *= mk[s:e] @ ml.T
         return vals
 
-    return _Level(_geodesic(pk, pl), values, 8, (len(pk), len(pl)), len(mk) * len(ml))
+    return _Level(_geodesic(pk, pl), values, 24, (len(pk), len(pl)), len(mk) * len(ml))
 
 
 def _join_terms(scale, K, L, counts):
@@ -543,16 +578,18 @@ def _join_terms(scale, K, L, counts):
 
     The route's prefactor `scale` is folded into K's weights.  The join map
     reads cos alpha and alpha, which it forms from each block's dot
-    products.  Each node of K x L x [0, 1] holds one d x d Jacobian; when
-    one K row alone holds more than CHUNK_BYTES of them, its L nodes are
-    taken in blocks.
+    products.  A chunk holds `_join_pair_bytes` per pair: per node of
+    K x L x [0, 1], the d x d Jacobian, which `_join_batch` builds in place
+    and which is freed once its determinant is taken, with the scratch and
+    minors beside it.  When one K row alone holds more than CHUNK_BYTES,
+    its L nodes are taken in blocks.
     """
     (pk, fk, wk), (pl, fl, wl), (nu,) = _sides(K, L, counts)
     wk = scale * wk
     u, wu = ChartDim(0.0, 1.0, False).rule(nu)
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
-    pair_bytes = 8 * d * d * u.size
+    pair_bytes = _join_pair_bytes(d, u.size)
 
     def values(s, e, dots):
         cols = max(1, CHUNK_BYTES // ((e - s) * pair_bytes))
@@ -560,11 +597,13 @@ def _join_terms(scale, K, L, counts):
         for t0 in range(0, nt, cols):
             t1 = min(t0 + cols, nt)
             c = np.clip(dots[:, t0:t1], -1.0, 1.0)
-            jac = _join_batch(fk[s:e, :, 0], fk[s:e, :, 1:], fl[t0:t1, :, 0], fl[t0:t1, :, 1:],
-                              c, np.arccos(c), u)
-            dets = _minor_dets(jac.reshape(-1, d, d), whole).reshape(e - s, t1 - t0, u.size)
+            # no name holds the Jacobian: it is freed once its determinants are taken
+            dets = _minor_dets(_join_batch(fk[s:e, :, 0], fk[s:e, :, 1:], fl[t0:t1, :, 0],
+                                           fl[t0:t1, :, 1:], c, np.arccos(c), u)
+                               .reshape(-1, d, d), whole).reshape(e - s, t1 - t0, u.size)
             vals[:, t0:t1] = tree_sum_axis(dets * wu, axis=2) * wl[t0:t1]
-        return vals * wk[s:e, None]
+        vals *= wk[s:e, None]
+        return vals
 
     return _Level(_geodesic(pk, pl), values, pair_bytes, (len(pk), nt), len(pk) * nt * u.size)
 

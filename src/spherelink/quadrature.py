@@ -36,8 +36,10 @@ negative ``max_level``, raises ValueError.
 Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
 evaluation may be distributed over worker threads (``SPHERELINK_WORKERS``
-caps the count), but the combination tree never depends on the worker
-count, so results are bit-identical for any parallelism level.  While a
+caps the count, by default the CPUs the process may run on; a pool starts
+no more threads than it has chunks), but the combination tree never
+depends on the worker count, so results are bit-identical for any
+parallelism level.  While a
 call of :func:`run_chunked` runs its chunks on a worker pool, or on one
 worker, numpy's bundled OpenBLAS is held at one thread: the workers are the
 package's parallelism, and a per-chunk matrix product neither starts a BLAS
@@ -76,12 +78,16 @@ CHUNK = 1 << 17
 
 
 def worker_count() -> int:
-    """Worker cap from SPHERELINK_WORKERS, defaulting to the CPU count.
+    """Worker cap from SPHERELINK_WORKERS, defaulting to the CPUs this
+    process may run on (its affinity mask where the platform has one, else
+    the CPU count).
 
     Raises ValueError unless the variable is unset, blank or an integer >= 1.
     """
     raw = os.environ.get("SPHERELINK_WORKERS", "").strip()
     if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     try:
         workers = int(raw)
@@ -260,17 +266,18 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     """Apply work(start, stop) over fixed chunks, optionally in threads.
 
     Chunk boundaries depend only on `total` and `chunk`, so any side effects
-    keyed by chunk index land identically for every worker count.  OpenBLAS
-    runs one thread of its own for as long as the call does, unless several
-    workers are allowed but there is one chunk to share: then its own
-    threads take up the workers' idle cores.
+    keyed by chunk index land identically for every worker count, and the
+    pool starts no more threads than there are chunks.  OpenBLAS runs one
+    thread of its own for as long as the call does, unless several workers
+    are allowed but there is one chunk to share: then its own threads take
+    up the workers' idle cores.
     """
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     w = workers if workers is not None else worker_count()
     pooled = w > 1 and len(spans) > 1
     with _BLAS_CAP.one_thread() if pooled or w <= 1 else nullcontext():
         if pooled:
-            with ThreadPoolExecutor(max_workers=w) as pool:
+            with ThreadPoolExecutor(max_workers=min(w, len(spans))) as pool:
                 list(pool.map(lambda span: work(*span), spans))
         else:
             for s, e in spans:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 from itertools import combinations, product
 
@@ -29,7 +30,7 @@ from spherelink.engine import (
     _minor_dets,
     _side_arrays,
 )
-from spherelink.quadrature import Estimate, probes
+from spherelink.quadrature import Estimate, probes, worker_count
 from spherelink.spheregeom import compose_givens
 
 from conftest import (
@@ -462,8 +463,10 @@ class TestJoinDegree:
         assert red.linking_number == main.nearest_integer == -1
 
     def test_full_bit_identical_across_workers(self, monkeypatch):
-        # small chunks (256 nodes of 4 x 4 Jacobians), so that every level
-        # has several for the threads
+        # small chunks, so that every level has several for the threads: a
+        # Hopf pair (d = 4) at 8 u nodes holds 8 (17 + 8 * 30) = 2056 B a pair,
+        # so a K row of 24 L nodes (49 kB) is a chunk of its own, its L nodes
+        # in blocks of 15; the (0, 1) pair's two K points are two chunks
         monkeypatch.setattr(engine, "CHUNK_BYTES", 256 * 128)
         for K, L in (hopf_pair(), great_pair(0, 1)):
             values = []
@@ -478,6 +481,51 @@ class TestJoinDegree:
         K, L = great_pair(1, 1)
         with pytest.raises(ValueError):
             evaluate_join_degree(K, L, variant="medium")
+
+
+def first_level(run, monkeypatch):
+    """(K, L, terms, check) of the first level sum `run` takes; the sum
+    itself is not taken."""
+    args = []
+
+    class Taken(Exception):
+        pass
+
+    def spy(K, L, counts, terms, check):
+        args.append((K, L, terms, check))
+        raise Taken
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_level_sum", spy)
+        with pytest.raises(Taken):
+            run()
+    return args[0]
+
+
+def counting_chunks(monkeypatch):
+    """The chunk count of every level sum taken from now on, in order."""
+    chunks = []
+    run_chunked = engine.run_chunked
+
+    def counted(total, work, chunk):
+        chunks.append(run_chunked(total, work, chunk=chunk))
+        return chunks[-1]
+
+    monkeypatch.setattr(engine, "run_chunked", counted)
+    return chunks
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate, through tracemalloc, while fn
+    runs, above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 class TestChunkBudget:
@@ -497,21 +545,56 @@ class TestChunkBudget:
     def test_chunks_match_whole_levels(self, monkeypatch, route):
         whole = self.RUNS[route]()
         # several K rows per chunk on the pair and oracle levels (64 and 128
-        # nodes a side); a coarse join-full K row holds 36 L nodes of 5 x 5
-        # Jacobians at 4 u nodes (28.8 kB), so they go in blocks of 25
+        # nodes a side, 24 B a pair); a coarse join-full K row holds 36 L
+        # nodes, each 8 (20 + 4 * 46) = 1632 B at d = 5 and 4 u nodes
+        # (58.8 kB), so they go in blocks of 12
         monkeypatch.setattr(engine, "CHUNK_BYTES", 20_000)
-        chunks = []
-        run_chunked = engine.run_chunked
-
-        def counted(total, work, chunk):
-            chunks.append(run_chunked(total, work, chunk=chunk))
-            return chunks[-1]
-
-        monkeypatch.setattr(engine, "run_chunked", counted)
+        chunks = counting_chunks(monkeypatch)
         chunked = self.RUNS[route]()
         assert len(chunks) == len(whole.node_counts) and min(chunks) > 1
         assert chunked.raw_value == whole.raw_value
         assert (chunked.min_alpha, chunked.max_alpha) == (whole.min_alpha, whole.max_alpha)
+
+
+class TestChunkMemory:
+    """A level sum holds at most CHUNK_BYTES per chunk in flight beyond what
+    building its side arrays and minors takes: every per-pair temporary is
+    counted in the budget, not only the largest."""
+
+    # fixed-size temporaries, whatever a chunk's size: the kernel's blocks of
+    # 2^14 values, the per-row sums and the chunks' Python objects
+    SLACK = 1 << 20
+
+    LEVELS = {
+        "main": (lambda: evaluate_main_theorem(*small_sphere_pair(2, 3)), (16, 16, 32, 16, 16)),
+        "corollary": (lambda: evaluate_corollary(*clifford_pair(2, 3, np.pi / 4)), (1024, 1024)),
+        "join-full": (lambda: evaluate_join_degree(*clifford_pair(2, 3, np.pi / 4),
+                                                   variant="full"), (256, 128, 10)),
+        "oracle": (lambda: oracle_linking(*small_sphere_pair(2, 3), grid=GridSpec(surface=16)),
+                   (16, 16, 32, 16, 16)),
+    }
+
+    @pytest.mark.parametrize("route", LEVELS)
+    def test_level_peak_within_budget(self, monkeypatch, route):
+        run, counts = self.LEVELS[route]
+        K, L, terms, check = first_level(run, monkeypatch)
+        sides = traced_peak(lambda: terms(K, L, counts))
+        chunks = counting_chunks(monkeypatch)
+        peak = traced_peak(lambda: _level_sum(K, L, counts, terms, check))
+        in_flight = min(worker_count(), chunks[0])
+        assert peak <= sides + in_flight * engine.CHUNK_BYTES + self.SLACK, (
+            f"{peak / 2**20:.1f} MiB at {in_flight} chunk(s) in flight, "
+            f"{sides / 2**20:.1f} MiB to build the sides")
+        assert chunks[0] > 1
+
+    def test_small_23_levels_span_chunks(self, monkeypatch):
+        # surface-orders' (2, 3) pair at surface 16: K has 256 nodes, L 4096
+        # or more, so at 24 B a pair no level is one chunk and a second
+        # worker has a chunk to take
+        chunks = counting_chunks(monkeypatch)
+        evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=16),
+                              tol=np.inf, max_level=0)
+        assert len(chunks) == 6 and min(chunks) >= 2
 
 
 class TestGridSpec:

@@ -279,6 +279,34 @@ class TestDeterminism:
         monkeypatch.delenv("SPHERELINK_WORKERS")
         assert worker_count() >= 1
 
+    def test_worker_count_defaults_to_affinity(self, monkeypatch):
+        # a process pinned to fewer CPUs than the host has gets one worker
+        # per CPU it may run on; without an affinity call, the CPU count
+        monkeypatch.delenv("SPHERELINK_WORKERS", raising=False)
+        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert worker_count() == 1
+        monkeypatch.delattr(quadrature.os, "sched_getaffinity")
+        assert worker_count() == 8
+
+    def test_pool_no_larger_than_chunks(self, monkeypatch):
+        sizes = []
+
+        class Pool(quadrature.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Pool)
+        out = np.zeros(10)
+
+        def work(s, e):
+            out[s:e] = np.arange(s, e)
+
+        assert run_chunked(10, work, workers=8, chunk=5) == 2
+        assert run_chunked(10, work, workers=2, chunk=3) == 4
+        assert sizes == [2, 2] and np.array_equal(out, np.arange(10))
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_worker_count_rejects_bad_values(self, monkeypatch, value):
         monkeypatch.setenv("SPHERELINK_WORKERS", value)
