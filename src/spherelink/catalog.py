@@ -77,8 +77,12 @@ class OrientedSubmanifold(ABC):
     """Contract: a closed oriented submanifold of S^ambient_n.
 
     `batch` maps chart coordinates (N, dim) to unit base points (N, n+1)
-    and tangent columns (N, n+1, dim) in chart order.  For dim == 0 the
-    manifold is a finite signed point set exposed via `signed_points`.
+    and tangent columns (N, n+1, dim) in chart order.  Both are views of
+    one frame array (dim + 1, n + 1, N), laid out column by column with the
+    nodes last: the point column, then each tangent column.  Given `out`,
+    an array of that shape, `batch` writes the frames there in place.  For
+    dim == 0 the manifold is a finite signed point set exposed via
+    `signed_points`.
     """
 
     dim: int
@@ -86,8 +90,9 @@ class OrientedSubmanifold(ABC):
     chart_domain: tuple[ChartDim, ...]
 
     @abstractmethod
-    def batch(self, coords: np.ndarray):
-        """Vectorized embedding: (N, dim) -> points (N, n+1), tangents (N, n+1, dim)."""
+    def batch(self, coords: np.ndarray, out: np.ndarray | None = None):
+        """Vectorized embedding: (N, dim) -> points (N, n+1), tangents
+        (N, n+1, dim), views of the frame array `out` (or a new one)."""
 
     def signed_points(self):
         raise ValueError("not a zero-dimensional (signed point set) manifold")
@@ -118,6 +123,17 @@ class OrientedSubmanifold(ABC):
             raise ValueError("rank-deficient tangent frame on the validation grid")
 
 
+def _frame_array(m: OrientedSubmanifold, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """`out`, or else a new frame array (dim + 1, ambient_n + 1, n) of m."""
+    return np.empty((m.dim + 1, m.ambient_n + 1, n)) if out is None else out
+
+
+def _frame_views(f: np.ndarray):
+    """The points (N, n+1) and tangent columns (N, n+1, dim) of the frame
+    array f, as views of it: what `batch` returns."""
+    return f[0].T, f[1:].transpose(2, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # hyperspherical chart
 # ---------------------------------------------------------------------------
@@ -129,29 +145,32 @@ def _azimuth_sign(k: int) -> float:
     return -1.0 if k >= 3 and k % 4 in (3, 0) else 1.0
 
 
-def _sphere_chart(k: int, coords: np.ndarray, azi: float):
+def _sphere_chart(k: int, coords: np.ndarray, azi: float) -> np.ndarray:
     """Chart of unit S^k in R^{k+1}: polar angles in (0, pi), azimuth periodic.
 
-    Returns points (N, k+1) and the Jacobian columns (N, k+1, k).
+    Returns the frames (k+1, k+1, N) laid out column by column with the
+    nodes last: the point, then the Jacobian column of each coordinate in
+    order.  The chart is the recursion x = (sin t x', cos t) of the polar
+    angle t (the first coordinate) over the chart x' of S^{k-1} in the
+    rest, whose Jacobian columns scale by sin t beside the new column
+    (cos t x', -sin t).  It runs in place in one array, from the azimuth's
+    circle outwards, one polar angle at a time.
     """
-    n = coords.shape[0]
-    pts = np.empty((n, k + 1))
-    jac = np.zeros((n, k + 1, k))
-    if k == 1:
-        a = azi * coords[:, 0]
-        pts[:, 0] = np.cos(a)
-        pts[:, 1] = np.sin(a)
-        jac[:, 0, 0] = -azi * np.sin(a)
-        jac[:, 1, 0] = azi * np.cos(a)
-        return pts, jac
-    inner_pts, inner_jac = _sphere_chart(k - 1, coords[:, 1:], azi)
-    s0, c0 = np.sin(coords[:, 0]), np.cos(coords[:, 0])
-    pts[:, :k] = s0[:, None] * inner_pts
-    pts[:, k] = c0
-    jac[:, :k, 0] = c0[:, None] * inner_pts
-    jac[:, k, 0] = -s0
-    jac[:, :k, 1:] = s0[:, None, None] * inner_jac
-    return pts, jac
+    f = np.zeros((k + 1, k + 1, coords.shape[0]))
+    a = azi * coords[:, k - 1]
+    np.cos(a, out=f[0, 0])
+    np.sin(a, out=f[0, 1])
+    np.multiply(f[0, 0], azi, out=f[k, 1])
+    np.multiply(f[0, 1], -azi, out=f[k, 0])
+    for i in reversed(range(k - 1)):
+        j = k - i  # rows 0 .. j-1 hold the chart of S^{j-1}
+        s, c = np.sin(coords[:, i]), np.cos(coords[:, i])
+        np.multiply(f[0, :j], c, out=f[i + 1, :j])
+        np.negative(s, out=f[i + 1, j])
+        f[i + 2:, :j] *= s
+        f[0, :j] *= s
+        f[0, j] = c
+    return f
 
 
 def _sphere_chart_domain(k: int) -> tuple[ChartDim, ...]:
@@ -172,7 +191,7 @@ class _SignedPoints(OrientedSubmanifold):
         self._signs = np.asarray(signs, dtype=float)
         self._validate()
 
-    def batch(self, coords):
+    def batch(self, coords, out=None):
         raise ValueError("signed point sets have no chart; use signed_points()")
 
     def signed_points(self):
@@ -197,14 +216,12 @@ class _RoundSphere(OrientedSubmanifold):
         self._azi = _azimuth_sign(k)
         self._validate()
 
-    def batch(self, coords):
-        pts_k, jac_k = _sphere_chart(self.dim, coords, self._azi)
-        pts = pts_k @ self.frame
-        pts *= self._s
-        pts += self._c * self.center
-        jac = np.einsum("nij,id->ndj", jac_k, self.frame)
-        jac *= self._s
-        return pts, jac
+    def batch(self, coords, out=None):
+        # every column of the chart's frames carried into R^{n+1} by one matmul
+        f = np.matmul(self.frame.T, _sphere_chart(self.dim, coords, self._azi), out=out)
+        f *= self._s
+        f[0] += self._c * self.center[:, None]
+        return _frame_views(f)
 
 
 def _round_sphere(k: int, center: np.ndarray, c: float, s: float,
@@ -243,13 +260,14 @@ class _FourierCurve(OrientedSubmanifold):
         dc = (-sin_js * j) @ self.cos_coeffs + (cos_js * j) @ self.sin_coeffs
         return c, dc
 
-    def batch(self, coords):
+    def batch(self, coords, out=None):
         c, dc = self._series(coords[:, 0])
         norm = np.linalg.norm(c, axis=1, keepdims=True)
-        pts = c / norm
         radial = np.sum(c * dc, axis=1, keepdims=True)
-        jac = (dc / norm - c * radial / norm**3)[:, :, None]
-        return pts, jac
+        f = _frame_array(self, len(coords), out)
+        np.divide(c, norm, out=f[0].T)
+        np.subtract(dc / norm, c * radial / norm**3, out=f[1].T)
+        return _frame_views(f)
 
 
 def _complex_orbit(z1: complex, z2: complex, m1: int, m2: int) -> OrientedSubmanifold:
@@ -286,9 +304,10 @@ class _Rotated(_Wrapper):
         super().__init__(inner)
         self.rotation = r
 
-    def batch(self, coords):
-        pts, jac = self.inner.batch(coords)
-        return pts @ self.rotation.T, np.einsum("ed,ndk->nek", self.rotation, jac)
+    def batch(self, coords, out=None):
+        inner = _frame_array(self.inner, len(coords))
+        self.inner.batch(coords, out=inner)
+        return _frame_views(np.matmul(self.rotation, inner, out=out))
 
     def signed_points(self):
         pts, signs = self.inner.signed_points()
@@ -299,9 +318,10 @@ class _AntipodalImage(_Wrapper):
     """Pointwise negation; tangent columns negate too, which is exactly the
     orientation transfer of the antipodal map (its differential is -I)."""
 
-    def batch(self, coords):
-        pts, jac = self.inner.batch(coords)
-        return -pts, -jac
+    def batch(self, coords, out=None):
+        f = _frame_array(self, len(coords), out)
+        self.inner.batch(coords, out=f)
+        return _frame_views(np.negative(f, out=f))
 
     def signed_points(self):
         pts, signs = self.inner.signed_points()
@@ -313,14 +333,14 @@ class _AntipodalImage(_Wrapper):
 class _Reflected(_Wrapper):
     """Orientation reversal: reflect the first chart coordinate."""
 
-    def batch(self, coords):
+    def batch(self, coords, out=None):
         c = np.array(coords, dtype=float)
         cd = self.chart_domain[0]
         c[:, 0] = cd.lo + cd.hi - c[:, 0]
-        pts, jac = self.inner.batch(c)
-        jac = jac.copy()
-        jac[:, :, 0] = -jac[:, :, 0]
-        return pts, jac
+        f = _frame_array(self, len(c), out)
+        self.inner.batch(c, out=f)
+        np.negative(f[1], out=f[1])
+        return _frame_views(f)
 
     def signed_points(self):
         pts, signs = self.inner.signed_points()

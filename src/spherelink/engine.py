@@ -51,8 +51,17 @@ kernels expand the bracket determinant into per-manifold minors combined by
 a matrix product; join-full forms its chunk's alpha, builds each block's
 Jacobians in place, one column at a time, and sums each pair's join-map
 determinant against the u rule.  One Laplace recursion,
-:func:`_minor_dets`, gives every determinant, the oracle's included.  A
-dimension-0 side enters as its signed points with +-1 weights.
+:func:`_minor_dets`, gives every determinant, the oracle's included.  Each
+side's arrays come from :func:`_side_arrays`: the side's ``batch`` writes
+its point and tangent columns into one array laid out column by column
+with the nodes last, which :func:`_minor_dets` reads without a copy, and a
+pair route folds its signs, weights and prefactor into the minors in place,
+keeping only points and minors.  Within one evaluator call,
+:func:`_side_memo` keeps each side's last arrays and K's base-grid ones, so
+a probe, which doubles one factor and so changes one side, reuses the
+other: a step of f factors builds 2 + f sides, not 2 (1 + f).  No array
+outlives the call.  A dimension-0 side enters as its signed points with
++-1 weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
@@ -69,7 +78,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .catalog import OrientedSubmanifold, _int
+from .catalog import OrientedSubmanifold, _frame_array, _int
 from .quadrature import (
     ChartDim,
     product_rule,
@@ -424,7 +433,9 @@ def _laplace_plan(d: int, subsets: tuple):
     of them below the requested size m, the requested subsets at m) of
     (row, index of the (j-1)-row minor without it) along column j, last
     row first, so the signs alternate from +; then the requested subsets'
-    indices at size m, a slice when already in order so that none is copied.
+    indices at size m, a slice when already in order so that none is copied,
+    except at m = 1, where the minors are the frames' own entries and are
+    copied, so that a caller scaling them in place leaves its frames be.
     """
     steps, lower = [], {(r,): r for r in range(d)}
     for j in range(2, len(subsets[0]) + 1):
@@ -433,7 +444,7 @@ def _laplace_plan(d: int, subsets: tuple):
                       for s in upper])
         lower = {s: i for i, s in enumerate(upper)}
     final = [lower[s] for s in subsets]
-    return steps, slice(None) if final == list(range(len(final))) else final
+    return steps, slice(None) if steps and final == list(range(len(final))) else final
 
 
 def _minor_dets(frames: np.ndarray, subsets) -> np.ndarray:
@@ -443,10 +454,12 @@ def _minor_dets(frames: np.ndarray, subsets) -> np.ndarray:
     of each frame's first j columns are expanded along column j from the
     (j-1)-row minors, so each minor of each size is formed exactly once.
     The columns are read from one contiguous (m, d, N) transpose, which is
-    a view when the frames were laid out column by column (as
-    :func:`_join_batch` lays out join-full's) and a copy otherwise, and the
-    terms accumulate in place.  This is the inner loop of the bracket
-    expansion and the join-full determinant (m = d, the whole frame).
+    a view when the frames were laid out column by column, as
+    :func:`_side_arrays` and :func:`_join_batch` lay them out, and a copy
+    otherwise, and the terms accumulate in place.  The result is a
+    transposed view of the (len(subsets), N) minors, which a caller may
+    scale in place.  This is the inner loop of the bracket expansion and
+    the join-full determinant (m = d, the whole frame).
     """
     n, d, _ = frames.shape
     if not subsets[0]:  # the one minor of no rows: det of 0 x 0 is 1
@@ -480,20 +493,53 @@ def _check_pair(K: OrientedSubmanifold, L: OrientedSubmanifold):
 
 def _side_arrays(m: OrientedSubmanifold, counts: tuple[int, ...]):
     """Points, base+tangent frames and weights for one side, at one node
-    count per chart factor."""
+    count per chart factor.
+
+    The frames (N, n+1, 1 + dim) are a view of one array laid out column by
+    column with the nodes last, which the side's `batch` writes in place, so
+    :func:`_minor_dets` reads them without a copy; the points are a view of
+    its first column.  A dimension-0 side is its signed points, with +-1
+    weights.
+    """
     if m.dim == 0:
         pts, signs = m.signed_points()
         return pts, pts[:, :, None], signs
     coords, w = product_rule(m.chart_domain, counts)
-    pts, tan = m.batch(coords)
-    return pts, np.concatenate([pts[:, :, None], tan], axis=2), w
+    frames = _frame_array(m, len(w))
+    pts, _ = m.batch(coords, out=frames)
+    return pts, frames.transpose(2, 1, 0), w
 
 
-def _sides(K, L, counts):
-    """Both sides' `_side_arrays` at their factors' counts, and the counts
-    left after them (join-full's u)."""
-    k, l = K.dim, L.dim
-    return _side_arrays(K, counts[:k]), _side_arrays(L, counts[k:k + l]), counts[k + l:]
+def _fresh(which, counts, build):
+    """The `sides` of a lone level sum: every side is built anew."""
+    return build()
+
+
+def _side_memo():
+    """The `sides` of one evaluator call: `side(which, counts, build)`
+    returns the arrays build() makes for side `which` (0 for K, 1 for L) at
+    its chart factors' counts, built only when that side keeps none.
+
+    A refinement step takes the base, then the probes of K's factors, which
+    share the base's L side, then those of L's factors, which share its K
+    side.  So each side keeps the arrays it used last, and K's side also
+    the first it built, the base grid's, to which the L probes return; the
+    rest are dropped before the next are built.  A step then builds each
+    distinct side once, 2 + f sides for f factors where a fresh build per
+    level sum takes 2 (1 + f), and a level holds beyond its own arrays only
+    K's base side.  No array outlives the call.
+    """
+    kept = ({}, {})
+
+    def side(which, counts, build):
+        got = kept[which]
+        if counts not in got:
+            for c in list(got)[1 if which == 0 else 0:]:
+                del got[c]
+            got[counts] = build()
+        return got[counts]
+
+    return side
 
 
 # one quadrature level of a route, as `_level_sum` sums it
@@ -545,20 +591,33 @@ def _level_sum(K, L, counts, terms, check):
     return tree_sum(rows), level.nodes, smin, smax
 
 
-def _kernel_terms(kern, scale, K, L, counts):
+def _kernel_terms(kern, scale, K, L, counts, sides=_fresh):
     """Pair-kernel values: scale times kern(cos_alpha) times the bracket
     det(x, dx, y, dy), in the point-first column order of `_laplace_subsets`.
 
-    The bracket determinant is expanded into per-side minors once per
-    level, with each side's quadrature weights folded in, and the route's
-    prefactor `scale` with K's; each (s, t) pair then costs one multiply-add
-    through a matrix product.
+    The bracket determinant is expanded into per-side minors once per side
+    (:func:`_minor_side`), with each side's quadrature weights folded in,
+    and the route's prefactor `scale` with K's; each (s, t) pair then costs
+    one multiply-add through a matrix product.  `sides` builds or reuses
+    each side (:func:`_side_memo`).
     """
-    (pk, fk, wk), (pl, fl, wl), _ = _sides(K, L, counts)
-    subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
-    mk = _minor_dets(fk, subs) * signs * (scale * wk)[:, None]
-    ml = _minor_dets(fl, comps) * wl[:, None]
+    k = K.dim
+    subs, comps, signs = _laplace_subsets(K.ambient_n + 1, k + 1)
+    pk, mk = sides(0, counts[:k], partial(_minor_side, K, counts[:k], subs, scale, signs))
+    pl, ml = sides(1, counts[k:], partial(_minor_side, L, counts[k:], comps, 1.0))
     return _pair_level(kern, pk, mk, pl, ml)
+
+
+def _minor_side(m, counts, subsets, scale, signs=None):
+    """One side of a pair kernel: its points and the minors of its frames on
+    `subsets`, times `signs` and then scale times its weights, in place.
+    Only the points (copied out) and the minors are kept, not the frames."""
+    pts, frames, w = _side_arrays(m, counts)
+    minors = _minor_dets(frames, subsets)
+    if signs is not None:
+        minors *= signs
+    minors *= (scale * w)[:, None]
+    return pts.copy(), minors
 
 
 def _pair_level(kern, pk, mk, pl, ml) -> _Level:
@@ -573,10 +632,11 @@ def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     return _Level(_geodesic(pk, pl), values, 24, (len(pk), len(pl)), len(mk) * len(ml))
 
 
-def _join_terms(scale, K, L, counts):
+def _join_terms(scale, K, L, counts, sides=_fresh):
     """join-full values: the u-rule-weighted det of the join map's Jacobian.
 
-    The route's prefactor `scale` is folded into K's weights.  The join map
+    The route's prefactor `scale` is folded into K's weights, and `sides`
+    builds or reuses each side's points, frames and weights.  The join map
     reads cos alpha and alpha, which it forms from each block's dot
     products.  A chunk holds `_join_pair_bytes` per pair: per node of
     K x L x [0, 1], the d x d Jacobian, which `_join_batch` builds in place
@@ -584,8 +644,10 @@ def _join_terms(scale, K, L, counts):
     minors beside it.  When one K row alone holds more than CHUNK_BYTES,
     its L nodes are taken in blocks.
     """
-    (pk, fk, wk), (pl, fl, wl), (nu,) = _sides(K, L, counts)
-    wk = scale * wk
+    k, l = K.dim, L.dim
+    pk, fk, wk = sides(0, counts[:k], partial(_join_side, K, counts[:k], scale))
+    pl, fl, wl = sides(1, counts[k:k + l], partial(_join_side, L, counts[k:k + l], 1.0))
+    (nu,) = counts[k + l:]
     u, wu = ChartDim(0.0, 1.0, False).rule(nu)
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
@@ -608,6 +670,13 @@ def _join_terms(scale, K, L, counts):
     return _Level(_geodesic(pk, pl), values, pair_bytes, (len(pk), nt), len(pk) * nt * u.size)
 
 
+def _join_side(m, counts, scale):
+    """One side of join-full: its points (copied out), frames and weights
+    times scale."""
+    pts, frames, w = _side_arrays(m, counts)
+    return pts.copy(), frames, scale * w
+
+
 def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> LinkingReport:
     """Level sums of one route refined from the base counts grid0 to tol,
     as a report.
@@ -615,9 +684,11 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     The terms put every level sum on the Lk scale, so the report takes the
     refinement's value, error and level values as they are, with each level
     sum's node count beside its value in the order taken; its separation
-    range spans every chunk of every level.
+    range spans every chunk of every level.  One :func:`_side_memo` serves
+    the call's level sums, so a probe reuses the other side's arrays.
     """
     levels = []
+    terms = partial(terms, sides=_side_memo())
 
     def level_sum(g):
         levels.append(_level_sum(K, L, g, terms, check))

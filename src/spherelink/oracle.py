@@ -14,7 +14,9 @@ zero-dimensional sides (signed points) included.
 The integral is one more ``terms`` of the engine's level sum,
 :func:`spherelink.engine._level_sum`, on the sides' own quadrature nodes and
 point-first frames from :func:`spherelink.engine._side_arrays`, projected
-once per level with their tangent columns.  The numerator splits as
+with their tangent columns once per side grid, each side reused across a
+refinement step as on every route (:func:`~spherelink.engine._side_memo`).
+The numerator splits as
 det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
 per-side minors (:func:`~spherelink.engine._laplace_subsets`,
 :func:`~spherelink.engine._minor_dets`), stacked so that one matrix product
@@ -47,12 +49,13 @@ from .engine import (
     LinkingReport,
     _check_pair,
     _check_separation,
+    _fresh,
     _laplace_subsets,
     _Level,
     _minor_dets,
     _pair_level,
     _refined_report,
-    _sides,
+    _side_arrays,
     sign_factor,
 )
 from .quadrature import probes
@@ -105,17 +108,22 @@ def stereographic_frames(frames: np.ndarray, pole: np.ndarray) -> np.ndarray:
 
     With Q = _projection_frame(pole), a point x maps to X = Q^T x / (1 - p.x)
     and a tangent column t to its chain-rule image (Q^T t + X p.t) / (1 - p.x).
+    The result is a view of frames laid out column by column with the nodes
+    last, as :func:`~spherelink.engine._side_arrays` lays out its input, and
+    each product with p or Q is one matmul over every column at once.
     ValueError when a point comes within _POLE_CLEARANCE of the pole.
     """
-    dots = np.einsum("d,ndc->nc", pole, frames)
-    nearest = np.fmax.reduce(dots[:, 0])
+    cols = frames.transpose(2, 1, 0)
+    dots = pole @ cols
+    nearest = np.fmax.reduce(dots[0])
     if nearest >= np.cos(_POLE_CLEARANCE):
         closest = float(np.arccos(min(nearest, 1.0)))
         raise ValueError(f"pole passes within {closest:.4f} rad of the manifold")
-    den = 1.0 - dots[:, None, :1]
-    out = np.matmul(_projection_frame(pole).T, frames) / den
-    out[:, :, 1:] += out[:, :, :1] * (dots[:, None, 1:] / den)
-    return out
+    den = 1.0 - dots[0]
+    out = np.matmul(_projection_frame(pole).T, cols)
+    out /= den
+    out[1:] += out[0] * (dots[1:, None, :] / den)
+    return out.transpose(2, 1, 0)
 
 
 def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
@@ -126,26 +134,38 @@ def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
     return np.power(c, -0.5 * n, out=c)
 
 
-def _gauss_terms(pole, K, L, counts) -> _Level:
+def _gauss_terms(pole, K, L, counts, sides=_fresh) -> _Level:
     """One level of the Gauss integral, as a `terms` of the engine's level sum.
 
     The images X, Y of x, y satisfy
     |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
     carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
-    :func:`_gauss_kernel` of the routes' own chunk geometry.
+    :func:`_gauss_kernel` of the routes' own chunk geometry.  `sides` builds
+    or reuses each side (:func:`~spherelink.engine._side_memo`).
     """
     k, l, n = _check_pair(K, L)
-    (pk, fk, wk), (pl, fl, wl), _ = _sides(K, L, counts)
-    fk, fl = stereographic_frames(fk, pole), stereographic_frames(fl, pole)
     subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)
     subs2, comps2, signs2 = _laplace_subsets(n, k)       # det(dx | y, dy)
     scale = sign_factor("stereographic", l=l) / _vol_sphere_any(n - 1)
-    mk = np.hstack([_minor_dets(fk, subs) * signs,
-                    _minor_dets(fk[:, :, 1:], subs2) * signs2 * (-1) ** (k + 1)])
-    mk *= (scale * wk * (1.0 - pk @ pole) ** (n / 2))[:, None]
-    ml = np.hstack([_minor_dets(fl[:, :, 1:], comps), _minor_dets(fl, comps2)])
-    ml *= (wl * (1.0 - pl @ pole) ** (n / 2))[:, None]
+    # (first column, row subsets, signs) of each side's two minor blocks
+    k_parts = ((0, subs, signs), (1, subs2, signs2 * (-1) ** (k + 1)))
+    l_parts = ((1, comps, 1.0), (0, comps2, 1.0))
+    pk, mk = sides(0, counts[:k], partial(_gauss_side, pole, K, counts[:k], k_parts, scale))
+    pl, ml = sides(1, counts[k:], partial(_gauss_side, pole, L, counts[k:], l_parts, 1.0))
     return _pair_level(partial(_gauss_kernel, n), pk, mk, pl, ml)
+
+
+def _gauss_side(pole, m, counts, parts, scale):
+    """One side of the Gauss integral: its points and the minors of its
+    projected frames, one block per part, times scale, its weights and its
+    conformal factor."""
+    pts, frames, w = _side_arrays(m, counts)
+    pts = pts.copy()
+    frames = stereographic_frames(frames, pole)
+    minors = np.hstack([_minor_dets(frames[:, :, c:], subsets) * sg
+                        for c, subsets, sg in parts])
+    minors *= (scale * w * (1.0 - pts @ pole) ** (m.ambient_n / 2))[:, None]
+    return pts, minors
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
@@ -158,14 +178,17 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
     level: the candidate farthest from both sides' nodes on the grids of the
     first refinement step, the base and its probes, which every run
     integrates, since a coarse base grid alone can overstate a candidate's
-    clearance.  Each level refuses a node within _POLE_CLEARANCE of it, and
+    clearance; each distinct side grid among them is embedded once.  Each
+    level refuses a node within _POLE_CLEARANCE of it, and
     a chunk whose geodesic separation reaches the engine's MIN_ALPHA raises
     DisjointnessError before its kernel is formed.
     """
-    _check_pair(K, L)
+    k = _check_pair(K, L)[0]
     counts = (grid or GridSpec(curve=m)).counts(K, L)
-    pole = find_pole(np.vstack([side[0] for c in [counts] + probes(counts)
-                                for side in _sides(K, L, c)[:2]]))
+    grids = [counts] + probes(counts)
+    sides = [(K, g[:k]) for g in grids] + [(L, g[k:]) for g in grids]
+    # each distinct side grid embedded once, and only its points kept
+    pole = find_pole(np.vstack([_side_arrays(M, c)[0].copy() for M, c in dict.fromkeys(sides)]))
     return _refined_report(K, L, partial(_gauss_terms, pole),
                            partial(_check_separation, min_alpha=MIN_ALPHA), counts, tol,
                            max_level, "gauss_oracle")

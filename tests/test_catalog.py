@@ -19,6 +19,8 @@ from spherelink.catalog import (
     build_entry,
     catalog_schemas,
 )
+from spherelink.engine import _side_arrays
+from spherelink.quadrature import product_rule
 from conftest import alpha_range, random_rotation
 
 
@@ -351,6 +353,61 @@ class TestWrappers:
         pts, signs = p.signed_points()
         assert np.allclose(pts, [[0, -1, 0], [0, 1, 0]])
         assert np.allclose(signs, [1, -1])
+
+
+def chart_reference(k, coords, azi):
+    """The hyperspherical chart by its recursion x = (sin t x', cos t):
+    points (N, k+1) and Jacobian columns (N, k+1, k), node-major."""
+    if k == 1:
+        a = azi * coords[:, 0]
+        return (np.column_stack([np.cos(a), np.sin(a)]),
+                np.column_stack([-azi * np.sin(a), azi * np.cos(a)])[:, :, None])
+    x, jx = chart_reference(k - 1, coords[:, 1:], azi)
+    s, c = np.sin(coords[:, :1]), np.cos(coords[:, :1])
+    jac = np.zeros((len(coords), k + 1, k))
+    jac[:, :k, 0] = c * x
+    jac[:, k, 0] = -s[:, 0]
+    jac[:, :k, 1:] = s[:, :, None] * jx
+    return np.column_stack([s * x, c]), jac
+
+
+class TestEmbedding:
+    """Round spheres and rotations embed every frame column by one matmul,
+    into the column-major layout the engine reads without a copy."""
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_round_and_rotated_match_einsum(self, k, rng):
+        n = k + 2
+        q = random_rotation(n + 1, rng)
+        spheres = (great_subsphere(k, range(k + 1), n),
+                   small_round_sphere(k, q[:, 0], 0.7, q[:, 1:k + 2].T))
+        coords = chart_grid(spheres[0], 4)
+        r = random_rotation(n + 1, rng)
+        for m in spheres:
+            pts_k, jac_k = chart_reference(k, coords, m._azi)
+            pts = m._s * (pts_k @ m.frame) + m._c * m.center
+            jac = m._s * np.einsum("nij,id->ndj", jac_k, m.frame)
+            for got, want in zip(m.batch(coords), (pts, jac)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15, k
+            rot = (pts @ r.T, np.einsum("ed,ndk->nek", r, jac))
+            for got, want in zip(rotated(m, r).batch(coords), rot):
+                assert np.max(np.abs(got - want)) <= 1e-15, k
+
+    def test_side_frames_are_points_then_tangents(self, rng):
+        # every wrapper too; the engine's frames are the batch output laid
+        # out column by column with the nodes last, the points their first
+        # column
+        r = random_rotation(7, rng)
+        small = small_round_sphere(3, r[:, 0], 0.9, r[:, 1:5].T)
+        for m in (small, rotated(small, random_rotation(7, rng)), antipodal_image(small),
+                  orientation_reversed(small), clifford_torus_curve(2, 3)):
+            counts = (5,) * m.dim
+            pts, frames, w = _side_arrays(m, counts)
+            bp, bt = m.batch(product_rule(m.chart_domain, counts)[0])
+            assert np.array_equal(frames, np.concatenate([bp[..., None], bt], axis=2))
+            assert np.array_equal(pts, bp)
+            assert frames.transpose(2, 1, 0).flags.c_contiguous
 
 
 class TestDisjointnessScan:

@@ -321,8 +321,9 @@ class TestLevelChecks:
         report = engine._evaluate(method, K, L, grid, 0.0, 0, engine.MIN_ALPHA)
         lows, highs, counts = [], [], []
         base = grid.counts(K, L, u=method == "join-full")
+        k, l = K.dim, L.dim
         for c in [base] + probes(base):
-            (pk, _, _), (pl, _, _), u = engine._sides(K, L, c)
+            pk, pl, u = _side_arrays(K, c[:k])[0], _side_arrays(L, c[k:k + l])[0], c[k + l:]
             alpha = np.arccos(np.clip(pk @ pl.T, -1.0, 1.0))
             lows.append(alpha.min())
             highs.append(alpha.max())
@@ -595,6 +596,61 @@ class TestChunkMemory:
         evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=16),
                               tol=np.inf, max_level=0)
         assert len(chunks) == 6 and min(chunks) >= 2
+
+
+class TestSideReuse:
+    """An evaluator call builds each distinct side of a refinement step once,
+    and keeps none of them for the next call."""
+
+    def test_small_23_step_builds_each_side_once(self, monkeypatch):
+        K, L = small_sphere_pair(2, 3)
+        cls, calls = type(K), []
+        batch = cls.batch
+        monkeypatch.setattr(cls, "batch", lambda self, coords, out=None: (
+            calls.append(len(coords)), batch(self, coords, out))[1])
+
+        def run():
+            return evaluate_main_theorem(K, L, grid=GridSpec(surface=16), tol=1e-6,
+                                         max_level=0)
+
+        first = run()
+        # the base and its five probes: K's three sides, L's four, where a
+        # fresh build per level sum would take 2 (1 + 5) = 12
+        assert len(calls) == 7
+        second = run()
+        assert len(calls) == 14
+        assert second == first
+        # each level sum equals that grid's level summed alone
+        _, _, terms, check = first_level(run, monkeypatch)
+        base = GridSpec(surface=16).counts(K, L)
+        alone = [_level_sum(K, L, g, partial(terms, sides=engine._fresh), check)[0]
+                 for g in [base] + probes(base)]
+        assert first.level_values == tuple(alone)
+
+
+class TestSideMemory:
+    """A side build holds its frames, two sizes of minors and what it keeps,
+    and keeps only points and minors."""
+
+    def test_small_23_side_build(self):
+        # L at (32, 16, 16): 8192 nodes of 4 frame columns in R^7 (1.75 MiB),
+        # its 35 minors of 3 rows and of 4 (2.19 MiB each); it keeps its
+        # points and minors, 8192 x (7 + 35) doubles (2.63 MiB), and K's
+        # 256 x (7 + 35) (0.08 MiB)
+        K, L = small_sphere_pair(2, 3)
+        counts = (16, 16, 32, 16, 16)
+        _kernel_terms(np.cos, 1.0, K, L, counts)  # the subset tables' caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            level = _kernel_terms(np.cos, 1.0, K, L, counts)
+            held, peak = (b - before for b in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert level.shape == (256, 8192)
+        assert peak <= 6.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert held <= 2.8 * 2**20, f"{held / 2**20:.2f} MiB"
 
 
 class TestGridSpec:

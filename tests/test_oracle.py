@@ -13,6 +13,7 @@ from spherelink import (
 from spherelink import oracle
 from spherelink.engine import _side_arrays
 from spherelink.oracle import find_pole, pole_candidates, stereographic_frames
+from spherelink.quadrature import probes
 
 from conftest import (
     LIFT_POLE,
@@ -67,6 +68,32 @@ class TestPoleMachinery:
         with_pole(monkeypatch, [np.cos(np.pi / 8), np.sin(np.pi / 8), 0, 0])
         with pytest.raises(ValueError, match="pole passes within 0.0000 rad"):
             oracle_linking(K, L, m=8)
+
+    def test_pole_search_embeds_each_side_grid_once(self, monkeypatch):
+        # the first step's base and five probes share their side grids: the
+        # search embeds K's three and L's four once each, not both sides of
+        # every grid (12), and picks the pole those twelve give
+        K, L = small_sphere_pair(2, 3)
+        counts = GridSpec(surface=6).counts(K, L)
+        every = np.vstack([_side_arrays(M, c)[0] for g in [counts] + probes(counts)
+                           for M, c in ((K, g[:2]), (L, g[2:]))])
+        cls, calls, chosen = type(K), [], []
+        batch = cls.batch
+        monkeypatch.setattr(cls, "batch", lambda self, coords, out=None: (
+            calls.append(len(coords)), batch(self, coords, out))[1])
+
+        class Found(Exception):
+            pass
+
+        def spy(points):
+            chosen.append(find_pole(points))
+            raise Found
+
+        monkeypatch.setattr(oracle, "find_pole", spy)
+        with pytest.raises(Found):
+            oracle_linking(K, L, GridSpec(surface=6))
+        assert len(calls) == 7
+        assert np.array_equal(chosen[0], find_pole(every))
 
     def test_no_clear_pole_rejected(self):
         # nodes on every candidate leave no pole to project from
@@ -171,8 +198,8 @@ class TestGaussIntegral:
         K, L = lifted_circle([0, 0, 0], 0.5), lifted_circle([3, 0, 0], 0.5)
         batch = L.batch
 
-        def poisoned(coords):
-            pts, tan = batch(coords)
+        def poisoned(coords, out=None):
+            pts, tan = batch(coords, out=out)
             pts[3] = np.nan
             return pts, tan
 
