@@ -42,7 +42,14 @@ is a tuple of node counts, one per tensor factor: K's chart factors, then
 L's, then the join parameter u for join-full (``GridSpec.counts`` gives
 the base); each refinement step integrates the base and one probe per
 factor with that factor doubled, and grows only the factors whose probe
-still moves the value.  Each route's terms fold its prefactor
+still moves the value.  A level's value is the sum of its grid's blocks
+(:func:`spherelink.quadrature.blocks`: per factor the base nodes or the
+nodes one doubling of a periodic factor added, or an open factor's whole
+rule), each scaled by its power of 1/2; one evaluator call sums each
+(K side block, L side block[, u rule]) pair block once, by
+:func:`_level_sum`, so a probe pays only for its new nodes: a step of a
+small (2,3) pair costs 9 base grids of pair nodes, not 11, and one of two
+curves 3, not 5.  Each route's terms fold its prefactor
 (sign / vol S^n here, sign / vol S^{n-1} in the oracle) into the K-side
 weights, so every level sum is on the scale of Lk: the tolerance, the error
 estimate, the level values and the report are one number on one scale, and
@@ -57,9 +64,10 @@ its point and tangent columns into one array laid out column by column
 with the nodes last, which :func:`_minor_dets` reads without a copy, and a
 pair route folds its signs, weights and prefactor into the minors in place,
 keeping only points and minors.  Within one evaluator call,
-:func:`_side_memo` keeps each side's last arrays and K's base-grid ones, so
-a probe, which doubles one factor and so changes one side, reuses the
-other: a step of f factors builds 2 + f sides, not 2 (1 + f).  No array
+:class:`_SideMemo` keeps the side blocks of the step's base grid and of
+the blocks being summed, so a probe, which doubles one factor and so
+changes one side, reuses the other: a step of f factors builds each
+distinct side block once, 2 + f of them, not 2 (1 + f) sides.  No array
 outlives the call.  A dimension-0 side enters as its signed points with
 +-1 weights.
 
@@ -72,7 +80,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb
+from math import comb, fsum, ldexp
 from typing import Callable
 
 import numpy as np
@@ -81,11 +89,13 @@ from . import kernels
 from .catalog import OrientedSubmanifold, _frame_array, _int
 from .quadrature import (
     ChartDim,
+    blocks,
     product_rule,
     refine_until,
     run_chunked,
     tree_sum,
     tree_sum_axis,
+    worker_pool,
 )
 from .spheregeom import _vol_sphere_any, alpha_extremes
 
@@ -112,6 +122,8 @@ _ANTIPODAL_MARGIN = 0.01
 TOL = 1e-9
 MAX_LEVEL = 4
 MIN_ALPHA = 0.01
+# the join parameter u's factor, after K's and L's chart factors
+_U = ChartDim(0.0, 1.0, False)
 
 
 class DisjointnessError(ValueError):
@@ -491,9 +503,9 @@ def _check_pair(K: OrientedSubmanifold, L: OrientedSubmanifold):
     return K.dim, L.dim, n
 
 
-def _side_arrays(m: OrientedSubmanifold, counts: tuple[int, ...]):
+def _side_arrays(m: OrientedSubmanifold, counts: tuple):
     """Points, base+tangent frames and weights for one side, at one node
-    count per chart factor.
+    count, or one increment (a side block), per chart factor.
 
     The frames (N, n+1, 1 + dim) are a view of one array laid out column by
     column with the nodes last, which the side's `batch` writes in place, so
@@ -515,31 +527,48 @@ def _fresh(which, counts, build):
     return build()
 
 
-def _side_memo():
-    """The `sides` of one evaluator call: `side(which, counts, build)`
-    returns the arrays build() makes for side `which` (0 for K, 1 for L) at
-    its chart factors' counts, built only when that side keeps none.
+class _SideMemo:
+    """The `sides` of one evaluator call from the base counts grid0:
+    ``memo(which, block, build)`` returns the arrays build() makes for side
+    `which` (0 for K, 1 for L) at its side block, one increment per chart
+    factor, built only when none are kept.
 
-    A refinement step takes the base, then the probes of K's factors, which
-    share the base's L side, then those of L's factors, which share its K
-    side.  So each side keeps the arrays it used last, and K's side also
-    the first it built, the base grid's, to which the L probes return; the
-    rest are dropped before the next are built.  A step then builds each
-    distinct side once, 2 + f sides for f factors where a fresh build per
-    level sum takes 2 (1 + f), and a level holds beyond its own arrays only
-    K's base side.  No array outlives the call.
+    Before a grid's new pair blocks are summed, :meth:`retain` drops every
+    side block but theirs and those of the step's base grid, the meet of
+    this grid and the last (a probe's other factors are the base's).  A
+    probe of the factors of the side that comes last (L's, unless u
+    follows) drops that side's base blocks too, since no later probe of the
+    step reads them.  A step of f factors then builds each distinct side
+    block once (7 for a (2,3) pair, where a fresh build per level sum takes
+    12), and holds beyond the base's blocks only the probe's new ones.  No
+    array outlives the call.
     """
-    kept = ({}, {})
 
-    def side(which, counts, build):
-        got = kept[which]
-        if counts not in got:
-            for c in list(got)[1 if which == 0 else 0:]:
-                del got[c]
-            got[counts] = build()
-        return got[counts]
+    def __init__(self, K, L, grid0):
+        self.K, self.L, self.grid0 = K, L, grid0
+        self.last = grid0
+        self.kept = ({}, {})
 
-    return side
+    def __call__(self, which, block, build):
+        got = self.kept[which]
+        if block not in got:
+            got[block] = build()
+        return got[block]
+
+    def retain(self, grid, todo):
+        """Keep the side blocks of the pair blocks `todo` of `grid` and of
+        its step's base; drop the rest."""
+        k, l = self.K.dim, self.L.dim
+        base = tuple(map(min, grid, self.last))
+        self.last = grid
+        probed = next((i for i, (a, b) in enumerate(zip(grid, base)) if a != b), len(grid))
+        for got, (lo, hi), base_blocks in zip(self.kept, ((0, k), (k, k + l)),
+                                               _side_blocks(self.K, self.L, self.grid0, [base])):
+            keep = {b[lo:hi] for b in todo}
+            if not lo <= probed < hi == len(grid):
+                keep.update(base_blocks)
+            for block in [b for b in got if b not in keep]:
+                del got[block]
 
 
 # one quadrature level of a route, as `_level_sum` sums it
@@ -559,6 +588,8 @@ def _geodesic(pk, pl):
 def _level_sum(K, L, counts, terms, check):
     """One quadrature level of a route: a chunked sum over K x L.
 
+    counts holds one node count, or one increment, per tensor factor: a
+    whole grid, or one pair block of it (:func:`_refined_report`).
     terms(K, L, counts) gives the level's `_Level`: geometry(s, e) returns K
     rows s:e's geometry against every L node and its separation range
     (min, max), values(s, e, *geometry) their weighted per-pair values,
@@ -599,7 +630,7 @@ def _kernel_terms(kern, scale, K, L, counts, sides=_fresh):
     (:func:`_minor_side`), with each side's quadrature weights folded in,
     and the route's prefactor `scale` with K's; each (s, t) pair then costs
     one multiply-add through a matrix product.  `sides` builds or reuses
-    each side (:func:`_side_memo`).
+    each side (:class:`_SideMemo`).
     """
     k = K.dim
     subs, comps, signs = _laplace_subsets(K.ambient_n + 1, k + 1)
@@ -648,7 +679,7 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
     pk, fk, wk = sides(0, counts[:k], partial(_join_side, K, counts[:k], scale))
     pl, fl, wl = sides(1, counts[k:k + l], partial(_join_side, L, counts[k:k + l], 1.0))
     (nu,) = counts[k + l:]
-    u, wu = ChartDim(0.0, 1.0, False).rule(nu)
+    u, wu = _U.rule(nu)
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
     pair_bytes = _join_pair_bytes(d, u.size)
@@ -677,30 +708,57 @@ def _join_side(m, counts, scale):
     return pts.copy(), frames, scale * w
 
 
+def _tensor_domain(K, L, grid0) -> tuple:
+    """The factors of a route's grids: K's chart factors, L's, then u's when
+    grid0 counts one more."""
+    return K.chart_domain + L.chart_domain + (_U,) * (len(grid0) - K.dim - L.dim)
+
+
+def _side_blocks(K, L, grid0, grids):
+    """K's and L's side blocks of the pair blocks of `grids`, each once, in
+    order of first appearance."""
+    k, l = K.dim, L.dim
+    pairs = dict.fromkeys(b for g in grids for b, _ in blocks(_tensor_domain(K, L, grid0), grid0, g))
+    return dict.fromkeys(b[:k] for b in pairs), dict.fromkeys(b[k:k + l] for b in pairs)
+
+
 def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> LinkingReport:
     """Level sums of one route refined from the base counts grid0 to tol,
     as a report.
 
-    The terms put every level sum on the Lk scale, so the report takes the
-    refinement's value, error and level values as they are, with each level
-    sum's node count beside its value in the order taken; its separation
-    range spans every chunk of every level.  One :func:`_side_memo` serves
-    the call's level sums, so a probe reuses the other side's arrays.
+    Each grid's level sum is the sum of its blocks (:func:`blocks`), each
+    scaled by its power of 1/2, and each pair block, a K side block times
+    an L side block (times the u rule), is summed by :func:`_level_sum` once
+    per call: a probe pays only for its new nodes.  One :class:`_SideMemo`
+    serves the call's side blocks, and its run_chunked calls share one
+    :func:`~spherelink.quadrature.worker_pool`.  The
+    terms put every level sum on the Lk scale, so the report takes the
+    refinement's value, error and level values as they are, with each
+    grid's node count beside its value in the order taken; its separation
+    range spans every chunk of every block.
     """
-    levels = []
-    terms = partial(terms, sides=_side_memo())
+    domain = _tensor_domain(K, L, grid0)
+    memo = _SideMemo(K, L, grid0)
+    terms = partial(terms, sides=memo)
+    sums, nodes = {}, []
 
     def level_sum(g):
-        levels.append(_level_sum(K, L, g, terms, check))
-        return levels[-1][0]
+        parts = blocks(domain, grid0, g)
+        todo = [b for b, _ in parts if b not in sums]
+        memo.retain(g, todo)
+        for b in todo:
+            sums[b] = _level_sum(K, L, b, terms, check)
+        nodes.append(sum(sums[b][1] for b, _ in parts))
+        return fsum(ldexp(sums[b][0], -e) for b, e in parts)
 
-    est = refine_until(grid0, level_sum, tol, max_level)
-    _, counts, lows, highs = zip(*levels)
+    with worker_pool():
+        est = refine_until(grid0, level_sum, tol, max_level)
+    _, _, lows, highs = zip(*sums.values())
     return LinkingReport(
         raw_value=est.value, error_estimate=est.error_estimate,
         **_verdict(est.value, est.error_estimate, est.converged),
         min_alpha=min(lows), max_alpha=max(highs), method=method, converged=est.converged,
-        levels_used=est.levels_used, node_counts=counts, level_values=est.level_values)
+        levels_used=est.levels_used, node_counts=tuple(nodes), level_values=est.level_values)
 
 
 def _evaluate(method, K, L, grid, tol, max_level, min_alpha) -> LinkingReport:

@@ -14,8 +14,8 @@ zero-dimensional sides (signed points) included.
 The integral is one more ``terms`` of the engine's level sum,
 :func:`spherelink.engine._level_sum`, on the sides' own quadrature nodes and
 point-first frames from :func:`spherelink.engine._side_arrays`, projected
-with their tangent columns once per side grid, each side reused across a
-refinement step as on every route (:func:`~spherelink.engine._side_memo`).
+with their tangent columns once per side block, each reused across the
+level sums of a call as on every route (:class:`~spherelink.engine._SideMemo`).
 The numerator splits as
 det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
 per-side minors (:func:`~spherelink.engine._laplace_subsets`,
@@ -56,6 +56,7 @@ from .engine import (
     _pair_level,
     _refined_report,
     _side_arrays,
+    _side_blocks,
     sign_factor,
 )
 from .quadrature import probes
@@ -141,7 +142,7 @@ def _gauss_terms(pole, K, L, counts, sides=_fresh) -> _Level:
     |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
     carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
     :func:`_gauss_kernel` of the routes' own chunk geometry.  `sides` builds
-    or reuses each side (:func:`~spherelink.engine._side_memo`).
+    or reuses each side (:class:`~spherelink.engine._SideMemo`).
     """
     k, l, n = _check_pair(K, L)
     subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)
@@ -178,17 +179,18 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
     level: the candidate farthest from both sides' nodes on the grids of the
     first refinement step, the base and its probes, which every run
     integrates, since a coarse base grid alone can overstate a candidate's
-    clearance; each distinct side grid among them is embedded once.  Each
-    level refuses a node within _POLE_CLEARANCE of it, and
+    clearance; they are embedded as that step's side blocks, so each node
+    enters the search once.  Each level refuses a node within
+    _POLE_CLEARANCE of it, and
     a chunk whose geodesic separation reaches the engine's MIN_ALPHA raises
     DisjointnessError before its kernel is formed.
     """
-    k = _check_pair(K, L)[0]
+    _check_pair(K, L)
     counts = (grid or GridSpec(curve=m)).counts(K, L)
-    grids = [counts] + probes(counts)
-    sides = [(K, g[:k]) for g in grids] + [(L, g[k:]) for g in grids]
-    # each distinct side grid embedded once, and only its points kept
-    pole = find_pole(np.vstack([_side_arrays(M, c)[0].copy() for M, c in dict.fromkeys(sides)]))
+    k_blocks, l_blocks = _side_blocks(K, L, counts, [counts] + probes(counts))
+    # each side block embedded once, and only its points kept
+    pole = find_pole(np.vstack([_side_arrays(M, b)[0].copy()
+                                for M, side in ((K, k_blocks), (L, l_blocks)) for b in side]))
     return _refined_report(K, L, partial(_gauss_terms, pole),
                            partial(_check_separation, min_alpha=MIN_ALPHA), counts, tol,
                            max_level, "gauss_oracle")

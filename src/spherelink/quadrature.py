@@ -33,13 +33,30 @@ the loop.  ``tol`` must be >= 0: ``0`` grows every factor to the cap,
 ``inf`` stops after the first step, and a negative or NaN tolerance, like a
 negative ``max_level``, raises ValueError.
 
+A level sum need not pay for nodes it has integrated before.  The periodic
+trapezoid rule is nested: its rule at 2m holds the rule at m as its even
+nodes, each weight halved exactly.  So a grid grown from the base counts
+``grid0`` splits into disjoint tensor **blocks** (:func:`blocks`): one
+increment per factor, where a periodic factor at m0 2^j contributes its m0
+base nodes and, per doubling, the nodes it adds (:class:`NewNodes`, the odd
+indices of its rule), and an open factor, whose Gauss-Legendre rule is not
+nested, its whole rule.  A block integrated with its own counts' weights
+enters every finer grid scaled by 2^-(doublings since then), which is
+exact, so a caller that keeps each block's sum pays for a probe's new
+nodes only, and its grid values move from a whole-grid sum by rounding
+only.
+
 Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is a fixed pairwise tree keyed by index ranges.  Partial
 evaluation may be distributed over worker threads (``SPHERELINK_WORKERS``
 caps the count, by default the CPUs the process may run on; a pool starts
-no more threads than it has chunks), but the combination tree never
-depends on the worker count, so results are bit-identical for any
-parallelism level.  While a
+no more threads than it has chunks to run at once), but the combination
+tree never depends on the worker count, so results are bit-identical for
+any parallelism level.  Inside :func:`worker_pool`, every
+:func:`run_chunked` call of the thread that opened it shares one pool,
+which keeps its threads between calls; a call from any other thread, a
+pool worker included, runs its own pool, so nested calls cannot wait on
+each other.  While a
 call of :func:`run_chunked` runs its chunks on a worker pool, or on one
 worker, numpy's bundled OpenBLAS is held at one thread: the workers are the
 package's parallelism, and a per-chunk matrix product neither starts a BLAS
@@ -57,11 +74,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
 __all__ = [
     "ChartDim",
+    "NewNodes",
     "product_rule",
     "tensor_grid",
     "Estimate",
@@ -69,7 +88,9 @@ __all__ = [
     "tree_sum_axis",
     "refine_until",
     "probes",
+    "blocks",
     "worker_count",
+    "worker_pool",
 ]
 
 # Fixed evaluation chunk (number of nodes); constant so that the reduction
@@ -184,6 +205,25 @@ class ChartDim:
         mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
         return mid + half * x, half * w
 
+    def increment(self, part):
+        """Nodes and weights of one increment of this factor: an int m is
+        its whole rule at m, ``NewNodes(m)`` the nodes of the periodic rule
+        at m that the rule at m / 2 lacks, sliced from ``rule(m)``."""
+        if not isinstance(part, NewNodes):
+            return self.rule(part)
+        if not self.periodic or part.count % 2:
+            raise ValueError(f"{part} needs a periodic factor at an even count")
+        x, w = self.rule(part.count)
+        return x[1::2], w[1::2]
+
+
+@dataclass(frozen=True)
+class NewNodes:
+    """The increment of a periodic factor at `count` nodes: the odd indices
+    of its trapezoid rule, which the rule at count / 2 lacks."""
+
+    count: int
+
 
 def tensor_grid(factors) -> np.ndarray:
     """The flat tensor grid of 1-D arrays: shape (N, d), lexicographic with
@@ -197,14 +237,14 @@ def tensor_grid(factors) -> np.ndarray:
 
 
 def product_rule(domain, counts):
-    """Tensor product of each factor's rule at its own node count: flat
-    coordinates (N, d) and weights (N,), lexicographic with the first factor
-    slowest; each weight is the product of its factors' weights, taken in
-    order."""
+    """Tensor product of each factor's rule at its own node count, or of
+    one increment per factor (:meth:`ChartDim.increment`): flat coordinates
+    (N, d) and weights (N,), lexicographic with the first factor slowest;
+    each weight is the product of its factors' weights, taken in order."""
     if len(counts) != len(domain):
         raise ValueError(f"{len(domain)} chart factors need as many node counts, "
                          f"got {len(counts)}")
-    nodes, weights = zip(*(cd.rule(m) for cd, m in zip(domain, counts)))
+    nodes, weights = zip(*(cd.increment(m) for cd, m in zip(domain, counts)))
     return tensor_grid(nodes), reduce(np.multiply, tensor_grid(weights).T)
 
 
@@ -212,6 +252,30 @@ def probes(counts: tuple) -> list[tuple]:
     """The grids one refinement step probes: counts with factor i doubled,
     for each factor i in order."""
     return [counts[:i] + (2 * m,) + counts[i + 1:] for i, m in enumerate(counts)]
+
+
+def _increments(cd: ChartDim, m0: int, m: int) -> list[tuple]:
+    """One factor's increments at m grown from m0, each with the doublings
+    since its own count: a periodic factor at m0 2^j is its base rule and
+    the nodes each doubling added, any other factor or count its whole rule."""
+    j = (m // m0).bit_length() - 1
+    if cd.periodic and j >= 0 and m == m0 << j:
+        return [(m0, j)] + [(NewNodes(m0 << i), j - i) for i in range(1, j + 1)]
+    return [(m, 0)]
+
+
+def blocks(domain, grid0, counts) -> list[tuple[tuple, int]]:
+    """The disjoint tensor blocks of the grid `counts` of chart factors
+    `domain`, grown from the base counts grid0: one increment per factor
+    (:meth:`ChartDim.increment`), in lexicographic order with the first
+    factor slowest, each with its doublings since its own counts.
+
+    The grid's sum is the sum of its blocks' sums, each taken with its own
+    increments' weights and scaled by 2^-doublings, which is exact: the
+    trapezoid weights at 2m are those at m halved.
+    """
+    per = [_increments(cd, m0, m) for cd, m0, m in zip(domain, grid0, counts)]
+    return [(tuple(p for p, _ in combo), sum(d for _, d in combo)) for combo in product(*per)]
 
 
 @dataclass(frozen=True)
@@ -262,12 +326,37 @@ def tree_sum_axis(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return v[..., 0]
 
 
+# the pool of the enclosing `worker_pool` block, per thread that opened one
+_SHARED = threading.local()
+
+
+@contextmanager
+def worker_pool():
+    """Let every :func:`run_chunked` call this thread makes inside the block
+    share one worker pool, started at the first call that runs chunks in
+    threads and shut down on exit.  Its threads outlive each call, so calls
+    that follow each other start none and run on the same threads."""
+    outer = getattr(_SHARED, "pool", None)
+    _SHARED.pool = pool = []
+    try:
+        yield
+    finally:
+        _SHARED.pool = outer
+        for executor in pool:
+            # chunks still queued when a call raised are not run
+            executor.shutdown(cancel_futures=True)
+
+
 def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK):
     """Apply work(start, stop) over fixed chunks, optionally in threads.
 
     Chunk boundaries depend only on `total` and `chunk`, so any side effects
     keyed by chunk index land identically for every worker count, and the
-    pool starts no more threads than there are chunks.  OpenBLAS runs one
+    pool starts no more threads than there are chunks.  Inside a
+    :func:`worker_pool` block opened by the calling thread, with `workers`
+    left at the default, the chunks run on that block's pool of
+    worker_count() threads, which starts a thread only when no started one
+    is idle; otherwise the call runs a pool of its own.  OpenBLAS runs one
     thread of its own for as long as the call does, unless several workers
     are allowed but there is one chunk to share: then its own threads take
     up the workers' idle cores.
@@ -275,8 +364,13 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     w = workers if workers is not None else worker_count()
     pooled = w > 1 and len(spans) > 1
+    shared = getattr(_SHARED, "pool", None) if workers is None else None
     with _BLAS_CAP.one_thread() if pooled or w <= 1 else nullcontext():
-        if pooled:
+        if pooled and shared is not None:
+            if not shared:
+                shared.append(ThreadPoolExecutor(max_workers=w))
+            list(shared[0].map(lambda span: work(*span), spans))
+        elif pooled:
             with ThreadPoolExecutor(max_workers=min(w, len(spans))) as pool:
                 list(pool.map(lambda span: work(*span), spans))
         else:

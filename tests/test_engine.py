@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from functools import partial
 from itertools import combinations, product
@@ -22,7 +24,7 @@ from spherelink import (
     round_to_linking,
     sign_factor,
 )
-from spherelink import engine, oracle
+from spherelink import engine, kernels, oracle
 from spherelink.engine import (
     _join_batch,
     _kernel_terms,
@@ -30,7 +32,7 @@ from spherelink.engine import (
     _minor_dets,
     _side_arrays,
 )
-from spherelink.quadrature import Estimate, probes, worker_count
+from spherelink.quadrature import Estimate, blocks, probes, worker_count
 from spherelink.spheregeom import compose_givens
 
 from conftest import (
@@ -599,8 +601,8 @@ class TestChunkMemory:
 
 
 class TestSideReuse:
-    """An evaluator call builds each distinct side of a refinement step once,
-    and keeps none of them for the next call."""
+    """An evaluator call builds each distinct side block of a refinement
+    step once, and keeps none of them for the next call."""
 
     def test_small_23_step_builds_each_side_once(self, monkeypatch):
         K, L = small_sphere_pair(2, 3)
@@ -614,18 +616,147 @@ class TestSideReuse:
                                          max_level=0)
 
         first = run()
-        # the base and its five probes: K's three sides, L's four, where a
-        # fresh build per level sum would take 2 (1 + 5) = 12
+        # the base and its five probes: K's three side blocks, L's four,
+        # where a fresh build per level sum would take 2 (1 + 5) = 12
         assert len(calls) == 7
         second = run()
         assert len(calls) == 14
         assert second == first
-        # each level sum equals that grid's level summed alone
+        # each level sum equals that grid's level summed alone, up to the
+        # rounding of summing it in blocks: 4 ulp of its largest block
         _, _, terms, check = first_level(run, monkeypatch)
+        fresh = partial(terms, sides=engine._fresh)
         base = GridSpec(surface=16).counts(K, L)
-        alone = [_level_sum(K, L, g, partial(terms, sides=engine._fresh), check)[0]
-                 for g in [base] + probes(base)]
-        assert first.level_values == tuple(alone)
+        domain = K.chart_domain + L.chart_domain
+        for g, value in zip([base] + probes(base), first.level_values):
+            largest = max(abs(_level_sum(K, L, b, fresh, check)[0])
+                          for b, _ in blocks(domain, base, g))
+            assert abs(value - _level_sum(K, L, g, fresh, check)[0]) <= 4 * np.spacing(largest)
+
+
+class TestBlockSums:
+    """A level sum is the sum of its grid's blocks, each integrated once per
+    evaluator call: a probe pays for its new nodes only."""
+
+    @staticmethod
+    def counting_pairs(monkeypatch):
+        """The (K node, L node[, u node]) pairs every kernel or join-map
+        call evaluates from now on, in one running count."""
+        pairs = [0]
+        ratio, join = kernels.KernelEvaluator.kernel_ratio, engine._join_batch
+
+        def counted_ratio(self, alpha, cos_alpha=None):
+            pairs[0] += np.size(cos_alpha)
+            return ratio(self, alpha, cos_alpha)
+
+        def counted_join(x, tx, y, ty, c, alpha, u):
+            pairs[0] += c.size * u.size
+            return join(x, tx, y, ty, c, alpha, u)
+
+        monkeypatch.setattr(kernels.KernelEvaluator, "kernel_ratio", counted_ratio)
+        monkeypatch.setattr(engine, "_join_batch", counted_join)
+        return pairs
+
+    def test_small_23_step_pays_for_new_nodes(self, monkeypatch):
+        pairs = self.counting_pairs(monkeypatch)
+        K, L = small_sphere_pair(2, 3)
+
+        def run():
+            return evaluate_main_theorem(K, L, grid=GridSpec(surface=16), tol=np.inf,
+                                         max_level=0)
+
+        first = run()
+        # in base-grid units: the base, the two azimuths' new nodes (one
+        # each) and the three Gauss-Legendre polar probes whole (two each),
+        # where integrating every probe whole takes 1 + 2 * 5 = 11
+        assert pairs[0] == 9 * 16**5
+        assert first.node_counts == (16**5,) + (2 * 16**5,) * 5
+        # nothing is kept across calls: a second call pays again
+        second = run()
+        assert pairs[0] == 2 * 9 * 16**5 and second == first
+
+    def test_curve_steps_pay_for_new_nodes(self, monkeypatch):
+        pairs = self.counting_pairs(monkeypatch)
+        K, L = hopf_pair()
+        # both curves are periodic: 1 + 1 + 1 units, not 5
+        evaluate_main_theorem(K, L, grid=GridSpec(curve=16), tol=np.inf, max_level=0)
+        assert pairs[0] == 3 * 16 * 16
+        # join-full's u rule is Gauss-Legendre: its probe is whole, 5 units, not 7
+        pairs[0] = 0
+        evaluate_join_degree(K, L, grid=GridSpec(curve=16, u=4), variant="full", tol=np.inf,
+                             max_level=0)
+        assert pairs[0] == 5 * 16 * 16 * 4
+
+    RUNS = {
+        "main": lambda: evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=6),
+                                              tol=0.0, max_level=1),
+        "join-full": lambda: evaluate_join_degree(*hopf_pair(), grid=GridSpec(curve=16, u=4),
+                                                  variant="full", tol=0.0, max_level=1),
+        "oracle": lambda: oracle_linking(*small_sphere_pair(1, 2), grid=GridSpec(surface=8),
+                                         tol=0.0, max_level=1),
+    }
+
+    @pytest.mark.parametrize("route", RUNS)
+    def test_bit_identical_across_workers(self, monkeypatch, route):
+        # small chunks, so that every block has several for the threads
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 14)
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SPHERELINK_WORKERS", workers)
+            reports.append(self.RUNS[route]())
+        one, two = reports
+        assert one.levels_used == 1  # two steps: the second sums mixed blocks
+        # level values, min/max alpha and every other field, bit for bit
+        assert one == two
+
+    def test_level_sums_share_one_pool(self, monkeypatch):
+        # the run_chunked calls of one evaluator call run on one pool's
+        # threads: a pool per call would start new ones for every block
+        monkeypatch.setenv("SPHERELINK_WORKERS", "2")
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 12)
+        threads = []
+        run_chunked = engine.run_chunked
+
+        def recorded(total, work, chunk):
+            seen = set()
+            threads.append(seen)
+            return run_chunked(total, lambda s, e: (seen.add(threading.current_thread()),
+                                                    work(s, e))[1], chunk=chunk)
+
+        monkeypatch.setattr(engine, "run_chunked", recorded)
+        evaluate_main_theorem(*small_sphere_pair(1, 2), grid=GridSpec(curve=16, surface=8),
+                              tol=np.inf, max_level=0)
+        every = set().union(*threads)
+        assert len(threads) == 4 and all(threads)
+        assert len(every) <= 2 and threading.current_thread() not in every
+        assert len({t.ident for t in every}) <= 2
+
+    def test_concurrent_calls_keep_their_own_pools(self, monkeypatch):
+        # evaluator calls on several threads at once, more workers than
+        # cores and a short switch interval: each call runs its chunks on a
+        # pool of its own, and every report is the serial one, bit for bit
+        monkeypatch.setenv("SPHERELINK_WORKERS", "3")
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 12)
+        K, L = small_sphere_pair(1, 2)
+
+        def run():
+            return evaluate_main_theorem(K, L, grid=GridSpec(curve=16, surface=8), tol=0.0,
+                                         max_level=1)
+
+        serial, reports = run(), [None] * 3
+        threads = [threading.Thread(target=lambda i=i: reports.__setitem__(i, run()))
+                   for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == [serial] * 3
 
 
 class TestSideMemory:

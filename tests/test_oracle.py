@@ -70,9 +70,10 @@ class TestPoleMachinery:
             oracle_linking(K, L, m=8)
 
     def test_pole_search_embeds_each_side_grid_once(self, monkeypatch):
-        # the first step's base and five probes share their side grids: the
-        # search embeds K's three and L's four once each, not both sides of
-        # every grid (12), and picks the pole those twelve give
+        # the first step's base and five probes share their nodes: the
+        # search embeds them as the step's side blocks, K's three and L's
+        # four, not both sides of every grid (12), so each node enters once,
+        # and it picks the pole those twelve side grids give
         K, L = small_sphere_pair(2, 3)
         counts = GridSpec(surface=6).counts(K, L)
         every = np.vstack([_side_arrays(M, c)[0] for g in [counts] + probes(counts)
@@ -86,14 +87,19 @@ class TestPoleMachinery:
             pass
 
         def spy(points):
-            chosen.append(find_pole(points))
+            chosen.append((points, find_pole(points)))
             raise Found
 
         monkeypatch.setattr(oracle, "find_pole", spy)
         with pytest.raises(Found):
             oracle_linking(K, L, GridSpec(surface=6))
         assert len(calls) == 7
-        assert np.array_equal(chosen[0], find_pole(every))
+        points, pole = chosen[0]
+        # the same point set, bit for bit, each point once
+        distinct = np.unique(every, axis=0)
+        assert len(points) == len(distinct) < len(every)
+        assert np.array_equal(np.unique(points, axis=0), distinct)
+        assert np.array_equal(pole, find_pole(every))
 
     def test_no_clear_pole_rejected(self):
         # nodes on every candidate leave no pole to project from

@@ -10,6 +10,8 @@ from spherelink.engine import GridSpec
 from spherelink.quadrature import (
     ChartDim,
     Estimate,
+    NewNodes,
+    blocks,
     product_rule,
     refine_until,
     run_chunked,
@@ -161,6 +163,46 @@ class TestIntegrate:
         est = integrate(16, integrand, PERIOD, PERIOD)
         assert est.value == pytest.approx((2 * np.pi) ** 2 * 0.5, rel=1e-12)
 
+class TestBlocks:
+    DOMAIN = (ChartDim(0.0, 2 * np.pi, True), ChartDim(0.0, np.pi, False),
+              ChartDim(-1.0, 3.0, True))
+
+    def test_blocks_partition_the_grid(self):
+        # every node of the grid in exactly one block, at the grid's own
+        # coordinates and weight, bit for bit, once each block's weights are
+        # scaled by 2^-doublings
+        grid0, counts = (3, 4, 5), (12, 8, 10)
+        parts = blocks(self.DOMAIN, grid0, counts)
+        # the first factor has three increments, the open one one, the last two
+        assert len(parts) == 3 * 1 * 2 and len(set(b for b, _ in parts)) == len(parts)
+        assert parts[0] == ((3, 8, 5), 3) and parts[-1] == ((NewNodes(12), 8, NewNodes(10)), 0)
+        pts, wts = product_rule(self.DOMAIN, counts)
+        got = [product_rule(self.DOMAIN, b) for b, _ in parts]
+        bpts = np.vstack([p for p, _ in got])
+        bwts = np.concatenate([np.ldexp(w, -e) for (_, w), (_, e) in zip(got, parts)])
+        order, border = np.lexsort(pts.T[::-1]), np.lexsort(bpts.T[::-1])
+        assert np.array_equal(pts[order], bpts[border])
+        assert np.array_equal(wts[order], bwts[border])
+
+    def test_new_nodes_are_the_odd_nodes(self):
+        cd = self.DOMAIN[0]
+        x, w = cd.rule(16)
+        nx, nw = cd.increment(NewNodes(16))
+        assert np.array_equal(nx, x[1::2]) and np.array_equal(nw, w[1::2])
+        assert np.array_equal(cd.increment(8)[0], x[::2])
+        for bad, part in ((self.DOMAIN[1], NewNodes(8)), (cd, NewNodes(7))):
+            with pytest.raises(ValueError, match="periodic factor at an even count"):
+                bad.increment(part)
+
+    def test_grids_off_the_doubling_ladder_are_whole(self):
+        # a count that is not the base's times a power of two, or below it,
+        # is one block: its whole rule
+        assert blocks(self.DOMAIN[:1], (4,), (12,)) == [((12,), 0)]
+        assert blocks(self.DOMAIN[:1], (4,), (2,)) == [((2,), 0)]
+        assert blocks(self.DOMAIN[:1], (4,), (4,)) == [((4,), 0)]
+        assert blocks((), (), ()) == [((), 0)]
+
+
 class TestRefineUntil:
     def test_infinite_tol_returns_base(self):
         # one step: the base, each one-factor doubling, and the base plus
@@ -306,6 +348,31 @@ class TestDeterminism:
         assert run_chunked(10, work, workers=8, chunk=5) == 2
         assert run_chunked(10, work, workers=2, chunk=3) == 4
         assert sizes == [2, 2] and np.array_equal(out, np.arange(10))
+
+    def test_worker_pool_serves_its_thread_only(self, monkeypatch):
+        # inside a worker_pool block the calls of the thread that opened it
+        # share one pool of worker_count() threads; a call from one of its
+        # workers, or outside the block, runs a pool of its own
+        sizes, outer_threads = [], set()
+
+        class Pool(quadrature.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def outer(s, e):
+            outer_threads.add(threading.current_thread())
+            run_chunked(4, lambda s, e: None, chunk=1)
+
+        monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Pool)
+        monkeypatch.setenv("SPHERELINK_WORKERS", "3")
+        with quadrature.worker_pool():
+            run_chunked(10, lambda s, e: None, chunk=5)
+            run_chunked(10, outer, chunk=5)
+            assert sizes[0] == 3 and len(outer_threads) <= 3
+        assert sizes == [3, 3, 3]  # the block's pool, then one per nested call
+        run_chunked(10, lambda s, e: None, chunk=5)
+        assert sizes == [3, 3, 3, 2]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_worker_count_rejects_bad_values(self, monkeypatch, value):
