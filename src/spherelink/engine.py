@@ -41,15 +41,20 @@ builds the report.  A level
 is a tuple of node counts, one per tensor factor: K's chart factors, then
 L's, then the join parameter u for join-full (``GridSpec.counts`` gives
 the base); each refinement step integrates the base and one probe per
-factor with that factor doubled, and grows only the factors whose probe
-still moves the value.  A level's value is the sum of its grid's blocks
+factor, a periodic factor doubled and an open one extended to its
+Gauss-Kronrod rule, and grows only the factors whose probe still moves the
+value.  A level's value is the sum of its grid's blocks
 (:func:`spherelink.quadrature.blocks`: per factor the base nodes or the
-nodes one doubling of a periodic factor added, or an open factor's whole
-rule), each scaled by its power of 1/2; one evaluator call sums each
-(K side block, L side block[, u rule]) pair block once, by
-:func:`_level_sum`, so a probe pays only for its new nodes: a step of a
-small (2,3) pair costs 9 base grids of pair nodes, not 11, and one of two
-curves 3, not 5.  Each route's terms fold its prefactor
+nodes one doubling of a periodic factor added, an open factor's whole
+rule, or a Kronrod probe's Gauss nodes and the nodes it adds), each scaled
+by its power of 1/2; one evaluator call sums each (K side block, L side
+block[, u rule]) pair block once, by :func:`_level_sum`, beside its
+marginal along each open factor, and a block of Gauss nodes at Kronrod
+weights is the marginal of the base block it reweights, so a probe pays
+only for its new nodes: a step of a small (2,3) pair at 16 nodes a factor
+costs 6.19 base grids of pair nodes, not 9 with whole Gauss-Legendre
+probes, one of two curves 3, not 5, and join-full's on two curves at 10 u
+nodes 4.1, not 5.  Each route's terms fold its prefactor
 (sign / vol S^n here, sign / vol S^{n-1} in the oracle) into the K-side
 weights, so every level sum is on the scale of Lk: the tolerance, the error
 estimate, the level values and the report are one number on one scale, and
@@ -76,11 +81,12 @@ Every evaluator shares the same deterministic quadrature contract (see
 count.
 """
 
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb, fsum, ldexp
+from math import comb, fsum, ldexp, prod
 from typing import Callable
 
 import numpy as np
@@ -89,7 +95,11 @@ from . import kernels
 from .catalog import OrientedSubmanifold, _frame_array, _int
 from .quadrature import (
     ChartDim,
+    GaussNodes,
+    Kronrod,
+    NewNodes,
     blocks,
+    part_size,
     product_rule,
     refine_until,
     run_chunked,
@@ -117,8 +127,8 @@ CHUNK_BYTES = 1 << 22
 _ANTIPODAL_MARGIN = 0.01
 # run defaults of every evaluator and the oracle: the refinement tolerance on
 # the Lk scale, the doublings allowed per factor of the base grid (probes go
-# one further), the least geodesic separation (radians) the routes accept,
-# fixed for the oracle
+# one further, plus one node on an open factor), the least geodesic
+# separation (radians) the routes accept, fixed for the oracle
 TOL = 1e-9
 MAX_LEVEL = 4
 MIN_ALPHA = 0.01
@@ -185,8 +195,9 @@ class _Route:
     """What one CLI method needs: report label, kernel, sign, separation."""
 
     label: str
-    # (evaluator, n) -> kern(cos_alpha), resolved per call so that
-    # wrappers installed on KernelEvaluator are seen; None for join-full
+    # (evaluator, n) -> kern(cos_alpha), which overwrites its argument with
+    # the values it returns, resolved per call so that wrappers installed on
+    # KernelEvaluator are seen; None for join-full
     kernel: Callable | None
     sign_rule: str | None
     antipodal: bool  # max alpha must also keep a margin from pi
@@ -197,11 +208,13 @@ class _Route:
 
 
 _ROUTES = {
-    "main": _Route("main_theorem", lambda ev, n: partial(ev.kernel_ratio, None), None, False),
+    "main": _Route("main_theorem", lambda ev, n: lambda c: ev.kernel_ratio(None, c, out=c),
+                   None, False),
     "corollary": _Route("corollary",
-                        lambda ev, n: partial(ev.convolution_fast, None, sin_power=n),
+                        lambda ev, n: lambda c: ev.convolution_fast(None, c, sin_power=n, out=c),
                         "corollary_prefactor", True),
-    "join-reduced": _Route("join_degree_reduced", lambda ev, n: partial(ev.kernel_ratio, None),
+    "join-reduced": _Route("join_degree_reduced",
+                           lambda ev, n: lambda c: ev.kernel_ratio(None, c, out=c),
                            "join_reduced_net", False),
     "join-full": _Route("join_degree_full", None, None, True),
 }
@@ -281,11 +294,12 @@ class LinkingReport:
     separation extremes seen on every level's quadrature grid, geodesic
     angles for every method, the oracle included.  level_values holds the
     value of every level sum taken, in the order taken, base grid first,
-    beside node_counts; each refinement step takes its base grid G and one
-    probe G_i per factor with that factor doubled, and levels_used counts
-    the steps that grew the base.  raw_value, error_estimate and
-    level_values are on the scale of Lk, the scale the refinement tolerance
-    is compared on: with Delta_i = v(G_i) - v(G) on the last step,
+    beside node_counts, each grid's node count; each refinement step takes
+    its base grid G and one probe G_i per factor, a periodic factor doubled
+    and an open one at m nodes extended to its Gauss-Kronrod rule of
+    2m + 1, and levels_used counts the steps that grew the base.
+    raw_value, error_estimate and level_values are on the scale of Lk, the
+    scale the refinement tolerance is compared on: with Delta_i = v(G_i) - v(G) on the last step,
     error_estimate is sum |Delta_i| and raw_value is v(G) + sum Delta_i.
     """
 
@@ -559,7 +573,7 @@ class _SideMemo:
         """Keep the side blocks of the pair blocks `todo` of `grid` and of
         its step's base; drop the rest."""
         k, l = self.K.dim, self.L.dim
-        base = tuple(map(min, grid, self.last))
+        base = tuple(min(_plain(a), _plain(b)) for a, b in zip(grid, self.last))
         self.last = grid
         probed = next((i for i, (a, b) in enumerate(zip(grid, base)) if a != b), len(grid))
         for got, (lo, hi), base_blocks in zip(self.kept, ((0, k), (k, k + l)),
@@ -571,54 +585,112 @@ class _SideMemo:
                 del got[block]
 
 
+def _plain(count):
+    """A factor's count in its step's base: an open factor's probe
+    Kronrod(m) is m."""
+    return count.m if isinstance(count, Kronrod) else count
+
+
+def _gauss_factor(block):
+    """The factor of a pair block that holds a Kronrod rule's Gauss nodes
+    (:class:`~spherelink.quadrature.GaussNodes`), or None."""
+    return next((i for i, p in enumerate(block) if isinstance(p, GaussNodes)), None)
+
+
+def _marginal(values, shape, axis) -> np.ndarray:
+    """Tree sums of `values`, laid out lexicographically in `shape`, over
+    every axis but `axis`: one sum per node of that factor."""
+    v = np.moveaxis(np.reshape(values, shape), axis, 0)
+    return tree_sum_axis(v.reshape(shape[axis], -1), axis=1)
+
+
 # one quadrature level of a route, as `_level_sum` sums it
 _Level = namedtuple("_Level", "geometry values pair_bytes shape nodes")
 
 
 def _geodesic(pk, pl):
     """Chunk geometry of the sphere routes: the dot products c = cos alpha,
-    with the alpha range taken from their two extremes."""
-    def geometry(s, e):
-        dots = pk[s:e] @ pl.T
+    in the thread's scratch array "dots", with the alpha range taken from
+    their two extremes."""
+    def geometry(s, e, take):
+        dots = np.matmul(pk[s:e], pl.T, out=take("dots", (e - s, len(pl))))
         return (dots,), alpha_extremes(dots)
 
     return geometry
 
 
-def _level_sum(K, L, counts, terms, check):
+def _take(scratch, name, shape) -> np.ndarray:
+    """This thread's array `name` of `scratch` (a threading.local), grown
+    to at least prod(shape) doubles when it is smaller and viewed as
+    `shape`: a chunk's pair-sized arrays reuse the memory of the thread's
+    last chunk, which the allocator would otherwise hand back to the system
+    and fault in again, chunk after chunk."""
+    size, buf = prod(shape), getattr(scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     """One quadrature level of a route: a chunked sum over K x L.
 
     counts holds one node count, or one increment, per tensor factor: a
     whole grid, or one pair block of it (:func:`_refined_report`).
-    terms(K, L, counts) gives the level's `_Level`: geometry(s, e) returns K
-    rows s:e's geometry against every L node and its separation range
-    (min, max), values(s, e, *geometry) their weighted per-pair values,
-    pair_bytes the bytes of every temporary a chunk holds at once per
-    (K node, L node) pair, shape (K nodes, L nodes) and nodes the level's
-    quadrature node count.  A chunk holds as many K rows as keep their
-    temporaries within CHUNK_BYTES.  check(min, max) runs on each chunk's
-    separation range before its values are evaluated, and every K row is
-    tree-summed whole, so the value does not depend on the chunking.  Returns (value, nodes,
-    min separation, max separation).
+    terms(K, L, counts) gives the level's `_Level`: geometry(s, e, take)
+    returns K rows s:e's geometry against every L node and its separation
+    range (min, max), values(s, e, take, *geometry) their weighted per-pair
+    values and, for join-full, the chunk's sum per u node (else None), each
+    taking its pair-sized arrays from take(name, shape), the calling
+    thread's arrays of `scratch` (a threading.local, one per evaluator call,
+    else per level; see :func:`_take`), pair_bytes the bytes of every
+    temporary a chunk holds at once per (K node, L node) pair, shape (K nodes, L nodes) and nodes the level's quadrature node
+    count.  A chunk holds as many K rows as keep their temporaries within
+    CHUNK_BYTES.  check(min, max) runs on each chunk's separation range
+    before its values are evaluated, and every K row is tree-summed whole,
+    so the value does not depend on the chunking.  Returns (value, nodes,
+    min separation, max separation).  For each factor that is a key of the
+    dict `marginals`, the level's marginal along it, the sum of its weighted
+    values at each node of that factor, is taken too and stored there: a K
+    factor's from the row sums, an L factor's from each chunk's column sums,
+    added in row order, and u's from its sums per u node, both tree-summed
+    in chunk order.
     """
     level = terms(K, L, counts)
+    k, l = K.dim, L.dim
+    sizes = [part_size(p) for p in counts]
     nk, nl = level.shape
     cs = max(1, CHUNK_BYTES // (level.pair_bytes * nl))
+    nchunks = (nk + cs - 1) // cs
     rows = np.empty(nk)
-    lo = np.full((nk + cs - 1) // cs, np.inf)
+    lo = np.full(nchunks, np.inf)
     hi = -lo
+    marginals = {} if marginals is None else marginals
+    take = partial(_take, threading.local() if scratch is None else scratch)
+    # per chunk, the marginals along L's factors and u
+    cols = {i: np.empty((nchunks, sizes[i])) for i in marginals if i >= k}
 
     def work(s, e):
-        geometry, (smin, smax) = level.geometry(s, e)
+        geometry, (smin, smax) = level.geometry(s, e, take)
         check(smin, smax)
-        lo[s // cs], hi[s // cs] = smin, smax
-        rows[s:e] = tree_sum_axis(level.values(s, e, *geometry), axis=1)
+        c = s // cs
+        lo[c], hi[c] = smin, smax
+        vals, per_u = level.values(s, e, take, *geometry)
+        rows[s:e] = tree_sum_axis(vals, axis=1)
+        if any(i < k + l for i in cols):
+            # in row order: a pairwise tree across rows runs at a third of
+            # the speed, and the chunk's rows depend only on its level
+            col = np.add.reduce(vals, axis=0)
+        for i, got in cols.items():
+            got[c] = per_u if i == k + l else _marginal(col, sizes[k:k + l], i - k)
 
-    run_chunked(nk, work, chunk=cs)
+    run_chunked(nk, work, workers=None, chunk=cs)
     smin, smax = float(lo.min()), float(hi.max())
     if not np.isfinite(rows).all():
         raise ValueError(f"integrand is not finite on the level with {nk} x {nl} "
                          f"K x L nodes (min separation {smin:.3g})")
+    for i in marginals:
+        marginals[i] = _marginal(rows, sizes[:k], i) if i < k else tree_sum_axis(cols[i], axis=0)
     return tree_sum(rows), level.nodes, smin, smax
 
 
@@ -654,11 +726,12 @@ def _minor_side(m, counts, subsets, scale, signs=None):
 def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     """One level of a pair kernel: per chunk of K rows, kern of the chunk's
     dot products c = cos alpha times the minor product mk @ ml.T, which
-    hold three doubles a pair: c, the kernel's values and the product."""
-    def values(s, e, dots):
+    hold three doubles a pair: c, the kernel's values (c itself, for the
+    routes' kernels) and the product, in the scratch array "minors"."""
+    def values(s, e, take, dots):
         vals = kern(dots)
-        vals *= mk[s:e] @ ml.T
-        return vals
+        vals *= np.matmul(mk[s:e], ml.T, out=take("minors", vals.shape))
+        return vals, None
 
     return _Level(_geodesic(pk, pl), values, 24, (len(pk), len(pl)), len(mk) * len(ml))
 
@@ -679,14 +752,14 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
     pk, fk, wk = sides(0, counts[:k], partial(_join_side, K, counts[:k], scale))
     pl, fl, wl = sides(1, counts[k:k + l], partial(_join_side, L, counts[k:k + l], 1.0))
     (nu,) = counts[k + l:]
-    u, wu = _U.rule(nu)
+    u, wu = _U.increment(nu)
     nt, d = fl.shape[:2]
     whole = [tuple(range(d))]
     pair_bytes = _join_pair_bytes(d, u.size)
 
-    def values(s, e, dots):
+    def values(s, e, take, dots):
         cols = max(1, CHUNK_BYTES // ((e - s) * pair_bytes))
-        vals = np.empty((e - s, nt))
+        vals, per_u = np.empty((e - s, nt)), []
         for t0 in range(0, nt, cols):
             t1 = min(t0 + cols, nt)
             c = np.clip(dots[:, t0:t1], -1.0, 1.0)
@@ -694,9 +767,12 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
             dets = _minor_dets(_join_batch(fk[s:e, :, 0], fk[s:e, :, 1:], fl[t0:t1, :, 0],
                                            fl[t0:t1, :, 1:], c, np.arccos(c), u)
                                .reshape(-1, d, d), whole).reshape(e - s, t1 - t0, u.size)
-            vals[:, t0:t1] = tree_sum_axis(dets * wu, axis=2) * wl[t0:t1]
+            dets *= wu
+            vals[:, t0:t1] = tree_sum_axis(dets, axis=2) * wl[t0:t1]
+            dets *= wl[t0:t1, None]
+            per_u.append(tree_sum_axis(dets, axis=1))
         vals *= wk[s:e, None]
-        return vals
+        return vals, tree_sum_axis(tree_sum_axis(per_u, axis=0) * wk[s:e, None], axis=0)
 
     return _Level(_geodesic(pk, pl), values, pair_bytes, (len(pk), nt), len(pk) * nt * u.size)
 
@@ -718,7 +794,8 @@ def _side_blocks(K, L, grid0, grids):
     """K's and L's side blocks of the pair blocks of `grids`, each once, in
     order of first appearance."""
     k, l = K.dim, L.dim
-    pairs = dict.fromkeys(b for g in grids for b, _ in blocks(_tensor_domain(K, L, grid0), grid0, g))
+    pairs = dict.fromkeys(b for g in grids for b, _ in blocks(_tensor_domain(K, L, grid0), grid0, g)
+                          if _gauss_factor(b) is None)
     return dict.fromkeys(b[:k] for b in pairs), dict.fromkeys(b[k:k + l] for b in pairs)
 
 
@@ -729,10 +806,15 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     Each grid's level sum is the sum of its blocks (:func:`blocks`), each
     scaled by its power of 1/2, and each pair block, a K side block times
     an L side block (times the u rule), is summed by :func:`_level_sum` once
-    per call: a probe pays only for its new nodes.  One :class:`_SideMemo`
-    serves the call's side blocks, and its run_chunked calls share one
-    :func:`~spherelink.quadrature.worker_pool`.  The
-    terms put every level sum on the Lk scale, so the report takes the
+    per call, with its marginal along every open factor unless it holds a
+    Kronrod probe's new nodes, which no base grid does; a block of a Kronrod
+    probe's Gauss nodes is the marginal of its base block reweighted node
+    by node (:meth:`~spherelink.quadrature.GaussNodes.ratio`), summed by
+    fsum.  A probe pays only for its new nodes.  One :class:`_SideMemo`
+    serves the call's side blocks, one threading.local every worker
+    thread's chunk arrays (:func:`_take`), and its run_chunked calls share
+    one :func:`~spherelink.quadrature.worker_pool`.  The terms put every
+    level sum on the Lk scale, so the report takes the
     refinement's value, error and level values as they are, with each
     grid's node count beside its value in the order taken; its separation
     range spans every chunk of every block.
@@ -740,19 +822,36 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     domain = _tensor_domain(K, L, grid0)
     memo = _SideMemo(K, L, grid0)
     terms = partial(terms, sides=memo)
-    sums, nodes = {}, []
+    opened = tuple(i for i, cd in enumerate(domain) if not cd.periodic)
+    scratch = threading.local()
+    sums, margins, nodes = {}, {}, []
+
+    def block_sum(b):
+        """(value, nodes) of one pair block: its sum or, for a block of
+        Gauss nodes at Kronrod weights, the marginal of the same nodes at
+        Gauss weights, reweighted."""
+        i = _gauss_factor(b)
+        if i is None:
+            return sums[b][:2]
+        gauss = b[:i] + (b[i].m,) + b[i + 1:]
+        return fsum(margins[gauss][i] * b[i].ratio()), sums[gauss][1]
 
     def level_sum(g):
         parts = blocks(domain, grid0, g)
-        todo = [b for b, _ in parts if b not in sums]
+        todo = [b for b, _ in parts if b not in sums and _gauss_factor(b) is None]
         memo.retain(g, todo)
         for b in todo:
-            sums[b] = _level_sum(K, L, b, terms, check)
-        nodes.append(sum(sums[b][1] for b, _ in parts))
-        return fsum(ldexp(sums[b][0], -e) for b, e in parts)
+            # a block of new Kronrod nodes is in no base grid, so no probe
+            # reweights its marginals
+            kronrod = any(isinstance(p, NewNodes) and isinstance(p.count, Kronrod) for p in b)
+            margins[b] = dict.fromkeys(() if kronrod else opened)
+            sums[b] = _level_sum(K, L, b, terms, check, margins[b], scratch)
+        got = [block_sum(b) for b, _ in parts]
+        nodes.append(sum(n for _, n in got))
+        return fsum(ldexp(v, -e) for (v, _), (_, e) in zip(got, parts))
 
     with worker_pool():
-        est = refine_until(grid0, level_sum, tol, max_level)
+        est = refine_until(grid0, level_sum, tol, max_level, domain)
     _, _, lows, highs = zip(*sums.values())
     return LinkingReport(
         raw_value=est.value, error_estimate=est.error_estimate,

@@ -57,6 +57,7 @@ from .engine import (
     _refined_report,
     _side_arrays,
     _side_blocks,
+    _tensor_domain,
     sign_factor,
 )
 from .quadrature import probes
@@ -187,7 +188,8 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
     """
     _check_pair(K, L)
     counts = (grid or GridSpec(curve=m)).counts(K, L)
-    k_blocks, l_blocks = _side_blocks(K, L, counts, [counts] + probes(counts))
+    k_blocks, l_blocks = _side_blocks(K, L, counts,
+                                      [counts] + probes(_tensor_domain(K, L, counts), counts))
     # each side block embedded once, and only its points kept
     pole = find_pole(np.vstack([_side_arrays(M, b)[0].copy()
                                 for M, side in ((K, k_blocks), (L, l_blocks)) for b in side]))

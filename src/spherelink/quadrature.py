@@ -11,20 +11,23 @@ Every route and the oracle lay out their chart and curve nodes through
 these; only the catalog's construction-time sanity checks on outside input
 keep layouts of their own (tensor grids too, of midpoints).
 
-Refinement contract: ``refine_until(grid0, level_sum, tol, max_level)`` is
-the one refinement loop of the package.  A grid is a tuple of node counts,
-one per tensor factor (the engine's order: K's chart factors, then L's,
-then the join parameter ``u`` for join-full), and ``level_sum(counts)``
-integrates it.  Each step integrates the base grid G and its probes G_i
-(:func:`probes`: G with factor i doubled), and takes
-Delta_i = v(G_i) - v(G).  Tensor-product errors add to leading order, so
-the sum of |Delta_i| estimates the error of v(G) + sum Delta_i, which is
-second order.  The loop stops once that sum is below ``tol``; otherwise it
-doubles, in the base, the factors whose |Delta_i| >= tol / f (f factors;
-at least one qualifies) and steps again, reusing every level sum it has
-already taken.  ``max_level`` (a required argument: the one default is
-the engine's ``MAX_LEVEL``) caps each base factor at that many doublings,
-so no probe is finer than 2^(max_level + 1) times its base count.  The
+Refinement contract: ``refine_until(grid0, level_sum, tol, max_level,
+domain)`` is the one refinement loop of the package.  A grid is a tuple of
+node counts, one per tensor factor of the chart factors `domain` (the
+engine's order: K's chart factors, then L's, then the join parameter ``u``
+for join-full), and ``level_sum(counts)`` integrates it.  Each step
+integrates the base grid G and its probes G_i (:func:`probes`: G with
+factor i refined once, a periodic factor doubled, an open one extended to
+its Gauss-Kronrod rule :class:`Kronrod`), and takes Delta_i = v(G_i) - v(G).
+Tensor-product errors add to leading order, so the sum of |Delta_i|
+estimates the error of v(G) + sum Delta_i, which is second order.  The loop
+stops once that sum is below ``tol``; otherwise it doubles, in the base, the
+factors whose |Delta_i| >= tol / f (f factors; at least one qualifies),
+an open one to its Gauss-Legendre rule at twice its count, and steps again,
+reusing every level sum it has already taken.  ``max_level`` (a required
+argument: the one default is the engine's ``MAX_LEVEL``) caps each base
+factor at that many doublings, so no probe is finer than 2^(max_level + 1)
+times its base count, plus one node on an open factor.  The
 :class:`Estimate` lists every level sum in the order it was taken.
 ``tol``, the error estimate and the level values are one number on one
 scale, the scale of ``level_sum``'s values: every engine route and the
@@ -35,19 +38,28 @@ negative ``max_level``, raises ValueError.
 
 A level sum need not pay for nodes it has integrated before.  The periodic
 trapezoid rule is nested: its rule at 2m holds the rule at m as its even
-nodes, each weight halved exactly.  So a grid grown from the base counts
-``grid0`` splits into disjoint tensor **blocks** (:func:`blocks`): one
-increment per factor, where a periodic factor at m0 2^j contributes its m0
-base nodes and, per doubling, the nodes it adds (:class:`NewNodes`, the odd
-indices of its rule), and an open factor, whose Gauss-Legendre rule is not
-nested, its whole rule.  A block integrated with its own counts' weights
-enters every finer grid scaled by 2^-(doublings since then), which is
-exact, so a caller that keeps each block's sum pays for a probe's new
-nodes only, and its grid values move from a whole-grid sum by rounding
-only.
+nodes, each weight halved exactly.  Gauss-Legendre is not, but the
+Gauss-Kronrod rule of 2m + 1 nodes (Laurie's algorithm, computed on the
+first probe at m) keeps the m Gauss nodes and adds m + 1 between them, and
+its difference from Gauss-Legendre is the standard error estimate of an
+open factor.  So a grid grown from the base counts ``grid0`` splits into
+disjoint tensor **blocks** (:func:`blocks`): one increment per factor, where
+a periodic factor at m0 2^j contributes its m0 base nodes and, per
+doubling, the nodes it adds (:class:`NewNodes`, the odd indices of its
+rule), an open factor its whole Gauss-Legendre rule, and an open factor's
+probe ``Kronrod(m)`` its Gauss nodes at their Kronrod weights
+(:class:`GaussNodes`) and the m + 1 nodes it adds
+(``NewNodes(Kronrod(m))``).  A block integrated with its own counts'
+weights enters every finer grid scaled by 2^-(doublings since then), which
+is exact, and a ``GaussNodes`` block is the block with the Gauss rule in its
+place, reweighted node by node along that factor (:meth:`GaussNodes.ratio`)
+from its marginal, so a caller that keeps each block's sum and marginals
+pays for a probe's new nodes only, and its grid values move from a
+whole-grid sum by rounding only.
 
 Reproducibility contract: node order is lexicographic in factor order, and
-every reduction is a fixed pairwise tree keyed by index ranges.  Partial
+every reduction is fixed by index ranges: a pairwise tree, or, for the
+column sums of one chunk's rows, their order.  Partial
 evaluation may be distributed over worker threads (``SPHERELINK_WORKERS``
 caps the count, by default the CPUs the process may run on; a pool starts
 no more threads than it has chunks to run at once), but the combination
@@ -80,7 +92,10 @@ import numpy as np
 
 __all__ = [
     "ChartDim",
+    "Kronrod",
     "NewNodes",
+    "GaussNodes",
+    "part_size",
     "product_rule",
     "tensor_grid",
     "Estimate",
@@ -93,8 +108,9 @@ __all__ = [
     "worker_pool",
 ]
 
-# Fixed evaluation chunk (number of nodes); constant so that the reduction
-# tree is independent of memory pressure and worker count.
+# No library call reads this: every caller of run_chunked passes its own
+# chunk, the engine's bounded by its CHUNK_BYTES.  perfbench/tracing.py
+# takes it as the default of its run_chunked wrapper.
 CHUNK = 1 << 17
 
 
@@ -183,6 +199,62 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
+def _christoffel(sb: np.ndarray, x: np.ndarray):
+    """At each x, sum_k p_k(x)^2 over the orthonormal polynomials p_0, ...,
+    p_{n-1} of the n x n Jacobi matrix with zero diagonal and off-diagonal
+    sb[1:] (sb[0]^2 the weight's mass), and the Newton step q / q' towards a
+    root of q(x) = x p_{n-1} - sb[n-1] p_{n-2}, its characteristic
+    polynomial up to a factor."""
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / sb[0])
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    total = p * p
+    for k in range(len(sb)):
+        q, dq = x * p - sb[k] * p_prev, p + x * d - sb[k] * d_prev
+        if k + 1 == len(sb):
+            return total, q / dq
+        p_prev, p = p, q / sb[k + 1]
+        d_prev, d = d, dq / sb[k + 1]
+        total += p * p
+
+
+@lru_cache(maxsize=256)
+def _kronrod(m: int):
+    """The Gauss-Kronrod extension of the Gauss-Legendre rule at m on
+    [-1, 1]: its weights at :func:`_leggauss`'s m nodes, and its m + 1 new
+    nodes, increasing, with their weights.
+
+    Laurie's algorithm (Math. Comp. 66, 1997) extends the Legendre
+    recurrence b_k = k^2 / (4 k^2 - 1) to the (2m + 1) x (2m + 1) Jacobi
+    matrix whose Gauss rule is the Kronrod rule; the Legendre weight is
+    symmetric, so both matrices have a zero diagonal, and the half of the
+    algorithm that updates it drops out.  The matrix's eigenvalues at even
+    indices are the new nodes, each polished by one Newton step, and every
+    weight is the Christoffel number 1 / sum_k p_k(x)^2 of its orthonormal
+    polynomials, which eigenvectors give less accurately.
+    """
+    b = np.zeros(2 * m + 1)
+    k = np.arange(1, min((3 * m + 1) // 2, 2 * m) + 1)
+    b[0], b[k] = 2.0, k**2 / (4.0 * k**2 - 1.0)
+    s, t = np.zeros(m // 2 + 2), np.zeros(m // 2 + 2)
+    t[1] = b[m]
+    for i in range(m - 1):
+        k = np.arange((i + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + m + 1] * s[k] - b[i - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for i in range(m - 1, 2 * m - 2):
+        k = np.arange(i + 1 - m, (i - 1) // 2 + 1)
+        j = m - 1 - i + k
+        s[j + 1] = np.cumsum(b[i - k] * s[j + 2] - b[k + m + 1] * s[j + 1])
+        if i % 2:
+            b[(i + 1) // 2 + m + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    sb = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(sb[1:], 1), UPLO="U")[::2]
+    x -= _christoffel(sb, x)[1]
+    return 1.0 / _christoffel(sb, _leggauss(m)[0])[0], x, 1.0 / _christoffel(sb, x)[0]
+
+
 @dataclass(frozen=True)
 class ChartDim:
     """One chart factor: the interval [lo, hi], periodic or open."""
@@ -207,22 +279,76 @@ class ChartDim:
 
     def increment(self, part):
         """Nodes and weights of one increment of this factor: an int m is
-        its whole rule at m, ``NewNodes(m)`` the nodes of the periodic rule
-        at m that the rule at m / 2 lacks, sliced from ``rule(m)``."""
-        if not isinstance(part, NewNodes):
+        its whole rule at m; ``NewNodes(m)`` the nodes of the periodic rule
+        at m that the rule at m / 2 lacks, sliced from ``rule(m)``; on an
+        open factor, ``Kronrod(m)`` the whole Gauss-Kronrod rule of 2m + 1
+        nodes in increasing order, ``GaussNodes(m)`` its m Gauss nodes,
+        those of ``rule(m)``, at their Kronrod weights, and
+        ``NewNodes(Kronrod(m))`` the m + 1 nodes it adds."""
+        if not isinstance(part, (NewNodes, Kronrod, GaussNodes)):
             return self.rule(part)
-        if not self.periodic or part.count % 2:
-            raise ValueError(f"{part} needs a periodic factor at an even count")
-        x, w = self.rule(part.count)
-        return x[1::2], w[1::2]
+        if isinstance(part, NewNodes) and not isinstance(part.count, Kronrod):
+            if not self.periodic or part.count % 2:
+                raise ValueError(f"{part} needs a periodic factor at an even count")
+            x, w = self.rule(part.count)
+            return x[1::2], w[1::2]
+        if self.periodic:
+            raise ValueError(f"{part} needs an open factor")
+        m = part.count.m if isinstance(part, NewNodes) else part.m
+        gx, _ = self.rule(m)
+        gw, nx, nw = _kronrod(m)
+        mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
+        if isinstance(part, GaussNodes):
+            return gx, half * gw
+        if isinstance(part, NewNodes):
+            return mid + half * nx, half * nw
+        x, w = np.empty(2 * m + 1), np.empty(2 * m + 1)
+        x[1::2], x[::2] = gx, mid + half * nx
+        w[1::2], w[::2] = half * gw, half * nw
+        return x, w
+
+
+@dataclass(frozen=True)
+class Kronrod:
+    """An open factor's Gauss-Kronrod rule of 2m + 1 nodes: the m nodes of
+    its Gauss-Legendre rule at m, reweighted, and m + 1 more between them.
+    As a grid count, the count of an open factor's probe."""
+
+    m: int
 
 
 @dataclass(frozen=True)
 class NewNodes:
-    """The increment of a periodic factor at `count` nodes: the odd indices
-    of its trapezoid rule, which the rule at count / 2 lacks."""
+    """The increment of a factor at `count` that the rule it refines lacks:
+    the odd indices of a periodic factor's trapezoid rule at an even count,
+    which the rule at count / 2 lacks, or the m + 1 nodes ``Kronrod(m)``
+    adds to the Gauss-Legendre rule at m."""
 
-    count: int
+    count: int | Kronrod
+
+
+@dataclass(frozen=True)
+class GaussNodes:
+    """The increment of ``Kronrod(m)`` that the Gauss-Legendre rule at m
+    has: its m nodes at their Kronrod weights, which are the Gauss weights
+    times :meth:`ratio`."""
+
+    m: int
+
+    def ratio(self) -> np.ndarray:
+        """Kronrod weight over Gauss weight at each of the m nodes."""
+        return _kronrod(self.m)[0] / _leggauss(self.m)[1]
+
+
+def part_size(part) -> int:
+    """The node count of a grid count or increment of one factor."""
+    if isinstance(part, Kronrod):
+        return 2 * part.m + 1
+    if isinstance(part, GaussNodes):
+        return part.m
+    if isinstance(part, NewNodes):
+        return part.count.m + 1 if isinstance(part.count, Kronrod) else part.count // 2
+    return part
 
 
 def tensor_grid(factors) -> np.ndarray:
@@ -248,16 +374,22 @@ def product_rule(domain, counts):
     return tensor_grid(nodes), reduce(np.multiply, tensor_grid(weights).T)
 
 
-def probes(counts: tuple) -> list[tuple]:
-    """The grids one refinement step probes: counts with factor i doubled,
-    for each factor i in order."""
-    return [counts[:i] + (2 * m,) + counts[i + 1:] for i, m in enumerate(counts)]
+def probes(domain, counts: tuple) -> list[tuple]:
+    """The grids one refinement step probes, for each factor i of the
+    chart factors `domain` in order: counts with factor i refined once, a
+    periodic factor doubled and an open one at m extended to Kronrod(m)."""
+    return [counts[:i] + (2 * m if cd.periodic else Kronrod(m),) + counts[i + 1:]
+            for i, (cd, m) in enumerate(zip(domain, counts))]
 
 
-def _increments(cd: ChartDim, m0: int, m: int) -> list[tuple]:
+def _increments(cd: ChartDim, m0: int, m) -> list[tuple]:
     """One factor's increments at m grown from m0, each with the doublings
     since its own count: a periodic factor at m0 2^j is its base rule and
-    the nodes each doubling added, any other factor or count its whole rule."""
+    the nodes each doubling added, an open factor's probe Kronrod(m') its
+    Gauss nodes and the nodes it adds, any other factor or count its whole
+    rule."""
+    if isinstance(m, Kronrod):
+        return [(GaussNodes(m.m), 0), (NewNodes(m), 0)]
     j = (m // m0).bit_length() - 1
     if cd.periodic and j >= 0 and m == m0 << j:
         return [(m0, j)] + [(NewNodes(m0 << i), j - i) for i in range(1, j + 1)]
@@ -272,7 +404,12 @@ def blocks(domain, grid0, counts) -> list[tuple[tuple, int]]:
 
     The grid's sum is the sum of its blocks' sums, each taken with its own
     increments' weights and scaled by 2^-doublings, which is exact: the
-    trapezoid weights at 2m are those at m halved.
+    trapezoid weights at 2m are those at m halved.  A probe of an open
+    factor at m, Kronrod(m), splits into the base grid's blocks with that
+    factor's increment m read as ``GaussNodes(m)``, whose sums are the base
+    blocks' marginals along it reweighted by :meth:`GaussNodes.ratio`, and
+    new blocks of the m + 1 nodes it adds, ``NewNodes(Kronrod(m))``, over
+    the base grid's increments of every other factor.
     """
     per = [_increments(cd, m0, m) for cd, m0, m in zip(domain, grid0, counts)]
     return [(tuple(p for p, _ in combo), sum(d for _, d in combo)) for combo in product(*per)]
@@ -347,19 +484,19 @@ def worker_pool():
             executor.shutdown(cancel_futures=True)
 
 
-def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK):
+def run_chunked(total: int, work, workers: int | None, chunk: int):
     """Apply work(start, stop) over fixed chunks, optionally in threads.
 
     Chunk boundaries depend only on `total` and `chunk`, so any side effects
     keyed by chunk index land identically for every worker count, and the
-    pool starts no more threads than there are chunks.  Inside a
-    :func:`worker_pool` block opened by the calling thread, with `workers`
-    left at the default, the chunks run on that block's pool of
-    worker_count() threads, which starts a thread only when no started one
-    is idle; otherwise the call runs a pool of its own.  OpenBLAS runs one
-    thread of its own for as long as the call does, unless several workers
-    are allowed but there is one chunk to share: then its own threads take
-    up the workers' idle cores.
+    pool starts no more threads than there are chunks.  `workers` caps the
+    threads, None meaning worker_count().  Inside a :func:`worker_pool`
+    block opened by the calling thread, with `workers` None, the chunks run
+    on that block's pool of worker_count() threads, which starts a thread
+    only when no started one is idle; otherwise the call runs a pool of its
+    own.  OpenBLAS runs one thread of its own for as long as the call does,
+    unless several workers are allowed but there is one chunk to share: then
+    its own threads take up the workers' idle cores.
     """
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     w = workers if workers is not None else worker_count()
@@ -379,17 +516,19 @@ def run_chunked(total: int, work, workers: int | None = None, chunk: int = CHUNK
     return len(spans)
 
 
-def refine_until(grid0, level_sum, tol: float, max_level: int) -> Estimate:
-    """Grow the factors whose one-factor doubling still moves the value.
+def refine_until(grid0, level_sum, tol: float, max_level: int, domain) -> Estimate:
+    """Grow the factors whose one-factor refinement still moves the value.
 
-    grid0 is the tuple of base node counts, one per factor, and
-    level_sum(counts) integrates one grid.  Each step takes the base G, each
-    probe G_i of :func:`probes` and Delta_i = v(G_i) - v(G); it stops once
-    sum |Delta_i| < tol, and otherwise doubles in the base every factor with
-    |Delta_i| >= tol / f that is below its cap, max_level (>= 0, required,
-    the run default being the engine's ``MAX_LEVEL``) doublings of grid0.
-    A level sum already taken, such as the probe a one-factor step grows
-    into, is reused.  The Estimate's value is v(G) + sum Delta_i and its
+    grid0 is the tuple of base node counts, one per factor of the chart
+    factors `domain`, and level_sum(counts) integrates one grid.  Each step
+    takes the base G, each probe G_i of :func:`probes` and
+    Delta_i = v(G_i) - v(G); it stops once sum |Delta_i| < tol, and
+    otherwise doubles in the base every factor with |Delta_i| >= tol / f
+    that is below its cap, max_level (>= 0, required, the run default being
+    the engine's ``MAX_LEVEL``) doublings of grid0; an open factor at m,
+    probed by Kronrod(m), grows to Gauss-Legendre at 2m.  A level sum
+    already taken, such as the probe a periodic factor's step grows into,
+    is reused.  The Estimate's value is v(G) + sum Delta_i and its
     error_estimate sum |Delta_i|, both from the last step.  Never raises on
     non-convergence: a run that ends with every qualifying factor at its
     cap carries ``converged=False``.  A grid of no factors is one level
@@ -412,7 +551,7 @@ def refine_until(grid0, level_sum, tol: float, max_level: int) -> Estimate:
     steps = 0
     while True:
         v = value(base)
-        deltas = [value(g) - v for g in probes(base)]
+        deltas = [value(g) - v for g in probes(domain, base)]
         err = math.fsum(abs(d) for d in deltas)
         grow = {i for i, d in enumerate(deltas) if abs(d) >= share and base[i] < caps[i]}
         if err < tol or not grow:

@@ -451,8 +451,10 @@ class TestConvergence:
     def test_join_full_rows(self, tmp_path, capsys):
         spec = dict(GREAT_CIRCLES, method="join-full", grid={"curve": 8, "u": 4})
         values, counts, _ = self.study(tmp_path, capsys, spec, 1, factors=3)
-        assert counts == [8 * 8 * 4, 16 * 8 * 4, 8 * 16 * 4, 8 * 8 * 8,
-                          16 * 16 * 8, 32 * 16 * 8, 16 * 32 * 8, 16 * 16 * 16]
+        # per step the base, the two curves doubled and u's Kronrod probe,
+        # 2 * 4 + 1 nodes, then 2 * 8 + 1 once u has grown to 8
+        assert counts == [8 * 8 * 4, 16 * 8 * 4, 8 * 16 * 4, 8 * 8 * 9,
+                          16 * 16 * 8, 32 * 16 * 8, 16 * 32 * 8, 16 * 16 * 17]
         assert all(v == pytest.approx(-1.0, abs=1e-12) for v in values[4:])
 
     def test_intersecting_pair_rejected(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ from spherelink.engine import (
     _minor_dets,
     _side_arrays,
 )
-from spherelink.quadrature import Estimate, blocks, probes, worker_count
+from spherelink.quadrature import Estimate, blocks, part_size, probes, worker_count
 from spherelink.spheregeom import compose_givens
 
 from conftest import (
@@ -324,12 +324,12 @@ class TestLevelChecks:
         lows, highs, counts = [], [], []
         base = grid.counts(K, L, u=method == "join-full")
         k, l = K.dim, L.dim
-        for c in [base] + probes(base):
+        for c in [base] + probes(engine._tensor_domain(K, L, base), base):
             pk, pl, u = _side_arrays(K, c[:k])[0], _side_arrays(L, c[k:k + l])[0], c[k + l:]
             alpha = np.arccos(np.clip(pk @ pl.T, -1.0, 1.0))
             lows.append(alpha.min())
             highs.append(alpha.max())
-            counts.append(alpha.size * math.prod(u))
+            counts.append(alpha.size * math.prod(map(part_size, u)))
         assert (report.min_alpha, report.max_alpha) == (min(lows), max(highs))
         assert report.node_counts == tuple(counts)
 
@@ -494,7 +494,7 @@ def first_level(run, monkeypatch):
     class Taken(Exception):
         pass
 
-    def spy(K, L, counts, terms, check):
+    def spy(K, L, counts, terms, check, *_):
         args.append((K, L, terms, check))
         raise Taken
 
@@ -510,8 +510,8 @@ def counting_chunks(monkeypatch):
     chunks = []
     run_chunked = engine.run_chunked
 
-    def counted(total, work, chunk):
-        chunks.append(run_chunked(total, work, chunk=chunk))
+    def counted(total, work, workers, chunk):
+        chunks.append(run_chunked(total, work, workers=workers, chunk=chunk))
         return chunks[-1]
 
     monkeypatch.setattr(engine, "run_chunked", counted)
@@ -628,7 +628,7 @@ class TestSideReuse:
         fresh = partial(terms, sides=engine._fresh)
         base = GridSpec(surface=16).counts(K, L)
         domain = K.chart_domain + L.chart_domain
-        for g, value in zip([base] + probes(base), first.level_values):
+        for g, value in zip([base] + probes(domain, base), first.level_values):
             largest = max(abs(_level_sum(K, L, b, fresh, check)[0])
                           for b, _ in blocks(domain, base, g))
             assert abs(value - _level_sum(K, L, g, fresh, check)[0]) <= 4 * np.spacing(largest)
@@ -645,9 +645,9 @@ class TestBlockSums:
         pairs = [0]
         ratio, join = kernels.KernelEvaluator.kernel_ratio, engine._join_batch
 
-        def counted_ratio(self, alpha, cos_alpha=None):
+        def counted_ratio(self, alpha, cos_alpha=None, out=None):
             pairs[0] += np.size(cos_alpha)
-            return ratio(self, alpha, cos_alpha)
+            return ratio(self, alpha, cos_alpha, out)
 
         def counted_join(x, tx, y, ty, c, alpha, u):
             pairs[0] += c.size * u.size
@@ -666,14 +666,21 @@ class TestBlockSums:
                                          max_level=0)
 
         first = run()
-        # in base-grid units: the base, the two azimuths' new nodes (one
-        # each) and the three Gauss-Legendre polar probes whole (two each),
-        # where integrating every probe whole takes 1 + 2 * 5 = 11
-        assert pairs[0] == 9 * 16**5
-        assert first.node_counts == (16**5,) + (2 * 16**5,) * 5
+        # the base (16 * 16^4 pairs), the two azimuths' new nodes (16 * 16^4
+        # each) and, for each of the three polar angles, the 17 nodes its
+        # Kronrod rule adds to its 16 Gauss nodes over the other four
+        # factors' 16^4 (17 * 16^4 each): (16 + 32 + 51) 16^4 = 99 * 16^4,
+        # 6.1875 base-grid units, where Gauss-Legendre probes at 32 polar
+        # nodes, whole, took 1 + 2 + 3 * 2 = 9 and every probe whole 11
+        assert pairs[0] == 99 * 16**4 == 6.1875 * 16**5
+        # the grids: the base, then per factor (K's polar angle and azimuth,
+        # L's two polar angles and azimuth) a Kronrod rule of 33 polar
+        # nodes or 32 azimuths
+        kronrod, doubled = 33 * 16**4, 32 * 16**4
+        assert first.node_counts == (16**5, kronrod, doubled, kronrod, kronrod, doubled)
         # nothing is kept across calls: a second call pays again
         second = run()
-        assert pairs[0] == 2 * 9 * 16**5 and second == first
+        assert pairs[0] == 2 * 99 * 16**4 and second == first
 
     def test_curve_steps_pay_for_new_nodes(self, monkeypatch):
         pairs = self.counting_pairs(monkeypatch)
@@ -681,15 +688,23 @@ class TestBlockSums:
         # both curves are periodic: 1 + 1 + 1 units, not 5
         evaluate_main_theorem(K, L, grid=GridSpec(curve=16), tol=np.inf, max_level=0)
         assert pairs[0] == 3 * 16 * 16
-        # join-full's u rule is Gauss-Legendre: its probe is whole, 5 units, not 7
+        # join-full at 10 u nodes: the base and the two curves' new nodes
+        # (16 * 16 * 10 each), and the 11 u nodes Kronrod adds (16 * 16 *
+        # 11): 4.1 units, where the whole Gauss-Legendre u probe took 5 and
+        # every probe whole 7
         pairs[0] = 0
-        evaluate_join_degree(K, L, grid=GridSpec(curve=16, u=4), variant="full", tol=np.inf,
+        evaluate_join_degree(K, L, grid=GridSpec(curve=16, u=10), variant="full", tol=np.inf,
                              max_level=0)
-        assert pairs[0] == 5 * 16 * 16 * 4
+        assert pairs[0] == 16 * 16 * (3 * 10 + 11) == 4.1 * 16 * 16 * 10
 
     RUNS = {
         "main": lambda: evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=6),
                                               tol=0.0, max_level=1),
+        # three open factors at 8 and 16: Kronrod probes from every step's
+        # base marginals
+        "main-surface-8": lambda: evaluate_main_theorem(*small_sphere_pair(2, 3),
+                                                        grid=GridSpec(surface=8), tol=0.0,
+                                                        max_level=1),
         "join-full": lambda: evaluate_join_degree(*hopf_pair(), grid=GridSpec(curve=16, u=4),
                                                   variant="full", tol=0.0, max_level=1),
         "oracle": lambda: oracle_linking(*small_sphere_pair(1, 2), grid=GridSpec(surface=8),
@@ -709,6 +724,36 @@ class TestBlockSums:
         # level values, min/max alpha and every other field, bit for bit
         assert one == two
 
+    PROBED = {
+        "small_2_3-main": (lambda: small_sphere_pair(2, 3), GridSpec(surface=16), "main"),
+        "great_2_2-join-full": (lambda: great_pair(2, 2), GridSpec(surface=4, u=10),
+                                "join-full"),
+    }
+
+    @pytest.mark.parametrize("case", PROBED)
+    def test_kronrod_probes_match_doubled_probes(self, monkeypatch, case):
+        # each open factor's Delta_i from its Kronrod probe, summed from the
+        # base's marginals and the new nodes, against Delta_i from the whole
+        # Gauss-Legendre grid at twice its count
+        make, grid, method = self.PROBED[case]
+        K, L = make()
+
+        def run():
+            return engine._evaluate(method, K, L, grid, np.inf, 0, engine.MIN_ALPHA)
+
+        v0, *probed = run().level_values
+        _, _, terms, check = first_level(run, monkeypatch)
+        fresh = partial(terms, sides=engine._fresh)
+        base = grid.counts(K, L, u=method == "join-full")
+        opened = [i for i, cd in enumerate(engine._tensor_domain(K, L, base)) if not cd.periodic]
+        assert len(opened) == 3
+        for i in opened:
+            kronrod = probed[i] - v0
+            doubled = base[:i] + (2 * base[i],) + base[i + 1:]
+            gauss = _level_sum(K, L, doubled, fresh, check)[0] - v0
+            assert (abs(kronrod - gauss) <= 0.1 * abs(gauss)
+                    or max(abs(kronrod), abs(gauss)) < 1e-13), (i, kronrod, gauss)
+
     def test_level_sums_share_one_pool(self, monkeypatch):
         # the run_chunked calls of one evaluator call run on one pool's
         # threads: a pool per call would start new ones for every block
@@ -717,11 +762,11 @@ class TestBlockSums:
         threads = []
         run_chunked = engine.run_chunked
 
-        def recorded(total, work, chunk):
+        def recorded(total, work, workers, chunk):
             seen = set()
             threads.append(seen)
             return run_chunked(total, lambda s, e: (seen.add(threading.current_thread()),
-                                                    work(s, e))[1], chunk=chunk)
+                                                    work(s, e))[1], workers=workers, chunk=chunk)
 
         monkeypatch.setattr(engine, "run_chunked", recorded)
         evaluate_main_theorem(*small_sphere_pair(1, 2), grid=GridSpec(curve=16, surface=8),
@@ -826,7 +871,9 @@ class TestLkScale:
 class TestHonestErrorEstimate:
     """A report's error estimate bounds its distance from the value on a
     grid one doubling finer, in every factor, than any grid the run
-    integrated, up to a round-off floor."""
+    integrated, up to a round-off floor: twice the most nodes any level had
+    in that factor, a periodic factor's trapezoid rule or an open factor's
+    Gauss-Legendre rule, whose most is a Kronrod probe's 2m + 1."""
 
     ROUNDOFF_FLOOR = 1e-12
     ROUTES = {
@@ -872,8 +919,9 @@ class TestHonestErrorEstimate:
         grids, poles = [], []
         refine, find_pole = engine.refine_until, oracle.find_pole
 
-        def recorded(grid0, level_sum, tol, max_level):
-            return refine(grid0, lambda c: grids.append(c) or level_sum(c), tol, max_level)
+        def recorded(grid0, level_sum, tol, max_level, domain):
+            return refine(grid0, lambda c: grids.append(c) or level_sum(c), tol, max_level,
+                          domain)
 
         monkeypatch.setattr(engine, "refine_until", recorded)
         monkeypatch.setattr(oracle, "find_pole", lambda pts: poles.append(find_pole(pts))
@@ -881,9 +929,9 @@ class TestHonestErrorEstimate:
         r = run(K, L, grid, tol=1e-6, max_level=2)
         # the reference is the route's one level sum on the finer grid, from
         # the run's own pole for the oracle
-        finer = tuple(2 * max(c) for c in zip(*grids))
+        finer = tuple(2 * max(map(part_size, c)) for c in zip(*grids))
 
-        def one_level(grid0, level_sum, tol, max_level):
+        def one_level(grid0, level_sum, tol, max_level, domain):
             value = level_sum(finer)
             return Estimate(value, 0.0, 0, level_values=(value,))
 

@@ -76,7 +76,8 @@ class TestPoleMachinery:
         # and it picks the pole those twelve side grids give
         K, L = small_sphere_pair(2, 3)
         counts = GridSpec(surface=6).counts(K, L)
-        every = np.vstack([_side_arrays(M, c)[0] for g in [counts] + probes(counts)
+        domain = K.chart_domain + L.chart_domain
+        every = np.vstack([_side_arrays(M, c)[0] for g in [counts] + probes(domain, counts)
                            for M, c in ((K, g[:2]), (L, g[2:]))])
         cls, calls, chosen = type(K), [], []
         batch = cls.batch

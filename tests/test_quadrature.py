@@ -1,3 +1,5 @@
+import math
+import subprocess
 import sys
 import threading
 from functools import partial
@@ -10,8 +12,12 @@ from spherelink.engine import GridSpec
 from spherelink.quadrature import (
     ChartDim,
     Estimate,
+    GaussNodes,
+    Kronrod,
     NewNodes,
     blocks,
+    part_size,
+    probes,
     product_rule,
     refine_until,
     run_chunked,
@@ -27,6 +33,11 @@ from conftest import small_sphere_pair
 PERIOD = (0.0, 2 * np.pi)
 
 
+def periodic(*intervals):
+    """The chart factors of periodic intervals."""
+    return tuple(ChartDim(a, b, True) for a, b in intervals)
+
+
 def weighted_sum(f, *intervals, grids=None):
     """A refine_until level: f summed against the product of periodic
     trapezoid rules, one per interval at its own node count; each grid
@@ -34,7 +45,7 @@ def weighted_sum(f, *intervals, grids=None):
     def level_sum(counts):
         if grids is not None:
             grids.append(counts)
-        pts, wts = product_rule([ChartDim(a, b, True) for a, b in intervals], counts)
+        pts, wts = product_rule(periodic(*intervals), counts)
         return tree_sum(f(pts) * wts)
     return level_sum
 
@@ -43,7 +54,7 @@ def integrate(m, f, *intervals):
     """One refinement step from m nodes per interval: the base and each
     one-factor doubling."""
     return refine_until((m,) * len(intervals), weighted_sum(f, *intervals), tol=np.inf,
-                        max_level=0)
+                        max_level=0, domain=periodic(*intervals))
 
 
 class TestRules:
@@ -194,6 +205,49 @@ class TestBlocks:
             with pytest.raises(ValueError, match="periodic factor at an even count"):
                 bad.increment(part)
 
+    def test_probes_double_periodic_and_extend_open_factors(self):
+        assert probes(self.DOMAIN, (3, 4, 5)) == [(6, 4, 5), (3, Kronrod(4), 5), (3, 4, 10)]
+
+    def test_kronrod_probe_blocks_partition_its_grid(self):
+        # a probe of the open factor at 8, grown from 4: the base grid's
+        # blocks with its Gauss nodes at their Kronrod weights, and blocks
+        # of the 9 nodes it adds over the same increments of the others
+        grid0, counts = (3, 4, 5), (12, Kronrod(8), 10)
+        parts = blocks(self.DOMAIN, grid0, counts)
+        assert len(parts) == 3 * 2 * 2 and len(set(b for b, _ in parts)) == len(parts)
+        assert parts[0] == ((3, GaussNodes(8), 5), 3)
+        assert parts[-1] == ((NewNodes(12), NewNodes(Kronrod(8)), NewNodes(10)), 0)
+        pts, wts = product_rule(self.DOMAIN, counts)
+        assert len(wts) == 12 * 17 * 10
+        got = [product_rule(self.DOMAIN, b) for b, _ in parts]
+        bpts = np.vstack([p for p, _ in got])
+        bwts = np.concatenate([np.ldexp(w, -e) for (_, w), (_, e) in zip(got, parts)])
+        order, border = np.lexsort(pts.T[::-1]), np.lexsort(bpts.T[::-1])
+        assert np.array_equal(pts[order], bpts[border])
+        assert np.array_equal(wts[order], bwts[border])
+
+    def test_kronrod_probe_blocks_reproduce_its_sum(self):
+        # each Gauss-node block summed as the marginal of the block with the
+        # Gauss rule in its place, reweighted: the probe's product-rule sum
+        # to a few ulps
+        f = lambda p: np.exp(np.sin(p[:, 0]) + np.cos(p[:, 1]) * np.sin(p[:, 2]))
+
+        def terms(block):
+            pts, w = product_rule(self.DOMAIN, block)
+            return f(pts) * w
+
+        grid0, counts = (3, 4, 5), (12, Kronrod(8), 10)
+        total = []
+        for b, e in blocks(self.DOMAIN, grid0, counts):
+            if not isinstance(b[1], GaussNodes):
+                total.append(np.ldexp(math.fsum(terms(b)), -e))
+                continue
+            gauss = (b[0], b[1].m, b[2])
+            marginal = terms(gauss).reshape([part_size(p) for p in gauss]).sum(axis=(0, 2))
+            total.append(np.ldexp(math.fsum(marginal * b[1].ratio()), -e))
+        direct = math.fsum(terms(counts))
+        assert abs(math.fsum(total) - direct) <= 4 * np.spacing(direct)
+
     def test_grids_off_the_doubling_ladder_are_whole(self):
         # a count that is not the base's times a power of two, or below it,
         # is one block: its whole rule
@@ -203,13 +257,60 @@ class TestBlocks:
         assert blocks((), (), ()) == [((), 0)]
 
 
+class TestKronrod:
+    """The Gauss-Kronrod extension of each Gauss-Legendre rule, an open
+    factor's probe."""
+
+    @pytest.mark.parametrize("cd", [ChartDim(0.0, 1.0, False), ChartDim(0.0, np.pi, False)])
+    def test_extends_every_gauss_rule(self, cd):
+        for m in range(1, 65):
+            x, w = cd.increment(Kronrod(m))
+            gx, gw = cd.rule(m)
+            # the Gauss nodes bit for bit, the m + 1 new ones strictly
+            # inside the interval and between them, every weight positive
+            assert len(x) == 2 * m + 1 and np.array_equal(x[1::2], gx)
+            assert cd.lo < x[0] and x[-1] < cd.hi and np.all(np.diff(x) > 0)
+            assert np.all(w > 0)
+            # exact to degree 3m + 1, within 1e-14 of the interval's length:
+            # P_0 of the interval integrates to it and P_1 ... P_{3m+1}, each
+            # bounded by 1, to 0.  (Monomials near degree 190 lose that much
+            # to their own rounding: Gauss-Legendre at 64 reads 5e-14.)
+            t = (x - 0.5 * (cd.lo + cd.hi)) / (0.5 * (cd.hi - cd.lo))
+            got = w @ np.polynomial.legendre.legvander(t, 3 * m + 1)
+            exact = np.zeros(3 * m + 2)
+            exact[0] = cd.hi - cd.lo
+            assert np.max(np.abs(got - exact)) <= 1e-14 * (cd.hi - cd.lo), m
+            # its two increments: the Gauss nodes at their Kronrod weights,
+            # the Gauss weights times ratio(), and the new nodes
+            assert all(map(np.array_equal, cd.increment(GaussNodes(m)), (gx, w[1::2])))
+            assert all(map(np.array_equal, cd.increment(NewNodes(Kronrod(m))), (x[::2], w[::2])))
+            assert np.allclose(gw * GaussNodes(m).ratio(), w[1::2], rtol=1e-14, atol=0)
+
+    def test_open_factors_only(self):
+        for part in (Kronrod(4), GaussNodes(4), NewNodes(Kronrod(4))):
+            with pytest.raises(ValueError, match="needs an open factor"):
+                ChartDim(0.0, 1.0, True).increment(part)
+        with pytest.raises(ValueError, match="node count"):
+            ChartDim(0.0, 1.0, False).increment(Kronrod(0))
+
+    def test_built_on_first_probe_only(self):
+        # importing the package and building a kernel table computes no rule
+        code = ("import spherelink\n"
+                "from spherelink import kernels, quadrature\n"
+                "kernels.get_evaluator(2, 3)\n"
+                "assert quadrature._kronrod.cache_info().currsize == 0")
+        env = {"PYTHONPATH": ":".join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
 class TestRefineUntil:
     def test_infinite_tol_returns_base(self):
         # one step: the base, each one-factor doubling, and the base plus
         # the probes' differences
         f = lambda p: np.exp(np.sin(p[:, 0]) + np.cos(p[:, 1]))
         level_sum = weighted_sum(f, PERIOD, PERIOD)
-        est = refine_until((8, 4), level_sum, tol=np.inf, max_level=0)
+        est = refine_until((8, 4), level_sum, tol=np.inf, max_level=0,
+                           domain=periodic(PERIOD, PERIOD))
         base, probe0, probe1 = level_sum((8, 4)), level_sum((16, 4)), level_sum((8, 8))
         assert est.levels_used == 0 and est.converged
         assert est.level_values == (base, probe0, probe1)
@@ -221,8 +322,8 @@ class TestRefineUntil:
         level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         for tol in (-1.0, np.nan):
             with pytest.raises(ValueError, match="tolerance"):
-                refine_until((4,), level_sum, tol=tol, max_level=0)
-        est = refine_until((4,), level_sum, tol=0.0, max_level=3)
+                refine_until((4,), level_sum, tol=tol, max_level=0, domain=periodic((0.0, 1.0)))
+        est = refine_until((4,), level_sum, tol=0.0, max_level=3, domain=periodic((0.0, 1.0)))
         assert est.levels_used == 3
         assert len(est.level_values) == 5  # one factor: 4, 8, 16, 32 and 64 nodes
         assert not est.converged
@@ -230,7 +331,7 @@ class TestRefineUntil:
     def test_rejects_negative_max_level(self):
         level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         with pytest.raises(ValueError, match="max_level"):
-            refine_until((4,), level_sum, tol=0.0, max_level=-3)
+            refine_until((4,), level_sum, tol=0.0, max_level=-3, domain=periodic((0.0, 1.0)))
 
     def test_exact_factor_stays_at_base(self):
         # 2 + cos x is exact on 4 trapezoid nodes, exp(sin y) is not: only y
@@ -238,7 +339,7 @@ class TestRefineUntil:
         grids = []
         f = lambda p: (2.0 + np.cos(p[:, 0])) * np.exp(np.sin(p[:, 1]))
         est = refine_until((4, 4), weighted_sum(f, PERIOD, PERIOD, grids=grids), tol=1e-10,
-                           max_level=4)
+                           max_level=4, domain=periodic(PERIOD, PERIOD))
         assert grids == [(4, 4), (8, 4), (4, 8), (8, 8), (4, 16), (8, 16), (4, 32)]
         assert est.converged and est.levels_used == 2
         assert len(est.level_values) == len(grids)
@@ -249,7 +350,7 @@ class TestRefineUntil:
         grids = []
         f = lambda p: np.exp(np.sin(p[:, 0]) * np.cos(p[:, 1]) + np.sin(p[:, 2]))
         est = refine_until((4, 2, 3), weighted_sum(f, PERIOD, PERIOD, PERIOD, grids=grids),
-                           tol=0.0, max_level=2)
+                           tol=0.0, max_level=2, domain=periodic(PERIOD, PERIOD, PERIOD))
         assert not est.converged and est.levels_used == 2
         # every base factor reaches max_level doublings, and no probe goes
         # past one more
@@ -263,7 +364,7 @@ class TestRefineUntil:
             calls.append(counts)
             return 0.75
 
-        est = refine_until((), level_sum, tol=1e-9, max_level=4)
+        est = refine_until((), level_sum, tol=1e-9, max_level=4, domain=())
         assert calls == [()]
         assert (est.value, est.error_estimate, est.levels_used) == (0.75, 0.0, 0)
         assert est.converged and est.level_values == (0.75,)
@@ -279,7 +380,8 @@ class TestRefineUntil:
         # slash the error estimate by far more than 10x until it bottoms out
         f = lambda p: np.exp(np.sin(p[:, 0]))
         exact = 2 * np.pi * 1.2660658777520084  # 2 pi I_0(1)
-        est = refine_until((4,), weighted_sum(f, PERIOD), tol=0.0, max_level=4)
+        est = refine_until((4,), weighted_sum(f, PERIOD), tol=0.0, max_level=4,
+                           domain=periodic(PERIOD))
         values = est.level_values
         errors = [abs(b - a) for a, b in zip(values[1:], values[2:])]
         resolved = [e for e in errors if e > 1e-14]
@@ -305,7 +407,7 @@ class TestRefineUntil:
 
         grids = []
         est = refine_until((8, 8), weighted_sum(integrand, PERIOD, PERIOD, grids=grids),
-                           tol=1e-9, max_level=2)
+                           tol=1e-9, max_level=2, domain=periodic(PERIOD, PERIOD))
         assert not est.converged
         assert isinstance(est, Estimate)
         # an unconverged run ends only at the cap: both bases at 8 << 2,
@@ -362,16 +464,16 @@ class TestDeterminism:
 
         def outer(s, e):
             outer_threads.add(threading.current_thread())
-            run_chunked(4, lambda s, e: None, chunk=1)
+            run_chunked(4, lambda s, e: None, workers=None, chunk=1)
 
         monkeypatch.setattr(quadrature, "ThreadPoolExecutor", Pool)
         monkeypatch.setenv("SPHERELINK_WORKERS", "3")
         with quadrature.worker_pool():
-            run_chunked(10, lambda s, e: None, chunk=5)
-            run_chunked(10, outer, chunk=5)
+            run_chunked(10, lambda s, e: None, workers=None, chunk=5)
+            run_chunked(10, outer, workers=None, chunk=5)
             assert sizes[0] == 3 and len(outer_threads) <= 3
         assert sizes == [3, 3, 3]  # the block's pool, then one per nested call
-        run_chunked(10, lambda s, e: None, chunk=5)
+        run_chunked(10, lambda s, e: None, workers=None, chunk=5)
         assert sizes == [3, 3, 3, 2]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
@@ -419,7 +521,7 @@ class TestBlasThreads:
             assert blas() == 2
         # one chunk with two workers allowed keeps OpenBLAS's own threads
         seen = []
-        run_chunked(1, lambda s, e: seen.append(blas()), workers=2)
+        run_chunked(1, lambda s, e: seen.append(blas()), workers=2, chunk=1)
         assert seen == [2]
 
     def test_nested_and_concurrent_calls_restore_count(self, blas):
