@@ -49,7 +49,7 @@ doubling, the nodes it adds (:class:`NewNodes`, the odd indices of its
 rule), an open factor its whole Gauss-Legendre rule, and an open factor's
 probe ``Kronrod(m)`` its Gauss nodes at their Kronrod weights
 (:class:`GaussNodes`) and the m + 1 nodes it adds
-(``NewNodes(Kronrod(m))``).  A block integrated with its own counts'
+(:class:`KronrodNodes`).  A block integrated with its own counts'
 weights enters every finer grid scaled by 2^-(doublings since then), which
 is exact, and a ``GaussNodes`` block is the block with the Gauss rule in its
 place, reweighted node by node along that factor (:meth:`GaussNodes.ratio`)
@@ -95,6 +95,7 @@ __all__ = [
     "Kronrod",
     "NewNodes",
     "GaussNodes",
+    "KronrodNodes",
     "part_size",
     "product_rule",
     "tensor_grid",
@@ -284,25 +285,24 @@ class ChartDim:
         open factor, ``Kronrod(m)`` the whole Gauss-Kronrod rule of 2m + 1
         nodes in increasing order, ``GaussNodes(m)`` its m Gauss nodes,
         those of ``rule(m)``, at their Kronrod weights, and
-        ``NewNodes(Kronrod(m))`` the m + 1 nodes it adds."""
-        if not isinstance(part, (NewNodes, Kronrod, GaussNodes)):
-            return self.rule(part)
-        if isinstance(part, NewNodes) and not isinstance(part.count, Kronrod):
+        ``KronrodNodes(m)`` the m + 1 nodes it adds."""
+        if isinstance(part, NewNodes):
             if not self.periodic or part.count % 2:
                 raise ValueError(f"{part} needs a periodic factor at an even count")
             x, w = self.rule(part.count)
             return x[1::2], w[1::2]
+        if not isinstance(part, (Kronrod, GaussNodes, KronrodNodes)):
+            return self.rule(part)
         if self.periodic:
             raise ValueError(f"{part} needs an open factor")
-        m = part.count.m if isinstance(part, NewNodes) else part.m
-        gx, _ = self.rule(m)
-        gw, nx, nw = _kronrod(m)
+        gx, _ = self.rule(part.m)
+        gw, nx, nw = _kronrod(part.m)
         mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
         if isinstance(part, GaussNodes):
             return gx, half * gw
-        if isinstance(part, NewNodes):
+        if isinstance(part, KronrodNodes):
             return mid + half * nx, half * nw
-        x, w = np.empty(2 * m + 1), np.empty(2 * m + 1)
+        x, w = np.empty(2 * part.m + 1), np.empty(2 * part.m + 1)
         x[1::2], x[::2] = gx, mid + half * nx
         w[1::2], w[::2] = half * gw, half * nw
         return x, w
@@ -319,12 +319,10 @@ class Kronrod:
 
 @dataclass(frozen=True)
 class NewNodes:
-    """The increment of a factor at `count` that the rule it refines lacks:
-    the odd indices of a periodic factor's trapezoid rule at an even count,
-    which the rule at count / 2 lacks, or the m + 1 nodes ``Kronrod(m)``
-    adds to the Gauss-Legendre rule at m."""
+    """The increment of a periodic factor at an even `count` that its rule
+    at count / 2 lacks: the odd indices of its trapezoid rule."""
 
-    count: int | Kronrod
+    count: int
 
 
 @dataclass(frozen=True)
@@ -340,14 +338,24 @@ class GaussNodes:
         return _kronrod(self.m)[0] / _leggauss(self.m)[1]
 
 
+@dataclass(frozen=True)
+class KronrodNodes:
+    """The increment of ``Kronrod(m)`` that the Gauss-Legendre rule at m
+    lacks: the m + 1 nodes between and beyond its Gauss nodes."""
+
+    m: int
+
+
 def part_size(part) -> int:
     """The node count of a grid count or increment of one factor."""
     if isinstance(part, Kronrod):
         return 2 * part.m + 1
     if isinstance(part, GaussNodes):
         return part.m
+    if isinstance(part, KronrodNodes):
+        return part.m + 1
     if isinstance(part, NewNodes):
-        return part.count.m + 1 if isinstance(part.count, Kronrod) else part.count // 2
+        return part.count // 2
     return part
 
 
@@ -389,7 +397,7 @@ def _increments(cd: ChartDim, m0: int, m) -> list[tuple]:
     Gauss nodes and the nodes it adds, any other factor or count its whole
     rule."""
     if isinstance(m, Kronrod):
-        return [(GaussNodes(m.m), 0), (NewNodes(m), 0)]
+        return [(GaussNodes(m.m), 0), (KronrodNodes(m.m), 0)]
     j = (m // m0).bit_length() - 1
     if cd.periodic and j >= 0 and m == m0 << j:
         return [(m0, j)] + [(NewNodes(m0 << i), j - i) for i in range(1, j + 1)]
@@ -408,7 +416,7 @@ def blocks(domain, grid0, counts) -> list[tuple[tuple, int]]:
     factor at m, Kronrod(m), splits into the base grid's blocks with that
     factor's increment m read as ``GaussNodes(m)``, whose sums are the base
     blocks' marginals along it reweighted by :meth:`GaussNodes.ratio`, and
-    new blocks of the m + 1 nodes it adds, ``NewNodes(Kronrod(m))``, over
+    new blocks of the m + 1 nodes it adds, ``KronrodNodes(m)``, over
     the base grid's increments of every other factor.
     """
     per = [_increments(cd, m0, m) for cd, m0, m in zip(domain, grid0, counts)]

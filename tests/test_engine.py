@@ -645,9 +645,9 @@ class TestBlockSums:
         pairs = [0]
         ratio, join = kernels.KernelEvaluator.kernel_ratio, engine._join_batch
 
-        def counted_ratio(self, alpha, cos_alpha=None, out=None):
+        def counted_ratio(self, alpha, cos_alpha=None):
             pairs[0] += np.size(cos_alpha)
-            return ratio(self, alpha, cos_alpha, out)
+            return ratio(self, alpha, cos_alpha)
 
         def counted_join(x, tx, y, ty, c, alpha, u):
             pairs[0] += c.size * u.size
@@ -696,6 +696,38 @@ class TestBlockSums:
         evaluate_join_degree(K, L, grid=GridSpec(curve=16, u=10), variant="full", tol=np.inf,
                              max_level=0)
         assert pairs[0] == 16 * 16 * (3 * 10 + 11) == 4.1 * 16 * 16 * 10
+
+    def test_open_factor_growing_alone_pays_for_its_new_base(self, monkeypatch):
+        # Great (1, 2) main at curve 16, surface 4: only L's polar angle
+        # moves the value (Delta 7.9e-6; the circle and the azimuth 1e-16),
+        # so at tol 1e-9 it grows alone to Gauss-Legendre at 8, which shares
+        # no node with its rule at 4 or its Kronrod probe: the second base
+        # pays whole.  In units of 16 * 16 pairs, the first step takes the
+        # base, the circle's and the azimuth's new nodes (1 each) and the 5
+        # new polar nodes (5/4); the second a base twice that (2), the
+        # circle's and the azimuth's new nodes over it (2 each) and the 9
+        # new polar nodes over 16 x 4 (9/4): 4.25 + 8.25 = 12.5 units.
+        # Whole Gauss-Legendre probes took 5 + 8 = 13, the second base
+        # being their first polar probe; the growth costs its probe and its
+        # new base, 5/4 + 2, where it cost 2.
+        pairs = self.counting_pairs(monkeypatch)
+        report = evaluate_main_theorem(*great_pair(1, 2), grid=GridSpec(curve=16, surface=4),
+                                       tol=1e-9, max_level=1)
+        assert report.levels_used == 1 and report.converged
+        assert report.node_counts == (256, 512, 576, 512, 512, 1024, 1088, 1024)
+        assert pairs[0] == 12.5 * 16 * 16
+        # Hopf join-full at u 4: only u moves the value (Delta 1.7e-5; each
+        # curve 4e-11), so u grows alone to 8, its cap.  In units of
+        # 16 * 16 * 4 pairs: the first step 1 + 1 + 1 + 5/4, the second a
+        # base twice that (2), the curves' new nodes over it (2 each) and
+        # the 9 new u nodes (9/4): 4.25 + 8.25 = 12.5, against 5 + 8 = 13
+        pairs[0] = 0
+        report = evaluate_join_degree(*hopf_pair(), grid=GridSpec(curve=16, u=4), variant="full",
+                                      tol=1e-9, max_level=1)
+        assert report.levels_used == 1
+        assert report.node_counts == (1024, 2048, 2048, 16 * 16 * 9,
+                                      2048, 4096, 4096, 16 * 16 * 17)
+        assert pairs[0] == 12.5 * 16 * 16 * 4
 
     RUNS = {
         "main": lambda: evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=6),

@@ -14,6 +14,7 @@ from spherelink.quadrature import (
     Estimate,
     GaussNodes,
     Kronrod,
+    KronrodNodes,
     NewNodes,
     blocks,
     part_size,
@@ -216,7 +217,7 @@ class TestBlocks:
         parts = blocks(self.DOMAIN, grid0, counts)
         assert len(parts) == 3 * 2 * 2 and len(set(b for b, _ in parts)) == len(parts)
         assert parts[0] == ((3, GaussNodes(8), 5), 3)
-        assert parts[-1] == ((NewNodes(12), NewNodes(Kronrod(8)), NewNodes(10)), 0)
+        assert parts[-1] == ((NewNodes(12), KronrodNodes(8), NewNodes(10)), 0)
         pts, wts = product_rule(self.DOMAIN, counts)
         assert len(wts) == 12 * 17 * 10
         got = [product_rule(self.DOMAIN, b) for b, _ in parts]
@@ -283,11 +284,11 @@ class TestKronrod:
             # its two increments: the Gauss nodes at their Kronrod weights,
             # the Gauss weights times ratio(), and the new nodes
             assert all(map(np.array_equal, cd.increment(GaussNodes(m)), (gx, w[1::2])))
-            assert all(map(np.array_equal, cd.increment(NewNodes(Kronrod(m))), (x[::2], w[::2])))
+            assert all(map(np.array_equal, cd.increment(KronrodNodes(m)), (x[::2], w[::2])))
             assert np.allclose(gw * GaussNodes(m).ratio(), w[1::2], rtol=1e-14, atol=0)
 
     def test_open_factors_only(self):
-        for part in (Kronrod(4), GaussNodes(4), NewNodes(Kronrod(4))):
+        for part in (Kronrod(4), GaussNodes(4), KronrodNodes(4)):
             with pytest.raises(ValueError, match="needs an open factor"):
                 ChartDim(0.0, 1.0, True).increment(part)
         with pytest.raises(ValueError, match="node count"):
