@@ -83,11 +83,12 @@ Every evaluator shares the same deterministic quadrature contract (see
 count.
 """
 
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb, fsum, ldexp
+from math import comb, fsum, ldexp, prod
 from typing import Callable
 
 import numpy as np
@@ -196,8 +197,9 @@ class _Route:
     """What one CLI method needs: report label, kernel, sign, separation."""
 
     label: str
-    # (evaluator, n) -> kern(cos_alpha), resolved per call so that
-    # wrappers installed on KernelEvaluator are seen; None for join-full
+    # (evaluator, n) -> kern(cos_alpha), which overwrites its argument with
+    # the values it returns, resolved per call so that wrappers installed on
+    # KernelEvaluator are seen; None for join-full
     kernel: Callable | None
     sign_rule: str | None
     antipodal: bool  # max alpha must also keep a margin from pi
@@ -208,11 +210,13 @@ class _Route:
 
 
 _ROUTES = {
-    "main": _Route("main_theorem", lambda ev, n: partial(ev.kernel_ratio, None), None, False),
+    "main": _Route("main_theorem", lambda ev, n: lambda c: ev.kernel_ratio(None, c, out=c),
+                   None, False),
     "corollary": _Route("corollary",
-                        lambda ev, n: partial(ev.convolution_fast, None, sin_power=n),
+                        lambda ev, n: lambda c: ev.convolution_fast(None, c, sin_power=n, out=c),
                         "corollary_prefactor", True),
-    "join-reduced": _Route("join_degree_reduced", lambda ev, n: partial(ev.kernel_ratio, None),
+    "join-reduced": _Route("join_degree_reduced",
+                           lambda ev, n: lambda c: ev.kernel_ratio(None, c, out=c),
                            "join_reduced_net", False),
     "join-full": _Route("join_degree_full", None, None, True),
 }
@@ -608,26 +612,43 @@ _Level = namedtuple("_Level", "geometry values pair_bytes shape nodes")
 
 def _geodesic(pk, pl):
     """Chunk geometry of the sphere routes: the dot products c = cos alpha,
-    with the alpha range taken from their two extremes."""
-    def geometry(s, e):
-        dots = pk[s:e] @ pl.T
+    in the thread's scratch array "dots", with the alpha range taken from
+    their two extremes."""
+    def geometry(s, e, take):
+        dots = np.matmul(pk[s:e], pl.T, out=take("dots", (e - s, len(pl))))
         return (dots,), alpha_extremes(dots)
 
     return geometry
 
 
-def _level_sum(K, L, counts, terms, check, marginals=None):
+def _take(scratch, name, shape) -> np.ndarray:
+    """This thread's array `name` of `scratch` (a threading.local), grown
+    to at least prod(shape) doubles when it is smaller and viewed as
+    `shape`: a chunk's pair-sized arrays reuse the memory of the thread's
+    last chunk, which the allocator would otherwise hand back to the system
+    and fault in again, chunk after chunk."""
+    size, buf = prod(shape), getattr(scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     """One quadrature level of a route: a chunked sum over K x L.
 
     counts holds one node count, or one increment, per tensor factor: a
     whole grid, or one pair block of it (:func:`_refined_report`).
-    terms(K, L, counts) gives the level's `_Level`: geometry(s, e) returns K
-    rows s:e's geometry against every L node and its separation range
-    (min, max), values(s, e, *geometry) their weighted per-pair values and,
-    for join-full, the chunk's sum per u node (else None), pair_bytes the
-    bytes of every temporary a chunk holds at once per (K node, L node)
-    pair, shape (K nodes, L nodes) and nodes the level's quadrature node
-    count.  A chunk holds as many K rows as keep their temporaries within
+    terms(K, L, counts) gives the level's `_Level`: geometry(s, e, take)
+    returns K rows s:e's geometry against every L node and its separation
+    range (min, max), values(s, e, take, *geometry) their weighted per-pair
+    values and, for join-full, the chunk's sum per u node (else None), each
+    taking its pair-sized arrays from take(name, shape), the calling
+    thread's arrays of `scratch` (a threading.local, one per evaluator call,
+    else per level; see :func:`_take`), pair_bytes the bytes of every
+    temporary a chunk holds at once per (K node, L node) pair, shape
+    (K nodes, L nodes) and nodes the level's quadrature node count.  A
+    chunk holds as many K rows as keep their temporaries within
     CHUNK_BYTES.  check(min, max) runs on each chunk's separation range
     before its values are evaluated, and every K row is tree-summed whole,
     so the value does not depend on the chunking.  Returns (value, nodes,
@@ -648,15 +669,16 @@ def _level_sum(K, L, counts, terms, check, marginals=None):
     lo = np.full(nchunks, np.inf)
     hi = -lo
     marginals = {} if marginals is None else marginals
+    take = partial(_take, threading.local() if scratch is None else scratch)
     # per chunk, the marginals along L's factors and u
     cols = {i: np.empty((nchunks, sizes[i])) for i in marginals if i >= k}
 
     def work(s, e):
-        geometry, (smin, smax) = level.geometry(s, e)
+        geometry, (smin, smax) = level.geometry(s, e, take)
         check(smin, smax)
         c = s // cs
         lo[c], hi[c] = smin, smax
-        vals, per_u = level.values(s, e, *geometry)
+        vals, per_u = level.values(s, e, take, *geometry)
         rows[s:e] = tree_sum_axis(vals, axis=1)
         if any(i < k + l for i in cols):
             # in row order: a pairwise tree across rows runs at a third of
@@ -707,10 +729,11 @@ def _minor_side(m, counts, subsets, scale, signs=None):
 def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     """One level of a pair kernel: per chunk of K rows, kern of the chunk's
     dot products c = cos alpha times the minor product mk @ ml.T, which
-    hold three doubles a pair: c, the kernel's values and the product."""
-    def values(s, e, dots):
+    hold three doubles a pair: c, the kernel's values (c itself, for the
+    routes' kernels) and the product, in the scratch array "minors"."""
+    def values(s, e, take, dots):
         vals = kern(dots)
-        vals *= mk[s:e] @ ml.T
+        vals *= np.matmul(mk[s:e], ml.T, out=take("minors", vals.shape))
         return vals, None
 
     return _Level(_geodesic(pk, pl), values, 24, (len(pk), len(pl)), len(mk) * len(ml))
@@ -737,7 +760,7 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
     whole = [tuple(range(d))]
     pair_bytes = _join_pair_bytes(d, u.size)
 
-    def values(s, e, dots):
+    def values(s, e, take, dots):
         cols = max(1, CHUNK_BYTES // ((e - s) * pair_bytes))
         vals, per_u = np.empty((e - s, nt)), []
         for t0 in range(0, nt, cols):
@@ -791,8 +814,9 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     probe's Gauss nodes is the marginal of its base block reweighted node
     by node (:meth:`~spherelink.quadrature.GaussNodes.ratio`), summed by
     fsum.  A probe pays only for its new nodes.  One :class:`_SideMemo`
-    serves the call's side blocks, and its run_chunked calls share one
-    :func:`~spherelink.quadrature.worker_pool`.  The terms put every
+    serves the call's side blocks, one threading.local every worker
+    thread's chunk arrays (:func:`_take`), and its run_chunked calls share
+    one :func:`~spherelink.quadrature.worker_pool`.  The terms put every
     level sum on the Lk scale, so the report takes the
     refinement's value, error and level values as they are, with each
     grid's node count beside its value in the order taken; its separation
@@ -802,6 +826,7 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     memo = _SideMemo(K, L, grid0)
     terms = partial(terms, sides=memo)
     opened = tuple(i for i, cd in enumerate(domain) if not cd.periodic)
+    scratch = threading.local()
     sums, margins, nodes = {}, {}, []
 
     def block_sum(b):
@@ -823,7 +848,7 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
             # reweights its marginals
             kronrod = any(isinstance(p, KronrodNodes) for p in b)
             margins[b] = dict.fromkeys(() if kronrod else opened)
-            sums[b] = _level_sum(K, L, b, terms, check, margins[b])
+            sums[b] = _level_sum(K, L, b, terms, check, margins[b], scratch)
         got = [block_sum(b) for b, _ in parts]
         nodes.append(sum(n for _, n in got))
         return fsum(ldexp(v, -e) for (v, _), (_, e) in zip(got, parts))

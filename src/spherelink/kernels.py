@@ -338,14 +338,16 @@ class KernelEvaluator:
         self.alpha_switch = np.pi - eps_switch
         self._rational = _rational_forms(self.k, self.l) if self.n % 2 == 0 else None
 
-    def _evaluate(self, alpha, cos_alpha, kernel, sin_power=0):
+    def _evaluate(self, alpha, cos_alpha, kernel, sin_power=0, out=None):
         """kernel ("phi" or "conv") / sin^sin_power over cache-sized blocks,
-        from cos_alpha when it is given, else from alpha; phi is only asked
-        for sin_power 0 or n."""
+        from cos_alpha when it is given, else from alpha, into `out` when it
+        is given (a C-contiguous array of their shape, which may be that
+        input itself: each block is read whole before its values are
+        written); phi is only asked for sin_power 0 or n."""
         from_cos = cos_alpha is not None
         x = np.asarray(cos_alpha if from_cos else alpha, dtype=float)
         flat = x.ravel()
-        out = np.empty_like(flat)
+        out = np.empty_like(flat) if out is None else out.reshape(flat.shape)
         lo_ok, hi_ok = (-1.0, 1.0) if from_cos else (0.0, np.pi)
         block = self._rational_block if self._rational else self._form_block
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -412,15 +414,16 @@ class KernelEvaluator:
         """phi at alpha, or from cos_alpha alone."""
         return self._evaluate(alpha, cos_alpha, "phi")
 
-    def kernel_ratio(self, alpha, cos_alpha=None):
-        """phi(alpha) / sin^n(alpha), at alpha or from cos_alpha alone.
+    def kernel_ratio(self, alpha, cos_alpha=None, out=None):
+        """phi(alpha) / sin^n(alpha), at alpha or from cos_alpha alone,
+        written into `out` when it is given (cos_alpha itself included).
 
         Finite on (0, pi]; tends to k! l! / n! at alpha = pi.  Raises for
         alpha outside [0, pi] (cos_alpha outside [-1, 1]) or NaN, and below
         1e-8, where the ratio diverges like alpha^{-n} and the disjointness
         hypothesis of the linking integral is violated.
         """
-        return self._evaluate(alpha, cos_alpha, "phi", self.n)
+        return self._evaluate(alpha, cos_alpha, "phi", self.n, out)
 
     def near_pi_ratio(self, eps):
         """kernel_ratio at alpha = pi - eps by the series, for eps <= pi - alpha_switch."""
@@ -431,11 +434,12 @@ class KernelEvaluator:
         """Circular convolution kernel convolution(k, l, alpha)."""
         return self.convolution_fast(alpha)
 
-    def convolution_fast(self, alpha, cos_alpha=None, sin_power=0):
+    def convolution_fast(self, alpha, cos_alpha=None, sin_power=0, out=None):
         """Convolution kernel over sin^sin_power(alpha), at alpha or from
-        cos_alpha alone; the corollary uses sin_power = n, kept off alpha = 0
-        and pi by its margins."""
-        return self._evaluate(alpha, cos_alpha, "conv", sin_power)
+        cos_alpha alone, written into `out` when it is given (cos_alpha
+        itself included); the corollary uses sin_power = n, kept off
+        alpha = 0 and pi by its margins."""
+        return self._evaluate(alpha, cos_alpha, "conv", sin_power, out)
 
 
 def _maybe_scalar(out):

@@ -590,6 +590,27 @@ class TestChunkMemory:
             f"{sides / 2**20:.1f} MiB to build the sides")
         assert chunks[0] > 1
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_chunks_reuse_their_threads_arrays(self, monkeypatch, workers):
+        # every chunk but the last holds as many K rows, so each thread
+        # allocates its dots and minor products once per level
+        monkeypatch.setenv("SPHERELINK_WORKERS", workers)
+        run, counts = self.LEVELS["main"]
+        K, L, terms, check = first_level(run, monkeypatch)
+        seen, take = {}, engine._take
+
+        def recorded(scratch, name, shape):
+            got = take(scratch, name, shape)
+            seen.setdefault(name, set()).add(got.__array_interface__["data"][0])
+            return got
+
+        monkeypatch.setattr(engine, "_take", recorded)
+        chunks = counting_chunks(monkeypatch)
+        _level_sum(K, L, counts, terms, check)
+        assert chunks[0] > 2 * int(workers)
+        assert seen.keys() == {"dots", "minors"}
+        assert all(1 <= len(a) <= int(workers) for a in seen.values())
+
     def test_small_23_levels_span_chunks(self, monkeypatch):
         # surface-orders' (2, 3) pair at surface 16: K has 256 nodes, L 4096
         # or more, so at 24 B a pair no level is one chunk and a second
@@ -645,9 +666,9 @@ class TestBlockSums:
         pairs = [0]
         ratio, join = kernels.KernelEvaluator.kernel_ratio, engine._join_batch
 
-        def counted_ratio(self, alpha, cos_alpha=None):
+        def counted_ratio(self, alpha, cos_alpha=None, out=None):
             pairs[0] += np.size(cos_alpha)
-            return ratio(self, alpha, cos_alpha)
+            return ratio(self, alpha, cos_alpha, out)
 
         def counted_join(x, tx, y, ty, c, alpha, u):
             pairs[0] += c.size * u.size
