@@ -96,6 +96,7 @@ __all__ = [
     "NewNodes",
     "GaussNodes",
     "KronrodNodes",
+    "KronrodPart",
     "part_size",
     "product_rule",
     "tensor_grid",
@@ -251,7 +252,10 @@ def _kronrod(m: int):
             b[(i + 1) // 2 + m + 1] = s[j[-1] + 1] / s[j[-1] + 2]
         s, t = t, s
     sb = np.sqrt(b)
-    x = np.linalg.eigvalsh(np.diag(sb[1:], 1), UPLO="U")[::2]
+    # one BLAS thread: at 2m + 1 = 65 the eigenproblem took 0.3 ms on one
+    # thread and 5-8 ms on two, on a 2-vCPU host
+    with _BLAS_CAP.one_thread():
+        x = np.linalg.eigvalsh(np.diag(sb[1:], 1), UPLO="U")[::2]
     x -= _christoffel(sb, x)[1]
     return 1.0 / _christoffel(sb, _leggauss(m)[0])[0], x, 1.0 / _christoffel(sb, x)[0]
 
@@ -291,7 +295,7 @@ class ChartDim:
                 raise ValueError(f"{part} needs a periodic factor at an even count")
             x, w = self.rule(part.count)
             return x[1::2], w[1::2]
-        if not isinstance(part, (Kronrod, GaussNodes, KronrodNodes)):
+        if not isinstance(part, KronrodPart):
             return self.rule(part)
         if self.periodic:
             raise ValueError(f"{part} needs an open factor")
@@ -309,12 +313,19 @@ class ChartDim:
 
 
 @dataclass(frozen=True)
-class Kronrod:
+class KronrodPart:
+    """A part of an open factor's Gauss-Kronrod rule of 2m + 1 nodes, which
+    extends its Gauss-Legendre rule at m: the whole rule, its Gauss nodes or
+    its new nodes.  Each kind is a subclass, and parts of different kinds
+    never compare equal."""
+
+    m: int
+
+
+class Kronrod(KronrodPart):
     """An open factor's Gauss-Kronrod rule of 2m + 1 nodes: the m nodes of
     its Gauss-Legendre rule at m, reweighted, and m + 1 more between them.
     As a grid count, the count of an open factor's probe."""
-
-    m: int
 
 
 @dataclass(frozen=True)
@@ -325,25 +336,19 @@ class NewNodes:
     count: int
 
 
-@dataclass(frozen=True)
-class GaussNodes:
+class GaussNodes(KronrodPart):
     """The increment of ``Kronrod(m)`` that the Gauss-Legendre rule at m
     has: its m nodes at their Kronrod weights, which are the Gauss weights
     times :meth:`ratio`."""
-
-    m: int
 
     def ratio(self) -> np.ndarray:
         """Kronrod weight over Gauss weight at each of the m nodes."""
         return _kronrod(self.m)[0] / _leggauss(self.m)[1]
 
 
-@dataclass(frozen=True)
-class KronrodNodes:
+class KronrodNodes(KronrodPart):
     """The increment of ``Kronrod(m)`` that the Gauss-Legendre rule at m
     lacks: the m + 1 nodes between and beyond its Gauss nodes."""
-
-    m: int
 
 
 def part_size(part) -> int:

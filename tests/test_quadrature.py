@@ -288,6 +288,8 @@ class TestKronrod:
             assert np.allclose(gw * GaussNodes(m).ratio(), w[1::2], rtol=1e-14, atol=0)
 
     def test_open_factors_only(self):
+        # the parts of one rule are distinct block keys
+        assert len({Kronrod(4), GaussNodes(4), KronrodNodes(4)}) == 3
         for part in (Kronrod(4), GaussNodes(4), KronrodNodes(4)):
             with pytest.raises(ValueError, match="needs an open factor"):
                 ChartDim(0.0, 1.0, True).increment(part)
