@@ -7,8 +7,10 @@ Subcommands:
 
 The Gauss-integral oracle in R^n (stereographic projection, any order) is
 the spec method "oracle" of `link`, and a refinement study is
-`link --tol 0 --max-level N`, which doubles every chart factor at each of
-its N + 1 steps and whose report holds the value and node count of every
+`link --tol 0 --max-level N`.  Each of its N + 1 steps probes every chart
+factor once, a periodic factor doubled and an open one by its Gauss-Kronrod
+rule; each of the first N steps then doubles every factor in the base, and
+the last grows nothing.  Its report holds the value and node count of every
 level sum, each step's base grid and its one-factor probes.
 
 Exit codes: 0 when the value rounds to an accepted integer, 2 when rounding

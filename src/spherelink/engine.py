@@ -36,8 +36,8 @@ the bytes a chunk holds at once, every per-pair temporary counted (three
 doubles a pair for a pair kernel; for join-full its Jacobians, scratch and
 minors per node and its per-pair arrays), so memory stays within the
 budget per chunk in flight as levels double.  :func:`_refined_report` runs
-the one refinement loop, :func:`spherelink.quadrature.refine_until`, and
-builds the report.  A level
+the one refinement loop, :func:`spherelink.quadrature.refine_until`, which
+hands it each step's grids at once, and builds the report.  A level
 is a tuple of node counts, one per tensor factor: K's chart factors, then
 L's, then the join parameter u for join-full (``GridSpec.counts`` gives
 the base); each refinement step integrates the base and one probe per
@@ -70,13 +70,13 @@ side's arrays come from :func:`_side_arrays`: the side's ``batch`` writes
 its point and tangent columns into one array laid out column by column
 with the nodes last, which :func:`_minor_dets` reads without a copy, and a
 pair route folds its signs, weights and prefactor into the minors in place,
-keeping only points and minors.  Within one evaluator call,
-:class:`_SideMemo` keeps the side blocks of the step's base grid and of
-the blocks being summed, so a probe, which doubles one factor and so
-changes one side, reuses the other: a step of f factors builds each
-distinct side block once, 2 + f of them, not 2 (1 + f) sides.  No array
-outlives the call.  A dimension-0 side enters as its signed points with
-+-1 weights.
+keeping only points and minors.  :func:`_refined_report` sums each
+refinement step's new pair blocks in one pass and keeps each side block
+from the first of them that reads it to the last, so a probe, which
+refines one factor and so changes one side, reuses the other: a step of f
+factors builds each distinct side block once, 2 + f of them, not
+2 (1 + f) sides, and no side block outlives its step.  A dimension-0 side
+enters as its signed points with +-1 weights.
 
 Every evaluator shares the same deterministic quadrature contract (see
 :mod:`spherelink.quadrature`): results are bit-identical for any worker
@@ -84,7 +84,7 @@ count.
 """
 
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import combinations
@@ -98,7 +98,6 @@ from .catalog import OrientedSubmanifold, _frame_array, _int
 from .quadrature import (
     ChartDim,
     GaussNodes,
-    Kronrod,
     KronrodNodes,
     blocks,
     part_size,
@@ -543,56 +542,6 @@ def _fresh(which, counts, build):
     return build()
 
 
-class _SideMemo:
-    """The `sides` of one evaluator call from the base counts grid0:
-    ``memo(which, block, build)`` returns the arrays build() makes for side
-    `which` (0 for K, 1 for L) at its side block, one increment per chart
-    factor, built only when none are kept.
-
-    Before a grid's new pair blocks are summed, :meth:`retain` drops every
-    side block but theirs and those of the step's base grid, the meet of
-    this grid and the last (a probe's other factors are the base's).  A
-    probe of the factors of the side that comes last (L's, unless u
-    follows) drops that side's base blocks too, since no later probe of the
-    step reads them.  A step of f factors then builds each distinct side
-    block once (7 for a (2,3) pair, where a fresh build per level sum takes
-    12), and holds beyond the base's blocks only the probe's new ones.  No
-    array outlives the call.
-    """
-
-    def __init__(self, K, L, grid0):
-        self.K, self.L, self.grid0 = K, L, grid0
-        self.last = grid0
-        self.kept = ({}, {})
-
-    def __call__(self, which, block, build):
-        got = self.kept[which]
-        if block not in got:
-            got[block] = build()
-        return got[block]
-
-    def retain(self, grid, todo):
-        """Keep the side blocks of the pair blocks `todo` of `grid` and of
-        its step's base; drop the rest."""
-        k, l = self.K.dim, self.L.dim
-        base = tuple(min(_plain(a), _plain(b)) for a, b in zip(grid, self.last))
-        self.last = grid
-        probed = next((i for i, (a, b) in enumerate(zip(grid, base)) if a != b), len(grid))
-        for got, (lo, hi), base_blocks in zip(self.kept, ((0, k), (k, k + l)),
-                                               _side_blocks(self.K, self.L, self.grid0, [base])):
-            keep = {b[lo:hi] for b in todo}
-            if not lo <= probed < hi == len(grid):
-                keep.update(base_blocks)
-            for block in [b for b in got if b not in keep]:
-                del got[block]
-
-
-def _plain(count):
-    """A factor's count in its step's base: an open factor's probe
-    Kronrod(m) is m."""
-    return count.m if isinstance(count, Kronrod) else count
-
-
 def _gauss_factor(block):
     """The factor of a pair block that holds a Kronrod rule's Gauss nodes
     (:class:`~spherelink.quadrature.GaussNodes`), or None."""
@@ -704,8 +653,10 @@ def _kernel_terms(kern, scale, K, L, counts, sides=_fresh):
     The bracket determinant is expanded into per-side minors once per side
     (:func:`_minor_side`), with each side's quadrature weights folded in,
     and the route's prefactor `scale` with K's; each (s, t) pair then costs
-    one multiply-add through a matrix product.  `sides` builds or reuses
-    each side (:class:`_SideMemo`).
+    one multiply-add through a matrix product.  ``sides(which, block,
+    build)`` returns side `which`'s arrays (0 for K, 1 for L) at its side
+    block, built by build() or kept from another pair block of the step
+    (:func:`_refined_report`).
     """
     k = K.dim
     subs, comps, signs = _laplace_subsets(K.ambient_n + 1, k + 1)
@@ -806,25 +757,28 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     """Level sums of one route refined from the base counts grid0 to tol,
     as a report.
 
-    Each grid's level sum is the sum of its blocks (:func:`blocks`), each
-    scaled by its power of 1/2, and each pair block, a K side block times
-    an L side block (times the u rule), is summed by :func:`_level_sum` once
-    per call, with its marginal along every open factor unless it holds a
-    Kronrod probe's new nodes, which no base grid does; a block of a Kronrod
-    probe's Gauss nodes is the marginal of its base block reweighted node
-    by node (:meth:`~spherelink.quadrature.GaussNodes.ratio`), summed by
-    fsum.  A probe pays only for its new nodes.  One :class:`_SideMemo`
-    serves the call's side blocks, one threading.local every worker
-    thread's chunk arrays (:func:`_take`), and its run_chunked calls share
-    one :func:`~spherelink.quadrature.worker_pool`.  The terms put every
-    level sum on the Lk scale, so the report takes the
-    refinement's value, error and level values as they are, with each
-    grid's node count beside its value in the order taken; its separation
-    range spans every chunk of every block.
+    Each refinement step's grids are summed in one pass.  A grid's level
+    sum is the sum of its blocks (:func:`blocks`), each scaled by its power
+    of 1/2, and each pair block, a K side block times an L side block (times
+    the u rule), is summed by :func:`_level_sum` once per call, with its
+    marginal along every open factor unless it holds a Kronrod probe's new
+    nodes, which no base grid does; a block of a Kronrod probe's Gauss nodes
+    is the marginal of its base block reweighted node by node
+    (:meth:`~spherelink.quadrature.GaussNodes.ratio`), summed by fsum.  A
+    probe pays only for its new nodes.  The step's new pair blocks are
+    summed in order of first appearance, and each side block is built at
+    the first of them that reads it and dropped at the last, by a count of
+    the pair blocks still to read it, so no side block outlives its step.
+    One threading.local serves every worker thread's chunk arrays
+    (:func:`_take`), and the call's run_chunked calls share one
+    :func:`~spherelink.quadrature.worker_pool`.  The terms put every level
+    sum on the Lk scale, so the report takes the refinement's value, error
+    and level values as they are, with each grid's node count beside its
+    value in the order taken; its separation range spans every chunk of
+    every block.
     """
     domain = _tensor_domain(K, L, grid0)
-    memo = _SideMemo(K, L, grid0)
-    terms = partial(terms, sides=memo)
+    k, l = K.dim, L.dim
     opened = tuple(i for i, cd in enumerate(domain) if not cd.periodic)
     scratch = threading.local()
     sums, margins, nodes = {}, {}, []
@@ -839,22 +793,35 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
         gauss = b[:i] + (b[i].m,) + b[i + 1:]
         return fsum(margins[gauss][i] * b[i].ratio()), sums[gauss][1]
 
-    def level_sum(g):
-        parts = blocks(domain, grid0, g)
-        todo = [b for b, _ in parts if b not in sums and _gauss_factor(b) is None]
-        memo.retain(g, todo)
+    def level_sums(grids):
+        parts = [blocks(domain, grid0, g) for g in grids]
+        todo = [b for b in dict.fromkeys(b for p in parts for b, _ in p)
+                if b not in sums and _gauss_factor(b) is None]
+        uses = (Counter(b[:k] for b in todo), Counter(b[k:k + l] for b in todo))
+        kept = ({}, {})
+
+        def sides(which, block, build):
+            if block not in kept[which]:
+                kept[which][block] = build()
+            uses[which][block] -= 1
+            return kept[which][block] if uses[which][block] else kept[which].pop(block)
+
+        step_terms = partial(terms, sides=sides)
         for b in todo:
             # a block of new Kronrod nodes is in no base grid, so no probe
             # reweights its marginals
             kronrod = any(isinstance(p, KronrodNodes) for p in b)
             margins[b] = dict.fromkeys(() if kronrod else opened)
-            sums[b] = _level_sum(K, L, b, terms, check, margins[b], scratch)
-        got = [block_sum(b) for b, _ in parts]
-        nodes.append(sum(n for _, n in got))
-        return fsum(ldexp(v, -e) for (v, _), (_, e) in zip(got, parts))
+            sums[b] = _level_sum(K, L, b, step_terms, check, margins[b], scratch)
+        values = []
+        for p in parts:
+            got = [block_sum(b) for b, _ in p]
+            nodes.append(sum(n for _, n in got))
+            values.append(fsum(ldexp(v, -e) for (v, _), (_, e) in zip(got, p)))
+        return values
 
     with worker_pool():
-        est = refine_until(grid0, level_sum, tol, max_level, domain)
+        est = refine_until(grid0, level_sums, tol, max_level, domain)
     _, _, lows, highs = zip(*sums.values())
     return LinkingReport(
         raw_value=est.value, error_estimate=est.error_estimate,

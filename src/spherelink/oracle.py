@@ -14,8 +14,9 @@ zero-dimensional sides (signed points) included.
 The integral is one more ``terms`` of the engine's level sum,
 :func:`spherelink.engine._level_sum`, on the sides' own quadrature nodes and
 point-first frames from :func:`spherelink.engine._side_arrays`, projected
-with their tangent columns once per side block, each reused across the
-level sums of a call as on every route (:class:`~spherelink.engine._SideMemo`).
+with their tangent columns once per side block, each reused across the pair
+blocks of a refinement step as on every route
+(:func:`~spherelink.engine._refined_report`).
 The numerator splits as
 det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
 per-side minors (:func:`~spherelink.engine._laplace_subsets`,
@@ -143,7 +144,8 @@ def _gauss_terms(pole, K, L, counts, sides=_fresh) -> _Level:
     |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
     carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
     :func:`_gauss_kernel` of the routes' own chunk geometry.  `sides` builds
-    or reuses each side (:class:`~spherelink.engine._SideMemo`).
+    or reuses each side, as for the routes' terms
+    (:func:`~spherelink.engine._kernel_terms`).
     """
     k, l, n = _check_pair(K, L)
     subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)

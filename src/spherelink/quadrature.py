@@ -11,26 +11,28 @@ Every route and the oracle lay out their chart and curve nodes through
 these; only the catalog's construction-time sanity checks on outside input
 keep layouts of their own (tensor grids too, of midpoints).
 
-Refinement contract: ``refine_until(grid0, level_sum, tol, max_level,
+Refinement contract: ``refine_until(grid0, level_sums, tol, max_level,
 domain)`` is the one refinement loop of the package.  A grid is a tuple of
 node counts, one per tensor factor of the chart factors `domain` (the
 engine's order: K's chart factors, then L's, then the join parameter ``u``
-for join-full), and ``level_sum(counts)`` integrates it.  Each step
-integrates the base grid G and its probes G_i (:func:`probes`: G with
-factor i refined once, a periodic factor doubled, an open one extended to
-its Gauss-Kronrod rule :class:`Kronrod`), and takes Delta_i = v(G_i) - v(G).
-Tensor-product errors add to leading order, so the sum of |Delta_i|
-estimates the error of v(G) + sum Delta_i, which is second order.  The loop
-stops once that sum is below ``tol``; otherwise it doubles, in the base, the
-factors whose |Delta_i| >= tol / f (f factors; at least one qualifies),
-an open one to its Gauss-Legendre rule at twice its count, and steps again,
-reusing every level sum it has already taken.  ``max_level`` (a required
+for join-full).  Each step integrates the base grid G and its probes G_i
+(:func:`probes`: G with factor i refined once, a periodic factor doubled,
+an open one extended to its Gauss-Kronrod rule :class:`Kronrod`), in one
+call ``level_sums(grids)`` that takes the step's grids not yet summed, base
+first and then the probes in factor order, and returns their values in
+that order, so the caller sees a whole step at once; then it takes
+Delta_i = v(G_i) - v(G).  Tensor-product errors add to leading order, so
+the sum of |Delta_i| estimates the error of v(G) + sum Delta_i, which is
+second order.  The loop stops once that sum is below ``tol``; otherwise it
+doubles, in the base, the factors whose |Delta_i| >= tol / f (f factors;
+at least one qualifies), an open one to its Gauss-Legendre rule at twice
+its count, and steps again, reusing every level sum it has already taken.  ``max_level`` (a required
 argument: the one default is the engine's ``MAX_LEVEL``) caps each base
 factor at that many doublings, so no probe is finer than 2^(max_level + 1)
 times its base count, plus one node on an open factor.  The
 :class:`Estimate` lists every level sum in the order it was taken.
 ``tol``, the error estimate and the level values are one number on one
-scale, the scale of ``level_sum``'s values: every engine route and the
+scale, the scale of ``level_sums``'s values: every engine route and the
 oracle return them on the scale of Lk itself, so nothing is rescaled after
 the loop.  ``tol`` must be >= 0: ``0`` grows every factor to the cap,
 ``inf`` stops after the first step, and a negative or NaN tolerance, like a
@@ -375,14 +377,20 @@ def tensor_grid(factors) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _check_factors(domain, counts):
+    """Raise ValueError unless `counts` holds one count per chart factor of
+    `domain`."""
+    if len(counts) != len(domain):
+        raise ValueError(f"{len(domain)} chart factors need as many node counts, "
+                         f"got {len(counts)}")
+
+
 def product_rule(domain, counts):
     """Tensor product of each factor's rule at its own node count, or of
     one increment per factor (:meth:`ChartDim.increment`): flat coordinates
     (N, d) and weights (N,), lexicographic with the first factor slowest;
     each weight is the product of its factors' weights, taken in order."""
-    if len(counts) != len(domain):
-        raise ValueError(f"{len(domain)} chart factors need as many node counts, "
-                         f"got {len(counts)}")
+    _check_factors(domain, counts)
     nodes, weights = zip(*(cd.increment(m) for cd, m in zip(domain, counts)))
     return tensor_grid(nodes), reduce(np.multiply, tensor_grid(weights).T)
 
@@ -422,8 +430,11 @@ def blocks(domain, grid0, counts) -> list[tuple[tuple, int]]:
     factor's increment m read as ``GaussNodes(m)``, whose sums are the base
     blocks' marginals along it reweighted by :meth:`GaussNodes.ratio`, and
     new blocks of the m + 1 nodes it adds, ``KronrodNodes(m)``, over
-    the base grid's increments of every other factor.
+    the base grid's increments of every other factor.  Raises ValueError
+    when grid0 or counts differ from domain in length.
     """
+    _check_factors(domain, grid0)
+    _check_factors(domain, counts)
     per = [_increments(cd, m0, m) for cd, m0, m in zip(domain, grid0, counts)]
     return [(tuple(p for p, _ in combo), sum(d for _, d in combo)) for combo in product(*per)]
 
@@ -529,42 +540,43 @@ def run_chunked(total: int, work, workers: int | None, chunk: int):
     return len(spans)
 
 
-def refine_until(grid0, level_sum, tol: float, max_level: int, domain) -> Estimate:
+def refine_until(grid0, level_sums, tol: float, max_level: int, domain) -> Estimate:
     """Grow the factors whose one-factor refinement still moves the value.
 
     grid0 is the tuple of base node counts, one per factor of the chart
-    factors `domain`, and level_sum(counts) integrates one grid.  Each step
-    takes the base G, each probe G_i of :func:`probes` and
-    Delta_i = v(G_i) - v(G); it stops once sum |Delta_i| < tol, and
-    otherwise doubles in the base every factor with |Delta_i| >= tol / f
-    that is below its cap, max_level (>= 0, required, the run default being
-    the engine's ``MAX_LEVEL``) doublings of grid0; an open factor at m,
-    probed by Kronrod(m), grows to Gauss-Legendre at 2m.  A level sum
+    factors `domain`, and level_sums(grids) integrates a list of grids,
+    returning their values in its order.  Each step takes the base G, each
+    probe G_i of :func:`probes` and Delta_i = v(G_i) - v(G); it stops once
+    sum |Delta_i| < tol, and otherwise doubles in the base every factor with
+    |Delta_i| >= tol / f that is below its cap, max_level (>= 0, required,
+    the run default being the engine's ``MAX_LEVEL``) doublings of grid0; an
+    open factor at m, probed by Kronrod(m), grows to Gauss-Legendre at 2m.
+    level_sums is called once per step, with the step's grids not yet
+    summed, base first and then the probes in factor order: a level sum
     already taken, such as the probe a periodic factor's step grows into,
     is reused.  The Estimate's value is v(G) + sum Delta_i and its
     error_estimate sum |Delta_i|, both from the last step.  Never raises on
     non-convergence: a run that ends with every qualifying factor at its
     cap carries ``converged=False``.  A grid of no factors is one level
-    sum with estimate 0.
+    sum with estimate 0.  Raises ValueError when grid0 and domain differ
+    in length.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     if not max_level >= 0:
         raise ValueError(f"max_level must be >= 0, got {max_level!r}")
+    _check_factors(domain, grid0)
     base = tuple(grid0)
     caps = [m * 2**max_level for m in base]
     share = tol / max(len(base), 1)
     sums = {}
-
-    def value(counts):
-        if counts not in sums:
-            sums[counts] = level_sum(counts)
-        return sums[counts]
-
     steps = 0
     while True:
-        v = value(base)
-        deltas = [value(g) - v for g in probes(domain, base)]
+        grids = [base] + probes(domain, base)
+        new = [g for g in grids if g not in sums]
+        sums.update(zip(new, level_sums(new), strict=True))
+        v = sums[base]
+        deltas = [sums[g] - v for g in grids[1:]]
         err = math.fsum(abs(d) for d in deltas)
         grow = {i for i, d in enumerate(deltas) if abs(d) >= share and base[i] < caps[i]}
         if err < tol or not grow:

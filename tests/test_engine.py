@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from functools import partial
 from itertools import combinations, product
 
@@ -623,7 +624,7 @@ class TestChunkMemory:
 
 class TestSideReuse:
     """An evaluator call builds each distinct side block of a refinement
-    step once, and keeps none of them for the next call."""
+    step once, and keeps none of them past its step."""
 
     def test_small_23_step_builds_each_side_once(self, monkeypatch):
         K, L = small_sphere_pair(2, 3)
@@ -653,6 +654,26 @@ class TestSideReuse:
             largest = max(abs(_level_sum(K, L, b, fresh, check)[0])
                           for b, _ in blocks(domain, base, g))
             assert abs(value - _level_sum(K, L, g, fresh, check)[0]) <= 4 * np.spacing(largest)
+
+    def test_small_23_side_blocks_live_within_their_step(self, monkeypatch):
+        # each side block lives from the first pair block of the step that
+        # reads it to the last: the base's blocks, and one probe's new block
+        # beside them, never all seven, and none once the call returns
+        K, L = small_sphere_pair(2, 3)
+        finalizers, alive = [], []
+        minor_side = engine._minor_side
+
+        def tracked(*args):
+            pts, minors = minor_side(*args)
+            finalizers.append(weakref.finalize(minors, lambda: None))
+            alive.append(sum(f.alive for f in finalizers))
+            return pts, minors
+
+        monkeypatch.setattr(engine, "_minor_side", tracked)
+        evaluate_main_theorem(K, L, grid=GridSpec(surface=16), tol=1e-6, max_level=0)
+        assert len(finalizers) == 7
+        assert max(alive) <= 3, alive
+        assert not any(f.alive for f in finalizers)
 
 
 class TestBlockSums:
@@ -938,7 +959,7 @@ class TestHonestErrorEstimate:
     }
     PAIRS = {
         "hopf": (hopf_pair, GridSpec(curve=8, u=4)),
-        "clifford_2_3": (lambda: clifford_pair(2, 3, np.pi / 4), GridSpec(curve=64)),
+        "clifford_2_3": (lambda: clifford_pair(2, 3, np.pi / 4), GridSpec(curve=64, u=10)),
         "great_1_2": (lambda: great_pair(1, 2), GridSpec(curve=8, surface=4, u=3)),
         "great_2_2": (lambda: great_pair(2, 2), GridSpec(surface=4, u=10)),
         "small_1_1": (lambda: small_sphere_pair(1, 1), GridSpec(curve=16, u=6)),
@@ -946,7 +967,7 @@ class TestHonestErrorEstimate:
         "fourier_7": (lambda: random_fourier_pair(np.random.default_rng(7)),
                       GridSpec(curve=16, u=6)),
         "great_0_1": (lambda: great_pair(0, 1), GridSpec(curve=8, u=4)),
-        "great_1_3": (lambda: great_pair(1, 3), GridSpec(curve=8, surface=4)),
+        "great_1_3": (lambda: great_pair(1, 3), GridSpec(curve=8, surface=4, u=10)),
         "great_1_1": (lambda: great_pair(1, 1), GridSpec(curve=8, u=4)),
         "clifford_1_1_core": (lambda: (clifford_torus_curve(1, 1),
                                        great_subsphere(1, (2, 3), 3)), GridSpec(curve=16, u=6)),
@@ -959,10 +980,10 @@ class TestHonestErrorEstimate:
                             SURFACE_ROUTES + ("join-full", "oracle")))
              + list(product(("great_2_2", "small_1_2", "great_1_3"),
                             SURFACE_ROUTES + ("oracle",)))
-             # clifford_2_3 and great_1_3 join-full take 12 s and 10 s at
-             # u = 10 on 2 CPU cores, most of it the reference level
-             # (ROADMAP item 2)
-             + [("great_2_2", "join-full")])
+             + [("great_2_2", "join-full")]
+             # 6-9 s and 13-14 s on 2 vCPUs, most of it the reference level
+             + [pytest.param(pair, "join-full", marks=pytest.mark.slow)
+                for pair in ("clifford_2_3", "great_1_3")])
 
     @pytest.mark.parametrize("pair, route", CASES)
     def test_estimate_bounds_finer_grid(self, pair, route, monkeypatch):
@@ -972,9 +993,9 @@ class TestHonestErrorEstimate:
         grids, poles = [], []
         refine, find_pole = engine.refine_until, oracle.find_pole
 
-        def recorded(grid0, level_sum, tol, max_level, domain):
-            return refine(grid0, lambda c: grids.append(c) or level_sum(c), tol, max_level,
-                          domain)
+        def recorded(grid0, level_sums, tol, max_level, domain):
+            return refine(grid0, lambda gs: grids.extend(gs) or level_sums(gs), tol,
+                          max_level, domain)
 
         monkeypatch.setattr(engine, "refine_until", recorded)
         monkeypatch.setattr(oracle, "find_pole", lambda pts: poles.append(find_pole(pts))
@@ -984,8 +1005,8 @@ class TestHonestErrorEstimate:
         # the run's own pole for the oracle
         finer = tuple(2 * max(map(part_size, c)) for c in zip(*grids))
 
-        def one_level(grid0, level_sum, tol, max_level, domain):
-            value = level_sum(finer)
+        def one_level(grid0, level_sums, tol, max_level, domain):
+            (value,) = level_sums([finer])
             return Estimate(value, 0.0, 0, level_values=(value,))
 
         monkeypatch.setattr(engine, "refine_until", one_level)

@@ -40,15 +40,15 @@ def periodic(*intervals):
 
 
 def weighted_sum(f, *intervals, grids=None):
-    """A refine_until level: f summed against the product of periodic
-    trapezoid rules, one per interval at its own node count; each grid
-    integrated is appended to `grids` when one is given."""
-    def level_sum(counts):
+    """refine_until's level sums: for each grid, f summed against the
+    product of periodic trapezoid rules, one per interval at its own node
+    count; each grid integrated is appended to `grids` when one is given."""
+    def level_sums(todo):
         if grids is not None:
-            grids.append(counts)
-        pts, wts = product_rule(periodic(*intervals), counts)
-        return tree_sum(f(pts) * wts)
-    return level_sum
+            grids.extend(todo)
+        return [tree_sum(f(pts) * wts)
+                for pts, wts in (product_rule(periodic(*intervals), c) for c in todo)]
+    return level_sums
 
 
 def integrate(m, f, *intervals):
@@ -257,6 +257,13 @@ class TestBlocks:
         assert blocks(self.DOMAIN[:1], (4,), (4,)) == [((4,), 0)]
         assert blocks((), (), ()) == [((), 0)]
 
+    def test_domain_must_match_the_grid(self):
+        # a second count with no chart factor is rejected, not dropped
+        with pytest.raises(ValueError, match="1 chart factors need as many node counts, got 2"):
+            blocks(self.DOMAIN[:1], (4, 4), (8, 4))
+        with pytest.raises(ValueError, match="3 chart factors .* got 2"):
+            blocks(self.DOMAIN, (3, 4, 5), (6, 4))
+
 
 class TestKronrod:
     """The Gauss-Kronrod extension of each Gauss-Legendre rule, an open
@@ -311,10 +318,10 @@ class TestRefineUntil:
         # one step: the base, each one-factor doubling, and the base plus
         # the probes' differences
         f = lambda p: np.exp(np.sin(p[:, 0]) + np.cos(p[:, 1]))
-        level_sum = weighted_sum(f, PERIOD, PERIOD)
-        est = refine_until((8, 4), level_sum, tol=np.inf, max_level=0,
+        level_sums = weighted_sum(f, PERIOD, PERIOD)
+        est = refine_until((8, 4), level_sums, tol=np.inf, max_level=0,
                            domain=periodic(PERIOD, PERIOD))
-        base, probe0, probe1 = level_sum((8, 4)), level_sum((16, 4)), level_sum((8, 8))
+        base, probe0, probe1 = level_sums([(8, 4), (16, 4), (8, 8)])
         assert est.levels_used == 0 and est.converged
         assert est.level_values == (base, probe0, probe1)
         assert est.error_estimate == abs(probe0 - base) + abs(probe1 - base)
@@ -322,30 +329,40 @@ class TestRefineUntil:
 
     def test_requires_positive_tol(self):
         # tol must be >= 0: negative and NaN raise, 0 runs every level
-        level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
+        level_sums = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         for tol in (-1.0, np.nan):
             with pytest.raises(ValueError, match="tolerance"):
-                refine_until((4,), level_sum, tol=tol, max_level=0, domain=periodic((0.0, 1.0)))
-        est = refine_until((4,), level_sum, tol=0.0, max_level=3, domain=periodic((0.0, 1.0)))
+                refine_until((4,), level_sums, tol=tol, max_level=0, domain=periodic((0.0, 1.0)))
+        est = refine_until((4,), level_sums, tol=0.0, max_level=3, domain=periodic((0.0, 1.0)))
         assert est.levels_used == 3
         assert len(est.level_values) == 5  # one factor: 4, 8, 16, 32 and 64 nodes
         assert not est.converged
 
     def test_rejects_negative_max_level(self):
-        level_sum = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
+        level_sums = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         with pytest.raises(ValueError, match="max_level"):
-            refine_until((4,), level_sum, tol=0.0, max_level=-3, domain=periodic((0.0, 1.0)))
+            refine_until((4,), level_sums, tol=0.0, max_level=-3, domain=periodic((0.0, 1.0)))
+
+    def test_domain_must_match_the_grid(self):
+        # a base of two counts over one chart factor would never probe the
+        # second
+        level_sums = weighted_sum(lambda p: np.ones(p.shape[0]), PERIOD)
+        with pytest.raises(ValueError, match="1 chart factors need as many node counts, got 2"):
+            refine_until((4, 4), level_sums, tol=1e-9, max_level=2, domain=periodic(PERIOD))
 
     def test_exact_factor_stays_at_base(self):
         # 2 + cos x is exact on 4 trapezoid nodes, exp(sin y) is not: only y
-        # doubles, and each step reuses the probe it grew into as its base
-        grids = []
+        # doubles, and each step reuses the probe it grew into as its base.
+        # One call per step takes the grids not yet summed: the base, then
+        # the probes in factor order, a base already summed left out
+        calls = []
         f = lambda p: (2.0 + np.cos(p[:, 0])) * np.exp(np.sin(p[:, 1]))
-        est = refine_until((4, 4), weighted_sum(f, PERIOD, PERIOD, grids=grids), tol=1e-10,
-                           max_level=4, domain=periodic(PERIOD, PERIOD))
-        assert grids == [(4, 4), (8, 4), (4, 8), (8, 8), (4, 16), (8, 16), (4, 32)]
+        level_sums = weighted_sum(f, PERIOD, PERIOD)
+        est = refine_until((4, 4), lambda grids: calls.append(grids) or level_sums(grids),
+                           tol=1e-10, max_level=4, domain=periodic(PERIOD, PERIOD))
+        assert calls == [[(4, 4), (8, 4), (4, 8)], [(8, 8), (4, 16)], [(8, 16), (4, 32)]]
         assert est.converged and est.levels_used == 2
-        assert len(est.level_values) == len(grids)
+        assert len(est.level_values) == sum(map(len, calls))
         assert est.value == pytest.approx(2 * (2 * np.pi) ** 2 * 1.2660658777520084,
                                           rel=1e-14)
 
@@ -363,11 +380,11 @@ class TestRefineUntil:
     def test_no_factors_is_one_level_sum(self):
         calls = []
 
-        def level_sum(counts):
-            calls.append(counts)
-            return 0.75
+        def level_sums(grids):
+            calls.extend(grids)
+            return [0.75] * len(grids)
 
-        est = refine_until((), level_sum, tol=1e-9, max_level=4, domain=())
+        est = refine_until((), level_sums, tol=1e-9, max_level=4, domain=())
         assert calls == [()]
         assert (est.value, est.error_estimate, est.levels_used) == (0.75, 0.0, 0)
         assert est.converged and est.level_values == (0.75,)
