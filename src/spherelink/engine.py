@@ -25,13 +25,13 @@ S^n with k + l = n - 1:
 Every route is one sum over K x L, and ``_ROUTES`` holds what differs per
 CLI method name: label, kernel, sign and separation check.  One chunk loop,
 :func:`_level_sum`, sums every level, the Gauss integral of
-:mod:`spherelink.oracle` included: per chunk of K rows the route's terms
-give the chunk's geometry against every L node, the dot products
-c = cos alpha (:func:`_geodesic`), and its geodesic separation range from
-their two extremes, which :func:`_check_separation` checks before any
-per-pair value is evaluated.  A pair-kernel chunk, the oracle's included
-(:func:`_pair_level`), is then one dot product, one kernel pass straight
-from c, one minor matmul and one row reduction.  ``CHUNK_BYTES`` bounds
+:mod:`spherelink.oracle` included: per chunk of K rows it forms the dot
+products c = cos alpha of the route's K points against every L point, and
+the chunk's geodesic separation range from their two extremes, which
+:func:`_check_separation` checks before any per-pair value is evaluated.
+A pair-kernel chunk, the oracle's included (:func:`_pair_level`), is then
+one dot product, one kernel pass straight from c, one minor matmul and one
+row reduction.  ``CHUNK_BYTES`` bounds
 the bytes a chunk holds at once, every per-pair temporary counted (three
 doubles a pair for a pair kernel; for join-full its Jacobians, scratch and
 minors per node and its per-pair arrays), so memory stays within the
@@ -43,15 +43,15 @@ L's, then the join parameter u for join-full (``GridSpec.counts`` gives
 the base); each refinement step integrates the base and one probe per
 factor, a periodic factor doubled and an open one extended to its
 Gauss-Kronrod rule, and grows only the factors whose probe still moves the
-value.  A level's value is the sum of its grid's blocks
-(:func:`spherelink.quadrature.blocks`: per factor the base nodes or the
-nodes one doubling of a periodic factor added, an open factor's whole
-rule, or a Kronrod probe's Gauss nodes and the nodes it adds), each scaled
-by its power of 1/2; one evaluator call sums each (K side block, L side
+value.  A level's value is the sum of the blocks
+:func:`spherelink.quadrature.blocks` names for its grid (per factor the
+base nodes or the nodes one doubling of a periodic factor added, an open
+factor's whole rule, or the nodes its Kronrod probe adds), each scaled by
+its power of 1/2; one evaluator call sums each (K side block, L side
 block[, u rule]) pair block once, by :func:`_level_sum`, beside its
-marginal along each open factor, and a block of Gauss nodes at Kronrod
-weights is the marginal of the base block it reweights, so a probe pays
-only for its new nodes: a step of a small (2,3) pair at 16 nodes a factor
+marginal along each open factor, and a base block that a Kronrod probe
+flags is read as that marginal at Kronrod weights, so a probe pays only
+for its new nodes: a step of a small (2,3) pair at 16 nodes a factor
 costs 6.19 base grids of pair nodes, not 9 with whole Gauss-Legendre
 probes, one of two curves 3, not 5, and join-full's on two curves at 10 u
 nodes 4.1, not 5.  An open factor at m that grows pays 2 more for the
@@ -97,8 +97,7 @@ from . import kernels
 from .catalog import OrientedSubmanifold, _frame_array, _int
 from .quadrature import (
     ChartDim,
-    GaussNodes,
-    KronrodNodes,
+    Kronrod,
     blocks,
     part_size,
     product_rule,
@@ -542,12 +541,6 @@ def _fresh(which, counts, build):
     return build()
 
 
-def _gauss_factor(block):
-    """The factor of a pair block that holds a Kronrod rule's Gauss nodes
-    (:class:`~spherelink.quadrature.GaussNodes`), or None."""
-    return next((i for i, p in enumerate(block) if isinstance(p, GaussNodes)), None)
-
-
 def _marginal(values, shape, axis) -> np.ndarray:
     """Tree sums of `values`, laid out lexicographically in `shape`, over
     every axis but `axis`: one sum per node of that factor."""
@@ -556,18 +549,7 @@ def _marginal(values, shape, axis) -> np.ndarray:
 
 
 # one quadrature level of a route, as `_level_sum` sums it
-_Level = namedtuple("_Level", "geometry values pair_bytes shape nodes")
-
-
-def _geodesic(pk, pl):
-    """Chunk geometry of the sphere routes: the dot products c = cos alpha,
-    in the thread's scratch array "dots", with the alpha range taken from
-    their two extremes."""
-    def geometry(s, e, take):
-        dots = np.matmul(pk[s:e], pl.T, out=take("dots", (e - s, len(pl))))
-        return (dots,), alpha_extremes(dots)
-
-    return geometry
+_Level = namedtuple("_Level", "points values pair_bytes nodes")
 
 
 def _take(scratch, name, shape) -> np.ndarray:
@@ -588,18 +570,19 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
 
     counts holds one node count, or one increment, per tensor factor: a
     whole grid, or one pair block of it (:func:`_refined_report`).
-    terms(K, L, counts) gives the level's `_Level`: geometry(s, e, take)
-    returns K rows s:e's geometry against every L node and its separation
-    range (min, max), values(s, e, take, *geometry) their weighted per-pair
-    values and, for join-full, the chunk's sum per u node (else None), each
-    taking its pair-sized arrays from take(name, shape), the calling
-    thread's arrays of `scratch` (a threading.local, one per evaluator call,
-    else per level; see :func:`_take`), pair_bytes the bytes of every
-    temporary a chunk holds at once per (K node, L node) pair, shape
-    (K nodes, L nodes) and nodes the level's quadrature node count.  A
-    chunk holds as many K rows as keep their temporaries within
-    CHUNK_BYTES.  check(min, max) runs on each chunk's separation range
-    before its values are evaluated, and every K row is tree-summed whole,
+    terms(K, L, counts) gives the level's `_Level`: points, the (K, L)
+    points on the sphere; values(s, e, take, dots) the weighted per-pair
+    values of K rows s:e from their dot products with every L point, the
+    chunk's cos alpha, and, for join-full, the chunk's sum per u node (else
+    None); pair_bytes the bytes of every temporary a chunk holds at once
+    per (K node, L node) pair; and nodes the level's quadrature node count.
+    Each chunk forms its dots in the calling thread's array "dots" and
+    values take theirs from take(name, shape) too, the thread's arrays of
+    `scratch` (a threading.local, one per evaluator call, else per level;
+    see :func:`_take`).  A chunk holds as many K rows as keep their
+    temporaries within CHUNK_BYTES.  check(min, max) runs on each chunk's
+    geodesic separation range, from its dots' two extremes, before its
+    values are evaluated, and every K row is tree-summed whole,
     so the value does not depend on the chunking.  Returns (value, nodes,
     min separation, max separation).  For each factor that is a key of the
     dict `marginals`, the level's marginal along it, the sum of its weighted
@@ -611,7 +594,8 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     level = terms(K, L, counts)
     k, l = K.dim, L.dim
     sizes = [part_size(p) for p in counts]
-    nk, nl = level.shape
+    pk, pl = level.points
+    nk, nl = len(pk), len(pl)
     cs = max(1, CHUNK_BYTES // (level.pair_bytes * nl))
     nchunks = (nk + cs - 1) // cs
     rows = np.empty(nk)
@@ -623,11 +607,12 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     cols = {i: np.empty((nchunks, sizes[i])) for i in marginals if i >= k}
 
     def work(s, e):
-        geometry, (smin, smax) = level.geometry(s, e, take)
+        dots = np.matmul(pk[s:e], pl.T, out=take("dots", (e - s, nl)))
+        smin, smax = alpha_extremes(dots)
         check(smin, smax)
         c = s // cs
         lo[c], hi[c] = smin, smax
-        vals, per_u = level.values(s, e, take, *geometry)
+        vals, per_u = level.values(s, e, take, dots)
         rows[s:e] = tree_sum_axis(vals, axis=1)
         if any(i < k + l for i in cols):
             # in row order: a pairwise tree across rows runs at a third of
@@ -687,7 +672,7 @@ def _pair_level(kern, pk, mk, pl, ml) -> _Level:
         vals *= np.matmul(mk[s:e], ml.T, out=take("minors", vals.shape))
         return vals, None
 
-    return _Level(_geodesic(pk, pl), values, 24, (len(pk), len(pl)), len(mk) * len(ml))
+    return _Level((pk, pl), values, 24, len(mk) * len(ml))
 
 
 def _join_terms(scale, K, L, counts, sides=_fresh):
@@ -728,7 +713,7 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
         vals *= wk[s:e, None]
         return vals, tree_sum_axis(tree_sum_axis(per_u, axis=0) * wk[s:e, None], axis=0)
 
-    return _Level(_geodesic(pk, pl), values, pair_bytes, (len(pk), nt), len(pk) * nt * u.size)
+    return _Level((pk, pl), values, pair_bytes, len(pk) * nt * u.size)
 
 
 def _join_side(m, counts, scale):
@@ -748,8 +733,8 @@ def _side_blocks(K, L, grid0, grids):
     """K's and L's side blocks of the pair blocks of `grids`, each once, in
     order of first appearance."""
     k, l = K.dim, L.dim
-    pairs = dict.fromkeys(b for g in grids for b, _ in blocks(_tensor_domain(K, L, grid0), grid0, g)
-                          if _gauss_factor(b) is None)
+    pairs = dict.fromkeys(b for g in grids
+                          for b, _, _ in blocks(_tensor_domain(K, L, grid0), grid0, g))
     return dict.fromkeys(b[:k] for b in pairs), dict.fromkeys(b[k:k + l] for b in pairs)
 
 
@@ -758,17 +743,18 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     as a report.
 
     Each refinement step's grids are summed in one pass.  A grid's level
-    sum is the sum of its blocks (:func:`blocks`), each scaled by its power
-    of 1/2, and each pair block, a K side block times an L side block (times
-    the u rule), is summed by :func:`_level_sum` once per call, with its
-    marginal along every open factor unless it holds a Kronrod probe's new
-    nodes, which no base grid does; a block of a Kronrod probe's Gauss nodes
-    is the marginal of its base block reweighted node by node
-    (:meth:`~spherelink.quadrature.GaussNodes.ratio`), summed by fsum.  A
-    probe pays only for its new nodes.  The step's new pair blocks are
-    summed in order of first appearance, and each side block is built at
-    the first of them that reads it and dropped at the last, by a count of
-    the pair blocks still to read it, so no side block outlives its step.
+    sum is the sum of the blocks :func:`blocks` names for it, each scaled
+    by its power of 1/2, and each pair block, a K side block times an L
+    side block (times the u rule), is summed by :func:`_level_sum` once per
+    call, with its marginal along every open factor when those factors are
+    whole rules, as in every base grid's block.  A block flagged for a
+    Kronrod probe is read as its own marginal along the probed factor
+    at Kronrod weights (:meth:`~spherelink.quadrature.Kronrod.ratio`),
+    summed by fsum, so a probe pays only for its new nodes.  The step's new
+    pair blocks are summed in order of first appearance, and each side
+    block is built at the first of them that reads it and dropped at the
+    last, by a count of the pair blocks still to read it, so no side block
+    outlives its step.
     One threading.local serves every worker thread's chunk arrays
     (:func:`_take`), and the call's run_chunked calls share one
     :func:`~spherelink.quadrature.worker_pool`.  The terms put every level
@@ -783,20 +769,16 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
     scratch = threading.local()
     sums, margins, nodes = {}, {}, []
 
-    def block_sum(b):
-        """(value, nodes) of one pair block: its sum or, for a block of
-        Gauss nodes at Kronrod weights, the marginal of the same nodes at
-        Gauss weights, reweighted."""
-        i = _gauss_factor(b)
-        if i is None:
-            return sums[b][:2]
-        gauss = b[:i] + (b[i].m,) + b[i + 1:]
-        return fsum(margins[gauss][i] * b[i].ratio()), sums[gauss][1]
+    def block_sum(b, kronrod):
+        """One pair block's value: its sum or, read at the Kronrod weights
+        of factor `kronrod`, its marginal along that factor reweighted."""
+        if kronrod is None:
+            return sums[b][0]
+        return fsum(margins[b][kronrod] * Kronrod(b[kronrod]).ratio())
 
     def level_sums(grids):
         parts = [blocks(domain, grid0, g) for g in grids]
-        todo = [b for b in dict.fromkeys(b for p in parts for b, _ in p)
-                if b not in sums and _gauss_factor(b) is None]
+        todo = [b for b in dict.fromkeys(b for p in parts for b, _, _ in p) if b not in sums]
         uses = (Counter(b[:k] for b in todo), Counter(b[k:k + l] for b in todo))
         kept = ({}, {})
 
@@ -808,17 +790,13 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
 
         step_terms = partial(terms, sides=sides)
         for b in todo:
-            # a block of new Kronrod nodes is in no base grid, so no probe
-            # reweights its marginals
-            kronrod = any(isinstance(p, KronrodNodes) for p in b)
-            margins[b] = dict.fromkeys(() if kronrod else opened)
+            # only a base grid's block, whose open factors are whole rules,
+            # is read at Kronrod weights
+            whole = all(isinstance(b[i], int) for i in opened)
+            margins[b] = dict.fromkeys(opened if whole else ())
             sums[b] = _level_sum(K, L, b, step_terms, check, margins[b], scratch)
-        values = []
-        for p in parts:
-            got = [block_sum(b) for b, _ in p]
-            nodes.append(sum(n for _, n in got))
-            values.append(fsum(ldexp(v, -e) for (v, _), (_, e) in zip(got, p)))
-        return values
+        nodes.extend(sum(sums[b][1] for b, _, _ in p) for p in parts)
+        return [fsum(ldexp(block_sum(b, i), -e) for b, e, i in p) for p in parts]
 
     with worker_pool():
         est = refine_until(grid0, level_sums, tol, max_level, domain)

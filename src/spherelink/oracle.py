@@ -27,7 +27,7 @@ x, y satisfy |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's
 minors carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
 (2 (1 - c))^(-n/2) of the chunk's dot products c = x.y.  The oracle's chunks
 are thus the sphere routes' own, :func:`~spherelink.engine._pair_level` on
-:func:`~spherelink.engine._geodesic`, checked by
+the dot products :func:`~spherelink.engine._level_sum` forms, checked by
 :func:`~spherelink.engine._check_separation` at the fixed
 ``engine.MIN_ALPHA`` before any kernel is formed, and the report's min/max
 alpha are geodesic, as for every route.  The engine's
@@ -143,8 +143,8 @@ def _gauss_terms(pole, K, L, counts, sides=_fresh) -> _Level:
     The images X, Y of x, y satisfy
     |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
     carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
-    :func:`_gauss_kernel` of the routes' own chunk geometry.  `sides` builds
-    or reuses each side, as for the routes' terms
+    :func:`_gauss_kernel` of the dot products each chunk forms, as on the
+    routes.  `sides` builds or reuses each side, as for the routes' terms
     (:func:`~spherelink.engine._kernel_terms`).
     """
     k, l, n = _check_pair(K, L)

@@ -26,17 +26,18 @@ the sum of |Delta_i| estimates the error of v(G) + sum Delta_i, which is
 second order.  The loop stops once that sum is below ``tol``; otherwise it
 doubles, in the base, the factors whose |Delta_i| >= tol / f (f factors;
 at least one qualifies), an open one to its Gauss-Legendre rule at twice
-its count, and steps again, reusing every level sum it has already taken.  ``max_level`` (a required
-argument: the one default is the engine's ``MAX_LEVEL``) caps each base
-factor at that many doublings, so no probe is finer than 2^(max_level + 1)
-times its base count, plus one node on an open factor.  The
-:class:`Estimate` lists every level sum in the order it was taken.
-``tol``, the error estimate and the level values are one number on one
-scale, the scale of ``level_sums``'s values: every engine route and the
-oracle return them on the scale of Lk itself, so nothing is rescaled after
-the loop.  ``tol`` must be >= 0: ``0`` grows every factor to the cap,
-``inf`` stops after the first step, and a negative or NaN tolerance, like a
-negative ``max_level``, raises ValueError.
+its count, and steps again, reusing every level sum it has already taken.
+``max_level`` (a required argument: the one default is the engine's
+``MAX_LEVEL``), a whole number, caps each base factor at that many
+doublings, so no probe is finer than 2^(max_level + 1) times its base
+count, plus one node on an open factor.  The :class:`Estimate` lists every
+level sum in the order it was taken.  ``tol``, the error estimate and the
+level values are one number on one scale, the scale of ``level_sums``'s
+values: every engine route and the oracle return them on the scale of Lk
+itself, so nothing is rescaled after the loop.  ``tol`` must be >= 0: ``0``
+grows every factor to the cap, ``inf`` stops after the first step, and a
+negative or NaN tolerance, like a ``max_level`` that is negative, not
+integral, infinite or NaN, raises ValueError.
 
 A level sum need not pay for nodes it has integrated before.  The periodic
 trapezoid rule is nested: its rule at 2m holds the rule at m as its even
@@ -45,19 +46,19 @@ Gauss-Kronrod rule of 2m + 1 nodes (Laurie's algorithm, computed on the
 first probe at m) keeps the m Gauss nodes and adds m + 1 between them, and
 its difference from Gauss-Legendre is the standard error estimate of an
 open factor.  So a grid grown from the base counts ``grid0`` splits into
-disjoint tensor **blocks** (:func:`blocks`): one increment per factor, where
-a periodic factor at m0 2^j contributes its m0 base nodes and, per
-doubling, the nodes it adds (:class:`NewNodes`, the odd indices of its
-rule), an open factor its whole Gauss-Legendre rule, and an open factor's
-probe ``Kronrod(m)`` its Gauss nodes at their Kronrod weights
-(:class:`GaussNodes`) and the m + 1 nodes it adds
-(:class:`KronrodNodes`).  A block integrated with its own counts'
-weights enters every finer grid scaled by 2^-(doublings since then), which
-is exact, and a ``GaussNodes`` block is the block with the Gauss rule in its
-place, reweighted node by node along that factor (:meth:`GaussNodes.ratio`)
-from its marginal, so a caller that keeps each block's sum and marginals
-pays for a probe's new nodes only, and its grid values move from a
-whole-grid sum by rounding only.
+disjoint tensor **blocks** (:func:`blocks`): one increment per factor,
+either a whole rule or ``NewNodes(count)``, the nodes of the rule at count
+that the rule it refines lacks.  A periodic factor at m0 2^j contributes
+its m0 base nodes and, per doubling, the odd nodes of its rule, an open
+factor its whole Gauss-Legendre rule, and an open factor's probe
+``Kronrod(m)`` the base grid's own blocks, flagged to be read at that
+factor's Kronrod weights, and the m + 1 nodes it adds,
+``NewNodes(Kronrod(m))``; a grid probes one open factor at most.  A block integrated with its own
+counts' weights enters every finer grid scaled by 2^-(doublings since
+then), which is exact, and a flagged block is its own marginal along the
+probed factor reweighted node by node (:meth:`Kronrod.ratio`), so a caller
+that keeps each block's sum and marginals pays for a probe's new nodes
+only, and its grid values move from a whole-grid sum by rounding only.
 
 Reproducibility contract: node order is lexicographic in factor order, and
 every reduction is fixed by index ranges: a pairwise tree, or, for the
@@ -96,9 +97,6 @@ __all__ = [
     "ChartDim",
     "Kronrod",
     "NewNodes",
-    "GaussNodes",
-    "KronrodNodes",
-    "KronrodPart",
     "part_size",
     "product_rule",
     "tensor_grid",
@@ -270,9 +268,21 @@ class ChartDim:
     hi: float
     periodic: bool
 
-    def rule(self, m: int):
+    def rule(self, m):
         """Nodes and weights of m points: the periodic trapezoid rule on a
-        periodic factor, Gauss-Legendre on an open one."""
+        periodic factor, Gauss-Legendre on an open one; ``Kronrod(m)``, on an
+        open factor, is its Gauss-Kronrod rule of 2m + 1 nodes in increasing
+        order, with the Gauss nodes of ``rule(m)`` at its odd indices."""
+        if isinstance(m, Kronrod):
+            if self.periodic:
+                raise ValueError(f"{m} needs an open factor")
+            gx, _ = self.rule(m.m)
+            gw, nx, nw = _kronrod(m.m)
+            mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
+            x, w = np.empty(2 * m.m + 1), np.empty(2 * m.m + 1)
+            x[1::2], x[::2] = gx, mid + half * nx
+            w[1::2], w[::2] = half * gw, half * nw
+            return x, w
         if m < 1:
             raise ValueError("node count must be positive")
         if not self.hi > self.lo:
@@ -285,84 +295,52 @@ class ChartDim:
         return mid + half * x, half * w
 
     def increment(self, part):
-        """Nodes and weights of one increment of this factor: an int m is
-        its whole rule at m; ``NewNodes(m)`` the nodes of the periodic rule
-        at m that the rule at m / 2 lacks, sliced from ``rule(m)``; on an
-        open factor, ``Kronrod(m)`` the whole Gauss-Kronrod rule of 2m + 1
-        nodes in increasing order, ``GaussNodes(m)`` its m Gauss nodes,
-        those of ``rule(m)``, at their Kronrod weights, and
-        ``KronrodNodes(m)`` the m + 1 nodes it adds."""
-        if isinstance(part, NewNodes):
-            if not self.periodic or part.count % 2:
-                raise ValueError(f"{part} needs a periodic factor at an even count")
-            x, w = self.rule(part.count)
-            return x[1::2], w[1::2]
-        if not isinstance(part, KronrodPart):
+        """Nodes and weights of one increment of this factor: a count, an
+        int m or ``Kronrod(m)``, is its whole rule (:meth:`rule`), and
+        ``NewNodes(count)`` a stride-2 slice of ``rule(count)``, the nodes
+        the rule it refines lacks: the odd ones of the periodic rule at an
+        even count, or the even ones of an open factor's Kronrod(m), the
+        m + 1 it adds to Gauss-Legendre at m."""
+        if not isinstance(part, NewNodes):
             return self.rule(part)
-        if self.periodic:
-            raise ValueError(f"{part} needs an open factor")
-        gx, _ = self.rule(part.m)
-        gw, nx, nw = _kronrod(part.m)
-        mid, half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
-        if isinstance(part, GaussNodes):
-            return gx, half * gw
-        if isinstance(part, KronrodNodes):
-            return mid + half * nx, half * nw
-        x, w = np.empty(2 * part.m + 1), np.empty(2 * part.m + 1)
-        x[1::2], x[::2] = gx, mid + half * nx
-        w[1::2], w[::2] = half * gw, half * nw
-        return x, w
+        kronrod = isinstance(part.count, Kronrod)
+        if not kronrod and (not self.periodic or part.count % 2):
+            raise ValueError(f"{part} needs a periodic factor at an even count")
+        x, w = self.rule(part.count)
+        new = slice(0 if kronrod else 1, None, 2)
+        return x[new], w[new]
 
 
 @dataclass(frozen=True)
-class KronrodPart:
-    """A part of an open factor's Gauss-Kronrod rule of 2m + 1 nodes, which
-    extends its Gauss-Legendre rule at m: the whole rule, its Gauss nodes or
-    its new nodes.  Each kind is a subclass, and parts of different kinds
-    never compare equal."""
-
-    m: int
-
-
-class Kronrod(KronrodPart):
+class Kronrod:
     """An open factor's Gauss-Kronrod rule of 2m + 1 nodes: the m nodes of
     its Gauss-Legendre rule at m, reweighted, and m + 1 more between them.
     As a grid count, the count of an open factor's probe."""
 
-
-@dataclass(frozen=True)
-class NewNodes:
-    """The increment of a periodic factor at an even `count` that its rule
-    at count / 2 lacks: the odd indices of its trapezoid rule."""
-
-    count: int
-
-
-class GaussNodes(KronrodPart):
-    """The increment of ``Kronrod(m)`` that the Gauss-Legendre rule at m
-    has: its m nodes at their Kronrod weights, which are the Gauss weights
-    times :meth:`ratio`."""
+    m: int
 
     def ratio(self) -> np.ndarray:
-        """Kronrod weight over Gauss weight at each of the m nodes."""
+        """Kronrod weight over Gauss weight at each of the m Gauss nodes."""
         return _kronrod(self.m)[0] / _leggauss(self.m)[1]
 
 
-class KronrodNodes(KronrodPart):
-    """The increment of ``Kronrod(m)`` that the Gauss-Legendre rule at m
-    lacks: the m + 1 nodes between and beyond its Gauss nodes."""
+@dataclass(frozen=True)
+class NewNodes:
+    """The increment of a factor's rule at `count` that the rule it refines
+    lacks: at an even int count, the odd nodes of a periodic factor's
+    trapezoid rule, which refines the rule at count / 2; at Kronrod(m), the
+    even nodes of an open factor's Gauss-Kronrod rule, the m + 1 it adds to
+    Gauss-Legendre at m."""
+
+    count: int | Kronrod
 
 
 def part_size(part) -> int:
     """The node count of a grid count or increment of one factor."""
+    if isinstance(part, NewNodes):
+        return (part_size(part.count) + 1) // 2
     if isinstance(part, Kronrod):
         return 2 * part.m + 1
-    if isinstance(part, GaussNodes):
-        return part.m
-    if isinstance(part, KronrodNodes):
-        return part.m + 1
-    if isinstance(part, NewNodes):
-        return part.count // 2
     return part
 
 
@@ -407,36 +385,44 @@ def _increments(cd: ChartDim, m0: int, m) -> list[tuple]:
     """One factor's increments at m grown from m0, each with the doublings
     since its own count: a periodic factor at m0 2^j is its base rule and
     the nodes each doubling added, an open factor's probe Kronrod(m') its
-    Gauss nodes and the nodes it adds, any other factor or count its whole
-    rule."""
+    Gauss-Legendre rule at m', which a probe reads at Kronrod weights, and
+    the nodes it adds, any other factor or count its whole rule."""
     if isinstance(m, Kronrod):
-        return [(GaussNodes(m.m), 0), (KronrodNodes(m.m), 0)]
+        return [(m.m, 0), (NewNodes(m), 0)]
     j = (m // m0).bit_length() - 1
     if cd.periodic and j >= 0 and m == m0 << j:
         return [(m0, j)] + [(NewNodes(m0 << i), j - i) for i in range(1, j + 1)]
     return [(m, 0)]
 
 
-def blocks(domain, grid0, counts) -> list[tuple[tuple, int]]:
+def blocks(domain, grid0, counts) -> list[tuple[tuple, int, int | None]]:
     """The disjoint tensor blocks of the grid `counts` of chart factors
-    `domain`, grown from the base counts grid0: one increment per factor
-    (:meth:`ChartDim.increment`), in lexicographic order with the first
-    factor slowest, each with its doublings since its own counts.
+    `domain`, grown from the base counts grid0, as (block, doublings,
+    kronrod): one increment per factor (:meth:`ChartDim.increment`), in
+    lexicographic order with the first factor slowest, each with its
+    doublings since its own counts.
 
     The grid's sum is the sum of its blocks' sums, each taken with its own
     increments' weights and scaled by 2^-doublings, which is exact: the
     trapezoid weights at 2m are those at m halved.  A probe of an open
-    factor at m, Kronrod(m), splits into the base grid's blocks with that
-    factor's increment m read as ``GaussNodes(m)``, whose sums are the base
-    blocks' marginals along it reweighted by :meth:`GaussNodes.ratio`, and
-    new blocks of the m + 1 nodes it adds, ``KronrodNodes(m)``, over
-    the base grid's increments of every other factor.  Raises ValueError
-    when grid0 or counts differ from domain in length.
+    factor i at m, Kronrod(m), splits into the base grid's blocks, with
+    kronrod = i: each is read at the Kronrod weights of its Gauss nodes, its
+    marginal along factor i times :meth:`Kronrod.ratio`; and blocks of the m
+    + 1 nodes it adds, ``NewNodes(Kronrod(m))``, over the base grid's
+    increments of every other factor.  Every other block has kronrod None
+    and is summed as it is.  Raises ValueError when grid0 or counts differ
+    from domain in length, or when counts probes more than one open factor.
     """
     _check_factors(domain, grid0)
     _check_factors(domain, counts)
+    probed = [i for i, m in enumerate(counts) if isinstance(m, Kronrod)]
+    if len(probed) > 1:
+        raise ValueError(f"grid {counts} probes {len(probed)} open factors by their Kronrod "
+                         "rules; a block is read at the Kronrod weights of one factor at most")
     per = [_increments(cd, m0, m) for cd, m0, m in zip(domain, grid0, counts)]
-    return [(tuple(p for p, _ in combo), sum(d for _, d in combo)) for combo in product(*per)]
+    return [(tuple(p for p, _ in combo), sum(d for _, d in combo),
+             next((i for i in probed if not isinstance(combo[i][0], NewNodes)), None))
+            for combo in product(*per)]
 
 
 @dataclass(frozen=True)
@@ -548,9 +534,10 @@ def refine_until(grid0, level_sums, tol: float, max_level: int, domain) -> Estim
     returning their values in its order.  Each step takes the base G, each
     probe G_i of :func:`probes` and Delta_i = v(G_i) - v(G); it stops once
     sum |Delta_i| < tol, and otherwise doubles in the base every factor with
-    |Delta_i| >= tol / f that is below its cap, max_level (>= 0, required,
-    the run default being the engine's ``MAX_LEVEL``) doublings of grid0; an
-    open factor at m, probed by Kronrod(m), grows to Gauss-Legendre at 2m.
+    |Delta_i| >= tol / f that is below its cap, max_level (a whole number
+    >= 0, required, the run default being the engine's ``MAX_LEVEL``)
+    doublings of grid0; an open factor at m, probed by Kronrod(m), grows to
+    Gauss-Legendre at 2m.
     level_sums is called once per step, with the step's grids not yet
     summed, base first and then the probes in factor order: a level sum
     already taken, such as the probe a periodic factor's step grows into,
@@ -559,15 +546,15 @@ def refine_until(grid0, level_sums, tol: float, max_level: int, domain) -> Estim
     non-convergence: a run that ends with every qualifying factor at its
     cap carries ``converged=False``.  A grid of no factors is one level
     sum with estimate 0.  Raises ValueError when grid0 and domain differ
-    in length.
+    in length, or when tol or max_level is out of range.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    if not max_level >= 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level!r}")
+    if not (0 <= max_level < math.inf and max_level % 1 == 0):
+        raise ValueError(f"max_level must be a whole number >= 0, got {max_level!r}")
     _check_factors(domain, grid0)
     base = tuple(grid0)
-    caps = [m * 2**max_level for m in base]
+    doublings = [0] * len(base)
     share = tol / max(len(base), 1)
     sums = {}
     steps = 0
@@ -578,10 +565,11 @@ def refine_until(grid0, level_sums, tol: float, max_level: int, domain) -> Estim
         v = sums[base]
         deltas = [sums[g] - v for g in grids[1:]]
         err = math.fsum(abs(d) for d in deltas)
-        grow = {i for i, d in enumerate(deltas) if abs(d) >= share and base[i] < caps[i]}
+        grow = {i for i, d in enumerate(deltas) if abs(d) >= share and doublings[i] < max_level}
         if err < tol or not grow:
             break
         base = tuple(2 * m if i in grow else m for i, m in enumerate(base))
+        doublings = [n + (i in grow) for i, n in enumerate(doublings)]
         steps += 1
     return Estimate(value=v + math.fsum(deltas), error_estimate=err, levels_used=steps,
                     converged=bool(err < tol), level_values=tuple(sums.values()))

@@ -1,8 +1,10 @@
 import math
+import re
 import subprocess
 import sys
 import threading
-from functools import partial
+import tracemalloc
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -12,9 +14,7 @@ from spherelink.engine import GridSpec
 from spherelink.quadrature import (
     ChartDim,
     Estimate,
-    GaussNodes,
     Kronrod,
-    KronrodNodes,
     NewNodes,
     blocks,
     part_size,
@@ -186,12 +186,13 @@ class TestBlocks:
         grid0, counts = (3, 4, 5), (12, 8, 10)
         parts = blocks(self.DOMAIN, grid0, counts)
         # the first factor has three increments, the open one one, the last two
-        assert len(parts) == 3 * 1 * 2 and len(set(b for b, _ in parts)) == len(parts)
-        assert parts[0] == ((3, 8, 5), 3) and parts[-1] == ((NewNodes(12), 8, NewNodes(10)), 0)
+        assert len(parts) == 3 * 1 * 2 and len(set(b for b, _, _ in parts)) == len(parts)
+        assert parts[0] == ((3, 8, 5), 3, None)
+        assert parts[-1] == ((NewNodes(12), 8, NewNodes(10)), 0, None)
         pts, wts = product_rule(self.DOMAIN, counts)
-        got = [product_rule(self.DOMAIN, b) for b, _ in parts]
+        got = [product_rule(self.DOMAIN, b) for b, _, _ in parts]
         bpts = np.vstack([p for p, _ in got])
-        bwts = np.concatenate([np.ldexp(w, -e) for (_, w), (_, e) in zip(got, parts)])
+        bwts = np.concatenate([np.ldexp(w, -e) for (_, w), (_, e, _) in zip(got, parts)])
         order, border = np.lexsort(pts.T[::-1]), np.lexsort(bpts.T[::-1])
         assert np.array_equal(pts[order], bpts[border])
         assert np.array_equal(wts[order], bwts[border])
@@ -206,31 +207,53 @@ class TestBlocks:
             with pytest.raises(ValueError, match="periodic factor at an even count"):
                 bad.increment(part)
 
+    def test_open_factor_new_nodes_come_from_its_kronrod_rule(self):
+        # Gauss-Legendre at 8 does not refine the rule at 4, so NewNodes(8)
+        # names no nodes of an open factor; NewNodes(Kronrod(4)) names the
+        # 5 the Kronrod rule adds to Gauss-Legendre at 4
+        with pytest.raises(ValueError, match="periodic factor at an even count"):
+            self.DOMAIN[1].increment(NewNodes(8))
+        sizes = [part_size(p) for p in (4, Kronrod(4), NewNodes(Kronrod(4)), NewNodes(8))]
+        assert sizes == [4, 9, 5, 4]
+        x, _ = self.DOMAIN[1].increment(NewNodes(Kronrod(4)))
+        assert len(x) == 5 and not set(x) & set(self.DOMAIN[1].rule(4)[0])
+
     def test_probes_double_periodic_and_extend_open_factors(self):
         assert probes(self.DOMAIN, (3, 4, 5)) == [(6, 4, 5), (3, Kronrod(4), 5), (3, 4, 10)]
 
     def test_kronrod_probe_blocks_partition_its_grid(self):
         # a probe of the open factor at 8, grown from 4: the base grid's
-        # blocks with its Gauss nodes at their Kronrod weights, and blocks
-        # of the 9 nodes it adds over the same increments of the others
+        # blocks, flagged to be read at the Kronrod weights of their Gauss
+        # nodes, and blocks of the 9 nodes it adds over the same increments
+        # of the others
         grid0, counts = (3, 4, 5), (12, Kronrod(8), 10)
         parts = blocks(self.DOMAIN, grid0, counts)
-        assert len(parts) == 3 * 2 * 2 and len(set(b for b, _ in parts)) == len(parts)
-        assert parts[0] == ((3, GaussNodes(8), 5), 3)
-        assert parts[-1] == ((NewNodes(12), KronrodNodes(8), NewNodes(10)), 0)
+        assert len(parts) == 3 * 2 * 2 and len(set(b for b, _, _ in parts)) == len(parts)
+        assert parts[0] == ((3, 8, 5), 3, 1)
+        assert parts[-1] == ((NewNodes(12), NewNodes(Kronrod(8)), NewNodes(10)), 0, None)
+        # the flagged blocks are the base grid's, with their doublings
+        base = blocks(self.DOMAIN, grid0, (12, 8, 10))
+        assert [(b, e, 1) for b, e, _ in base] == [p for p in parts if p[2] is not None]
         pts, wts = product_rule(self.DOMAIN, counts)
         assert len(wts) == 12 * 17 * 10
-        got = [product_rule(self.DOMAIN, b) for b, _ in parts]
+
+        def block_rule(block, kronrod):
+            # the block's product rule, factor `kronrod` at its Kronrod weights
+            nodes, weights = map(list, zip(*map(ChartDim.increment, self.DOMAIN, block)))
+            if kronrod is not None:
+                weights[kronrod] = self.DOMAIN[kronrod].rule(Kronrod(block[kronrod]))[1][1::2]
+            return tensor_grid(nodes), reduce(np.multiply, tensor_grid(weights).T)
+
+        got = [block_rule(b, i) for b, _, i in parts]
         bpts = np.vstack([p for p, _ in got])
-        bwts = np.concatenate([np.ldexp(w, -e) for (_, w), (_, e) in zip(got, parts)])
+        bwts = np.concatenate([np.ldexp(w, -e) for (_, w), (_, e, _) in zip(got, parts)])
         order, border = np.lexsort(pts.T[::-1]), np.lexsort(bpts.T[::-1])
         assert np.array_equal(pts[order], bpts[border])
         assert np.array_equal(wts[order], bwts[border])
 
     def test_kronrod_probe_blocks_reproduce_its_sum(self):
-        # each Gauss-node block summed as the marginal of the block with the
-        # Gauss rule in its place, reweighted: the probe's product-rule sum
-        # to a few ulps
+        # each flagged block summed as its marginal along the probed factor,
+        # reweighted: the probe's product-rule sum to a few ulps
         f = lambda p: np.exp(np.sin(p[:, 0]) + np.cos(p[:, 1]) * np.sin(p[:, 2]))
 
         def terms(block):
@@ -239,23 +262,29 @@ class TestBlocks:
 
         grid0, counts = (3, 4, 5), (12, Kronrod(8), 10)
         total = []
-        for b, e in blocks(self.DOMAIN, grid0, counts):
-            if not isinstance(b[1], GaussNodes):
+        for b, e, i in blocks(self.DOMAIN, grid0, counts):
+            if i is None:
                 total.append(np.ldexp(math.fsum(terms(b)), -e))
                 continue
-            gauss = (b[0], b[1].m, b[2])
-            marginal = terms(gauss).reshape([part_size(p) for p in gauss]).sum(axis=(0, 2))
-            total.append(np.ldexp(math.fsum(marginal * b[1].ratio()), -e))
+            marginal = terms(b).reshape([part_size(p) for p in b]).sum(axis=(0, 2))
+            total.append(np.ldexp(math.fsum(marginal * Kronrod(b[i]).ratio()), -e))
         direct = math.fsum(terms(counts))
         assert abs(math.fsum(total) - direct) <= 4 * np.spacing(direct)
 
     def test_grids_off_the_doubling_ladder_are_whole(self):
         # a count that is not the base's times a power of two, or below it,
         # is one block: its whole rule
-        assert blocks(self.DOMAIN[:1], (4,), (12,)) == [((12,), 0)]
-        assert blocks(self.DOMAIN[:1], (4,), (2,)) == [((2,), 0)]
-        assert blocks(self.DOMAIN[:1], (4,), (4,)) == [((4,), 0)]
-        assert blocks((), (), ()) == [((), 0)]
+        assert blocks(self.DOMAIN[:1], (4,), (12,)) == [((12,), 0, None)]
+        assert blocks(self.DOMAIN[:1], (4,), (2,)) == [((2,), 0, None)]
+        assert blocks(self.DOMAIN[:1], (4,), (4,)) == [((4,), 0, None)]
+        assert blocks((), (), ()) == [((), 0, None)]
+
+    def test_one_kronrod_factor_per_grid(self):
+        # a block is read at the Kronrod weights of one factor at most, so a
+        # grid that probes two open factors is refused
+        domain = (self.DOMAIN[1],) * 2
+        with pytest.raises(ValueError, match=r"probes 2 open factors"):
+            blocks(domain, (4, 4), (Kronrod(4), Kronrod(4)))
 
     def test_domain_must_match_the_grid(self):
         # a second count with no chart factor is rejected, not dropped
@@ -288,16 +317,18 @@ class TestKronrod:
             exact = np.zeros(3 * m + 2)
             exact[0] = cd.hi - cd.lo
             assert np.max(np.abs(got - exact)) <= 1e-14 * (cd.hi - cd.lo), m
-            # its two increments: the Gauss nodes at their Kronrod weights,
-            # the Gauss weights times ratio(), and the new nodes
-            assert all(map(np.array_equal, cd.increment(GaussNodes(m)), (gx, w[1::2])))
-            assert all(map(np.array_equal, cd.increment(KronrodNodes(m)), (x[::2], w[::2])))
-            assert np.allclose(gw * GaussNodes(m).ratio(), w[1::2], rtol=1e-14, atol=0)
+            # the Gauss nodes at their Kronrod weights, the Gauss weights
+            # times ratio(), and the increment of the new nodes
+            assert np.allclose(gw * Kronrod(m).ratio(), w[1::2], rtol=1e-14, atol=0)
+            assert all(map(np.array_equal, cd.increment(NewNodes(Kronrod(m))),
+                           (x[::2], w[::2])))
+            assert all(map(np.array_equal, cd.rule(Kronrod(m)), (x, w)))
 
     def test_open_factors_only(self):
-        # the parts of one rule are distinct block keys
-        assert len({Kronrod(4), GaussNodes(4), KronrodNodes(4)}) == 3
-        for part in (Kronrod(4), GaussNodes(4), KronrodNodes(4)):
+        # a whole rule, a Kronrod rule and the new nodes of each are distinct
+        # block keys
+        assert len({4, Kronrod(4), NewNodes(Kronrod(4)), NewNodes(8)}) == 4
+        for part in (Kronrod(4), NewNodes(Kronrod(4))):
             with pytest.raises(ValueError, match="needs an open factor"):
                 ChartDim(0.0, 1.0, True).increment(part)
         with pytest.raises(ValueError, match="node count"):
@@ -342,6 +373,37 @@ class TestRefineUntil:
         level_sums = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0))
         with pytest.raises(ValueError, match="max_level"):
             refine_until((4,), level_sums, tol=0.0, max_level=-3, domain=periodic((0.0, 1.0)))
+
+    @pytest.mark.parametrize("max_level", [1.5, 0.5, np.inf, -np.inf, np.nan,
+                                           np.float64("inf")])
+    def test_max_level_is_a_whole_number(self, max_level):
+        # max_level counts doublings: a fraction would run as the next whole
+        # number, inf never stops at tol 0, and NaN caps nothing either
+        calls = []
+        level_sums = weighted_sum(lambda p: np.ones(p.shape[0]), (0.0, 1.0), grids=calls)
+        with pytest.raises(ValueError, match="max_level must be a whole number >= 0, got "
+                           + re.escape(repr(max_level))):
+            refine_until((4,), level_sums, tol=0.0, max_level=max_level,
+                         domain=periodic((0.0, 1.0)))
+        assert calls == []
+
+    def test_max_level_counts_doublings(self):
+        # an integral float is a whole number of doublings, and a cap far
+        # past any grid the run reaches costs nothing to hold (caps of
+        # 2^(10^8) times each base count, as integers, took 57 MiB)
+        level_sums = weighted_sum(lambda p: 2.0 + np.cos(p[:, 0]), PERIOD)
+        est = refine_until((4,), level_sums, tol=0.0, max_level=2.0, domain=periodic(PERIOD))
+        assert est.levels_used == 2 and len(est.level_values) == 4
+        level_sums = weighted_sum(lambda p: 2.0 + np.cos(p[:, 0]), PERIOD, PERIOD)
+        tracemalloc.start()
+        try:
+            est = refine_until((4, 4), level_sums, tol=1e-9, max_level=10**8,
+                               domain=periodic(PERIOD, PERIOD))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.levels_used == 0 and est.converged
+        assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_domain_must_match_the_grid(self):
         # a base of two counts over one chart factor would never probe the
