@@ -83,11 +83,20 @@ class OrientedSubmanifold(ABC):
     an array of that shape, `batch` writes the frames there in place.  For
     dim == 0 the manifold is a finite signed point set exposed via
     `signed_points`.
+
+    `span` is an orthonormal (n+1) x r basis, as columns, of a subspace that
+    holds every point and tangent column; the default is the whole space.
     """
 
     dim: int
     ambient_n: int
     chart_domain: tuple[ChartDim, ...]
+
+    @property
+    def span(self) -> np.ndarray:
+        """Orthonormal columns whose span holds every point and tangent
+        column: the identity unless the kind declares a smaller one."""
+        return np.eye(self.ambient_n + 1)
 
     @abstractmethod
     def batch(self, coords: np.ndarray, out: np.ndarray | None = None):
@@ -98,7 +107,8 @@ class OrientedSubmanifold(ABC):
         raise ValueError("not a zero-dimensional (signed point set) manifold")
 
     def _validate(self):
-        """Dense-grid sanity check: unit norm, tangency, full tangent rank."""
+        """Dense-grid sanity check: unit norm, tangency, full tangent rank,
+        and a span of orthonormal columns that holds every frame column."""
         if self.dim == 0:
             pts, signs = self.signed_points()
             if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))) > 1e-12:
@@ -109,9 +119,8 @@ class OrientedSubmanifold(ABC):
         m = _validation_samples(self.dim)
         axes = []
         for cd in self.chart_domain:
-            span = cd.hi - cd.lo
             frac = np.arange(m) / m if cd.periodic else (np.arange(m) + 0.5) / m
-            axes.append(cd.lo + span * frac)
+            axes.append(cd.lo + (cd.hi - cd.lo) * frac)
         pts, tan = self.batch(tensor_grid(axes))
         if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))) > 1e-12:
             raise ValueError("embedding leaves the unit sphere (|x| != 1)")
@@ -121,6 +130,14 @@ class OrientedSubmanifold(ABC):
         sv = np.linalg.svd(tan, compute_uv=False)
         if float(np.min(sv[:, -1])) < 1e-8:
             raise ValueError("rank-deficient tangent frame on the validation grid")
+        b = self.span
+        if float(np.max(np.abs(b.T @ b - np.eye(b.shape[1])))) > 1e-12:
+            raise ValueError("span columns are not orthonormal")
+        # each frame column's distance from the span, against its own norm
+        f = np.concatenate([pts[:, :, None], tan], axis=2)
+        off = np.linalg.norm(f - (b @ b.T) @ f, axis=1)
+        if float(np.max(off / np.maximum(1.0, np.linalg.norm(f, axis=1)))) > 1e-12:
+            raise ValueError("a point or tangent column leaves the declared span")
 
 
 def _frame_array(m: OrientedSubmanifold, n: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -216,6 +233,11 @@ class _RoundSphere(OrientedSubmanifold):
         self._azi = _azimuth_sign(k)
         self._validate()
 
+    @property
+    def span(self):
+        # the frame's rows, after the center unless c = 0 (a great subsphere)
+        return self.frame.T if self._c == 0 else np.column_stack([self.center, self.frame.T])
+
     def batch(self, coords, out=None):
         # every column of the chart's frames carried into R^{n+1} by one matmul
         f = np.matmul(self.frame.T, _sphere_chart(self.dim, coords, self._azi), out=out)
@@ -295,6 +317,11 @@ class _Wrapper(OrientedSubmanifold):
         self.ambient_n = inner.ambient_n
         self.chart_domain = inner.chart_domain
 
+    @property
+    def span(self):
+        # negation and reflection keep inner's subspace
+        return self.inner.span
+
 
 class _Rotated(_Wrapper):
     def __init__(self, inner: OrientedSubmanifold, rotation):
@@ -303,6 +330,10 @@ class _Rotated(_Wrapper):
             raise ValueError("rotation dimension does not match the manifold")
         super().__init__(inner)
         self.rotation = r
+
+    @property
+    def span(self):
+        return self.rotation @ self.inner.span
 
     def batch(self, coords, out=None):
         inner = _frame_array(self.inner, len(coords))

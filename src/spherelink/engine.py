@@ -30,14 +30,16 @@ products c = cos alpha of the route's K points against every L point, and
 the chunk's geodesic separation range from their two extremes, which
 :func:`_check_separation` checks before any per-pair value is evaluated.
 A pair-kernel chunk, the oracle's included (:func:`_pair_level`), is then
-one dot product, one kernel pass straight from c, one minor matmul and one
-row reduction.  ``CHUNK_BYTES`` bounds
-the bytes a chunk holds at once, every per-pair temporary counted (three
-doubles a pair for a pair kernel; for join-full its Jacobians, scratch and
-minors per node and its per-pair arrays), so memory stays within the
-budget per chunk in flight as levels double.  :func:`_refined_report` runs
-the one refinement loop, :func:`spherelink.quadrature.refine_until`, which
-hands it each step's grids at once, and builds the report.  A level
+one dot product, one kernel pass straight from c and written over it, the
+kernel's contraction against L's minors and a row dot with K's, so no
+per-pair product is formed.  ``CHUNK_BYTES`` bounds the bytes a chunk
+holds at once, every temporary counted (for a pair kernel one double a
+pair and its contractions per K row and L column; for join-full its
+Jacobians, scratch and minors per node and its per-pair arrays), so memory
+stays within the budget per chunk in flight as levels double.
+:func:`_refined_report` runs the one refinement loop,
+:func:`spherelink.quadrature.refine_until`, which hands it each step's
+grids at once, and builds the report.  A level
 is a tuple of node counts, one per tensor factor: K's chart factors, then
 L's, then the join parameter u for join-full (``GridSpec.counts`` gives
 the base); each refinement step integrates the base and one probe per
@@ -61,16 +63,21 @@ route's terms fold its prefactor
 weights, so every level sum is on the scale of Lk: the tolerance, the error
 estimate, the level values and the report are one number on one scale, and
 nothing is rescaled after refinement.  Pair
-kernels expand the bracket determinant into per-manifold minors combined by
-a matrix product; join-full forms its chunk's alpha, builds each block's
-Jacobians in place, one column at a time, and sums each pair's join-map
-determinant against the u rule.  One Laplace recursion,
-:func:`_minor_dets`, gives every determinant, the oracle's included.  Each
-side's arrays come from :func:`_side_arrays`: the side's ``batch`` writes
-its point and tangent columns into one array laid out column by column
-with the nodes last, which :func:`_minor_dets` reads without a copy, and a
-pair route folds its signs, weights and prefactor into the minors in place,
-keeping only points and minors.  :func:`_refined_report` sums each
+kernels expand the bracket determinant by Cauchy-Binet into each side's
+minors in its own span (:attr:`~spherelink.catalog.OrientedSubmanifold.span`:
+4 and 5 a node for a small (2,3) pair, where the whole space has 35), K's
+carrying the bracket matrix of the two spans, so that a pair's bracket is
+the dot product of its K row and its L row; join-full forms its chunk's
+alpha, builds each block's Jacobians in place, one column at a time, and
+sums each pair's join-map determinant against the u rule.  One Laplace
+recursion, :func:`_minor_dets`, gives every determinant, the bracket
+matrix's and the oracle's included.  Each side's arrays come from
+:func:`_side_arrays`: the side's ``batch`` writes its point and tangent
+columns into one array laid out column by column with the nodes last, which
+:func:`_minor_dets` reads without a copy, and a pair route takes their
+coordinates in the side's span by one matmul and folds its weights,
+prefactor and bracket matrix into the minors there, keeping only points and
+minors.  :func:`_refined_report` sums each
 refinement step's new pair blocks in one pass and keeps each side block
 from the first of them that reads it to the last, so a probe, which
 refines one factor and so changes one side, reuses the other: a step of f
@@ -438,7 +445,9 @@ def _laplace_subsets(d: int, m: int):
     d - m are a frame B is the sum over the m-row subsets S of
     signs[S] det A[S] det B[comps[S]].  With A = (x, dx_1, ..., dx_k) and
     B = (y, dy_1, ..., dy_l), as `_side_arrays` lays the frames out, that is
-    the bracket det(x, dx, y, dy) every pair kernel integrates.  Its column
+    the bracket det(x, dx, y, dy) every pair kernel integrates, which the
+    routes take in each side's span (:func:`_span_bracket`) and the oracle
+    by this expansion.  Its column
     order carries the sphere's point-first orientation: a tangent basis
     A_1, ..., A_n at p is positive exactly when (p, A_1, ..., A_n) is a
     positive basis of R^{n+1}.  That convention is normative for every
@@ -549,7 +558,7 @@ def _marginal(values, shape, axis) -> np.ndarray:
 
 
 # one quadrature level of a route, as `_level_sum` sums it
-_Level = namedtuple("_Level", "points values pair_bytes nodes")
+_Level = namedtuple("_Level", "points values pair_bytes line_bytes nodes")
 
 
 def _take(scratch, name, shape) -> np.ndarray:
@@ -571,53 +580,49 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     counts holds one node count, or one increment, per tensor factor: a
     whole grid, or one pair block of it (:func:`_refined_report`).
     terms(K, L, counts) gives the level's `_Level`: points, the (K, L)
-    points on the sphere; values(s, e, take, dots) the weighted per-pair
-    values of K rows s:e from their dot products with every L point, the
-    chunk's cos alpha, and, for join-full, the chunk's sum per u node (else
-    None); pair_bytes the bytes of every temporary a chunk holds at once
-    per (K node, L node) pair; and nodes the level's quadrature node count.
-    Each chunk forms its dots in the calling thread's array "dots" and
-    values take theirs from take(name, shape) too, the thread's arrays of
-    `scratch` (a threading.local, one per evaluator call, else per level;
-    see :func:`_take`).  A chunk holds as many K rows as keep their
-    temporaries within CHUNK_BYTES.  check(min, max) runs on each chunk's
-    geodesic separation range, from its dots' two extremes, before its
-    values are evaluated, and every K row is tree-summed whole,
-    so the value does not depend on the chunking.  Returns (value, nodes,
-    min separation, max separation).  For each factor that is a key of the
-    dict `marginals`, the level's marginal along it, the sum of its weighted
-    values at each node of that factor, is taken too and stored there: a K
-    factor's from the row sums, an L factor's from each chunk's column sums,
-    added in row order, and u's from its sums per u node, both tree-summed
-    in chunk order.
+    points on the sphere; values(s, e, dots, columns) the weighted sums of
+    K rows s:e over every L node, from their dot products with every L
+    point, the chunk's cos alpha, then, when columns, the chunk's sum at
+    each L node (else None) and, for join-full, its sum per u node (else
+    None); pair_bytes and line_bytes the bytes a chunk holds at once per
+    (K node, L node) pair and per K row or L column; and nodes the level's
+    quadrature node count.  Each chunk forms its dots in the calling
+    thread's array "dots" of `scratch` (a threading.local, one per
+    evaluator call, else per level; see :func:`_take`).  A chunk holds as
+    many K rows as keep its temporaries within CHUNK_BYTES.  check(min, max)
+    runs on each chunk's geodesic separation range, from its dots' two
+    extremes, before its values are evaluated.  Returns (value, nodes, min
+    separation, max separation), the value the tree sum of the rows.  For
+    each factor that is a key of the dict `marginals`, the level's marginal
+    along it, the sum of its weighted values at each node of that factor,
+    is taken too and stored there: a K factor's from the row sums, an L
+    factor's from each chunk's column sums, and u's from its sums per u
+    node, both tree-summed in chunk order.
     """
     level = terms(K, L, counts)
     k, l = K.dim, L.dim
     sizes = [part_size(p) for p in counts]
     pk, pl = level.points
     nk, nl = len(pk), len(pl)
-    cs = max(1, CHUNK_BYTES // (level.pair_bytes * nl))
+    line = level.line_bytes
+    cs = max(1, (CHUNK_BYTES - line * nl) // (level.pair_bytes * nl + line))
     nchunks = (nk + cs - 1) // cs
     rows = np.empty(nk)
     lo = np.full(nchunks, np.inf)
     hi = -lo
     marginals = {} if marginals is None else marginals
-    take = partial(_take, threading.local() if scratch is None else scratch)
+    scratch = threading.local() if scratch is None else scratch
     # per chunk, the marginals along L's factors and u
     cols = {i: np.empty((nchunks, sizes[i])) for i in marginals if i >= k}
+    columns = any(i < k + l for i in cols)
 
     def work(s, e):
-        dots = np.matmul(pk[s:e], pl.T, out=take("dots", (e - s, nl)))
+        dots = np.matmul(pk[s:e], pl.T, out=_take(scratch, "dots", (e - s, nl)))
         smin, smax = alpha_extremes(dots)
         check(smin, smax)
         c = s // cs
         lo[c], hi[c] = smin, smax
-        vals, per_u = level.values(s, e, take, dots)
-        rows[s:e] = tree_sum_axis(vals, axis=1)
-        if any(i < k + l for i in cols):
-            # in row order: a pairwise tree across rows runs at a third of
-            # the speed, and the chunk's rows depend only on its level
-            col = np.add.reduce(vals, axis=0)
+        rows[s:e], col, per_u = level.values(s, e, dots, columns)
         for i, got in cols.items():
             got[c] = per_u if i == k + l else _marginal(col, sizes[k:k + l], i - k)
 
@@ -631,48 +636,90 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     return tree_sum(rows), level.nodes, smin, smax
 
 
+@lru_cache(maxsize=64)
+def _span_bracket(bk: tuple, bl: tuple, m: int) -> np.ndarray:
+    """The bracket matrix M[S, T] = det[B_K[:, S] | B_L[:, T]] of two spans,
+    given as tuples of their rows, over the m-row subsets S of B_K's columns
+    and the (d - m)-row subsets T of B_L's, each in `combinations` order.
+
+    Frames B_K G_K and B_L G_L of m and d - m columns, with G the frames'
+    coordinates in each span, have by Cauchy-Binet
+    det[B_K G_K | B_L G_L] = sum over S, T of det G_K[S] det G_L[T] M[S, T].
+    Identity spans make M the signed permutation of `_laplace_subsets`: the
+    sign at (S, complement of S), zeros elsewhere.  Read-only, as it is
+    cached.
+    """
+    bk, bl = np.array(bk), np.array(bl)
+    d = len(bk)
+    subs = [np.array(list(combinations(range(b.shape[1]), j))) for b, j in ((bk, m), (bl, d - m))]
+    a, b = len(subs[0]), len(subs[1])
+    # every [B_K[:, S] | B_L[:, T]], S major, as (a b, d, d) frames
+    frames = np.concatenate([np.broadcast_to(bk[:, subs[0]].transpose(1, 0, 2)[:, None],
+                                             (a, b, d, m)),
+                             np.broadcast_to(bl[:, subs[1]].transpose(1, 0, 2)[None],
+                                             (a, b, d, d - m))], axis=3)
+    bracket = _minor_dets(frames.reshape(a * b, d, d), [tuple(range(d))]).reshape(a, b)
+    bracket.flags.writeable = False
+    return bracket
+
+
 def _kernel_terms(kern, scale, K, L, counts, sides=_fresh):
     """Pair-kernel values: scale times kern(cos_alpha) times the bracket
     det(x, dx, y, dy), in the point-first column order of `_laplace_subsets`.
 
-    The bracket determinant is expanded into per-side minors once per side
-    (:func:`_minor_side`), with each side's quadrature weights folded in,
-    and the route's prefactor `scale` with K's; each (s, t) pair then costs
-    one multiply-add through a matrix product.  ``sides(which, block,
-    build)`` returns side `which`'s arrays (0 for K, 1 for L) at its side
-    block, built by build() or kept from another pair block of the step
+    Each side's frames are taken in its own span
+    (:attr:`~spherelink.catalog.OrientedSubmanifold.span`), and the bracket
+    expanded by Cauchy-Binet into the minors there (:func:`_minor_side`),
+    each side's quadrature weights folded in, and K's carrying the route's
+    prefactor `scale` and the bracket matrix of the two spans
+    (:func:`_span_bracket`), so that a K row dotted with an L row is the
+    pair's weighted bracket: 4 and 5 minors a node for a small (2,3) pair
+    where the whole space's are 35.  ``sides(which, block, build)`` returns
+    side `which`'s arrays (0 for K, 1 for L) at its side block, built by
+    build() or kept from another pair block of the step
     (:func:`_refined_report`).
     """
     k = K.dim
-    subs, comps, signs = _laplace_subsets(K.ambient_n + 1, k + 1)
-    pk, mk = sides(0, counts[:k], partial(_minor_side, K, counts[:k], subs, scale, signs))
-    pl, ml = sides(1, counts[k:], partial(_minor_side, L, counts[k:], comps, 1.0))
+    bracket = _span_bracket(*(tuple(map(tuple, m.span)) for m in (K, L)), k + 1)
+    pk, mk = sides(0, counts[:k], partial(_minor_side, K, counts[:k], scale, bracket))
+    pl, ml = sides(1, counts[k:], partial(_minor_side, L, counts[k:], 1.0))
     return _pair_level(kern, pk, mk, pl, ml)
 
 
-def _minor_side(m, counts, subsets, scale, signs=None):
-    """One side of a pair kernel: its points and the minors of its frames on
-    `subsets`, times `signs` and then scale times its weights, in place.
-    Only the points (copied out) and the minors are kept, not the frames."""
+def _minor_side(m, counts, scale, bracket=None):
+    """One side of a pair kernel: its points and the minors of its frames'
+    coordinates in m.span (one matmul), on every row subset in
+    `combinations` order, times scale and its weights in place, then times
+    `bracket` when given.  Only the points (copied out) and the minors are
+    kept, not the frames."""
     pts, frames, w = _side_arrays(m, counts)
-    minors = _minor_dets(frames, subsets)
-    if signs is not None:
-        minors *= signs
+    span = m.span
+    coords = np.matmul(span.T, frames.transpose(2, 1, 0)).transpose(2, 1, 0)
+    minors = _minor_dets(coords, list(combinations(range(span.shape[1]), frames.shape[2])))
     minors *= (scale * w)[:, None]
-    return pts.copy(), minors
+    return pts.copy(), minors if bracket is None else minors @ bracket
+
+
+def _rowdot(a, b) -> np.ndarray:
+    """The dot product of each row of a with the same row of b."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _pair_level(kern, pk, mk, pl, ml) -> _Level:
-    """One level of a pair kernel: per chunk of K rows, kern of the chunk's
-    dot products c = cos alpha times the minor product mk @ ml.T, which
-    hold three doubles a pair: c, the kernel's values (c itself, for the
-    routes' kernels) and the product, in the scratch array "minors"."""
-    def values(s, e, take, dots):
+    """One level of a pair kernel whose pair value is kern(c) times mk[s] .
+    ml[t]: per chunk of K rows, the kernel of the chunk's dot products
+    c = cos alpha contracted against L's minors first, rows
+    rowdot(mk[s:e], kern(c) @ ml), and columns, when asked,
+    rowdot(ml, (mk[s:e].T @ kern(c)).T).  A chunk holds one double a pair,
+    c, which the kernel overwrites with its values (the routes' kernels
+    and the oracle's do), and per K row and per L column its product with
+    the other side's minors and its dot."""
+    def values(s, e, dots, columns):
         vals = kern(dots)
-        vals *= np.matmul(mk[s:e], ml.T, out=take("minors", vals.shape))
-        return vals, None
+        rows = _rowdot(mk[s:e], vals @ ml)
+        return rows, _rowdot(ml, (mk[s:e].T @ vals).T) if columns else None, None
 
-    return _Level((pk, pl), values, 24, len(mk) * len(ml))
+    return _Level((pk, pl), values, 8, 8 * (ml.shape[1] + 1), len(mk) * len(ml))
 
 
 def _join_terms(scale, K, L, counts, sides=_fresh):
@@ -696,7 +743,7 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
     whole = [tuple(range(d))]
     pair_bytes = _join_pair_bytes(d, u.size)
 
-    def values(s, e, take, dots):
+    def values(s, e, dots, columns):
         cols = max(1, CHUNK_BYTES // ((e - s) * pair_bytes))
         vals, per_u = np.empty((e - s, nt)), []
         for t0 in range(0, nt, cols):
@@ -711,9 +758,13 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
             dets *= wl[t0:t1, None]
             per_u.append(tree_sum_axis(dets, axis=1))
         vals *= wk[s:e, None]
-        return vals, tree_sum_axis(tree_sum_axis(per_u, axis=0) * wk[s:e, None], axis=0)
+        per_u = tree_sum_axis(tree_sum_axis(per_u, axis=0) * wk[s:e, None], axis=0)
+        # columns in row order: a pairwise tree across rows runs at a third
+        # of the speed, and the chunk's rows depend only on its level
+        return (tree_sum_axis(vals, axis=1), np.add.reduce(vals, axis=0) if columns else None,
+                per_u)
 
-    return _Level((pk, pl), values, pair_bytes, len(pk) * nt * u.size)
+    return _Level((pk, pl), values, pair_bytes, 0, len(pk) * nt * u.size)
 
 
 def _join_side(m, counts, scale):

@@ -19,15 +19,18 @@ blocks of a refinement step as on every route
 (:func:`~spherelink.engine._refined_report`).
 The numerator splits as
 det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
-per-side minors (:func:`~spherelink.engine._laplace_subsets`,
-:func:`~spherelink.engine._minor_dets`), stacked so that one matrix product
-sums both, with the weights, the sign and 1 / vol S^{n-1} folded into K's
-side.  The denominator needs no projected distances: the images X, Y of
+per-side minors of the whole projected frames
+(:func:`~spherelink.engine._laplace_subsets`,
+:func:`~spherelink.engine._minor_dets`), which fill R^n, not the span the
+routes take them in; they are stacked so that the dot product of a K row
+and an L row sums both, with the weights, the sign and 1 / vol S^{n-1}
+folded into K's side.  The denominator needs no projected distances: the images X, Y of
 x, y satisfy |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's
 minors carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
 (2 (1 - c))^(-n/2) of the chunk's dot products c = x.y.  The oracle's chunks
 are thus the sphere routes' own, :func:`~spherelink.engine._pair_level` on
-the dot products :func:`~spherelink.engine._level_sum` forms, checked by
+the dot products :func:`~spherelink.engine._level_sum` forms, the kernel
+contracted against L's minors before anything is multiplied out, checked by
 :func:`~spherelink.engine._check_separation` at the fixed
 ``engine.MIN_ALPHA`` before any kernel is formed, and the report's min/max
 alpha are geodesic, as for every route.  The engine's

@@ -15,6 +15,7 @@ from spherelink import (
 )
 from spherelink.catalog import (
     _VALIDATION_POINTS,
+    _RoundSphere,
     _validation_samples,
     build_entry,
     catalog_schemas,
@@ -257,6 +258,43 @@ class TestSmallRoundSphere:
             small_round_sphere(1, [0, 0, 1, 0], 0.5, bad_frame)
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             small_round_sphere(-1, [0, 0, 1, 0], 0.5, np.zeros((0, 4)))
+
+
+class TestSpan:
+    """Every kind declares a span of orthonormal columns holding its frames;
+    construction refuses a wrong one."""
+
+    def test_widths(self):
+        rng = np.random.default_rng(11)
+        q = random_rotation(7, rng)
+        small = small_round_sphere(3, q[:, 0], 0.9, q[:, 1:5].T)
+        great = great_subsphere(2, (0, 3, 5), 6)
+        assert small.span.shape == (7, 5) and great.span.shape == (7, 3)
+        assert np.array_equal(great.span, np.eye(7)[:, [0, 3, 5]])
+        assert hopf_fiber((1, 0, 0, 0)).span.shape == (4, 4)
+        r = random_rotation(7, rng)
+        assert np.array_equal(rotated(small, r).span, r @ small.span)
+        for m in (antipodal_image(small), orientation_reversed(small)):
+            assert np.array_equal(m.span, small.span)
+
+    def test_wrong_span_refused(self):
+        class Flat(_RoundSphere):
+            @property
+            def span(self):  # drops the center, off which a small sphere sits
+                return self.frame.T
+
+        class Stretched(_RoundSphere):
+            @property
+            def span(self):
+                return 2 * super().span
+
+        center, frame = np.eye(5)[4], np.eye(5)[:3]
+        args = (2, center, np.cos(0.7), np.sin(0.7), frame)
+        _RoundSphere(*args)
+        with pytest.raises(ValueError, match="leaves the declared span"):
+            Flat(*args)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Stretched(*args)
 
 
 class TestFourierCurve:

@@ -41,6 +41,7 @@ from conftest import (
     great_pair,
     hopf_pair,
     random_fourier_pair,
+    random_rotation,
     small_sphere_pair,
     threading_circles,
     unit_rows,
@@ -189,6 +190,71 @@ class TestMinorDets:
                     got = _minor_dets(frames, subsets)
                     assert got.shape == ref.shape
                     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (d, m)
+
+
+class TestSpanBracket:
+    """Each pair-kernel side's minors are taken in its own span, and K's
+    carry the bracket matrix of the two spans (Cauchy-Binet): every kind's
+    span must give the whole bracket det(x, dx, y, dy)."""
+
+    CASES = {
+        "great_1_2": lambda rng: great_pair(1, 2),
+        "small_1_2": lambda rng: small_sphere_pair(1, 2),
+        "small_2_3": lambda rng: small_sphere_pair(2, 3),
+        "small_3_2": lambda rng: small_sphere_pair(3, 2),
+        "great_small_1_3": lambda rng: (great_subsphere(1, (0, 5), 5),
+                                         small_sphere_pair(1, 3)[1]),
+        "points_0_2": lambda rng: small_sphere_pair(0, 2),
+        "points_2_0": lambda rng: small_sphere_pair(2, 0),
+        "rotated": lambda rng: tuple(rotated(m, random_rotation(7, rng))
+                                     for m in small_sphere_pair(2, 3)),
+        "antipodal_image": lambda rng: (antipodal_image(small_sphere_pair(2, 3)[0]),
+                                        small_sphere_pair(2, 3)[1]),
+        "orientation_reversed": lambda rng: (small_sphere_pair(2, 3)[0],
+                                             orientation_reversed(small_sphere_pair(2, 3)[1])),
+        "wrapped_great": lambda rng: (
+            rotated(orientation_reversed(great_subsphere(2, (1, 2, 4), 6)),
+                    random_rotation(7, rng)),
+            antipodal_image(rotated(small_sphere_pair(2, 3)[1], random_rotation(7, rng)))),
+        "fourier_hopf": lambda rng: (random_fourier_pair(rng)[0], hopf_pair()[1]),
+        "rotated_hopf": lambda rng: tuple(rotated(m, random_rotation(4, rng))
+                                          for m in hopf_pair()),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_laplace_bracket(self, case):
+        K, L = self.CASES[case](np.random.default_rng(5))
+        k, l, n = K.dim, L.dim, K.ambient_n
+        ck, cl = (3,) * k, (4,) * l
+        bracket = engine._span_bracket(*(tuple(map(tuple, m.span)) for m in (K, L)), k + 1)
+        _, mk = engine._minor_side(K, ck, 1.0, bracket)
+        _, ml = engine._minor_side(L, cl, 1.0)
+        assert ml.shape[1] == math.comb(L.span.shape[1], l + 1) == mk.shape[1]
+        # the whole bracket by Laplace expansion on every row subset
+        _, fk, wk = _side_arrays(K, ck)
+        _, fl, wl = _side_arrays(L, cl)
+        subs, comps, signs = engine._laplace_subsets(n + 1, k + 1)
+        ak, al = _minor_dets(fk, subs) * signs, _minor_dets(fl, comps)
+        largest = np.max(np.abs(ak).max(axis=0) * np.abs(al).max(axis=0))
+        got = (mk @ ml.T) / np.outer(wk, wl)
+        assert np.abs(got - ak @ al.T).max() <= 1e-13 * largest
+
+    def test_small_23_minor_counts(self):
+        # 4 and 5 minors a node in the spans, where the whole space has 35
+        K, L = small_sphere_pair(2, 3)
+        bracket = engine._span_bracket(*(tuple(map(tuple, m.span)) for m in (K, L)), 3)
+        assert bracket.shape == (4, 5) and not bracket.flags.writeable
+
+    def test_identity_spans_give_the_laplace_signs(self):
+        # whole-space spans: the sign of each row subset at its complement
+        for d in range(2, 8):
+            eye = tuple(map(tuple, np.eye(d)))
+            for m in range(1, d):
+                subs, comps, signs = engine._laplace_subsets(d, m)
+                lex = list(combinations(range(d), d - m))
+                want = np.zeros((len(subs), len(lex)))
+                want[range(len(subs)), [lex.index(c) for c in comps]] = signs
+                assert np.array_equal(engine._span_bracket(eye, eye, m), want), (d, m)
 
 
 @pytest.mark.parametrize("field", ["curve", "surface", "u", "k_nodes", "l_nodes"])
@@ -549,7 +615,8 @@ class TestChunkBudget:
     def test_chunks_match_whole_levels(self, monkeypatch, route):
         whole = self.RUNS[route]()
         # several K rows per chunk on the pair and oracle levels (64 and 128
-        # nodes a side, 24 B a pair); a coarse join-full K row holds 36 L
+        # nodes a side, 8 B a pair and 56 B a K row or L column: 11 rows at
+        # 128 L nodes); a coarse join-full K row holds 36 L
         # nodes, each 8 (20 + 4 * 46) = 1632 B at d = 5 and 4 u nodes
         # (58.8 kB), so they go in blocks of 12
         monkeypatch.setattr(engine, "CHUNK_BYTES", 20_000)
@@ -594,7 +661,8 @@ class TestChunkMemory:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_chunks_reuse_their_threads_arrays(self, monkeypatch, workers):
         # every chunk but the last holds as many K rows, so each thread
-        # allocates its dots and minor products once per level
+        # allocates its dots once per level; the kernel writes its values
+        # over them and the contractions' products are a few doubles a row
         monkeypatch.setenv("SPHERELINK_WORKERS", workers)
         run, counts = self.LEVELS["main"]
         K, L, terms, check = first_level(run, monkeypatch)
@@ -609,12 +677,13 @@ class TestChunkMemory:
         chunks = counting_chunks(monkeypatch)
         _level_sum(K, L, counts, terms, check)
         assert chunks[0] > 2 * int(workers)
-        assert seen.keys() == {"dots", "minors"}
+        assert seen.keys() == {"dots"}
         assert all(1 <= len(a) <= int(workers) for a in seen.values())
 
     def test_small_23_levels_span_chunks(self, monkeypatch):
         # surface-orders' (2, 3) pair at surface 16: K has 256 nodes, L 4096
-        # or more, so at 24 B a pair no level is one chunk and a second
+        # or more, so at 8 B a pair and 48 B a K row or L column a chunk
+        # holds at most 121 K rows, no level is one chunk and a second
         # worker has a chunk to take
         chunks = counting_chunks(monkeypatch)
         evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=16),
@@ -798,6 +867,29 @@ class TestBlockSums:
         # level values, min/max alpha and every other field, bit for bit
         assert one == two
 
+    ONE_CHUNK = {f"small_{k}_3-{method}": (k, method)
+                 for k in (1, 2) for method in ("main", "corollary", "oracle")}
+
+    @pytest.mark.parametrize("case", ONE_CHUNK)
+    def test_one_chunk_levels_bit_identical_across_workers(self, monkeypatch, case):
+        # every block one chunk: at two workers run_chunked then leaves
+        # OpenBLAS its own threads on the long kern(c) @ ml contraction
+        k, method = self.ONE_CHUNK[case]
+        K, L = small_sphere_pair(k, 3)
+        grid = GridSpec(surface=16)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1 << 26)
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SPHERELINK_WORKERS", workers)
+            chunks = counting_chunks(monkeypatch)
+            if method == "oracle":
+                reports.append(oracle_linking(K, L, grid=grid, tol=1e-6, max_level=0))
+            else:
+                reports.append(engine._evaluate(method, K, L, grid, 1e-6, 0, engine.MIN_ALPHA))
+            assert set(chunks) == {1}
+        one, two = reports
+        assert one == two
+
     PROBED = {
         "small_2_3-main": (lambda: small_sphere_pair(2, 3), GridSpec(surface=16), "main"),
         "great_2_2-join-full": (lambda: great_pair(2, 2), GridSpec(surface=4, u=10),
@@ -879,14 +971,16 @@ class TestBlockSums:
 
 
 class TestSideMemory:
-    """A side build holds its frames, two sizes of minors and what it keeps,
-    and keeps only points and minors."""
+    """A side build holds its frames, their coordinates in its span, two
+    sizes of minors and what it keeps, and keeps only points and minors."""
 
     def test_small_23_side_build(self):
         # L at (32, 16, 16): 8192 nodes of 4 frame columns in R^7 (1.75 MiB),
-        # its 35 minors of 3 rows and of 4 (2.19 MiB each); it keeps its
-        # points and minors, 8192 x (7 + 35) doubles (2.63 MiB), and K's
-        # 256 x (7 + 35) (0.08 MiB)
+        # their coordinates in its 5-dim span (1.25 MiB) and its 10 minors
+        # there of 2 rows and of 3 (0.625 MiB each); it keeps its points and
+        # its 5 minors of 4 rows, 8192 x (7 + 5) doubles (0.75 MiB), and K
+        # its 256 x (7 + 5), its 4 minors times the 4 x 5 bracket matrix
+        # (0.02 MiB)
         K, L = small_sphere_pair(2, 3)
         counts = (16, 16, 32, 16, 16)
         _kernel_terms(np.cos, 1.0, K, L, counts)  # the subset tables' caches
@@ -899,8 +993,8 @@ class TestSideMemory:
         finally:
             tracemalloc.stop()
         assert tuple(map(len, level.points)) == (256, 8192)
-        assert peak <= 6.5 * 2**20, f"{peak / 2**20:.2f} MiB"
-        assert held <= 2.8 * 2**20, f"{held / 2**20:.2f} MiB"
+        assert peak <= 4.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert held <= 0.8 * 2**20, f"{held / 2**20:.2f} MiB"
 
 
 class TestGridSpec:
