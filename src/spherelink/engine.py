@@ -651,14 +651,9 @@ def _span_bracket(bk: tuple, bl: tuple, m: int) -> np.ndarray:
     """
     bk, bl = np.array(bk), np.array(bl)
     d = len(bk)
-    subs = [np.array(list(combinations(range(b.shape[1]), j))) for b, j in ((bk, m), (bl, d - m))]
-    a, b = len(subs[0]), len(subs[1])
-    # every [B_K[:, S] | B_L[:, T]], S major, as (a b, d, d) frames
-    frames = np.concatenate([np.broadcast_to(bk[:, subs[0]].transpose(1, 0, 2)[:, None],
-                                             (a, b, d, m)),
-                             np.broadcast_to(bl[:, subs[1]].transpose(1, 0, 2)[None],
-                                             (a, b, d, d - m))], axis=3)
-    bracket = _minor_dets(frames.reshape(a * b, d, d), [tuple(range(d))]).reshape(a, b)
+    ks, ls = (list(combinations(range(b.shape[1]), j)) for b, j in ((bk, m), (bl, d - m)))
+    frames = np.array([np.hstack([bk[:, list(S)], bl[:, list(T)]]) for S in ks for T in ls])
+    bracket = _minor_dets(frames, [tuple(range(d))]).reshape(len(ks), len(ls))
     bracket.flags.writeable = False
     return bracket
 
