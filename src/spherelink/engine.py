@@ -34,7 +34,8 @@ one dot product, one kernel pass straight from c and written over it, the
 kernel's contraction against L's minors and a row dot with K's, so no
 per-pair product is formed.  ``CHUNK_BYTES`` bounds the bytes a chunk
 holds at once, every temporary counted (for a pair kernel one double a
-pair and its contractions per K row and L column; for join-full its
+pair, its contractions per K row and L column and the kernel's block
+temporaries; for join-full its
 Jacobians, scratch and minors per node and its per-pair arrays), so memory
 stays within the budget per chunk in flight as levels double.
 :func:`_refined_report` runs the one refinement loop,
@@ -127,9 +128,15 @@ __all__ = [
     "round_to_linking",
 ]
 
-# bytes of per-pair temporaries one chunk of K rows may hold at once, every
-# one of them counted (`_pair_level`, `_join_pair_bytes`)
-CHUNK_BYTES = 1 << 22
+# bytes of temporaries one chunk of K rows may hold at once, every one of
+# them counted (`_pair_level`, `_join_pair_bytes`)
+CHUNK_BYTES = 3 << 20
+# bytes a kernel pass holds beside the values it writes, whatever a chunk's
+# size: at most eight arrays of one of its blocks (1 MiB, measured on every
+# order up to (3,3))
+_KERNEL_BYTES = 64 * kernels._BLOCK
+# K rows a pair kernel contracts in one matrix product (`_contract`)
+_TILE = 8
 # distance max alpha keeps from pi where -L matters (corollary, join-full)
 _ANTIPODAL_MARGIN = 0.01
 # run defaults of every evaluator and the oracle: the refinement tolerance on
@@ -558,7 +565,7 @@ def _marginal(values, shape, axis) -> np.ndarray:
 
 
 # one quadrature level of a route, as `_level_sum` sums it
-_Level = namedtuple("_Level", "points values pair_bytes line_bytes nodes")
+_Level = namedtuple("_Level", "points values rows nodes")
 
 
 def _take(scratch, name, shape) -> np.ndarray:
@@ -584,16 +591,17 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     K rows s:e over every L node, from their dot products with every L
     point, the chunk's cos alpha, then, when columns, the chunk's sum at
     each L node (else None) and, for join-full, its sum per u node (else
-    None); pair_bytes and line_bytes the bytes a chunk holds at once per
-    (K node, L node) pair and per K row or L column; and nodes the level's
-    quadrature node count.  Each chunk forms its dots in the calling
-    thread's array "dots" of `scratch` (a threading.local, one per
-    evaluator call, else per level; see :func:`_take`).  A chunk holds as
-    many K rows as keep its temporaries within CHUNK_BYTES.  check(min, max)
-    runs on each chunk's geodesic separation range, from its dots' two
-    extremes, before its values are evaluated.  Returns (value, nodes, min
-    separation, max separation), the value the tree sum of the rows.  For
-    each factor that is a key of the dict `marginals`, the level's marginal
+    None); rows the K rows a chunk holds, as many as keep every temporary
+    it holds at once within CHUNK_BYTES; and nodes the level's quadrature
+    node count.  Each chunk forms its dots in the calling thread's array
+    "dots" of `scratch` (a threading.local, one per evaluator call, else
+    per level; see :func:`_take`).  check(min, max) runs on each chunk's
+    geodesic separation range, from its dots' two extremes, before its
+    values are evaluated.  Returns (value, nodes, min separation, max
+    separation), the value the tree sum of the rows, which do not depend on
+    the chunking while a pair-kernel chunk holds at least _TILE rows
+    (:func:`_contract`); join-full tree-sums each row whole.  For each
+    factor that is a key of the dict `marginals`, the level's marginal
     along it, the sum of its weighted values at each node of that factor,
     is taken too and stored there: a K factor's from the row sums, an L
     factor's from each chunk's column sums, and u's from its sums per u
@@ -604,8 +612,7 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     sizes = [part_size(p) for p in counts]
     pk, pl = level.points
     nk, nl = len(pk), len(pl)
-    line = level.line_bytes
-    cs = max(1, (CHUNK_BYTES - line * nl) // (level.pair_bytes * nl + line))
+    cs = level.rows
     nchunks = (nk + cs - 1) // cs
     rows = np.empty(nk)
     lo = np.full(nchunks, np.inf)
@@ -700,21 +707,38 @@ def _rowdot(a, b) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _contract(vals, ml) -> np.ndarray:
+    """vals @ ml, one matrix product per _TILE rows and one for the rows
+    left over: a row's bits depend on the product's shape and its place in
+    it, so a chunk of a multiple of _TILE rows gives each row the bits the
+    whole level would."""
+    full = len(vals) // _TILE * _TILE
+    out = np.empty((len(vals), ml.shape[1]))
+    np.matmul(vals[:full].reshape(-1, _TILE, vals.shape[1]), ml,
+              out=out[:full].reshape(-1, _TILE, ml.shape[1]))
+    np.matmul(vals[full:], ml, out=out[full:])
+    return out
+
+
 def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     """One level of a pair kernel whose pair value is kern(c) times mk[s] .
     ml[t]: per chunk of K rows, the kernel of the chunk's dot products
     c = cos alpha contracted against L's minors first, rows
-    rowdot(mk[s:e], kern(c) @ ml), and columns, when asked,
-    rowdot(ml, (mk[s:e].T @ kern(c)).T).  A chunk holds one double a pair,
-    c, which the kernel overwrites with its values (the routes' kernels
-    and the oracle's do), and per K row and per L column its product with
-    the other side's minors and its dot."""
+    rowdot(mk[s:e], kern(c) @ ml) (:func:`_contract`), and columns, when
+    asked, rowdot(ml, (mk[s:e].T @ kern(c)).T).  A chunk holds one double a
+    pair, c, which the kernel overwrites with its values (the routes'
+    kernels and the oracle's do), per K row and per L column its product
+    with the other side's minors and its dot, and the kernel's block
+    temporaries; its rows are a multiple of _TILE where the budget allows
+    that many."""
     def values(s, e, dots, columns):
         vals = kern(dots)
-        rows = _rowdot(mk[s:e], vals @ ml)
+        rows = _rowdot(mk[s:e], _contract(vals, ml))
         return rows, _rowdot(ml, (mk[s:e].T @ vals).T) if columns else None, None
 
-    return _Level((pk, pl), values, 8, 8 * (ml.shape[1] + 1), len(mk) * len(ml))
+    nl, line = len(ml), 8 * (ml.shape[1] + 1)
+    rows = max(1, (CHUNK_BYTES - _KERNEL_BYTES - line * nl) // (8 * nl + line))
+    return _Level((pk, pl), values, rows // _TILE * _TILE or rows, len(mk) * nl)
 
 
 def _join_terms(scale, K, L, counts, sides=_fresh):
@@ -759,7 +783,8 @@ def _join_terms(scale, K, L, counts, sides=_fresh):
         return (tree_sum_axis(vals, axis=1), np.add.reduce(vals, axis=0) if columns else None,
                 per_u)
 
-    return _Level((pk, pl), values, pair_bytes, 0, len(pk) * nt * u.size)
+    rows = max(1, CHUNK_BYTES // (pair_bytes * nt))
+    return _Level((pk, pl), values, rows, len(pk) * nt * u.size)
 
 
 def _join_side(m, counts, scale):

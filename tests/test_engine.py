@@ -616,10 +616,12 @@ class TestChunkBudget:
         whole = self.RUNS[route]()
         # several K rows per chunk on the pair and oracle levels (64 and 128
         # nodes a side, 8 B a pair and 56 B a K row or L column: 11 rows at
-        # 128 L nodes); a coarse join-full K row holds 36 L
-        # nodes, each 8 (20 + 4 * 46) = 1632 B at d = 5 and 4 u nodes
-        # (58.8 kB), so they go in blocks of 12
-        monkeypatch.setattr(engine, "CHUNK_BYTES", 20_000)
+        # 128 L nodes in 20 kB beyond the kernel's block temporaries, taken
+        # as 8, a multiple of the rows of one contraction); a
+        # coarse join-full K row holds 36 L nodes, each 8 (20 + 4 * 46) =
+        # 1632 B at d = 5 and 4 u nodes (58.8 kB), so they go in blocks of 12
+        kernel = 0 if route == "join-full" else engine._KERNEL_BYTES
+        monkeypatch.setattr(engine, "CHUNK_BYTES", kernel + 20_000)
         chunks = counting_chunks(monkeypatch)
         chunked = self.RUNS[route]()
         assert len(chunks) == len(whole.node_counts) and min(chunks) > 1
@@ -683,7 +685,7 @@ class TestChunkMemory:
     def test_small_23_levels_span_chunks(self, monkeypatch):
         # surface-orders' (2, 3) pair at surface 16: K has 256 nodes, L 4096
         # or more, so at 8 B a pair and 48 B a K row or L column a chunk
-        # holds at most 121 K rows, no level is one chunk and a second
+        # holds at most 56 K rows, no level is one chunk and a second
         # worker has a chunk to take
         chunks = counting_chunks(monkeypatch)
         evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=16),
