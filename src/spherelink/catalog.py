@@ -333,7 +333,9 @@ class _Rotated(_Wrapper):
 
     @property
     def span(self):
-        return self.rotation @ self.inner.span
+        # an orthonormal basis of the rotated span: a rotation is accepted
+        # within 1e-10 of orthogonal, its product with inner's span not
+        return np.linalg.qr(self.rotation @ self.inner.span)[0]
 
     def batch(self, coords, out=None):
         inner = _frame_array(self.inner, len(coords))

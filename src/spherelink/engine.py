@@ -599,8 +599,8 @@ def _level_sum(K, L, counts, terms, check, marginals=None, scratch=None):
     geodesic separation range, from its dots' two extremes, before its
     values are evaluated.  Returns (value, nodes, min separation, max
     separation), the value the tree sum of the rows, which do not depend on
-    the chunking while a pair-kernel chunk holds at least _TILE rows
-    (:func:`_contract`); join-full tree-sums each row whole.  For each
+    the chunking: a pair-kernel chunk holds a multiple of _TILE rows
+    (:func:`_contract`), and join-full tree-sums each row whole.  For each
     factor that is a key of the dict `marginals`, the level's marginal
     along it, the sum of its weighted values at each node of that factor,
     is taken too and stored there: a K factor's from the row sums, an L
@@ -711,7 +711,7 @@ def _contract(vals, ml) -> np.ndarray:
     """vals @ ml, one matrix product per _TILE rows and one for the rows
     left over: a row's bits depend on the product's shape and its place in
     it, so a chunk of a multiple of _TILE rows gives each row the bits the
-    whole level would."""
+    whole level would; only the level's last chunk has rows left over."""
     full = len(vals) // _TILE * _TILE
     out = np.empty((len(vals), ml.shape[1]))
     np.matmul(vals[:full].reshape(-1, _TILE, vals.shape[1]), ml,
@@ -729,16 +729,17 @@ def _pair_level(kern, pk, mk, pl, ml) -> _Level:
     pair, c, which the kernel overwrites with its values (the routes'
     kernels and the oracle's do), per K row and per L column its product
     with the other side's minors and its dot, and the kernel's block
-    temporaries; its rows are a multiple of _TILE where the budget allows
-    that many."""
+    temporaries.  Its rows are a multiple of _TILE, at least _TILE even when
+    that many need more than CHUNK_BYTES (beyond about 18 K L nodes at
+    (2,3)), so that no row's bits depend on the chunking."""
     def values(s, e, dots, columns):
         vals = kern(dots)
         rows = _rowdot(mk[s:e], _contract(vals, ml))
         return rows, _rowdot(ml, (mk[s:e].T @ vals).T) if columns else None, None
 
     nl, line = len(ml), 8 * (ml.shape[1] + 1)
-    rows = max(1, (CHUNK_BYTES - _KERNEL_BYTES - line * nl) // (8 * nl + line))
-    return _Level((pk, pl), values, rows // _TILE * _TILE or rows, len(mk) * nl)
+    rows = (CHUNK_BYTES - _KERNEL_BYTES - line * nl) // (8 * nl + line) // _TILE * _TILE
+    return _Level((pk, pl), values, max(_TILE, rows), len(mk) * nl)
 
 
 def _join_terms(scale, K, L, counts, sides=_fresh):

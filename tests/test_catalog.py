@@ -272,8 +272,12 @@ class TestSpan:
         assert small.span.shape == (7, 5) and great.span.shape == (7, 3)
         assert np.array_equal(great.span, np.eye(7)[:, [0, 3, 5]])
         assert hopf_fiber((1, 0, 0, 0)).span.shape == (4, 4)
-        r = random_rotation(7, rng)
-        assert np.array_equal(rotated(small, r).span, r @ small.span)
+        # a rotation accepted within 1e-10 of orthogonal still gives
+        # orthonormal columns, spanning the rotated span
+        r = random_rotation(7, rng) + 1e-11 * rng.standard_normal((7, 7))
+        span = rotated(small, r).span
+        assert np.abs(span.T @ span - np.eye(5)).max() <= 1e-15
+        assert np.abs(span @ span.T @ r @ small.span - r @ small.span).max() <= 1e-15
         for m in (antipodal_image(small), orientation_reversed(small)):
             assert np.array_equal(m.span, small.span)
 

@@ -208,6 +208,10 @@ class TestSpanBracket:
         "points_2_0": lambda rng: small_sphere_pair(2, 0),
         "rotated": lambda rng: tuple(rotated(m, random_rotation(7, rng))
                                      for m in small_sphere_pair(2, 3)),
+        # accepted within 1e-10 of orthogonal, as every rotation is
+        "rotated_inexact": lambda rng: tuple(
+            rotated(m, random_rotation(7, rng) + 1e-11 * rng.standard_normal((7, 7)))
+            for m in small_sphere_pair(2, 3)),
         "antipodal_image": lambda rng: (antipodal_image(small_sphere_pair(2, 3)[0]),
                                         small_sphere_pair(2, 3)[1]),
         "orientation_reversed": lambda rng: (small_sphere_pair(2, 3)[0],
@@ -614,19 +618,35 @@ class TestChunkBudget:
     @pytest.mark.parametrize("route", RUNS)
     def test_chunks_match_whole_levels(self, monkeypatch, route):
         whole = self.RUNS[route]()
-        # several K rows per chunk on the pair and oracle levels (64 and 128
-        # nodes a side, 8 B a pair and 56 B a K row or L column: 11 rows at
-        # 128 L nodes in 20 kB beyond the kernel's block temporaries, taken
-        # as 8, a multiple of the rows of one contraction); a
-        # coarse join-full K row holds 36 L nodes, each 8 (20 + 4 * 46) =
-        # 1632 B at d = 5 and 4 u nodes (58.8 kB), so they go in blocks of 12
-        kernel = 0 if route == "join-full" else engine._KERNEL_BYTES
-        monkeypatch.setattr(engine, "CHUNK_BYTES", kernel + 20_000)
+        # the pair and oracle levels (64 and 128 nodes a side) take 8 K rows
+        # a chunk, the least a pair-kernel chunk holds, as 20 kB is less
+        # than the kernel's block temporaries; a coarse join-full K row holds
+        # 36 L nodes, each 8 (20 + 4 * 46) = 1632 B at d = 5 and 4 u nodes
+        # (58.8 kB), so they go in blocks of 12
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 20_000)
         chunks = counting_chunks(monkeypatch)
         chunked = self.RUNS[route]()
         assert len(chunks) == len(whole.node_counts) and min(chunks) > 1
         assert chunked.raw_value == whole.raw_value
         assert (chunked.min_alpha, chunked.max_alpha) == (whole.min_alpha, whole.max_alpha)
+
+    def test_small_23_base_level_whatever_the_budget(self, monkeypatch):
+        # a pair-kernel chunk contracts its rows 8 to a matrix product, so
+        # the base level, the tree sum of its rows, keeps its bits for every
+        # budget: here 8, 16, 24 and 40 K rows of 256 a chunk, at 4096 L
+        # nodes, 8 B a pair and 48 B a K row or L column, against the
+        # default's 56.  One product per chunk changed the bits at each.
+        def run():
+            return evaluate_main_theorem(*small_sphere_pair(2, 3), grid=GridSpec(surface=16),
+                                         tol=np.inf, max_level=0)
+
+        whole = run().level_values[0]
+        for rows in (8, 16, 24, 40):
+            budget = engine._KERNEL_BYTES + 48 * 4096 + rows * (8 * 4096 + 48)
+            monkeypatch.setattr(engine, "CHUNK_BYTES", budget)
+            chunks = counting_chunks(monkeypatch)
+            assert run().level_values[0] == whole, rows
+            assert chunks[0] == -(-256 // rows)
 
 
 class TestChunkMemory:
