@@ -119,8 +119,9 @@ class OrientedSubmanifold(ABC):
         m = _validation_samples(self.dim)
         axes = []
         for cd in self.chart_domain:
+            span = cd.hi - cd.lo
             frac = np.arange(m) / m if cd.periodic else (np.arange(m) + 0.5) / m
-            axes.append(cd.lo + (cd.hi - cd.lo) * frac)
+            axes.append(cd.lo + span * frac)
         pts, tan = self.batch(tensor_grid(axes))
         if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))) > 1e-12:
             raise ValueError("embedding leaves the unit sphere (|x| != 1)")

@@ -24,9 +24,10 @@ per-side minors of the whole projected frames
 :func:`~spherelink.engine._minor_dets`), which fill R^n, not the span the
 routes take them in; they are stacked so that the dot product of a K row
 and an L row sums both, with the weights, the sign and 1 / vol S^{n-1}
-folded into K's side.  The denominator needs no projected distances: the images X, Y of
-x, y satisfy |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's
-minors carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
+folded into K's side.  The denominator needs no projected distances: the
+images X, Y of x, y satisfy
+|X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
+carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
 (2 (1 - c))^(-n/2) of the chunk's dot products c = x.y.  The oracle's chunks
 are thus the sphere routes' own, :func:`~spherelink.engine._pair_level` on
 the dot products :func:`~spherelink.engine._level_sum` forms, the kernel
