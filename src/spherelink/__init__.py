@@ -4,11 +4,12 @@ Computes Lk(K, L) for disjoint closed oriented submanifolds K^k, L^l of
 S^n (k + l = n - 1) by three routes -- a direct geodesic distance-kernel
 integral over K x L, an antipodally-paired convolution variant, and the
 degree of the geodesic join-sweep map -- validated at every order against
-the oracle, the classical Gauss integral in R^n after stereographic
-projection.  The join degree's "reduced" variant is the direct kernel
-carrying the join sign (the join parameter integrates out exactly); its
-"full" variant integrates the join map's Jacobian determinant, with exact
-chain-rule derivatives, over K x L x [0, 1] and is the independent check.
+the oracle, the classical Gauss integral of the stereographic images in
+R^n, integrated in its exact form on S^n with no projection.  The join
+degree's "reduced" variant is the direct kernel carrying the join sign
+(the join parameter integrates out exactly); its "full" variant integrates
+the join map's Jacobian determinant, with exact chain-rule derivatives,
+over K x L x [0, 1] and is the independent check.
 
 The package exports the catalog constructors, the evaluators with their
 grid, report and rounding, the kernels, the oracle and `sphere_volume`.

@@ -5,12 +5,12 @@ Subcommands:
   phi      tabulate the distance kernels to CSV
   catalog  list catalog kinds and their parameter schemas
 
-The Gauss-integral oracle in R^n (stereographic projection, any order) is
-the spec method "oracle" of `link`, and a refinement study is
-`link --tol 0 --max-level N`.  Each of its N + 1 steps probes every chart
-factor once, a periodic factor doubled and an open one by its Gauss-Kronrod
-rule; each of the first N steps then doubles every factor in the base, and
-the last grows nothing.  Its report holds the value and node count of every
+The Gauss-integral oracle (the Gauss integral of the stereographic images
+in R^n, written on S^n, any order) is the spec method "oracle" of `link`,
+and a refinement study is `link --tol 0 --max-level N`.  Each of its
+N + 1 steps probes every chart factor once, a periodic factor doubled and
+an open one by its Gauss-Kronrod rule; each of the first N steps then
+doubles every factor in the base, and the last grows nothing.  Its report holds the value and node count of every
 level sum, each step's base grid and its one-factor probes.
 
 Exit codes: 0 when the value rounds to an accepted integer, 2 when rounding

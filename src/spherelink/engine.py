@@ -186,6 +186,9 @@ def sign_factor(rule: str, k: int | None = None, l: int | None = None,
         det(Q, p), and moving Y - X to the front of A across the k columns
         of dX gives (-1)^(k+1) det(X - Y, dX, dY).  So the sphere integrand
         tends to (-1)^(n+k) = (-1)^(l+1) times the Gauss one (n = k + l + 1).
+        The oracle integrates the Gauss integral in its form on S^n, on
+        det(x - p, dx, y - p, dy), whose own signs (-1)^(k+1) and
+        (-1)^(n+1) times this one make +1 (n = k + l + 1).
     """
     if rule == "block_swap":
         return (-1) ** ((k + 1) * (l + 1))
@@ -453,8 +456,9 @@ def _laplace_subsets(d: int, m: int):
     signs[S] det A[S] det B[comps[S]].  With A = (x, dx_1, ..., dx_k) and
     B = (y, dy_1, ..., dy_l), as `_side_arrays` lays the frames out, that is
     the bracket det(x, dx, y, dy) every pair kernel integrates, which the
-    routes take in each side's span (:func:`_span_bracket`) and the oracle
-    by this expansion.  Its column
+    routes take in each side's span (:func:`_span_bracket`); the oracle
+    takes it of x - p in the whole space, where the bracket matrix is this
+    expansion's signed permutation.  Its column
     order carries the sphere's point-first orientation: a tangent basis
     A_1, ..., A_n at p is positive exactly when (p, A_1, ..., A_n) is a
     positive basis of R^{n+1}.  That convention is normative for every

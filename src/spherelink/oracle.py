@@ -1,37 +1,52 @@
-"""Independent ground truth: the Gauss linking integral in R^n.
+"""Independent ground truth: the Gauss linking integral, written on S^n.
 
 Disjoint closed oriented K^k, L^l in S^n (k + l = n - 1) are carried by
-stereographic projection, from one pole clear of both, into R^n, where the
+stereographic projection, from one pole p clear of both, into R^n, where the
 classical Gauss integral counts their linking number:
 
     Lk = sign / vol S^{n-1} * integral over K x L of
-         det(x - y, dx, dy) / |x - y|^n,
+         det(X - Y, dX, dY) / |X - Y|^n,
 
-with ``sign = sign_factor("stereographic", l=l)`` (derived there) for the
-projection frame of :func:`_projection_frame`.  Every order is covered,
-zero-dimensional sides (signed points) included.
+with ``sign = sign_factor("stereographic", l=l)`` (derived there).  Every
+order is covered, zero-dimensional sides (signed points) included.  Nothing
+is projected: by multilinearity the integrand is one on the sphere.  Take Q
+with det[Q | p] = +1, X = Q^T x / (1 - p.x) and
+dX = (Q^T t + X p.t) / (1 - p.x) for a tangent column t.
+
+1. det(X - Y, dX, dY) = (-1)^(k+1) det[(1; X), (0; dX), (1; Y), (0; dY)],
+   an (n+1)-square bracket: subtract the first column from (1; Y), expand
+   along the top row and move Y - X to the front.
+2. Scale each K column by 1 - p.x and each L column by 1 - p.y.  Then
+   (1 - p.x)(1; X) = JR(x - p) and (1 - p.x)(0; dX) = JRt + (p.t)(1; X),
+   with R = [p | Q]^T, J = diag(-1, 1, ..., 1) and det(JR) = (-1)^(n+1);
+   the term (p.t)(1; X), a multiple of the first column, drops out.
+3. |X - Y|^n = (2 (1 - x.y))^(n/2) / ((1 - p.x) (1 - p.y))^(n/2).
+
+The sign's (-1)^(l+1) times the (-1)^(k+1) of step 1 and the (-1)^(n+1)
+of step 2 is +1, so
+
+    Lk = 1 / vol S^{n-1} * integral over K x L of det(x - p, dx, y - p, dy)
+         (1 - p.x)^((l-k-1)/2) (1 - p.y)^((k-l-1)/2) (2 (1 - x.y))^(-n/2).
+
+The oracle stays independent of the routes where it counts: Gauss's kernel,
+not phi / sin^n, on a bracket of x - p, not x.
 
 The integral is one more ``terms`` of the engine's level sum,
 :func:`spherelink.engine._level_sum`, on the sides' own quadrature nodes and
-point-first frames from :func:`spherelink.engine._side_arrays`, projected
-with their tangent columns once per side block, each reused across the pair
-blocks of a refinement step as on every route
-(:func:`~spherelink.engine._refined_report`).
-The numerator splits as
-det(x, dx | dy) - (-1)^k det(dx | y, dy): two Laplace expansions into
-per-side minors of the whole projected frames
-(:func:`~spherelink.engine._laplace_subsets`,
-:func:`~spherelink.engine._minor_dets`), which fill R^n, not the span the
-routes take them in; they are stacked so that the dot product of a K row
-and an L row sums both, with the weights, the sign and 1 / vol S^{n-1}
-folded into K's side.  The denominator needs no projected distances: the
-images X, Y of x, y satisfy
-|X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
-carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
-(2 (1 - c))^(-n/2) of the chunk's dot products c = x.y.  The oracle's chunks
-are thus the sphere routes' own, :func:`~spherelink.engine._pair_level` on
-the dot products :func:`~spherelink.engine._level_sum` forms, the kernel
-contracted against L's minors before anything is multiplied out, checked by
+point-first frames from :func:`spherelink.engine._side_arrays`, each side
+block built once and reused across the pair blocks of a refinement step as
+on every route (:func:`~spherelink.engine._refined_report`).  Each side
+takes the minors of its frames, the pole subtracted from the point column,
+on every (1 + dim)-row subset of the n + 1 rows in one
+:func:`~spherelink.engine._minor_dets` call, times its weights and its
+factor (1 - p.x)^(n/2 - dim - 1); K's also carry 1 / vol S^{n-1} and the
+bracket matrix of two identity spans (:func:`~spherelink.engine._span_bracket`,
+the signed Laplace permutation), so that a K row dotted with an L row is the
+pair's weighted bracket.  A pair's kernel is (2 (1 - c))^(-n/2) of the
+chunk's dot products c = x.y.  The oracle's chunks are thus the sphere
+routes' own, :func:`~spherelink.engine._pair_level` on the dot products
+:func:`~spherelink.engine._level_sum` forms, the kernel contracted against
+L's minors before anything is multiplied out, checked by
 :func:`~spherelink.engine._check_separation` at the fixed
 ``engine.MIN_ALPHA`` before any kernel is formed, and the report's min/max
 alpha are geodesic, as for every route.  The engine's
@@ -55,21 +70,19 @@ from .engine import (
     _check_pair,
     _check_separation,
     _fresh,
-    _laplace_subsets,
     _Level,
     _minor_dets,
     _pair_level,
     _refined_report,
     _side_arrays,
     _side_blocks,
+    _span_bracket,
     _tensor_domain,
-    sign_factor,
 )
 from .quadrature import probes
 from .spheregeom import _vol_sphere_any
 
-__all__ = ["oracle_linking", "find_pole", "pole_candidates", "stereographic_frames",
-           "CURVE_NODES"]
+__all__ = ["oracle_linking", "find_pole", "pole_candidates", "CURVE_NODES"]
 
 # geodesic clearance (rad) the pole keeps from every node of every level
 _POLE_CLEARANCE = 0.05
@@ -99,40 +112,6 @@ def find_pole(points: np.ndarray) -> np.ndarray:
     return candidates[best]
 
 
-def _projection_frame(pole: np.ndarray) -> np.ndarray:
-    """Orthonormal columns q_1, ..., q_n orthogonal to the pole, with
-    det(q_1, ..., q_n, pole) = +1: the pole and every axis but its largest
-    component, orthonormalised in order, the last column negated if need be."""
-    axes = np.delete(np.eye(len(pole)), int(np.argmax(np.abs(pole))), axis=1)
-    frame = np.linalg.qr(np.column_stack([pole, axes]))[0][:, 1:]
-    if np.linalg.det(np.column_stack([frame, pole])) < 0:
-        frame[:, -1] *= -1
-    return frame
-
-
-def stereographic_frames(frames: np.ndarray, pole: np.ndarray) -> np.ndarray:
-    """Point-first frames (N, n+1, 1 + m) on S^n projected from `pole` to R^n.
-
-    With Q = _projection_frame(pole), a point x maps to X = Q^T x / (1 - p.x)
-    and a tangent column t to its chain-rule image (Q^T t + X p.t) / (1 - p.x).
-    The result is a view of frames laid out column by column with the nodes
-    last, as :func:`~spherelink.engine._side_arrays` lays out its input, and
-    each product with p or Q is one matmul over every column at once.
-    ValueError when a point comes within _POLE_CLEARANCE of the pole.
-    """
-    cols = frames.transpose(2, 1, 0)
-    dots = pole @ cols
-    nearest = np.fmax.reduce(dots[0])
-    if nearest >= np.cos(_POLE_CLEARANCE):
-        closest = float(np.arccos(min(nearest, 1.0)))
-        raise ValueError(f"pole passes within {closest:.4f} rad of the manifold")
-    den = 1.0 - dots[0]
-    out = np.matmul(_projection_frame(pole).T, cols)
-    out /= den
-    out[1:] += out[0] * (dots[1:, None, :] / den)
-    return out.transpose(2, 1, 0)
-
-
 def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
     """(2 (1 - c))^(-n/2), in place on a chunk's dot products c = x.y: the
     Gauss kernel |X - Y|^-n of the images without their conformal factors."""
@@ -141,45 +120,48 @@ def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
     return np.power(c, -0.5 * n, out=c)
 
 
-def _gauss_terms(pole, K, L, counts, sides=_fresh) -> _Level:
-    """One level of the Gauss integral, as a `terms` of the engine's level sum.
-
-    The images X, Y of x, y satisfy
-    |X - Y|^2 = 2 (1 - x.y) / ((1 - p.x) (1 - p.y)), so each side's minors
-    carry its conformal factor (1 - p.x)^(n/2) and a pair's kernel is
-    :func:`_gauss_kernel` of the dot products each chunk forms, as on the
-    routes.  `sides` builds or reuses each side, as for the routes' terms
+def _gauss_terms(pole, kern, scale, bracket, K, L, counts, sides=_fresh) -> _Level:
+    """One level of the Gauss integral, as a `terms` of the engine's level sum:
+    kern(c) = (2 (1 - c))^(-n/2) of each chunk's dot products, times the
+    bracket det(x - p, dx, y - p, dy) of each side's minors
+    (:func:`_gauss_side`), K's carrying `scale` and `bracket`.  `sides`
+    builds or reuses each side, as for the routes' terms
     (:func:`~spherelink.engine._kernel_terms`).
     """
-    k, l, n = _check_pair(K, L)
-    subs, comps, signs = _laplace_subsets(n, k + 1)      # det(x, dx | dy)
-    subs2, comps2, signs2 = _laplace_subsets(n, k)       # det(dx | y, dy)
-    scale = sign_factor("stereographic", l=l) / _vol_sphere_any(n - 1)
-    # (first column, row subsets, signs) of each side's two minor blocks
-    k_parts = ((0, subs, signs), (1, subs2, signs2 * (-1) ** (k + 1)))
-    l_parts = ((1, comps, 1.0), (0, comps2, 1.0))
-    pk, mk = sides(0, counts[:k], partial(_gauss_side, pole, K, counts[:k], k_parts, scale))
-    pl, ml = sides(1, counts[k:], partial(_gauss_side, pole, L, counts[k:], l_parts, 1.0))
-    return _pair_level(partial(_gauss_kernel, n), pk, mk, pl, ml)
+    k = K.dim
+    pk, mk = sides(0, counts[:k], partial(_gauss_side, pole, K, counts[:k], scale, bracket))
+    pl, ml = sides(1, counts[k:], partial(_gauss_side, pole, L, counts[k:], 1.0))
+    return _pair_level(kern, pk, mk, pl, ml)
 
 
-def _gauss_side(pole, m, counts, parts, scale):
+def _gauss_side(pole, m, counts, scale, bracket=None):
     """One side of the Gauss integral: its points and the minors of its
-    projected frames, one block per part, times scale, its weights and its
-    conformal factor."""
+    frames with the pole subtracted from the point column, on every
+    (1 + dim)-row subset in `combinations` order, times scale, its weights
+    and its factor (1 - p.x)^(n/2 - dim - 1), then times `bracket` when
+    given.  ValueError when a point comes within _POLE_CLEARANCE of the pole.
+    """
     pts, frames, w = _side_arrays(m, counts)
+    if m.dim == 0:  # a view of the catalog's own points, which stay as they are
+        frames = frames.copy()
     pts = pts.copy()
-    frames = stereographic_frames(frames, pole)
-    minors = np.hstack([_minor_dets(frames[:, :, c:], subsets) * sg
-                        for c, subsets, sg in parts])
-    minors *= (scale * w * (1.0 - pts @ pole) ** (m.ambient_n / 2))[:, None]
-    return pts, minors
+    dots = pts @ pole
+    nearest = np.fmax.reduce(dots)
+    if nearest >= np.cos(_POLE_CLEARANCE):
+        closest = float(np.arccos(min(nearest, 1.0)))
+        raise ValueError(f"pole passes within {closest:.4f} rad of the manifold")
+    frames[:, :, 0] -= pole
+    n = m.ambient_n
+    minors = _minor_dets(frames, list(combinations(range(n + 1), m.dim + 1)))
+    minors *= (scale * w * (1.0 - dots) ** (n / 2 - m.dim - 1))[:, None]
+    return pts, minors if bracket is None else minors @ bracket
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
                    grid: GridSpec | None = None, tol: float = TOL,
                    max_level: int = MAX_LEVEL, m: int = CURVE_NODES) -> LinkingReport:
-    """Lk(K, L) by the Gauss integral of the stereographic images in R^n.
+    """Lk(K, L) by the Gauss integral of the stereographic images in R^n,
+    integrated in its form on S^n (see the module docstring).
 
     grid holds the base node counts, as for the engine's evaluators; without
     one, curves take m nodes (GridSpec(curve=m)).  One pole serves every
@@ -192,13 +174,16 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
     a chunk whose geodesic separation reaches the engine's MIN_ALPHA raises
     DisjointnessError before its kernel is formed.
     """
-    _check_pair(K, L)
+    k, _, n = _check_pair(K, L)
     counts = (grid or GridSpec(curve=m)).counts(K, L)
     k_blocks, l_blocks = _side_blocks(K, L, counts,
                                       [counts] + probes(_tensor_domain(K, L, counts), counts))
     # each side block embedded once, and only its points kept
     pole = find_pole(np.vstack([_side_arrays(M, b)[0].copy()
                                 for M, side in ((K, k_blocks), (L, l_blocks)) for b in side]))
-    return _refined_report(K, L, partial(_gauss_terms, pole),
-                           partial(_check_separation, min_alpha=MIN_ALPHA), counts, tol,
-                           max_level, "gauss_oracle")
+    # the sphere form's signs multiply to +1 (module docstring)
+    scale = 1.0 / _vol_sphere_any(n - 1)
+    bracket = _span_bracket(*(tuple(map(tuple, np.eye(n + 1))),) * 2, k + 1)
+    terms = partial(_gauss_terms, pole, partial(_gauss_kernel, n), scale, bracket)
+    return _refined_report(K, L, terms, partial(_check_separation, min_alpha=MIN_ALPHA),
+                           counts, tol, max_level, "gauss_oracle")

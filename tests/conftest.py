@@ -14,7 +14,6 @@ from spherelink import (
     small_round_sphere,
 )
 from spherelink.engine import _side_arrays
-from spherelink.oracle import _projection_frame
 from spherelink.spheregeom import alpha_extremes
 
 
@@ -119,8 +118,11 @@ def clifford_pair(p: int, q: int, phase: float):
     return clifford_torus_curve(p, q), clifford_torus_curve(p, q, phase)
 
 
-# the pole the lifted circles are projected from, through the oracle's frame
+# the pole the lifted circles are projected from, and the frame Q they are
+# projected through, orthonormal columns orthogonal to it with
+# det[Q | LIFT_POLE] = +1
 LIFT_POLE = np.array([0.0, 0.0, 0.0, 1.0])
+LIFT_FRAME = np.diag([-1.0, -1.0, 1.0, 0.0])[:, :3]
 
 
 def lifted_circle(center, radius, normal_axis=2):
@@ -135,7 +137,7 @@ def lifted_circle(center, radius, normal_axis=2):
     b - a; the plane's foot from the origin is its center, and it starts
     at a, heading along t.
     """
-    q, p = _projection_frame(LIFT_POLE), LIFT_POLE
+    q, p = LIFT_FRAME, LIFT_POLE
     e = np.eye(3)[[i for i in range(3) if i != normal_axis]]
     center = np.asarray(center, dtype=float)
 
@@ -163,7 +165,7 @@ def threading_circles():
             lifted_circle([0.5, 0, 0], 0.5, normal_axis=1))
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
 

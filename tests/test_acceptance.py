@@ -50,7 +50,7 @@ def _passline(n, text):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def fixture_table(rng):
+def fixture_table():
     """Catalog link pairs with per-fixture grids for the join-degree runs.
 
     Entries: name -> (K, L, full_grid, full_kwargs, reduced_grid).

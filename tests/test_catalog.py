@@ -15,6 +15,7 @@ from spherelink import (
 )
 from spherelink.catalog import (
     _VALIDATION_POINTS,
+    _Rotated,
     _RoundSphere,
     _validation_samples,
     build_entry,
@@ -299,6 +300,31 @@ class TestSpan:
             Flat(*args)
         with pytest.raises(ValueError, match="not orthonormal"):
             Stretched(*args)
+
+    def test_composed_wrappers_hold_their_frames(self):
+        # wrappers run no check of their own, as only library code sets
+        # their span: each composition's span passes the construction check
+        # on a small round 2- and 3-sphere, a great 2-sphere and a Hopf
+        # fiber, under random rotations, and a rotation left out is refused
+        rng = np.random.default_rng(13)
+        q = random_rotation(7, rng)
+        bases = [small_round_sphere(2, q[:, 0], 0.9, q[:, 1:4].T),
+                 small_round_sphere(3, q[:, 0], 0.9, q[:, 1:5].T),
+                 great_subsphere(2, (0, 3, 5), 6), hopf_fiber((1, 0, 0, 0))]
+        for m in bases:
+            r, r2 = (random_rotation(m.ambient_n + 1, rng) for _ in range(2))
+            for w in (rotated(m, r), antipodal_image(rotated(m, r)),
+                      orientation_reversed(rotated(m, r)),
+                      rotated(orientation_reversed(antipodal_image(m)), r2)):
+                w._validate()
+
+        class Unrotated(_Rotated):
+            @property
+            def span(self):
+                return self.inner.span
+
+        with pytest.raises(ValueError, match="leaves the declared span"):
+            Unrotated(bases[0], random_rotation(7, rng))._validate()
 
 
 class TestFourierCurve:

@@ -11,23 +11,44 @@ from spherelink import (
     orientation_reversed,
 )
 from spherelink import oracle
-from spherelink.engine import _side_arrays
-from spherelink.oracle import find_pole, pole_candidates, stereographic_frames
+from spherelink.engine import _side_arrays, _span_bracket, sign_factor
+from spherelink.oracle import _gauss_side, find_pole, pole_candidates
 from spherelink.quadrature import probes
+from spherelink.spheregeom import _vol_sphere_any
 
 from conftest import (
+    LIFT_FRAME,
     LIFT_POLE,
     great_pair,
     hopf_pair,
     lifted_circle,
     small_sphere_pair,
     threading_circles,
+    unit_rows,
 )
 
 
+def projection_frame(pole):
+    """Orthonormal columns q_1, ..., q_n orthogonal to the pole, with
+    det[q_1, ..., q_n, pole] = +1: the pole and every axis but its largest
+    component, orthonormalised in order, the last column negated if need be."""
+    axes = np.delete(np.eye(len(pole)), int(np.argmax(np.abs(pole))), axis=1)
+    frame = np.linalg.qr(np.column_stack([pole, axes]))[0][:, 1:]
+    if np.linalg.det(np.column_stack([frame, pole])) < 0:
+        frame[:, -1] *= -1
+    return frame
+
+
 def projected(M, nodes, pole):
-    """Projected point-first frames of M's quadrature nodes."""
-    return stereographic_frames(_side_arrays(M, (nodes,) * M.dim)[1], pole)
+    """M's point-first frames (N, n, 1 + dim) at its quadrature nodes,
+    stereographically projected from `pole` to R^n, and its weights: with
+    Q = projection_frame(pole), a point x maps to X = Q^T x / (1 - p.x) and a
+    tangent column t to its chain-rule image (Q^T t + X p.t) / (1 - p.x)."""
+    pts, frames, w = _side_arrays(M, (nodes,) * M.dim)
+    den = 1.0 - pts @ pole
+    out = np.einsum("ji,njc->nic", projection_frame(pole), frames) / den[:, None, None]
+    out[:, :, 1:] += out[:, :, :1] * (pole @ frames[:, :, 1:] / den[:, None])[:, None, :]
+    return out, w
 
 
 def kernel_calls(monkeypatch):
@@ -61,8 +82,10 @@ class TestPoleMachinery:
 
     def test_pole_on_curve_rejected(self, monkeypatch):
         K, L = great_pair(1, 1)
-        with pytest.raises(ValueError, match="pole"):
-            projected(K, 16, np.array([1.0, 0, 0, 0]))
+        # e0 is K's node 0
+        with_pole(monkeypatch, [1.0, 0, 0, 0])
+        with pytest.raises(ValueError, match="pole passes within"):
+            oracle_linking(K, L, m=16)
         # the clearance is checked on every level's nodes: this pole lies
         # midway between two of K's 8 base nodes, on a node of the next level
         with_pole(monkeypatch, [np.cos(np.pi / 8), np.sin(np.pi / 8), 0, 0])
@@ -110,46 +133,42 @@ class TestPoleMachinery:
 
 
 class TestStereographicProjection:
-    def test_great_circle_projects_to_round_circle(self):
-        # the equatorial circle, projected from (0, 0, 0, 1), is the unit circle
-        K = great_subsphere(1, (0, 1), 3)
-        frames = projected(K, 128, np.array([0.0, 0, 0, 1.0]))
-        pts, vel = frames[:, :, 0], frames[:, :, 1]
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-        # velocities tangent to the circle
-        assert np.max(np.abs(np.sum(pts * vel, axis=1))) < 1e-10
-
-    def test_velocity_by_finite_difference(self):
-        # projected tangent columns are the derivatives of the projected
-        # points, for a curve in S^3 and a 2-sphere in S^4
-        K = clifford_torus_curve(2, 3)
-        S, _ = small_sphere_pair(2, 1)
-        for M, pole, coords in (
-                (K, np.array([1.0, 1, 1, 1]) / 2, np.linspace(0.1, 6.0, 17)[:, None]),
-                (S, np.array([0.0, 1, 1, 0, 1]) / np.sqrt(3),
-                 np.column_stack([np.linspace(0.3, 2.8, 9), np.linspace(0.2, 6.0, 9)]))):
-            pts, tan = M.batch(coords)
-            frames = stereographic_frames(np.concatenate([pts[:, :, None], tan], axis=2), pole)
-            h = 1e-6
-            for j in range(M.dim):
-                step = h * np.eye(M.dim)[j]
-                fwd, bwd = (stereographic_frames(M.batch(coords + sg * step)[0][:, :, None],
-                                                 pole)[:, :, 0] for sg in (1, -1))
-                assert np.max(np.abs((fwd - bwd) / (2 * h) - frames[:, :, 1 + j])) < 1e-6
-
-    def test_hopf_fibers_stay_disjoint(self):
-        K, L = hopf_pair()
-        pole = find_pole(np.vstack([_side_arrays(M, (256,))[0] for M in (K, L)]))
-        pk, pl = (projected(M, 256, pole)[:, :, 0] for M in (K, L))
-        dmin = np.min(np.linalg.norm(pk[:, None, :] - pl[None, :, :], axis=2))
-        assert dmin > 1e-3
+    @pytest.mark.parametrize("k, l", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 2), (2, 2),
+                                      (1, 3), (2, 3)])
+    def test_sphere_form_is_the_gauss_integrand(self, k, l, rng):
+        # the literal Gauss integrand of the images in R^n, weighted, at
+        # every pair of small K and L grids, is the sphere form the oracle
+        # integrates: a K row of minors dotted with an L row, times the
+        # kernel (2 (1 - x.y))^(-n/2), from a random pole
+        K, L = small_sphere_pair(k, l)
+        n = K.ambient_n
+        nodes = {0: 1, 1: 8, 2: 4, 3: 3}
+        pts = np.vstack([_side_arrays(M, (nodes[M.dim],) * M.dim)[0] for M in (K, L)])
+        pole = unit_rows(rng, 1, n + 1)[0]
+        while np.max(pts @ pole) > np.cos(0.1):
+            pole = unit_rows(rng, 1, n + 1)[0]
+        bracket = _span_bracket(*(tuple(map(tuple, np.eye(n + 1))),) * 2, k + 1)
+        pk, mk = _gauss_side(pole, K, (nodes[k],) * k, 1.0 / _vol_sphere_any(n - 1), bracket)
+        pl, ml = _gauss_side(pole, L, (nodes[l],) * l, 1.0)
+        sphere = (mk @ ml.T) * (2 * (1 - pk @ pl.T)) ** (-n / 2)
+        (fk, wk), (fl, wl) = (projected(M, nodes[M.dim], pole) for M in (K, L))
+        X, Y = fk[:, None, :, :1], fl[None, :, :, :1]
+        pair = (len(fk), len(fl), n)
+        det = np.linalg.det(np.concatenate(
+            [np.broadcast_to(c, pair + c.shape[3:])
+             for c in (X - Y, fk[:, None, :, 1:], fl[None, :, :, 1:])], axis=3))
+        dist = np.linalg.norm((X - Y)[..., 0], axis=2)
+        gauss = (sign_factor("stereographic", l=l) / _vol_sphere_any(n - 1)
+                 * det / dist ** n * np.outer(wk, wl))
+        assert np.max(np.abs(sphere - gauss)) <= 1e-13 * np.max(np.abs(gauss))
 
     def test_lifted_circles_project_to_threading_circles(self):
         # from LIFT_POLE the fixture's circles land on the R^3 circles they
         # were lifted from, run counterclockwise in their planes
+        assert np.array_equal(projection_frame(LIFT_POLE), LIFT_FRAME)
         for M, center, (a, b) in zip(threading_circles(), ([0, 0, 0], [0.5, 0, 0]),
                                      ((0, 1), (0, 2))):
-            frames = projected(M, 32, LIFT_POLE)
+            frames, _ = projected(M, 32, LIFT_POLE)
             rel, vel = frames[:, :, 0] - center, frames[:, :, 1]
             assert np.allclose(np.linalg.norm(rel, axis=1), 0.5, atol=1e-12)
             assert np.max(np.abs(rel[:, 3 - a - b])) < 1e-12
@@ -292,6 +311,17 @@ class TestOrders:
     def test_great_spheres_link_once(self, k, l):
         r = oracle_linking(*great_pair(k, l), GridSpec(curve=16, surface=6), tol=1e-8)
         assert r.raw_value == pytest.approx(1.0, abs=1e-8)
+
+    def test_point_sides_left_unchanged(self):
+        # the pole is subtracted from a copy of a point side's frames, which
+        # are a view of the catalog's own points
+        for k, l in ((0, 2), (2, 0)):
+            K, L = small_sphere_pair(k, l)
+            P = K if k == 0 else L
+            before = [a.copy() for a in P.signed_points()]
+            oracle_linking(K, L, GridSpec(curve=16, surface=6), tol=1e-6)
+            for a, b in zip(before, P.signed_points()):
+                assert np.array_equal(a, b)
 
     def test_reversing_either_side_negates(self):
         # k = 0 and l = 0 sides: a point pair with its signs swapped
