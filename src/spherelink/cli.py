@@ -5,9 +5,9 @@ Subcommands:
   phi      tabulate the distance kernels to CSV
   catalog  list catalog kinds and their parameter schemas
 
-The Gauss-integral oracle (the Gauss integral of the stereographic images
-in R^n, written on S^n, any order) is the spec method "oracle" of `link`,
-and a refinement study is `link --tol 0 --max-level N`.  Each of its
+Every spec method is an entry of the engine's route table, the Gauss
+integral of the stereographic images in R^n (written on S^n, any order)
+included.  A refinement study is `link --tol 0 --max-level N`.  Each of its
 N + 1 steps probes every chart factor once, a periodic factor doubled and
 an open one by its Gauss-Kronrod rule; each of the first N steps then
 doubles every factor in the base, and the last grows nothing.  Its report holds the value and node count of every
@@ -22,9 +22,10 @@ round-trips IEEE doubles exactly; reports serialize with sorted keys so a
 given spec and version yields byte-identical output (pass --stable to zero
 the wall-time field, the one legitimately varying value).
 
-The CLI restates no library decision: the method list is the engine's
-routes plus the oracle, a run report holds every LinkingReport field, and
-an absent spec field takes the library's default.
+The CLI restates no library decision: the method list, each method's curve
+default, the method that holds min_alpha fixed and the report's
+kernel_mode come from the engine's route table, a run report holds every
+LinkingReport field, and an absent spec field takes the library's default.
 """
 
 import argparse
@@ -37,19 +38,10 @@ import numpy as np
 
 from . import __version__
 from .catalog import _float, _int, build_entry, catalog_schemas
-from .engine import (
-    _ROUTES,
-    MIN_ALPHA,
-    DisjointnessError,
-    GridSpec,
-    evaluate_corollary,
-    evaluate_join_degree,
-    evaluate_main_theorem,
-)
+from .engine import _ROUTES, DisjointnessError, GridSpec, _evaluate
 from .kernels import get_evaluator
-from .oracle import CURVE_NODES, oracle_linking
 
-METHODS = (*_ROUTES, "oracle")
+METHODS = tuple(_ROUTES)
 
 
 def _count(value) -> int:
@@ -171,20 +163,14 @@ def _dispatch(spec: dict):
     """Run the spec's method, forwarding only the fields the spec holds."""
     K, L = _validate_spec(spec)
     method = spec["method"]
+    route = _ROUTES[method]
     grid = _present(_object(spec, "grid"), _GRID_FIELDS, "grid.")
     grid = {_GRID_NAMES.get(key, key): value for key, value in grid.items()}
     kw = _present(spec, _RUN_FIELDS)
-    if method == "oracle":
-        if "min_alpha" in kw:
-            raise ValueError("spec field 'min_alpha' does not apply to method oracle, "
-                             f"which checks geodesic separation at the fixed {MIN_ALPHA} rad")
-        return oracle_linking(K, L, GridSpec(**{"curve": CURVE_NODES, **grid}), **kw)
-    grid = GridSpec(**grid)
-    if method == "main":
-        return evaluate_main_theorem(K, L, grid=grid, **kw)
-    if method == "corollary":
-        return evaluate_corollary(K, L, grid=grid, **kw)
-    return evaluate_join_degree(K, L, grid=grid, variant=method.removeprefix("join-"), **kw)
+    if "min_alpha" in kw and route.min_alpha is not None:
+        raise ValueError(f"spec field 'min_alpha' does not apply to method {method}, which "
+                         f"checks geodesic separation at the fixed {route.min_alpha} rad")
+    return _evaluate(method, K, L, GridSpec(**{"curve": route.curve, **grid}), **kw)
 
 
 def _apply_thresholds(spec: dict, report):
@@ -198,7 +184,7 @@ def _run_report(spec: dict, report, wall_ms: float) -> dict:
     "report", except node_counts, which sits beside it."""
     fields = dataclasses.asdict(report)
     return {
-        "kernel_mode": "gauss" if spec["method"] == "oracle" else "closed_form",
+        "kernel_mode": _ROUTES[spec["method"]].kernel_mode,
         "node_counts": fields.pop("node_counts"),
         "report": dict(fields, linking_number=report.linking_number),
         "spec": spec,
@@ -225,9 +211,9 @@ def cmd_phi(args) -> int:
             raise ValueError(f"--{dest.replace('_', '-')} is malformed: {exc}") from exc
     ev = get_evaluator(args.k, args.l)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.num)
-    phi_vals = np.atleast_1d(ev.phi(alphas))
+    phi_vals = np.atleast_1d(ev.phi_fast(alphas))
     ratio_vals = np.atleast_1d(ev.kernel_ratio(alphas))
-    conv_vals = np.atleast_1d(ev.convolution(alphas))
+    conv_vals = np.atleast_1d(ev.convolution_fast(alphas))
     print("alpha,phi,kernel_ratio,convolution")
     for a, p, r, c in zip(alphas, phi_vals, ratio_vals, conv_vals):
         print(f"{_fmt(a)},{_fmt(p)},{_fmt(r)},{_fmt(c)}")
@@ -274,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="doublings allowed per chart factor of the base grid; "
                              "probes go one further")
     p_link.add_argument("--min-alpha", type=float, default=None, dest="min_alpha",
-                        help="geodesic disjointness threshold in radians (sphere "
-                             f"methods; the oracle holds it at {MIN_ALPHA} and refuses it)")
+                        help="geodesic disjointness threshold in radians (refused by "
+                             "a method that holds it fixed)")
     p_link.add_argument("--stable", action="store_true",
                         help="zero the wall-time field for byte-identical reports")
     p_link.set_defaults(func=cmd_link)

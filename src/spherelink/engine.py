@@ -20,12 +20,19 @@ S^n with k + l = n - 1:
   the kernel.  Variant "full" integrates the raw (n+1) x (n+1) determinant
   of the join map and its Jacobian over K x L x [0, 1], the Jacobian taken
   exactly by the chain rule through the catalog's tangent columns; it is
-  the independent cross-check of the whole pullback reduction.
+  the independent cross-check of the whole pullback reduction;
+
+* ``spherelink.oracle.oracle_linking`` -- the Gauss integral of the
+  stereographic images in R^n from a pole p, written on S^n
+  (:mod:`spherelink.oracle`): the pair kernel (2 (1 - x.y))^(-n/2) on
+  det(x - p, dx, y - p, dy), each side weighted by (1 - p.x)^(n/2 - dim - 1),
+  over 1 / vol S^{n-1}.
 
 Every route is one sum over K x L, and ``_ROUTES`` holds what differs per
-CLI method name: label, kernel, sign and separation check.  One chunk loop,
-:func:`_level_sum`, sums every level, the Gauss integral of
-:mod:`spherelink.oracle` included: per chunk of K rows it forms the dot
+method name: label, kernel, sign and separation check, and the oracle's
+pole search, fixed threshold, curve default and kernel mode.  One
+evaluator, :func:`_evaluate`, runs every entry, and one chunk loop,
+:func:`_level_sum`, sums every level: per chunk of K rows it forms the dot
 products c = cos alpha of the route's K points against every L point, and
 the chunk's geodesic separation range from their two extremes, which
 :func:`_check_separation` checks before any per-pair value is evaluated.
@@ -66,20 +73,22 @@ estimate, the level values and the report are one number on one scale, and
 nothing is rescaled after refinement.  Pair
 kernels expand the bracket determinant by Cauchy-Binet into each side's
 minors in its own span (:attr:`~spherelink.catalog.OrientedSubmanifold.span`:
-4 and 5 a node for a small (2,3) pair, where the whole space has 35), K's
+4 and 5 a node for a small (2,3) pair, where the whole space has 35), the
+oracle's in the span of [span | p] (10 and 15; :func:`_pole_span`), K's
 carrying the bracket matrix of the two spans, so that a pair's bracket is
 the dot product of its K row and its L row; join-full forms its chunk's
 alpha, builds each block's Jacobians in place, one column at a time, and
 sums each pair's join-map determinant against the u rule.  One Laplace
 recursion, :func:`_minor_dets`, gives every determinant, the bracket
-matrix's and the oracle's included.  Each side's arrays come from
+matrix's included.  Each side's arrays come from
 :func:`_side_arrays`: the side's ``batch`` writes its point and tangent
 columns into one array laid out column by column with the nodes last, which
 :func:`_minor_dets` reads without a copy, and a pair route takes their
-coordinates in the side's span by one matmul and folds its weights,
-prefactor and bracket matrix into the minors there, keeping only points and
-minors.  :func:`_refined_report` sums each
-refinement step's new pair blocks in one pass and keeps each side block
+coordinates in the side's span by one matmul (:func:`_minor_side`, the
+oracle's shifted by the pole) and folds its weights, prefactor and bracket
+matrix into the minors there, keeping only points and minors.
+:func:`_refined_report` sums each refinement step's new pair blocks in one
+pass and keeps each side block
 from the first of them that reads it to the last, so a probe, which
 refines one factor and so changes one side, reuses the other: a step of f
 factors builds each distinct side block once, 2 + f of them, not
@@ -108,6 +117,7 @@ from .quadrature import (
     Kronrod,
     blocks,
     part_size,
+    probes,
     product_rule,
     refine_until,
     run_chunked,
@@ -115,7 +125,7 @@ from .quadrature import (
     tree_sum_axis,
     worker_pool,
 )
-from .spheregeom import _vol_sphere_any, alpha_extremes
+from .spheregeom import _POLE_CLEARANCE, _vol_sphere_any, alpha_extremes, find_pole
 
 __all__ = [
     "DisjointnessError",
@@ -207,36 +217,6 @@ def sign_factor(rule: str, k: int | None = None, l: int | None = None,
     raise ValueError(f"unknown sign rule {rule!r}")
 
 
-@dataclass(frozen=True)
-class _Route:
-    """What one CLI method needs: report label, kernel, sign, separation."""
-
-    label: str
-    # (evaluator, n) -> kern(cos_alpha), which overwrites its argument with
-    # the values it returns, resolved per call so that wrappers installed on
-    # KernelEvaluator are seen; None for join-full
-    kernel: Callable | None
-    sign_rule: str | None
-    antipodal: bool  # max alpha must also keep a margin from pi
-
-    def prefactor(self, k: int, n: int) -> float:
-        sign = sign_factor(self.sign_rule, k=k) if self.sign_rule else 1
-        return sign / _vol_sphere_any(n)
-
-
-_ROUTES = {
-    "main": _Route("main_theorem", lambda ev, n: lambda c: ev.kernel_ratio(None, c, out=c),
-                   None, False),
-    "corollary": _Route("corollary",
-                        lambda ev, n: lambda c: ev.convolution_fast(None, c, sin_power=n, out=c),
-                        "corollary_prefactor", True),
-    "join-reduced": _Route("join_degree_reduced",
-                           lambda ev, n: lambda c: ev.kernel_ratio(None, c, out=c),
-                           "join_reduced_net", False),
-    "join-full": _Route("join_degree_full", None, None, True),
-}
-
-
 def _check_separation(amin: float, amax: float, min_alpha: float, antipodal: bool = False):
     """Raise DisjointnessError unless the alpha range clears min_alpha and,
     for an antipodal route, keeps max alpha from pi; a NaN extreme clears
@@ -297,6 +277,64 @@ class GridSpec:
         L's, then the join parameter's when `u`."""
         return ((self.nodes_for(K, "k"),) * K.dim + (self.nodes_for(L, "l"),) * L.dim
                 + ((self.u,) if u else ()))
+
+
+def _ratio(k: int, l: int, n: int):
+    """kern(cos_alpha) of main and join-reduced: phi / sin^n."""
+    ev = kernels.get_evaluator(k, l)
+    return lambda c: ev.kernel_ratio(None, c, out=c)
+
+
+def _convolution(k: int, l: int, n: int):
+    """kern(cos_alpha) of the corollary: the convolution kernel / sin^n."""
+    ev = kernels.get_evaluator(k, l)
+    return lambda c: ev.convolution_fast(None, c, sin_power=n, out=c)
+
+
+def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
+    """(2 (1 - c))^(-n/2), in place on a chunk's dot products c = x.y: the
+    Gauss kernel |X - Y|^-n of the oracle's stereographic images without
+    their conformal factors."""
+    c *= -2.0
+    c += 2.0
+    return np.power(c, -0.5 * n, out=c)
+
+
+@dataclass(frozen=True)
+class _Route:
+    """What one method needs: report label, kernel, sign and separation,
+    and the oracle's pole, fixed threshold, curve default and kernel mode."""
+
+    label: str
+    # (k, l, n) -> kern(cos_alpha), which overwrites its argument with the
+    # values it returns, resolved per call so that wrappers installed on
+    # KernelEvaluator are seen; None for join-full
+    kernel: Callable | None
+    sign_rule: str | None
+    antipodal: bool  # max alpha must also keep a margin from pi
+    # points -> the pole p of the Gauss integral in R^n (spherelink.oracle),
+    # from the first step's nodes: each side's point column becomes x - p,
+    # its weights carry (1 - p.x)^(n/2 - dim - 1) and the prefactor is
+    # 1 / vol S^{n-1}; None for the sphere kernels
+    pole: Callable | None = None
+    min_alpha: float | None = None  # a threshold held fixed; None takes the caller's
+    curve: int = GridSpec.curve  # base nodes per curve when no grid is given
+    kernel_mode: str = "closed_form"  # the run report's name for the kernel
+
+    def prefactor(self, k: int, n: int) -> float:
+        sign = sign_factor(self.sign_rule, k=k) if self.sign_rule else 1
+        return sign / _vol_sphere_any(n if self.pole is None else n - 1)
+
+
+_ROUTES = {
+    "main": _Route("main_theorem", _ratio, None, False),
+    "corollary": _Route("corollary", _convolution, "corollary_prefactor", True),
+    "join-reduced": _Route("join_degree_reduced", _ratio, "join_reduced_net", False),
+    "join-full": _Route("join_degree_full", None, None, True),
+    # the sphere form's signs multiply to +1 (spherelink.oracle)
+    "oracle": _Route("gauss_oracle", lambda k, l, n: partial(_gauss_kernel, n), None, False,
+                     find_pole, MIN_ALPHA, 256, "gauss"),
+}
 
 
 @dataclass(frozen=True)
@@ -448,30 +486,6 @@ def _join_pair_bytes(d: int, nu: int) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _laplace_subsets(d: int, m: int):
-    """Row subsets, complements and signs for expansion by the first m columns.
-
-    A d x d determinant whose first m columns are a frame A and whose last
-    d - m are a frame B is the sum over the m-row subsets S of
-    signs[S] det A[S] det B[comps[S]].  With A = (x, dx_1, ..., dx_k) and
-    B = (y, dy_1, ..., dy_l), as `_side_arrays` lays the frames out, that is
-    the bracket det(x, dx, y, dy) every pair kernel integrates, which the
-    routes take in each side's span (:func:`_span_bracket`); the oracle
-    takes it of x - p in the whole space, where the bracket matrix is this
-    expansion's signed permutation.  Its column
-    order carries the sphere's point-first orientation: a tangent basis
-    A_1, ..., A_n at p is positive exactly when (p, A_1, ..., A_n) is a
-    positive basis of R^{n+1}.  That convention is normative for every
-    orientation decision in the package.
-    """
-    subs = list(combinations(range(d), m))
-    base = m * (m - 1) // 2
-    signs = np.array([(-1.0) ** (sum(s) - base) for s in subs])
-    comps = [tuple(r for r in range(d) if r not in s) for s in subs]
-    return subs, comps, signs
-
-
-@lru_cache(maxsize=64)
 def _laplace_plan(d: int, subsets: tuple):
     """Expansion terms of every minor `_minor_dets` forms on d-row frames.
 
@@ -546,6 +560,13 @@ def _side_arrays(m: OrientedSubmanifold, counts: tuple):
     :func:`_minor_dets` reads them without a copy; the points are a view of
     its first column.  A dimension-0 side is its signed points, with +-1
     weights.
+
+    Each frame is point-first, (x, dx_1, ..., dx_dim), and K's frame stacked
+    before L's is the bracket det(x, dx, y, dy) every pair kernel
+    integrates.  That column order carries the sphere's orientation: a
+    tangent basis A_1, ..., A_n at p is positive exactly when
+    (p, A_1, ..., A_n) is a positive basis of R^{n+1}.  That convention is
+    normative for every orientation decision in the package.
     """
     if m.dim == 0:
         pts, signs = m.signed_points()
@@ -656,9 +677,9 @@ def _span_bracket(bk: tuple, bl: tuple, m: int) -> np.ndarray:
     Frames B_K G_K and B_L G_L of m and d - m columns, with G the frames'
     coordinates in each span, have by Cauchy-Binet
     det[B_K G_K | B_L G_L] = sum over S, T of det G_K[S] det G_L[T] M[S, T].
-    Identity spans make M the signed permutation of `_laplace_subsets`: the
-    sign at (S, complement of S), zeros elsewhere.  Read-only, as it is
-    cached.
+    Identity spans make M a signed permutation, the Laplace expansion along
+    the first m columns: (-1)^(sum S - m (m - 1) / 2) at (S, complement of
+    S), zeros elsewhere.  Read-only, as it is cached.
     """
     bk, bl = np.array(bk), np.array(bl)
     d = len(bk)
@@ -669,41 +690,77 @@ def _span_bracket(bk: tuple, bl: tuple, m: int) -> np.ndarray:
     return bracket
 
 
-def _kernel_terms(kern, scale, K, L, counts, sides=_fresh):
+def _kernel_terms(kern, scale, spans, pole, K, L, counts, sides=_fresh):
     """Pair-kernel values: scale times kern(cos_alpha) times the bracket
-    det(x, dx, y, dy), in the point-first column order of `_laplace_subsets`.
+    det(x, dx, y, dy), or det(x - p, dx, y - p, dy) given a pole p (the
+    oracle), of the point-first frames of :func:`_side_arrays`.
 
-    Each side's frames are taken in its own span
-    (:attr:`~spherelink.catalog.OrientedSubmanifold.span`), and the bracket
-    expanded by Cauchy-Binet into the minors there (:func:`_minor_side`),
-    each side's quadrature weights folded in, and K's carrying the route's
-    prefactor `scale` and the bracket matrix of the two spans
-    (:func:`_span_bracket`), so that a K row dotted with an L row is the
-    pair's weighted bracket: 4 and 5 minors a node for a small (2,3) pair
+    Each side's frames are taken in its span of `spans`, its own
+    (:attr:`~spherelink.catalog.OrientedSubmanifold.span`) or, given a pole,
+    that of [span | p] (:func:`_pole_span`), and the bracket expanded by
+    Cauchy-Binet into the minors there (:func:`_minor_side`), each side's
+    quadrature weights folded in, and K's carrying the route's prefactor
+    `scale` and the bracket matrix of the two spans (:func:`_span_bracket`),
+    so that a K row dotted with an L row is the pair's weighted bracket: 4
+    and 5 minors a node for a small (2,3) pair, 10 and 15 for its oracle,
     where the whole space's are 35.  ``sides(which, block, build)`` returns
     side `which`'s arrays (0 for K, 1 for L) at its side block, built by
     build() or kept from another pair block of the step
     (:func:`_refined_report`).
     """
     k = K.dim
-    bracket = _span_bracket(*(tuple(map(tuple, m.span)) for m in (K, L)), k + 1)
-    pk, mk = sides(0, counts[:k], partial(_minor_side, K, counts[:k], scale, bracket))
-    pl, ml = sides(1, counts[k:], partial(_minor_side, L, counts[k:], 1.0))
+    bracket = _span_bracket(*(tuple(map(tuple, span)) for span in spans), k + 1)
+    pk, mk = sides(0, counts[:k], partial(_minor_side, K, counts[:k], scale, spans[0], pole,
+                                          bracket))
+    pl, ml = sides(1, counts[k:], partial(_minor_side, L, counts[k:], 1.0, spans[1], pole))
     return _pair_level(kern, pk, mk, pl, ml)
 
 
-def _minor_side(m, counts, scale, bracket=None):
+def _minor_side(m, counts, scale, span, pole=None, bracket=None):
     """One side of a pair kernel: its points and the minors of its frames'
-    coordinates in m.span (one matmul), on every row subset in
+    coordinates in `span` (one matmul), on every row subset in
     `combinations` order, times scale and its weights in place, then times
-    `bracket` when given.  Only the points (copied out) and the minors are
-    kept, not the frames."""
+    `bracket` when given.  Given a pole p, the point column is x - p, taken
+    as span^T x - span^T p, and the weights carry the factor
+    (1 - p.x)^(n/2 - dim - 1) (:mod:`spherelink.oracle`); ValueError when a
+    point comes within _POLE_CLEARANCE of p.  Only the points (copied out)
+    and the minors are kept, not the frames."""
     pts, frames, w = _side_arrays(m, counts)
-    span = m.span
     coords = np.matmul(span.T, frames.transpose(2, 1, 0)).transpose(2, 1, 0)
-    minors = _minor_dets(coords, list(combinations(range(span.shape[1]), frames.shape[2])))
-    minors *= (scale * w)[:, None]
+    w = scale * w
+    if pole is not None:
+        dots = pts @ pole
+        nearest = np.fmax.reduce(dots)
+        if nearest >= np.cos(_POLE_CLEARANCE):
+            closest = float(np.arccos(min(nearest, 1.0)))
+            raise ValueError(f"pole passes within {closest:.4f} rad of the manifold")
+        coords[:, :, 0] -= pole @ span
+        w *= (1.0 - dots) ** (m.ambient_n / 2 - m.dim - 1)
+    minors = _minor_dets(coords, list(combinations(range(span.shape[1]), coords.shape[2])))
+    minors *= w[:, None]
     return pts.copy(), minors if bracket is None else minors @ bracket
+
+
+def _pole_span(span, pole) -> np.ndarray:
+    """Orthonormal columns whose span holds `span`'s and the pole: `span`
+    itself without a pole or when it is the whole space, else the Q of
+    [span | pole]'s Householder QR, whose last column is a unit vector
+    orthogonal to `span` even when the pole lies in it."""
+    if pole is None or span.shape[1] == len(span):
+        return span
+    return np.linalg.qr(np.column_stack([span, pole]))[0]
+
+
+def _first_step_pole(find, K, L, counts) -> np.ndarray:
+    """find(points) on both sides' nodes on the grids of the first
+    refinement step, the base and its probes, which every run integrates,
+    since a coarse base grid alone can overstate a pole's clearance; they
+    are embedded as that step's side blocks, so each node enters once, and
+    only their points are kept."""
+    k_blocks, l_blocks = _side_blocks(K, L, counts,
+                                      [counts] + probes(_tensor_domain(K, L, counts), counts))
+    return find(np.vstack([_side_arrays(M, b)[0].copy()
+                           for M, side in ((K, k_blocks), (L, l_blocks)) for b in side]))
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -884,17 +941,22 @@ def _refined_report(K, L, terms, check, grid0, tol, max_level, method) -> Linkin
         levels_used=est.levels_used, node_counts=tuple(nodes), level_values=est.level_values)
 
 
-def _evaluate(method, K, L, grid, tol, max_level, min_alpha) -> LinkingReport:
-    """Integral of one `_ROUTES` entry over K x L, refined to tol."""
+def _evaluate(method, K, L, grid=None, tol=TOL, max_level=MAX_LEVEL,
+              min_alpha=MIN_ALPHA) -> LinkingReport:
+    """Integral of one `_ROUTES` entry over K x L, refined to tol; a route
+    that holds min_alpha fixed checks its own."""
     k, l, n = _check_pair(K, L)
     route = _ROUTES[method]
+    counts = (grid or GridSpec(curve=route.curve)).counts(K, L, u=route.kernel is None)
     scale = route.prefactor(k, n)
     if route.kernel is None:
         terms = partial(_join_terms, scale)
     else:
-        terms = partial(_kernel_terms, route.kernel(kernels.get_evaluator(k, l), n), scale)
-    check = partial(_check_separation, min_alpha=min_alpha, antipodal=route.antipodal)
-    counts = (grid or GridSpec()).counts(K, L, u=route.kernel is None)
+        pole = None if route.pole is None else _first_step_pole(route.pole, K, L, counts)
+        spans = tuple(_pole_span(m.span, pole) for m in (K, L))
+        terms = partial(_kernel_terms, route.kernel(k, l, n), scale, spans, pole)
+    check = partial(_check_separation, antipodal=route.antipodal,
+                    min_alpha=min_alpha if route.min_alpha is None else route.min_alpha)
     return _refined_report(K, L, terms, check, counts, tol, max_level, route.label)
 
 

@@ -406,10 +406,6 @@ class KernelEvaluator:
             val[near] = fix
         out[...] = val
 
-    def phi(self, alpha):
-        """Sweep kernel phi(k, l, alpha)."""
-        return self.phi_fast(alpha)
-
     def phi_fast(self, alpha, cos_alpha=None):
         """phi at alpha, or from cos_alpha alone."""
         return self._evaluate(alpha, cos_alpha, "phi")
@@ -429,10 +425,6 @@ class KernelEvaluator:
         """kernel_ratio at alpha = pi - eps by the series, for eps <= pi - alpha_switch."""
         eps = np.asarray(eps, dtype=float)
         return _horner(self._series, eps * eps)
-
-    def convolution(self, alpha):
-        """Circular convolution kernel convolution(k, l, alpha)."""
-        return self.convolution_fast(alpha)
 
     def convolution_fast(self, alpha, cos_alpha=None, sin_power=0, out=None):
         """Convolution kernel over sin^sin_power(alpha), at alpha or from
@@ -455,7 +447,7 @@ def get_evaluator(k: int, l: int) -> KernelEvaluator:
 
 def phi(k: int, l: int, alpha):
     """Sweep kernel: integral of sin^k(beta - alpha) sin^l(beta) over [alpha, pi]."""
-    return get_evaluator(k, l).phi(alpha)
+    return get_evaluator(k, l).phi_fast(alpha)
 
 
 def phi_kernel_ratio(k: int, l: int, alpha):
@@ -465,4 +457,4 @@ def phi_kernel_ratio(k: int, l: int, alpha):
 
 def convolution(k: int, l: int, alpha):
     """Convolution kernel: integral of sin^k(alpha - beta) sin^l(beta) over [0, pi]."""
-    return get_evaluator(k, l).convolution(alpha)
+    return get_evaluator(k, l).convolution_fast(alpha)

@@ -28,133 +28,41 @@ of step 2 is +1, so
     Lk = 1 / vol S^{n-1} * integral over K x L of det(x - p, dx, y - p, dy)
          (1 - p.x)^((l-k-1)/2) (1 - p.y)^((k-l-1)/2) (2 (1 - x.y))^(-n/2).
 
-The oracle stays independent of the routes where it counts: Gauss's kernel,
-not phi / sin^n, on a bracket of x - p, not x.
-
-The integral is one more ``terms`` of the engine's level sum,
-:func:`spherelink.engine._level_sum`, on the sides' own quadrature nodes and
-point-first frames from :func:`spherelink.engine._side_arrays`, each side
-block built once and reused across the pair blocks of a refinement step as
-on every route (:func:`~spherelink.engine._refined_report`).  Each side
-takes the minors of its frames, the pole subtracted from the point column,
-on every (1 + dim)-row subset of the n + 1 rows in one
-:func:`~spherelink.engine._minor_dets` call, times its weights and its
-factor (1 - p.x)^(n/2 - dim - 1); K's also carry 1 / vol S^{n-1} and the
-bracket matrix of two identity spans (:func:`~spherelink.engine._span_bracket`,
-the signed Laplace permutation), so that a K row dotted with an L row is the
-pair's weighted bracket.  A pair's kernel is (2 (1 - c))^(-n/2) of the
-chunk's dot products c = x.y.  The oracle's chunks are thus the sphere
-routes' own, :func:`~spherelink.engine._pair_level` on the dot products
-:func:`~spherelink.engine._level_sum` forms, the kernel contracted against
-L's minors before anything is multiplied out, checked by
-:func:`~spherelink.engine._check_separation` at the fixed
-``engine.MIN_ALPHA`` before any kernel is formed, and the report's min/max
-alpha are geodesic, as for every route.  The engine's
-:func:`~spherelink.engine._refined_report` refines from the ``GridSpec``
-base counts one factor at a time, as for every route, and reports the
-levels.
+The oracle stays independent of the routes where it counts: Gauss's kernel
+(2 (1 - x.y))^(-n/2), not phi / sin^n, on a bracket of x - p, not x.
+Everything else it shares with them, the span its sides' minors are taken
+in included.  It is the entry "oracle" of the engine's route table
+(``spherelink.engine._ROUTES``), which holds what it differs in: the pole
+as each side's shift, found by :func:`spherelink.spheregeom.find_pole` on
+both sides' nodes on the first refinement step's grids, the base and its
+probes, which every run integrates (a coarse base grid alone can overstate
+a candidate's clearance), embedded as that step's side blocks so that each
+node enters once; the factor (1 - p.x)^(n/2 - dim - 1) and the prefactor
+1 / vol S^{n-1} that go with it; the Gauss kernel; the separation
+threshold, held at ``engine.MIN_ALPHA``; and ``CURVE_NODES`` curve nodes
+by default.  So :func:`oracle_linking` is one call of the engine's
+evaluator, :func:`~spherelink.engine._evaluate`, and its level sums are
+the routes' own.  Each side takes the minors of its frames in a span,
+:func:`~spherelink.engine._minor_side` as on every route, here the span of
+[B | p] with B the side's
+:attr:`~spherelink.catalog.OrientedSubmanifold.span`, made orthonormal by
+:func:`~spherelink.engine._pole_span` (10 and 15 minors a node for a small
+(2,3) pair, not 35 of the whole space); its point column is x - p, its
+weights carry its factor, K's its prefactor and the bracket matrix of the
+two spans (:func:`~spherelink.engine._span_bracket`), and a node within
+0.05 rad of the pole is refused.  The chunks, the separation check before
+any kernel is formed, the geodesic min/max alpha of the report and the
+refinement from the ``GridSpec`` base counts one factor at a time are
+those of every route.
 """
 
-from functools import partial
-from itertools import combinations
-
-import numpy as np
-
 from .catalog import OrientedSubmanifold
-from .engine import (
-    MAX_LEVEL,
-    MIN_ALPHA,
-    TOL,
-    GridSpec,
-    LinkingReport,
-    _check_pair,
-    _check_separation,
-    _fresh,
-    _Level,
-    _minor_dets,
-    _pair_level,
-    _refined_report,
-    _side_arrays,
-    _side_blocks,
-    _span_bracket,
-    _tensor_domain,
-)
-from .quadrature import probes
-from .spheregeom import _vol_sphere_any
+from .engine import _ROUTES, MAX_LEVEL, TOL, GridSpec, LinkingReport, _evaluate
 
-__all__ = ["oracle_linking", "find_pole", "pole_candidates", "CURVE_NODES"]
+__all__ = ["oracle_linking", "CURVE_NODES"]
 
-# geodesic clearance (rad) the pole keeps from every node of every level
-_POLE_CLEARANCE = 0.05
 # default base node count per curve, of the Python API and the CLI alike
-CURVE_NODES = 256
-
-
-def pole_candidates(d: int) -> np.ndarray:
-    """Unit pole candidates on S^{d-1}: the signed axes +-e_i, then
-    +-(e_i + e_j) / sqrt 2 and +-(e_i - e_j) / sqrt 2 for i < j; 2 d^2 rows."""
-    eye = np.eye(d)
-    diagonals = [eye[i] + s * eye[j] for i, j in combinations(range(d), 2) for s in (1, -1)]
-    half = np.vstack([eye, np.reshape(diagonals, (-1, d)) / np.sqrt(2)])
-    return np.vstack([half, -half])
-
-
-def find_pole(points: np.ndarray) -> np.ndarray:
-    """The candidate pole farthest from every row of `points` (unit vectors
-    of R^{n+1}); ValueError when none keeps _POLE_CLEARANCE from them all."""
-    candidates = pole_candidates(points.shape[1])
-    # cos of each one's clearance; fmax skips a NaN point, which the
-    # integrand's finiteness check then reports
-    nearest = np.fmax.reduce(candidates @ points.T, axis=1)
-    best = int(np.argmin(nearest))
-    if nearest[best] >= np.cos(_POLE_CLEARANCE):
-        raise ValueError("no candidate pole is clear of K and L")
-    return candidates[best]
-
-
-def _gauss_kernel(n: int, c: np.ndarray) -> np.ndarray:
-    """(2 (1 - c))^(-n/2), in place on a chunk's dot products c = x.y: the
-    Gauss kernel |X - Y|^-n of the images without their conformal factors."""
-    c *= -2.0
-    c += 2.0
-    return np.power(c, -0.5 * n, out=c)
-
-
-def _gauss_terms(pole, kern, scale, bracket, K, L, counts, sides=_fresh) -> _Level:
-    """One level of the Gauss integral, as a `terms` of the engine's level sum:
-    kern(c) = (2 (1 - c))^(-n/2) of each chunk's dot products, times the
-    bracket det(x - p, dx, y - p, dy) of each side's minors
-    (:func:`_gauss_side`), K's carrying `scale` and `bracket`.  `sides`
-    builds or reuses each side, as for the routes' terms
-    (:func:`~spherelink.engine._kernel_terms`).
-    """
-    k = K.dim
-    pk, mk = sides(0, counts[:k], partial(_gauss_side, pole, K, counts[:k], scale, bracket))
-    pl, ml = sides(1, counts[k:], partial(_gauss_side, pole, L, counts[k:], 1.0))
-    return _pair_level(kern, pk, mk, pl, ml)
-
-
-def _gauss_side(pole, m, counts, scale, bracket=None):
-    """One side of the Gauss integral: its points and the minors of its
-    frames with the pole subtracted from the point column, on every
-    (1 + dim)-row subset in `combinations` order, times scale, its weights
-    and its factor (1 - p.x)^(n/2 - dim - 1), then times `bracket` when
-    given.  ValueError when a point comes within _POLE_CLEARANCE of the pole.
-    """
-    pts, frames, w = _side_arrays(m, counts)
-    if m.dim == 0:  # a view of the catalog's own points, which stay as they are
-        frames = frames.copy()
-    pts = pts.copy()
-    dots = pts @ pole
-    nearest = np.fmax.reduce(dots)
-    if nearest >= np.cos(_POLE_CLEARANCE):
-        closest = float(np.arccos(min(nearest, 1.0)))
-        raise ValueError(f"pole passes within {closest:.4f} rad of the manifold")
-    frames[:, :, 0] -= pole
-    n = m.ambient_n
-    minors = _minor_dets(frames, list(combinations(range(n + 1), m.dim + 1)))
-    minors *= (scale * w * (1.0 - dots) ** (n / 2 - m.dim - 1))[:, None]
-    return pts, minors if bracket is None else minors @ bracket
+CURVE_NODES = _ROUTES["oracle"].curve
 
 
 def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
@@ -165,25 +73,9 @@ def oracle_linking(K: OrientedSubmanifold, L: OrientedSubmanifold,
 
     grid holds the base node counts, as for the engine's evaluators; without
     one, curves take m nodes (GridSpec(curve=m)).  One pole serves every
-    level: the candidate farthest from both sides' nodes on the grids of the
-    first refinement step, the base and its probes, which every run
-    integrates, since a coarse base grid alone can overstate a candidate's
-    clearance; they are embedded as that step's side blocks, so each node
-    enters the search once.  Each level refuses a node within
-    _POLE_CLEARANCE of it, and
-    a chunk whose geodesic separation reaches the engine's MIN_ALPHA raises
-    DisjointnessError before its kernel is formed.
+    level, the candidate farthest from both sides' nodes on the grids of the
+    first refinement step; each level refuses a node within 0.05 rad of it,
+    and a chunk whose geodesic separation reaches the engine's MIN_ALPHA
+    raises DisjointnessError before its kernel is formed.
     """
-    k, _, n = _check_pair(K, L)
-    counts = (grid or GridSpec(curve=m)).counts(K, L)
-    k_blocks, l_blocks = _side_blocks(K, L, counts,
-                                      [counts] + probes(_tensor_domain(K, L, counts), counts))
-    # each side block embedded once, and only its points kept
-    pole = find_pole(np.vstack([_side_arrays(M, b)[0].copy()
-                                for M, side in ((K, k_blocks), (L, l_blocks)) for b in side]))
-    # the sphere form's signs multiply to +1 (module docstring)
-    scale = 1.0 / _vol_sphere_any(n - 1)
-    bracket = _span_bracket(*(tuple(map(tuple, np.eye(n + 1))),) * 2, k + 1)
-    terms = partial(_gauss_terms, pole, partial(_gauss_kernel, n), scale, bracket)
-    return _refined_report(K, L, terms, partial(_check_separation, min_alpha=MIN_ALPHA),
-                           counts, tol, max_level, "gauss_oracle")
+    return _evaluate("oracle", K, L, grid or GridSpec(curve=m), tol, max_level)

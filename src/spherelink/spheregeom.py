@@ -1,12 +1,15 @@
 """Ambient-space helpers for the round unit sphere S^n in R^{n+1}.
 
-Points are unit vectors in R^{n+1}.  The routes read three things from
+Points are unit vectors in R^{n+1}.  The routes read four things from
 here: the geodesic distance range of an array of dot products x . y,
-sphere volumes, and rotations (Givens compositions and the check that a
-matrix is one).  The point-first orientation convention the routes follow
-is stated where the bracket is formed, in
-:func:`spherelink.engine._laplace_subsets`.
+sphere volumes, rotations (Givens compositions and the check that a
+matrix is one) and the oracle's pole, the candidate farthest from both
+sides.  The point-first orientation convention the routes follow is
+stated where the frames are laid out, in
+:func:`spherelink.engine._side_arrays`.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -15,9 +18,13 @@ __all__ = [
     "sphere_volume",
     "givens_rotation",
     "compose_givens",
+    "pole_candidates",
+    "find_pole",
 ]
 
 _ROTATION_TOL = 1e-10
+# geodesic clearance (rad) the oracle's pole keeps from every node of every level
+_POLE_CLEARANCE = 0.05
 
 
 def alpha_extremes(dots) -> tuple[float, float]:
@@ -92,3 +99,25 @@ def compose_givens(dim: int, planes_angles) -> np.ndarray:
     for plane, angle in planes_angles:
         r = givens_rotation(dim, tuple(plane), float(angle)) @ r
     return r
+
+
+def pole_candidates(d: int) -> np.ndarray:
+    """Unit pole candidates on S^{d-1}: the signed axes +-e_i, then
+    +-(e_i + e_j) / sqrt 2 and +-(e_i - e_j) / sqrt 2 for i < j; 2 d^2 rows."""
+    eye = np.eye(d)
+    diagonals = [eye[i] + s * eye[j] for i, j in combinations(range(d), 2) for s in (1, -1)]
+    half = np.vstack([eye, np.reshape(diagonals, (-1, d)) / np.sqrt(2)])
+    return np.vstack([half, -half])
+
+
+def find_pole(points: np.ndarray) -> np.ndarray:
+    """The candidate pole farthest from every row of `points` (unit vectors
+    of R^{n+1}); ValueError when none keeps _POLE_CLEARANCE from them all."""
+    candidates = pole_candidates(points.shape[1])
+    # cos of each one's clearance; fmax skips a NaN point, which the
+    # integrand's finiteness check then reports
+    nearest = np.fmax.reduce(candidates @ points.T, axis=1)
+    best = int(np.argmin(nearest))
+    if nearest[best] >= np.cos(_POLE_CLEARANCE):
+        raise ValueError("no candidate pole is clear of K and L")
+    return candidates[best]

@@ -1,7 +1,9 @@
-"""Shared fixtures: the standard link-pair catalog, random helpers and an
-independent quadrature reference for the distance kernels."""
+"""Shared fixtures: the standard link-pair catalog, random helpers, the
+Laplace expansion the bracket is checked against and an independent
+quadrature reference for the distance kernels."""
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -163,6 +165,25 @@ def threading_circles():
     spanning disk downward at the origin: one negative crossing, Lk = -1."""
     return (lifted_circle([0, 0, 0], 0.5, normal_axis=2),
             lifted_circle([0.5, 0, 0], 0.5, normal_axis=1))
+
+
+@lru_cache(maxsize=64)
+def laplace_subsets(d: int, m: int):
+    """Row subsets, complements and signs for expansion by the first m columns.
+
+    A d x d determinant whose first m columns are a frame A and whose last
+    d - m are a frame B is the sum over the m-row subsets S of
+    signs[S] det A[S] det B[comps[S]].  With A = (x, dx_1, ..., dx_k) and
+    B = (y, dy_1, ..., dy_l), as `engine._side_arrays` lays the frames out,
+    that is the bracket det(x, dx, y, dy) every pair kernel integrates: the
+    reference the engine's span bracket (`engine._span_bracket`) is checked
+    against.
+    """
+    subs = list(combinations(range(d), m))
+    base = m * (m - 1) // 2
+    signs = np.array([(-1.0) ** (sum(s) - base) for s in subs])
+    comps = [tuple(r for r in range(d) if r not in s) for s in subs]
+    return subs, comps, signs
 
 
 @pytest.fixture

@@ -257,7 +257,7 @@ def test_criterion_7_sign_laws(fixture_table, main_reports):
         reflected_kernel = lambda cos_alpha: ev.kernel_ratio(None, -cos_alpha)
         value, _, _, _ = _level_sum(K, L, GridSpec(curve=128).counts(K, L),
                                     partial(_kernel_terms, reflected_kernel,
-                                            1 / _vol_sphere_any(n)),
+                                            1 / _vol_sphere_any(n), (K.span, L.span), None),
                                     lambda amin, amax: None)
         expected = sign_factor("antipodal_transfer", l=l_dim) * value
         assert abs(direct.raw_value - expected) < 1e-8, name

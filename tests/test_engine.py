@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from dataclasses import replace
 from functools import partial
 from itertools import combinations, product
 
@@ -25,7 +26,7 @@ from spherelink import (
     round_to_linking,
     sign_factor,
 )
-from spherelink import engine, kernels, oracle
+from spherelink import engine, kernels
 from spherelink.engine import (
     _join_batch,
     _kernel_terms,
@@ -40,6 +41,7 @@ from conftest import (
     clifford_pair,
     great_pair,
     hopf_pair,
+    laplace_subsets,
     random_fourier_pair,
     random_rotation,
     small_sphere_pair,
@@ -231,13 +233,13 @@ class TestSpanBracket:
         k, l, n = K.dim, L.dim, K.ambient_n
         ck, cl = (3,) * k, (4,) * l
         bracket = engine._span_bracket(*(tuple(map(tuple, m.span)) for m in (K, L)), k + 1)
-        _, mk = engine._minor_side(K, ck, 1.0, bracket)
-        _, ml = engine._minor_side(L, cl, 1.0)
+        _, mk = engine._minor_side(K, ck, 1.0, K.span, None, bracket)
+        _, ml = engine._minor_side(L, cl, 1.0, L.span)
         assert ml.shape[1] == math.comb(L.span.shape[1], l + 1) == mk.shape[1]
         # the whole bracket by Laplace expansion on every row subset
         _, fk, wk = _side_arrays(K, ck)
         _, fl, wl = _side_arrays(L, cl)
-        subs, comps, signs = engine._laplace_subsets(n + 1, k + 1)
+        subs, comps, signs = laplace_subsets(n + 1, k + 1)
         ak, al = _minor_dets(fk, subs) * signs, _minor_dets(fl, comps)
         largest = np.max(np.abs(ak).max(axis=0) * np.abs(al).max(axis=0))
         got = (mk @ ml.T) / np.outer(wk, wl)
@@ -254,7 +256,7 @@ class TestSpanBracket:
         for d in range(2, 8):
             eye = tuple(map(tuple, np.eye(d)))
             for m in range(1, d):
-                subs, comps, signs = engine._laplace_subsets(d, m)
+                subs, comps, signs = laplace_subsets(d, m)
                 lex = list(combinations(range(d), d - m))
                 want = np.zeros((len(subs), len(lex)))
                 want[range(len(subs)), [lex.index(c) for c in comps]] = signs
@@ -371,7 +373,8 @@ class TestLevelChecks:
 
     def test_nan_kernel_rejected(self):
         K, L = hopf_pair()
-        terms = partial(_kernel_terms, lambda cos_alpha: np.full_like(cos_alpha, np.nan), 1.0)
+        terms = partial(_kernel_terms, lambda cos_alpha: np.full_like(cos_alpha, np.nan), 1.0,
+                        (K.span, L.span), None)
         with pytest.raises(ValueError, match="not finite.*min separation"):
             _level_sum(K, L, GridSpec(curve=8).counts(K, L), terms, lambda amin, amax: None)
 
@@ -1005,12 +1008,13 @@ class TestSideMemory:
         # (0.02 MiB)
         K, L = small_sphere_pair(2, 3)
         counts = (16, 16, 32, 16, 16)
-        _kernel_terms(np.cos, 1.0, K, L, counts)  # the subset tables' caches
+        # the subset tables' caches
+        _kernel_terms(np.cos, 1.0, (K.span, L.span), None, K, L, counts)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            level = _kernel_terms(np.cos, 1.0, K, L, counts)
+            level = _kernel_terms(np.cos, 1.0, (K.span, L.span), None, K, L, counts)
             held, peak = (b - before for b in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -1107,15 +1111,15 @@ class TestHonestErrorEstimate:
         K, L = make()
         run = self.ROUTES[route]
         grids, poles = [], []
-        refine, find_pole = engine.refine_until, oracle.find_pole
+        refine, oracle = engine.refine_until, engine._ROUTES["oracle"]
 
         def recorded(grid0, level_sums, tol, max_level, domain):
             return refine(grid0, lambda gs: grids.extend(gs) or level_sums(gs), tol,
                           max_level, domain)
 
         monkeypatch.setattr(engine, "refine_until", recorded)
-        monkeypatch.setattr(oracle, "find_pole", lambda pts: poles.append(find_pole(pts))
-                            or poles[-1])
+        monkeypatch.setitem(engine._ROUTES, "oracle", replace(
+            oracle, pole=lambda pts: poles.append(oracle.pole(pts)) or poles[-1]))
         r = run(K, L, grid, tol=1e-6, max_level=2)
         # the reference is the route's one level sum on the finer grid, from
         # the run's own pole for the oracle
@@ -1126,7 +1130,7 @@ class TestHonestErrorEstimate:
             return Estimate(value, 0.0, 0, level_values=(value,))
 
         monkeypatch.setattr(engine, "refine_until", one_level)
-        monkeypatch.setattr(oracle, "find_pole", lambda pts: poles[0])
+        monkeypatch.setitem(engine._ROUTES, "oracle", replace(oracle, pole=lambda pts: poles[0]))
         ref = run(K, L, grid, tol=0.0, max_level=0).raw_value
         assert abs(r.raw_value - ref) <= r.error_estimate + self.ROUNDOFF_FLOOR
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,10 @@ from spherelink import (
     oracle_linking,
     orientation_reversed,
 )
-from spherelink import oracle
-from spherelink.engine import _side_arrays, _span_bracket, sign_factor
-from spherelink.oracle import _gauss_side, find_pole, pole_candidates
+from spherelink import engine, kernels
+from spherelink.engine import _minor_side, _pole_span, _side_arrays, _span_bracket, sign_factor
 from spherelink.quadrature import probes
-from spherelink.spheregeom import _vol_sphere_any
+from spherelink.spheregeom import _vol_sphere_any, find_pole, pole_candidates
 
 from conftest import (
     LIFT_FRAME,
@@ -22,6 +23,7 @@ from conftest import (
     great_pair,
     hopf_pair,
     lifted_circle,
+    random_fourier_pair,
     small_sphere_pair,
     threading_circles,
     unit_rows,
@@ -53,15 +55,20 @@ def projected(M, nodes, pole):
 
 def kernel_calls(monkeypatch):
     """Record the shape of every chunk whose Gauss kernel is formed."""
-    calls, kernel = [], oracle._gauss_kernel
-    monkeypatch.setattr(oracle, "_gauss_kernel",
+    calls, kernel = [], engine._gauss_kernel
+    monkeypatch.setattr(engine, "_gauss_kernel",
                         lambda n, c: calls.append(c.shape) or kernel(n, c))
     return calls
 
 
+def with_find(monkeypatch, find):
+    """Make the oracle's route pick its pole by find(points)."""
+    monkeypatch.setitem(engine._ROUTES, "oracle", replace(engine._ROUTES["oracle"], pole=find))
+
+
 def with_pole(monkeypatch, pole):
     """Make oracle_linking project from `pole` instead of its own choice."""
-    monkeypatch.setattr(oracle, "find_pole", lambda points: np.asarray(pole, dtype=float))
+    with_find(monkeypatch, lambda points: np.asarray(pole, dtype=float))
 
 
 class TestPoleMachinery:
@@ -114,7 +121,7 @@ class TestPoleMachinery:
             chosen.append((points, find_pole(points)))
             raise Found
 
-        monkeypatch.setattr(oracle, "find_pole", spy)
+        with_find(monkeypatch, spy)
         with pytest.raises(Found):
             oracle_linking(K, L, GridSpec(surface=6))
         assert len(calls) == 7
@@ -132,6 +139,58 @@ class TestPoleMachinery:
             find_pole(cands)
 
 
+class TestPoleSpan:
+    """Each side takes its minors in the span of [B | p], B its own span and
+    p the pole: an orthonormal span that holds every x - p and tangent
+    column, on which the pair's bracket is the whole space's."""
+
+    CASES = {
+        # pair, pole (None: the oracle's own), minors a node per side
+        "small_sphere": (lambda: small_sphere_pair(2, 3), None, (10, 15)),
+        "great_subsphere": (lambda: great_pair(1, 2), None, (3, 4)),
+        # whole-space spans: no column added, C(4, 2) minors a side
+        "fourier": (lambda: random_fourier_pair(np.random.default_rng(7)), None, (6, 6)),
+        # -e3 lies in both sides' spans: a unit vector orthogonal to each
+        # completes it
+        "pole_in_span": (lambda: small_sphere_pair(2, 3), -np.eye(7)[3], (10, 15)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_span_holds_shifted_frames(self, case):
+        make, pole, minors = self.CASES[case]
+        K, L = make()
+        counts = GridSpec(curve=16, surface=4).counts(K, L)
+        if pole is None:
+            pole = engine._first_step_pole(find_pole, K, L, counts)
+        k, n = K.dim, K.ambient_n
+        parts = (counts[:k], counts[k:])
+        spans = [_pole_span(M.span, pole) for M in (K, L)]
+        for M, c, span, want in zip((K, L), parts, spans, minors):
+            B = M.span
+            if case == "fourier":
+                assert np.array_equal(span, B) and span.shape[1] == n + 1
+            else:
+                assert span.shape[1] == B.shape[1] + 1
+            if case == "pole_in_span":
+                assert np.max(np.abs(B @ (B.T @ pole) - pole)) < 1e-15
+            assert np.max(np.abs(span.T @ span - np.eye(span.shape[1]))) <= 1e-12
+            frames = _side_arrays(M, c)[1].copy()
+            frames[:, :, 0] -= pole
+            off = np.linalg.norm(frames - span @ (span.T @ frames), axis=1)
+            assert np.max(off / np.maximum(1.0, np.linalg.norm(frames, axis=1))) <= 1e-12
+            assert _minor_side(M, c, 1.0, span, pole)[1].shape[1] == want
+
+        def brackets(sk, sl):
+            # every pair's bracket det(x - p, dx, y - p, dy) from the minors in sk, sl
+            m = _span_bracket(tuple(map(tuple, sk)), tuple(map(tuple, sl)), k + 1)
+            return (_minor_side(K, parts[0], 1.0, sk, pole, m)[1]
+                    @ _minor_side(L, parts[1], 1.0, sl, pole)[1].T)
+
+        # the two spans give the whole space's brackets
+        got, ref = brackets(*spans), brackets(np.eye(n + 1), np.eye(n + 1))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestStereographicProjection:
     @pytest.mark.parametrize("k, l", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 1), (1, 2), (2, 2),
                                       (1, 3), (2, 3)])
@@ -147,9 +206,10 @@ class TestStereographicProjection:
         pole = unit_rows(rng, 1, n + 1)[0]
         while np.max(pts @ pole) > np.cos(0.1):
             pole = unit_rows(rng, 1, n + 1)[0]
-        bracket = _span_bracket(*(tuple(map(tuple, np.eye(n + 1))),) * 2, k + 1)
-        pk, mk = _gauss_side(pole, K, (nodes[k],) * k, 1.0 / _vol_sphere_any(n - 1), bracket)
-        pl, ml = _gauss_side(pole, L, (nodes[l],) * l, 1.0)
+        sk, sl = (_pole_span(M.span, pole) for M in (K, L))
+        bracket = _span_bracket(tuple(map(tuple, sk)), tuple(map(tuple, sl)), k + 1)
+        pk, mk = _minor_side(K, (nodes[k],) * k, 1.0 / _vol_sphere_any(n - 1), sk, pole, bracket)
+        pl, ml = _minor_side(L, (nodes[l],) * l, 1.0, sl, pole)
         sphere = (mk @ ml.T) * (2 * (1 - pk @ pl.T)) ** (-n / 2)
         (fk, wk), (fl, wl) = (projected(M, nodes[M.dim], pole) for M in (K, L))
         X, Y = fk[:, None, :, :1], fl[None, :, :, :1]
@@ -244,6 +304,14 @@ class TestGaussIntegral:
             main = evaluate_main_theorem(K, L, grid, tol=1e-6, max_level=0)
             assert (orc.min_alpha, orc.max_alpha) == (main.min_alpha, main.max_alpha)
             assert orc.node_counts == main.node_counts
+
+    def test_builds_no_kernel_evaluator(self, monkeypatch):
+        # Gauss's kernel needs none of the sphere kernels' tables
+        def refused(k, l):
+            raise AssertionError("the oracle asked for a KernelEvaluator")
+
+        monkeypatch.setattr(kernels, "get_evaluator", refused)
+        assert oracle_linking(*hopf_pair(), m=32, tol=1e-6).accepted
 
     def test_report_method(self):
         K = lifted_circle([0, 0, 0], 0.5)

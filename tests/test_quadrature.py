@@ -594,7 +594,8 @@ class TestBlasThreads:
                 return ev.kernel_ratio(None, c)
 
             value = engine._level_sum(K, L, GridSpec(curve=16, surface=8).counts(K, L),
-                                      partial(engine._kernel_terms, kern, 1.0),
+                                      partial(engine._kernel_terms, kern, 1.0,
+                                              (K.span, L.span), None),
                                       lambda lo, hi: None)
             assert np.isfinite(value[0])
             assert len(seen) > 1 and set(seen) == {1}, workers

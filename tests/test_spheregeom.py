@@ -16,7 +16,7 @@ from spherelink import (
     small_round_sphere,
 )
 from spherelink.catalog import OrientedSubmanifold
-from spherelink.engine import _laplace_subsets, _minor_dets
+from spherelink.engine import _minor_dets
 from spherelink.quadrature import ChartDim
 from spherelink.spheregeom import (
     _vol_sphere_any,
@@ -26,7 +26,7 @@ from spherelink.spheregeom import (
     sphere_volume,
 )
 
-from conftest import random_rotation, unit_rows
+from conftest import laplace_subsets, random_rotation, unit_rows
 
 
 class TestGeodesicDistance:
@@ -89,12 +89,12 @@ def random_frames(rng, n, d, m):
 def laplace_bracket(fk, fl):
     """det(x, dx, y, dy) of every K frame against every L frame, as the pair
     kernels form it: signed K minors times the complementary L minors."""
-    subs, comps, signs = _laplace_subsets(fk.shape[1], fk.shape[2])
+    subs, comps, signs = laplace_subsets(fk.shape[1], fk.shape[2])
     return (_minor_dets(fk, subs) * signs) @ _minor_dets(fl, comps).T
 
 
 class TestBracketForm:
-    """The bracket as the pair kernels form it, from `_laplace_subsets`."""
+    """The bracket as the pair kernels form it, from `laplace_subsets`."""
 
     def test_matches_full_determinant(self, rng):
         # the signs and complements combine the minors into the whole
